@@ -233,6 +233,13 @@ class SampleSpec:
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
+def _n_max_from_json(value) -> int:
+    n_max = int(value)
+    if n_max < 1:
+        raise ConfigError(f"n_max must be at least 1, got {n_max}")
+    return n_max
+
+
 def _direction_from_json(value):
     if value in ("auto", None):
         return "auto"
@@ -312,7 +319,7 @@ class ExperimentConfig:
             tol_abs=float(doc.get("tolerances", {}).get("abs", 1e-12)),
             tol_rel=float(doc.get("tolerances", {}).get("rel", 1e-10)),
             series_tol=float(doc.get("tolerances", {}).get("series", 1e-12)),
-            n_max=int(doc.get("n_max", 48)),
+            n_max=_n_max_from_json(doc.get("n_max", 48)),
             chain=bool(doc.get("chain", True)),
             catalogue_out=doc.get("catalogue_out"),
             bounds_items=list(doc.get("bounds", [])),
@@ -405,7 +412,7 @@ class SweepSpec:
             tol_abs=float(tolerances.get("abs", 1e-12)),
             tol_rel=float(tolerances.get("rel", 1e-10)),
             series_tol=float(tolerances.get("series", 1e-12)),
-            n_max=int(base.get("n_max", 48)),
+            n_max=_n_max_from_json(base.get("n_max", 48)),
             output_stem=str(doc.get("output_stem", "sweep")),
         )
         for mode in spec.l_modes:

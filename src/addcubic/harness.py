@@ -21,9 +21,8 @@ from . import residuals
 from .config import (ConfigError, ExperimentConfig, SweepSpec, model_to_json,
                      phi_from_json, phi_to_json)
 from .direct_method import DivergentControlError, OverflowGuardError, recover
-from .models import (BoundedNoise, FuncModel, Point, PowerNoise,
-                     ProductOfPowers, SumOfPowers, linear_1d, cubic_1d, norm,
-                     point)
+from .models import (BoundedNoise, FuncModel, PowerNoise, ProductOfPowers,
+                     SumOfPowers, linear_1d, cubic_1d, point)
 from .scalars import EXACT, format_number
 
 SWEEP_CSV_HEADER = ("p", "r", "s", "theta", "epsilon", "l_additive", "l_cubic",
@@ -85,33 +84,50 @@ def _expectations(model: FuncModel) -> dict[str, bool]:
     }
 
 
-def _scale(f, x: Point, y: Point, terms) -> float:
-    total = 0.0
-    for c, a, b in terms:
-        arg = Point(tuple(a * xi + b * yi for xi, yi in zip(x.coords, y.coords)),
-                    x.norm_kind)
-        total += abs(float(c)) * norm(f(arg))
-    return max(1.0, total)
+def _require_pairs(label: str, model: FuncModel, pairs) -> None:
+    if not pairs:
+        raise ConfigError(
+            f"model {label!r} has no sample pairs of dimension "
+            f"{model.dim_in}; a check over zero pairs would pass vacuously")
 
 
-def _residual_stats(f, pairs, rule_terms, exact: bool) -> dict:
-    max_abs = 0.0
-    max_rel = 0.0
-    nonzero = 0
+def _chain_stats(catalogue) -> dict[str, dict]:
+    return {ident.label: {"max_abs": 0.0, "nonzero_count": 0}
+            for ident in catalogue}
+
+
+def _tally_pairs(f, pairs, tables: residuals.TermTables, rows: list[dict],
+                 exact: bool, keep: int = 0) -> list:
+    """Fold the residual of ``tables`` entry i at every pair into rows[i].
+
+    f is evaluated once per distinct argument of each pair, for all tables
+    together.  Returns the residual vectors of the first ``keep`` pairs.
+    """
+    kept = []
     for x, y in pairs:
-        vector = residuals.combine(f, x, y, rule_terms)
-        magnitude = vector.magnitude
-        max_abs = max(max_abs, magnitude)
-        if exact:
-            if not vector.is_zero:
-                nonzero += 1
-        else:
-            rel = magnitude / _scale(f, x, y, rule_terms)
-            max_rel = max(max_rel, rel)
-            if rel > FLOAT_REL_TOL:
-                nonzero += 1
-    return {"max_abs": max_abs, "max_rel": max_rel, "nonzero_count": nonzero,
-            "samples": len(pairs)}
+        values = tables.evaluate(f, x, y)
+        vectors = tables.sums(values, x)
+        if len(kept) < keep:
+            kept.append(vectors)
+        if not exact:
+            scales = tables.term_norms(values, x)
+        for index, (row, vector) in enumerate(zip(rows, vectors)):
+            magnitude = vector.magnitude
+            row["max_abs"] = max(row["max_abs"], magnitude)
+            if exact:
+                if not vector.is_zero:
+                    row["nonzero_count"] += 1
+            else:
+                rel = magnitude / max(1.0, scales[index])
+                row["max_rel"] = max(row["max_rel"], rel)
+                if rel > FLOAT_REL_TOL:
+                    row["nonzero_count"] += 1
+    return kept
+
+
+def _chain_ok(expect_zero: bool, stats: dict[str, dict]) -> bool:
+    return not expect_zero or all(row["nonzero_count"] == 0
+                                  for row in stats.values())
 
 
 def run_check_lemmas(config: ExperimentConfig, out_dir: Path) -> RunResult:
@@ -124,6 +140,10 @@ def run_check_lemmas(config: ExperimentConfig, out_dir: Path) -> RunResult:
     if not labeled:
         labeled = _default_families(config)
     exact = config.mode == EXACT
+    catalogue = residuals.CHAIN_CATALOGUE if config.chain and exact else ()
+    tables = residuals.TermTables(
+        tuple(_RULE_TABLES.values())
+        + tuple(ident.moved_terms for ident in catalogue))
 
     ok = True
     model_reports = []
@@ -132,46 +152,30 @@ def run_check_lemmas(config: ExperimentConfig, out_dir: Path) -> RunResult:
             model.dim_in, config.mode, config.norm_kind)
         pairs = explicit_pairs + config.samples.random_pairs(
             model.dim_in, config.mode, config.norm_kind)
+        _require_pairs(label, model, pairs)
         expect = _expectations(model)
+        rule_stats = {name: {"max_abs": 0.0, "max_rel": 0.0,
+                             "nonzero_count": 0, "samples": len(pairs)}
+                      for name in _RULE_TABLES}
+        chain_stats = _chain_stats(catalogue)
+        kept = _tally_pairs(model, pairs, tables,
+                            [*rule_stats.values(), *chain_stats.values()],
+                            exact, keep=len(explicit_pairs))
         entry: dict = {"label": label, "model": model_to_json(model),
-                       "expect": expect}
-        model_ok = True
-        for name, table in _RULE_TABLES.items():
-            stats = _residual_stats(model, pairs, table, exact)
-            entry[name] = stats
-            if expect[name] and stats["nonzero_count"]:
-                model_ok = False
-        explicit = []
-        for x, y in explicit_pairs:
-            values = {
-                name: [format_number(c)
-                       for c in residuals.combine(model, x, y,
-                                                  table).value.coords]
-                for name, table in _RULE_TABLES.items()
-            }
-            explicit.append({
+                       "expect": expect, **rule_stats}
+        model_ok = not any(expect[name] and stats["nonzero_count"]
+                           for name, stats in rule_stats.items())
+        if explicit_pairs:
+            entry["explicit_pairs"] = [{
                 "x": [format_number(c) for c in x.coords],
                 "y": [format_number(c) for c in y.coords],
-                "residuals": values,
-            })
-        if explicit:
-            entry["explicit_pairs"] = explicit
-        if config.chain and exact:
-            chain_stats = {}
-            chain_ok = True
-            for x, y in pairs:
-                replay = residuals.chain_replay(model, x, y)
-                for ident_label, vector in replay.items():
-                    row = chain_stats.setdefault(
-                        ident_label, {"max_abs": 0.0, "nonzero_count": 0})
-                    row["max_abs"] = max(row["max_abs"], vector.magnitude)
-                    if not vector.is_zero:
-                        row["nonzero_count"] += 1
-            if expect["chain"]:
-                chain_ok = all(row["nonzero_count"] == 0
-                               for row in chain_stats.values())
+                "residuals": {
+                    name: [format_number(c) for c in vector.value.coords]
+                    for name, vector in zip(_RULE_TABLES, vectors)},
+            } for (x, y), vectors in zip(explicit_pairs, kept)]
+        if catalogue:
             entry["chain"] = chain_stats
-            model_ok = model_ok and chain_ok
+            model_ok = model_ok and _chain_ok(expect["chain"], chain_stats)
         entry["ok"] = model_ok
         ok = ok and model_ok
         model_reports.append(entry)
@@ -199,23 +203,17 @@ def run_replay_chain(config: ExperimentConfig, out_dir: Path) -> RunResult:
     labeled = config.family_models()
     if not labeled:
         labeled = _default_families(config)
+    tables = residuals.chain_tables()
     ok = True
     model_reports = []
     for label, model in labeled:
         pairs = config.samples.sample_pairs(model.dim_in, EXACT,
                                             config.norm_kind)
+        _require_pairs(label, model, pairs)
         expect_zero = _expectations(model)["chain"]
-        per_identity: dict[str, dict] = {}
-        for x, y in pairs:
-            replay = residuals.chain_replay(model, x, y)
-            for ident_label, vector in replay.items():
-                row = per_identity.setdefault(
-                    ident_label, {"max_abs": 0.0, "nonzero_count": 0})
-                row["max_abs"] = max(row["max_abs"], vector.magnitude)
-                if not vector.is_zero:
-                    row["nonzero_count"] += 1
-        model_ok = (not expect_zero) or all(
-            row["nonzero_count"] == 0 for row in per_identity.values())
+        per_identity = _chain_stats(residuals.CHAIN_CATALOGUE)
+        _tally_pairs(model, pairs, tables, list(per_identity.values()), True)
+        model_ok = _chain_ok(expect_zero, per_identity)
         ok = ok and model_ok
         model_reports.append({"label": label, "model": model_to_json(model),
                               "expect_zero": expect_zero,

@@ -59,3 +59,40 @@ def power_diag(theta, p_num, norm_x, pair_count=2):
         return theta * pair_count * (scale * norm_x) ** p_num
 
     return phi
+
+
+def _lattice_argument(x, y, a, b):
+    # Zero multiples are left out rather than added, so a zero coordinate
+    # keeps its sign in float mode.
+    if b == 0:
+        return tuple(a * xi for xi in x)
+    if a == 0:
+        return tuple(b * yi for yi in y)
+    return tuple(a * xi + b * yi for xi, yi in zip(x, y))
+
+
+def lattice_sum(f, x, y, terms):
+    """Exact sum of c * f(a x + b y), term by term, in Fractions.
+
+    ``f`` maps a coordinate tuple to a value tuple; ``x`` and ``y`` are
+    coordinate tuples and ``terms`` rows (c, a, b) with c a rational or
+    its string.
+    """
+    total = None
+    for c, a, b in terms:
+        values = f(_lattice_argument(x, y, a, b))
+        contribution = [Fraction(c) * v for v in values]
+        total = contribution if total is None \
+            else [t + v for t, v in zip(total, contribution)]
+    return tuple(total)
+
+
+def lattice_float_sum(f, x, y, terms):
+    """The same sum in floats: float(c) * v added in term order."""
+    total = None
+    for c, a, b in terms:
+        values = f(_lattice_argument(x, y, a, b))
+        contribution = [float(Fraction(c)) * v for v in values]
+        total = contribution if total is None \
+            else [t + v for t, v in zip(total, contribution)]
+    return tuple(total)

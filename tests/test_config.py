@@ -53,6 +53,9 @@ def test_bad_documents_raise_config_error():
         ExperimentConfig.from_json_dict({"norm": "hamming"})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json_dict({"directions": {"additive": 2}})
+    for n_max in (0, -3):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json_dict({"n_max": n_max})
 
 
 def test_experiment_config_parsing(tmp_path):
@@ -149,3 +152,5 @@ def test_sweep_spec_rejects_unknown_form_and_mode():
         SweepSpec.from_json_dict({"form": "ratio"})
     with pytest.raises(ConfigError):
         SweepSpec.from_json_dict({"l_mode": ["sideways"]})
+    with pytest.raises(ConfigError):
+        SweepSpec.from_json_dict({"base": {"n_max": 0}})

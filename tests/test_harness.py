@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import json
 
 import pytest
 
+from addcubic import FuncModel
 from addcubic.cli import main as cli_main
 from addcubic.config import ConfigError, ExperimentConfig, SweepSpec
 from addcubic.harness import (run_bounds, run_check_lemmas, run_recover,
@@ -82,11 +84,34 @@ def test_check_lemmas_even_model_reports_minus_16(tmp_path):
     assert result.ok  # nothing was expected to vanish
 
 
-def test_check_lemmas_empty_samples(tmp_path):
-    config = ExperimentConfig.from_json_dict(lemma_config(samples={}))
-    result = run_check_lemmas(config, tmp_path)
-    assert result.ok and result.exit_code == 0
-    assert all(m["mixed"]["samples"] == 0 for m in result.report["models"])
+def test_cli_zero_sample_pairs_exit_2(tmp_path, capsys):
+    for command in ("check-lemmas", "replay-chain"):
+        for samples in ({}, {"random": {"count": 0}},
+                        {"pairs": [[["1", "2"], ["3", "4"]]]}):
+            config_path = write_config(tmp_path, "lem.json",
+                                       lemma_config(samples=samples))
+            out_dir = tmp_path / "out"
+            assert cli_main([command, "--config", str(config_path),
+                             "--out-dir", str(out_dir)]) == 2
+            assert "no sample pairs" in capsys.readouterr().err
+            assert not out_dir.exists()
+
+
+def test_check_lemmas_evaluates_each_argument_once(tmp_path, monkeypatch):
+    calls = []
+    evaluate = FuncModel.evaluate_coords
+
+    def counted(model, coords, mode):
+        calls.append((id(model), coords))
+        return evaluate(model, coords, mode)
+
+    monkeypatch.setattr(FuncModel, "evaluate_coords", counted)
+    pairs = 1 + 25  # one explicit pair, 25 random ones, per model
+    for mode, per_pair in (("exact", 19), ("float", 8)):
+        calls.clear()
+        config = ExperimentConfig.from_json_dict(lemma_config(mode=mode))
+        assert run_check_lemmas(config, tmp_path).ok
+        assert len(calls) == 2 * pairs * per_pair
 
 
 def test_replay_chain_runner(tmp_path):
@@ -327,6 +352,57 @@ def test_outputs_byte_identical_across_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+GOLDEN_MODELS = [
+    {"label": "slope", "dim_in": 2, "dim_out": 2, "atoms": [
+        {"kind": "linear", "matrix": [["2", "-1/2"], ["3/4", "1"]]}]},
+    {"label": "cube", "dim_in": 2, "dim_out": 2, "atoms": [
+        {"kind": "cubic", "dims": [2, 2],
+         "terms": [[[[0, 0, 0], "1"], [[0, 1, 1], "-3/4"]],
+                   [[[0, 0, 1], "5/2"], [[1, 1, 1], "-1"]]]}]},
+    {"label": "blend", "dim_in": 1, "dim_out": 1, "atoms": [
+        {"kind": "linear", "matrix": [["3/2"]]},
+        {"kind": "cubic", "dims": [1, 1], "terms": [[[[0, 0, 0], "-1/4"]]]},
+        {"kind": "even", "matrices": [[["1/3"]]]},
+        NOISE_ATOM,
+        {"kind": "power_noise", "seed": 5, "amplitude": "1/100",
+         "exponent": "2"}]},
+]
+GOLDEN_EXACT = {
+    "schema_version": 1, "mode": "exact", "models": GOLDEN_MODELS,
+    "samples": {"pairs": [[["1", "-2"], ["1/2", "3"]], [["1"], ["1"]],
+                          [["-3/4"], ["5/2"]]],
+                "random": {"count": 3, "seed": 9}},
+    "chain": True, "catalogue_out": "catalogue.json", "output_stem": "golden",
+}
+GOLDEN_FLOAT = {key: value for key, value in GOLDEN_EXACT.items()
+                if key != "catalogue_out"} | {"mode": "float"}
+# sha256 of each file check-lemmas writes for the golden configs.  A change
+# to the residual arithmetic or the report layout changes these bytes.
+GOLDEN_SHA256 = {
+    "exact": {
+        "golden.json": "f2c865317f5feca95b02a8b7d2fb2942"
+                       "cdb16f10b1cc97a0fa6965ddd0ba8e64",
+        "catalogue.json": "807473463c2db9ec2080be6e13312d82"
+                          "10e20f9c6793cd7f49433d61b78c10be",
+    },
+    "float": {
+        "golden.json": "7c9a0ba660f23438a3cb492203a750d1"
+                       "7461dfa9198c5d5438a1859ea32c643a",
+    },
+}
+
+
+def test_check_lemmas_golden_report_bytes(tmp_path):
+    for name, doc in (("exact", GOLDEN_EXACT), ("float", GOLDEN_FLOAT)):
+        config_path = write_config(tmp_path, f"{name}.json", doc)
+        out_dir = tmp_path / name
+        assert cli_main(["check-lemmas", "--config", str(config_path),
+                         "--out-dir", str(out_dir)]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out_dir.iterdir()}
+        assert digests == GOLDEN_SHA256[name], name
+
+
 def test_cli_out_dir_environment_override(tmp_path, monkeypatch, capsys):
     config_path = write_config(tmp_path, "lem.json", lemma_config())
     target = tmp_path / "env_out"
@@ -343,6 +419,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli_main(["recover", "--config", str(missing),
                      "--out-dir", str(tmp_path)]) == 2
+
+
+def test_cli_n_max_below_one_exit_2(tmp_path, capsys):
+    cases = (("recover", recover_config(n_max=0)),
+             ("sweep", sweep_doc(base={**sweep_doc()["base"], "n_max": 0})))
+    for command, doc in cases:
+        config_path = write_config(tmp_path, f"{command}.json", doc)
+        assert cli_main([command, "--config", str(config_path),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert "n_max must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_failure_exit_code(tmp_path):

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from addcubic import (ABS_COEFFICIENT_SUM, DimensionMismatchError,
-                      ModeMismatchError, additive_residual, cubic_residual,
-                      double_arg_residual, linearity_residual, mixed_residual,
-                      model_1d, cubic_1d, even_1d, linear_1d, odd_part, point,
-                      random_cubic, random_linear, random_point, FuncModel)
+from addcubic import (ABS_COEFFICIENT_SUM, CHAIN_CATALOGUE, BoundedNoise,
+                      DimensionMismatchError, Even, ModeMismatchError,
+                      PowerNoise, additive_residual, chain_replay,
+                      cubic_residual, double_arg_residual, linearity_residual,
+                      mixed_residual, model_1d, cubic_1d, even_1d, linear_1d,
+                      odd_part, point, random_cubic, random_linear,
+                      random_point, random_rational, FuncModel)
+from addcubic.residuals import (ADDITIVE_RULE, CUBIC_RULE, MIXED_RULE,
+                                TermTables)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -172,3 +176,75 @@ def test_float_mode_residuals_small_on_solutions():
         x = random_point(rng, 2).to_mode("float")
         y = random_point(rng, 2).to_mode("float")
         assert mixed_residual(f, x, y).magnitude <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Shared evaluation tables
+# ---------------------------------------------------------------------------
+
+RULES = (MIXED_RULE, ADDITIVE_RULE, CUBIC_RULE)
+ALL_TABLES = RULES + tuple(ident.moved_terms for ident in CHAIN_CATALOGUE)
+
+
+def _atom(kind, rng, d, m):
+    if kind == "linear":
+        return random_linear(rng, d, m)
+    if kind == "cubic":
+        return random_cubic(rng, d, m)
+    if kind == "even":
+        return Even(tuple(tuple(tuple(random_rational(rng, 9)
+                                      for _ in range(d)) for _ in range(d))
+                          for _ in range(m)))
+    if kind == "bounded_noise":
+        return BoundedNoise(rng.randint(0, 99), Fraction(1, 1000))
+    return PowerNoise(rng.randint(0, 99), Fraction(1, 100),
+                      Fraction(rng.choice((1, 2, 5)), rng.choice((1, 2))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sets(st.sampled_from(("linear", "cubic", "even",
+                                           "bounded_noise", "power_noise")),
+                          min_size=1))
+def test_term_tables_match_term_by_term_oracle(data, kinds):
+    d = data.draw(st.integers(1, 3), label="dim_in")
+    m = data.draw(st.integers(1, 3), label="dim_out")
+    rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
+    f = FuncModel(d, m, tuple(_atom(kind, rng, d, m) for kind in sorted(kinds)))
+    coords = st.lists(rationals, min_size=d, max_size=d)
+    x = point(data.draw(coords, label="x"))
+    y = point(data.draw(coords, label="y"))
+    tables = TermTables(ALL_TABLES)
+
+    exact = tables.residuals(f, x, y)
+    at = lambda c: f(point(c)).coords  # noqa: E731
+    for terms, vector in zip(ALL_TABLES, exact):
+        assert vector.value.coords == oracles.lattice_sum(
+            at, x.coords, y.coords, terms)
+
+    xf, yf = x.to_mode("float"), y.to_mode("float")
+    floats = tables.residuals(f, xf, yf)
+    at = lambda c: f(point(c, mode="float")).coords  # noqa: E731
+    for terms, vector in zip(ALL_TABLES, floats):
+        expected = oracles.lattice_float_sum(at, xf.coords, yf.coords, terms)
+        assert [v.hex() for v in vector.value.coords] \
+            == [v.hex() for v in expected]
+
+
+def test_each_argument_is_evaluated_once_per_pair():
+    model = model_1d(linear_1d(2), cubic_1d(1), even_1d(1))
+    calls = []
+
+    def counted(p):
+        calls.append(p.coords)
+        return model(p)
+
+    x, y = point(["1/3"]), point(["-5/2"])
+    replay = chain_replay(counted, x, y)
+    assert len(calls) == 18 == len(set(calls))
+    assert replay == chain_replay(model, x, y)
+    calls.clear()
+    vectors = TermTables(RULES).residuals(counted, x, y)
+    assert len(calls) == 8 == len(set(calls))
+    assert [v.value for v in vectors] == [
+        mixed_residual(model, x, y).value, additive_residual(model, x, y).value,
+        cubic_residual(model, x, y).value]
