@@ -69,7 +69,7 @@ def start_index(l: int) -> int:
     return abs(l - 1) // 2
 
 
-def _require_direction(l: int) -> int:
+def require_direction(l: int) -> int:
     if l not in (-1, 1):
         raise ValueError(f"direction must be -1 or +1, got {l!r}")
     return l
@@ -87,7 +87,7 @@ def _component_series(weight: int, phi: ControlFunction, x: Point, l: int,
     the exact geometric recurrence, which keeps deep tails free of float
     overflow and underflow artifacts.
     """
-    _require_direction(l)
+    require_direction(l)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     w_bits = weight.bit_length() - 1  # 2 -> 1, 8 -> 3

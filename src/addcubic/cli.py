@@ -5,9 +5,15 @@ everything else lives in the JSON config so a run is reproducible from one
 artifact.  The output directory may also be set through the ADDCUBIC_OUT_DIR
 environment variable (the --out-dir flag wins).
 
+The config is read in full before anything runs: an unknown key, a
+missing required key or a value of the wrong type or range is a
+configuration error that names the key path, as is a check that would run
+over zero sample points or pairs.
+
 Exit codes: 0 when every asserted identity/inequality held, 1 when an
 assertion failed (including divergent bound series), 2 on configuration or
-usage errors.
+usage errors, including a config file or output path the system refuses
+and values too large for float arithmetic.
 """
 
 from __future__ import annotations
@@ -62,8 +68,12 @@ def main(argv=None) -> int:
     try:
         config = loader.load(args.config)
         result: RunResult = runner(config, out_dir)
-    except (ConfigError, FileNotFoundError, CertificationError) as exc:
+    except (ConfigError, OSError, CertificationError) as exc:
         print(f"addcubic {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"addcubic {args.command}: error: a config value is too large "
+              f"for float arithmetic ({exc})", file=sys.stderr)
         return 2
     for path in result.files:
         print(f"wrote {path}")

@@ -6,19 +6,30 @@ as exact rationals ("3/4", "0.25", "1e-3"), which is the lossless way to
 feed exact mode.  Random sampling is delegated to ``random.Random`` (the
 Mersenne Twister), drawing integers only, so sample streams are portable
 across platforms and Python versions.
+
+Each JSON object of a document is read by a :func:`section` that declares
+its keys once, each with a field reader; the config classes declare theirs
+on their fields (:func:`_key`).  Every value is converted when the document
+is loaded, and an undeclared key, a missing required key, or a value its
+reader cannot convert is a :class:`ConfigError` naming the key path, such
+as ``samples.random.count`` or ``bounds[0].phi``.  The runners see typed
+values only.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
+from .bounds import (CONVERGED, DIVERGED, EXCLUDED_ADDITIVE_EXPONENT,
+                     EXCLUDED_CUBIC_EXPONENT, INCONCLUSIVE, auto_directions)
 from .models import (BoundedNoise, Constant, ControlFunction, CubicHomogeneous,
-                     Even, FuncModel, Linear, Point, PowerNoise,
-                     ProductOfPowers, SumOfPowers, EUCLIDEAN, NORM_KINDS,
-                     point, random_cubic, random_linear, random_point)
+                     DimensionMismatchError, Even, FuncModel, Linear, Point,
+                     PowerNoise, ProductOfPowers, SumOfPowers, EUCLIDEAN,
+                     NORM_KINDS, point, random_cubic, random_linear,
+                     random_point)
 from .scalars import EXACT, MODES, format_number, parse_rational
 
 SCHEMA_VERSION = 1
@@ -29,60 +40,269 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Atom and model (de)serialization
+# Field readers: functions (value, key path) -> typed value
 # ---------------------------------------------------------------------------
 
-def _rows_to_json(rows) -> list[list[str]]:
-    return [[format_number(v) for v in row] for row in rows]
+_REQUIRED = object()
 
 
-def _rows_from_json(rows):
-    return tuple(tuple(parse_rational(v) for v in row) for row in rows)
+def _reader(convert, what: str, minimum=None):
+    """A reader applying ``convert``, which raises on a value it rejects."""
+    def read(value, where: str):
+        try:
+            result = convert(value)
+        except (TypeError, ValueError, ArithmeticError):
+            raise ConfigError(f"{where} must be {what}, got {value!r}") from None
+        if minimum is not None and result < minimum:
+            raise ConfigError(f"{where} must be at least {minimum}, "
+                              f"got {value!r}")
+        return result
+    return read
+
+
+def _exactly(kind):
+    """Identity on values of type ``kind``; bool is not int here."""
+    def convert(value):
+        if type(value) is not kind:
+            raise TypeError(value)
+        return value
+    return convert
+
+
+def integer(minimum: int | None = None):
+    """JSON integers, not booleans or floats, of at least ``minimum``."""
+    return _reader(_exactly(int), "an integer", minimum)
+
+
+def rational(minimum=None, decimal: bool = False):
+    """Exact rationals from JSON numbers or strings.
+
+    A value must fit in a float, because norms and bound series are
+    evaluated in floats.  ``decimal`` reads a number from its text, so that
+    a JSON 0.1 is exactly 1/10.
+    """
+    def convert(value) -> Fraction:
+        number = parse_rational(str(value) if decimal else value)
+        float(number)
+        return number
+    return _reader(convert, "a finite rational number", minimum)
+
+
+def real(positive: bool = False):
+    """Nonnegative floats such as tolerances; ``positive`` also rejects 0."""
+    def convert(value) -> float:
+        number = float(parse_rational(value))
+        if number < 0 or positive and number == 0:
+            raise ValueError(value)
+        return number
+    return _reader(convert, "a positive number" if positive
+                   else "a nonnegative number")
+
+
+flag = _reader(_exactly(bool), "true or false")
+text = _reader(_exactly(str), "a string")
+
+
+def _file_name(value) -> str:
+    name = _exactly(str)(value)
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValueError(name)
+    return name
+
+
+# Output names stay inside the output directory.
+file_name = _reader(_file_name, "a file name without a directory part")
+
+
+def choice(*options):
+    """One of ``options``, compared with type: 1.0 and true are not 1."""
+    def convert(value):
+        if not any(type(value) is type(o) and value == o for o in options):
+            raise ValueError(value)
+        return value
+    return _reader(convert, " | ".join(json.dumps(o) for o in options))
+
+
+def list_of(read, size: int | None = None, nonempty: bool = False):
+    """JSON lists of values ``read`` accepts; ``size`` fixes the length."""
+    def convert(value) -> list:
+        if (type(value) is not list or size not in (None, len(value))
+                or nonempty and not value):
+            raise ValueError(value)
+        return value
+    check = _reader(convert, f"a list of {size} items" if size
+                    else "a nonempty list" if nonempty else "a list")
+    return lambda value, where: tuple(
+        read(item, f"{where}[{index}]")
+        for index, item in enumerate(check(value, where)))
+
+
+def section(schema: dict):
+    """JSON objects read into a dict, keyed as declared in ``schema``.
+
+    ``schema`` maps each key to its reader, or to a (reader, default) pair
+    when the key may be left out.  A default is read like a configured
+    value, except that None stays None.  A dotted key "a.b" is key "b" of
+    the object under "a", which may itself be left out.  Any other key is
+    an error.
+    """
+    nested: dict = {}
+    for key, entry in schema.items():
+        outer, _, inner = key.partition(".")
+        if inner:
+            nested.setdefault(outer, {})[inner] = entry
+    entries = {key: entry for key, entry in schema.items() if "." not in key}
+    entries.update({outer: (section(inner), {})
+                    for outer, inner in nested.items()})
+
+    def read(value, where: str) -> dict:
+        if type(value) is not dict:
+            raise ConfigError(f"{where or 'the document'} must be an object, "
+                              f"got {value!r}")
+        out = {}
+        for key, entry in entries.items():
+            reader, default = entry if isinstance(entry, tuple) \
+                else (entry, _REQUIRED)
+            path = f"{where}.{key}" if where else key
+            if key in value:
+                out[key] = reader(value[key], path)
+            elif default is _REQUIRED:
+                raise ConfigError(f"missing key {path!r}")
+            else:
+                out[key] = None if default is None else reader(default, path)
+        for key in value:
+            if key not in entries:
+                raise ConfigError(
+                    f"unknown key {f'{where}.{key}' if where else key!r}")
+        for outer in nested:
+            out.update({f"{outer}.{key}": inner
+                        for key, inner in out.pop(outer).items()})
+        return out
+    return read
+
+
+def _key(path: str, read, default):
+    """A config class field read from the document at ``path`` ("a.b" nests).
+
+    The field defaults to ``default`` read like a configured value.
+    """
+    return field(default=None if default is None else read(default, path),
+                 metadata={"path": path, "entry": (read, default)})
+
+
+def _from_keys(cls, doc, where: str = ""):
+    """A ``cls`` whose fields declared with :func:`_key` are read from doc."""
+    keyed = [f for f in fields(cls) if "path" in f.metadata]
+    values = section({f.metadata["path"]: f.metadata["entry"]
+                      for f in keyed})(doc, where)
+    return cls(**{f.name: values[f.metadata["path"]] for f in keyed})
+
+
+def _sorted(read):
+    return lambda value, where: tuple(sorted(read(value, where)))
+
+
+def _reject_excluded(exponents, where: str, hint: str = "") -> None:
+    """Exponents 1 and 3 make one component series diverge."""
+    for p in exponents:
+        if float(p) in (EXCLUDED_ADDITIVE_EXPONENT, EXCLUDED_CUBIC_EXPONENT):
+            raise ConfigError(f"{where}: exponent p={p} is excluded{hint}")
+
+
+def _to_json(value):
+    """Typed values back to JSON: rationals as "p/q" text, tuples as lists."""
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return format_number(value) if isinstance(value, Fraction) else value
+
+
+_DIRECTION = choice(-1, 1, "auto")
+_COORDINATES = list_of(rational(decimal=True), nonempty=True)
+_MATRIX = list_of(list_of(rational(), nonempty=True), nonempty=True)
+_RS_PAIR = list_of(rational(minimum=0), size=2)
+
+
+# ---------------------------------------------------------------------------
+# Atoms, models and control functions
+# ---------------------------------------------------------------------------
+
+def _cubic_term(value, where: str):
+    """A [monomial, coefficient] row of a cubic atom."""
+    monomial, coefficient = list_of(lambda item, _: item, size=2)(value, where)
+    return (list_of(integer(minimum=0), size=3)(monomial, f"{where}[0]"),
+            rational()(coefficient, f"{where}[1]"))
+
+
+_ATOMS = {
+    "linear": (Linear, {"matrix": _MATRIX}),
+    "cubic": (CubicHomogeneous, {"dims": list_of(integer(minimum=1), size=2),
+                                 "terms": list_of(list_of(_cubic_term))}),
+    "even": (Even, {"matrices": list_of(_MATRIX, nonempty=True)}),
+    "bounded_noise": (BoundedNoise, {"seed": integer(),
+                                     "amplitude": rational(minimum=0)}),
+    "power_noise": (PowerNoise, {"seed": integer(),
+                                 "amplitude": rational(minimum=0),
+                                 "exponent": (rational(minimum=0), 0)}),
+}
+_PHIS = {
+    "constant": (Constant, {"value": rational(minimum=0)}),
+    "sum_of_powers": (SumOfPowers, {"theta": rational(minimum=0),
+                                    "power": rational(minimum=0)}),
+    "product_of_powers": (ProductOfPowers, {"theta": rational(minimum=0),
+                                            "r": rational(minimum=0),
+                                            "s": rational(minimum=0)}),
+}
+
+
+def _build(cls, values: dict, where: str):
+    """cls(**values), reporting its dimension checks as config errors."""
+    try:
+        return cls(**values)
+    except DimensionMismatchError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _from_variant(doc, where: str, tag: str, variants: dict):
+    """The object of the class ``doc[tag]`` names, with that class's keys."""
+    name = doc.get(tag) if type(doc) is dict else None
+    cls, schema = variants.get(name if type(name) is str else None, (None, {}))
+    values = section({tag: choice(*variants), **schema})(doc, where)
+    del values[tag]
+    return _build(cls, values, where)
+
+
+def _to_variant(obj, tag: str, variants: dict) -> dict:
+    for name, (cls, schema) in variants.items():
+        if type(obj) is cls:
+            return {tag: name, **{key: _to_json(getattr(obj, key))
+                                  for key in schema}}
+    raise ConfigError(f"no {tag} for {type(obj).__name__}")
 
 
 def atom_to_json(atom) -> dict:
-    if isinstance(atom, Linear):
-        return {"kind": "linear", "matrix": _rows_to_json(atom.matrix)}
-    if isinstance(atom, CubicHomogeneous):
-        return {
-            "kind": "cubic",
-            "dims": list(atom.dims),
-            "terms": [[[list(mono), format_number(c)] for mono, c in rows]
-                      for rows in atom.terms],
-        }
-    if isinstance(atom, Even):
-        return {"kind": "even",
-                "matrices": [_rows_to_json(q) for q in atom.matrices]}
-    if isinstance(atom, BoundedNoise):
-        return {"kind": "bounded_noise", "seed": atom.seed,
-                "amplitude": format_number(atom.amplitude)}
-    if isinstance(atom, PowerNoise):
-        return {"kind": "power_noise", "seed": atom.seed,
-                "amplitude": format_number(atom.amplitude),
-                "exponent": format_number(atom.exponent)}
-    raise ConfigError(f"unknown atom type {type(atom).__name__}")
+    return _to_variant(atom, "kind", _ATOMS)
 
 
-def atom_from_json(doc: dict):
-    kind = doc.get("kind")
-    try:
-        if kind == "linear":
-            return Linear(_rows_from_json(doc["matrix"]))
-        if kind == "cubic":
-            terms = tuple(
-                tuple((tuple(mono), parse_rational(c)) for mono, c in rows)
-                for rows in doc["terms"])
-            return CubicHomogeneous(terms, dims=tuple(doc["dims"]))
-        if kind == "even":
-            return Even(tuple(_rows_from_json(q) for q in doc["matrices"]))
-        if kind == "bounded_noise":
-            return BoundedNoise(int(doc["seed"]), parse_rational(doc["amplitude"]))
-        if kind == "power_noise":
-            return PowerNoise(int(doc["seed"]), parse_rational(doc["amplitude"]),
-                              parse_rational(doc.get("exponent", 0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {kind!r} atom: {exc}") from exc
-    raise ConfigError(f"unknown atom kind {kind!r}")
+def atom_from_json(doc: dict, where: str = "atom"):
+    return _from_variant(doc, where, "kind", _ATOMS)
+
+
+def phi_to_json(phi: ControlFunction) -> dict:
+    return _to_variant(phi, "variant", _PHIS)
+
+
+def phi_from_json(doc: dict, where: str = "phi") -> ControlFunction:
+    return _from_variant(doc, where, "variant", _PHIS)
+
+
+def _phi_or_certify(value, where: str):
+    """A control function, or None for "certify": derive it from the model."""
+    return None if value == "certify" else phi_from_json(value, where)
+
+
+_MODEL = {"dim_in": (integer(minimum=1), 1),
+          "dim_out": (integer(minimum=1), 1),
+          "atoms": (list_of(atom_from_json), [])}
 
 
 def model_to_json(model: FuncModel) -> dict:
@@ -93,111 +313,91 @@ def model_to_json(model: FuncModel) -> dict:
     }
 
 
-def model_from_json(doc: dict) -> FuncModel:
-    try:
-        atoms = tuple(atom_from_json(a) for a in doc.get("atoms", []))
-        return FuncModel(int(doc.get("dim_in", 1)), int(doc.get("dim_out", 1)),
-                         atoms)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model: {exc}") from exc
+def model_from_json(doc: dict, where: str = "model") -> FuncModel:
+    return _build(FuncModel, section(_MODEL)(doc, where), where)
 
 
-def phi_to_json(phi: ControlFunction) -> dict:
-    if isinstance(phi, Constant):
-        return {"variant": "constant", "value": format_number(phi.value)}
-    if isinstance(phi, SumOfPowers):
-        return {"variant": "sum_of_powers", "theta": format_number(phi.theta),
-                "power": format_number(phi.power)}
-    if isinstance(phi, ProductOfPowers):
-        return {"variant": "product_of_powers", "theta": format_number(phi.theta),
-                "r": format_number(phi.r), "s": format_number(phi.s)}
-    raise ConfigError(f"unknown control function {type(phi).__name__}")
-
-
-def phi_from_json(doc: dict) -> ControlFunction:
-    variant = doc.get("variant")
-    try:
-        if variant == "constant":
-            return Constant(parse_rational(doc["value"]))
-        if variant == "sum_of_powers":
-            return SumOfPowers(parse_rational(doc["theta"]),
-                               parse_rational(doc["power"]))
-        if variant == "product_of_powers":
-            return ProductOfPowers(parse_rational(doc["theta"]),
-                                   parse_rational(doc["r"]),
-                                   parse_rational(doc["s"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {variant!r} control function: {exc}") from exc
-    raise ConfigError(f"unknown control function variant {variant!r}")
+def _labeled_models(value, where: str) -> tuple[tuple[str, FuncModel], ...]:
+    """Models with their labels; an unlabeled one is named by its index."""
+    out = []
+    for index, doc in enumerate(list_of(section(
+            {"label": (text, None), **_MODEL}))(value, where)):
+        label = doc.pop("label")
+        out.append((f"model_{index:02d}" if label is None else label,
+                    _build(FuncModel, doc, f"{where}[{index}]")))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RandomSampleSpec:
-    count: int = 0
-    seed: int = 0
-    low: int = -8
-    high: int = 8
-    max_denominator: int = 1024
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RandomSampleSpec":
-        return cls(count=int(doc.get("count", 0)), seed=int(doc.get("seed", 0)),
-                   low=int(doc.get("low", -8)), high=int(doc.get("high", 8)),
-                   max_denominator=int(doc.get("max_denominator", 1024)))
-
-    def to_json(self) -> dict:
-        return {"count": self.count, "seed": self.seed, "low": self.low,
-                "high": self.high, "max_denominator": self.max_denominator}
+def _sample_pair(value, where: str):
+    x, y = list_of(_COORDINATES, size=2)(value, where)
+    if len(x) != len(y):
+        raise ConfigError(f"{where} pairs points of dimensions {len(x)} "
+                          f"and {len(y)}")
+    return x, y
 
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Explicit points/pairs plus an optional seeded random block."""
+    """Explicit points/pairs plus ``count`` seeded random draws."""
 
-    points: tuple[tuple[str, ...], ...] = ()
-    pairs: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...] = ()
-    random: RandomSampleSpec | None = None
+    points: tuple[tuple[Fraction, ...], ...] = _key(
+        "points", list_of(_COORDINATES), [])
+    pairs: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]], ...] = _key(
+        "pairs", list_of(_sample_pair), [])
+    count: int = _key("random.count", integer(minimum=0), 0)
+    seed: int = _key("random.seed", integer(), 0)
+    low: int = _key("random.low", integer(), -8)
+    high: int = _key("random.high", integer(), 8)
+    max_denominator: int = _key("random.max_denominator", integer(minimum=1),
+                                1024)
 
     @classmethod
-    def from_json(cls, doc: dict | None) -> "SampleSpec":
-        doc = doc or {}
-        points = tuple(tuple(str(v) for v in coords)
-                       for coords in doc.get("points", []))
-        pairs = tuple((tuple(str(v) for v in x), tuple(str(v) for v in y))
-                      for x, y in doc.get("pairs", []))
-        rnd = doc.get("random")
-        return cls(points=points, pairs=pairs,
-                   random=RandomSampleSpec.from_json(rnd) if rnd else None)
+    def from_json(cls, doc: dict, where: str = "samples") -> "SampleSpec":
+        spec = _from_keys(cls, doc, where)
+        if spec.high < spec.low:
+            raise ConfigError(f"{where}.random.high must be at least low "
+                              f"({spec.low}), got {spec.high}")
+        return spec
 
     def to_json(self) -> dict:
-        doc: dict = {}
-        if self.points:
-            doc["points"] = [list(p) for p in self.points]
-        if self.pairs:
-            doc["pairs"] = [[list(x), list(y)] for x, y in self.pairs]
-        if self.random:
-            doc["random"] = self.random.to_json()
-        return doc
+        return {"points": _to_json(self.points), "pairs": _to_json(self.pairs),
+                "random": {"count": self.count, "seed": self.seed,
+                           "low": self.low, "high": self.high,
+                           "max_denominator": self.max_denominator}}
+
+    def require_dims(self, dims, where: str = "samples") -> None:
+        """Reject an explicit point or pair of a dimension outside ``dims``.
+
+        Sampling keeps only the entries of the dimension asked for, so one
+        that fits no model would otherwise be dropped without a word.
+        """
+        for key, entries in (("points", self.points),
+                             ("pairs", [x for x, _ in self.pairs])):
+            for index, coords in enumerate(entries):
+                if len(coords) not in dims:
+                    raise ConfigError(
+                        f"{where}.{key}[{index}] has dimension {len(coords)}"
+                        f", but the models take "
+                        f"{' or '.join(map(str, sorted(dims)))}")
+
+    def _draw(self, count: int, dim: int, mode: str,
+              norm_kind: str) -> list[Point]:
+        rng = random.Random(self.seed)
+        return [random_point(rng, dim, mode, norm_kind, self.low, self.high,
+                             self.max_denominator) for _ in range(count)]
 
     def explicit_points(self, dim: int, mode: str,
                         norm_kind: str) -> list[Point]:
         """Configured points matching the requested dimension."""
-        return [point([parse_rational(v) for v in coords], mode, norm_kind)
+        return [point(coords, mode, norm_kind)
                 for coords in self.points if len(coords) == dim]
 
     def random_points(self, dim: int, mode: str, norm_kind: str) -> list[Point]:
-        if not (self.random and self.random.count):
-            return []
-        rng = random.Random(self.random.seed)
-        return [random_point(rng, dim, mode, norm_kind, self.random.low,
-                             self.random.high, self.random.max_denominator)
-                for _ in range(self.random.count)]
+        return self._draw(self.count, dim, mode, norm_kind)
 
     def sample_points(self, dim: int, mode: str, norm_kind: str) -> list[Point]:
         return (self.explicit_points(dim, mode, norm_kind)
@@ -205,23 +405,14 @@ class SampleSpec:
 
     def explicit_pairs(self, dim: int, mode: str,
                        norm_kind: str) -> list[tuple[Point, Point]]:
-        return [(point([parse_rational(v) for v in x], mode, norm_kind),
-                 point([parse_rational(v) for v in y], mode, norm_kind))
-                for x, y in self.pairs if len(x) == dim and len(y) == dim]
+        return [(point(x, mode, norm_kind), point(y, mode, norm_kind))
+                for x, y in self.pairs if len(x) == dim]
 
     def random_pairs(self, dim: int, mode: str,
                      norm_kind: str) -> list[tuple[Point, Point]]:
-        if not (self.random and self.random.count):
-            return []
-        rng = random.Random(self.random.seed)
-        out = []
-        for _ in range(self.random.count):
-            first = random_point(rng, dim, mode, norm_kind, self.random.low,
-                                 self.random.high, self.random.max_denominator)
-            second = random_point(rng, dim, mode, norm_kind, self.random.low,
-                                  self.random.high, self.random.max_denominator)
-            out.append((first, second))
-        return out
+        """``count`` pairs, drawn first point then second from one stream."""
+        drawn = self._draw(2 * self.count, dim, mode, norm_kind)
+        return list(zip(drawn[::2], drawn[1::2]))
 
     def sample_pairs(self, dim: int, mode: str,
                      norm_kind: str) -> list[tuple[Point, Point]]:
@@ -233,128 +424,128 @@ class SampleSpec:
 # Experiment configuration
 # ---------------------------------------------------------------------------
 
-def _n_max_from_json(value) -> int:
-    n_max = int(value)
-    if n_max < 1:
-        raise ConfigError(f"n_max must be at least 1, got {n_max}")
-    return n_max
+def _series_direction(value, where: str):
+    """-1, 1 or "auto", or an [additive, cubic] pair of -1 and 1."""
+    if type(value) is list:
+        return list_of(choice(-1, 1), size=2)(value, where)
+    return _DIRECTION(value, where)
 
 
-def _direction_from_json(value):
-    if value in ("auto", None):
-        return "auto"
-    if value in (-1, 1):
-        return int(value)
-    raise ConfigError(f"direction must be -1, 1 or \"auto\", got {value!r}")
+_BOUNDS_ITEM = section({
+    "kind": (choice("additive", "cubic", "combined"), "combined"),
+    "phi": phi_from_json,
+    "x": (_COORDINATES, ["1"]),
+    "l": (_series_direction, "auto"),
+    "tol": (real(positive=True), 1e-12),
+    "expect": (choice(CONVERGED, DIVERGED, INCONCLUSIVE), CONVERGED),
+})
+
+
+def _bounds_item(doc, where: str) -> dict:
+    """A series evaluation, its direction(s) resolved against ``phi``."""
+    item = _BOUNDS_ITEM(doc, where)
+    l = auto_directions(item["phi"]) if item["l"] == "auto" else item["l"]
+    if item["kind"] != "combined" and isinstance(l, tuple):
+        l = l[0] if item["kind"] == "additive" else l[1]
+    return {**item, "l": l, "x_text": tuple(map(str, doc.get("x", ["1"])))}
+
+
+_CONSISTENCY = section({
+    "theta": (rational(minimum=0), 1),
+    "tol": (real(), 1e-9),
+    "x": (_COORDINATES, ["1"]),
+    "p": (list_of(rational(minimum=0)), []),
+    "rs": (list_of(_RS_PAIR), []),
+})
+
+
+def _consistency(doc, where: str) -> dict:
+    """Closed forms against series at exponents p and r + s."""
+    spec = _CONSISTENCY(doc, where)
+    _reject_excluded(spec["p"], f"{where}.p")
+    _reject_excluded([r + s for r, s in spec["rs"]], f"{where}.rs")
+    return {**spec,
+            "rs_text": [tuple(map(str, pair)) for pair in doc.get("rs", [])]}
+
+
+_FAMILIES = section({
+    "linear": (integer(minimum=0), 0),
+    "cubic": (integer(minimum=0), 0),
+    "seed": (integer(), 0),
+    "dims": (list_of(list_of(integer(minimum=1), size=2), nonempty=True),
+             [[1, 1]]),
+})
+_SCHEMA_VERSION = choice(SCHEMA_VERSION)
 
 
 @dataclass
 class ExperimentConfig:
     """One experiment: model(s), control function, sampling and tolerances.
 
-    Two runs of the same config produce byte-identical outputs; nothing
-    here depends on wall time, platform or hashing randomization.
+    Each field is read from the document key its declaration names.  Two
+    runs of the same config produce byte-identical outputs; nothing here
+    depends on wall time, platform or hashing randomization.
     """
 
-    dim_in: int = 1
-    dim_out: int = 1
-    norm_kind: str = EUCLIDEAN
-    mode: str = EXACT
-    model: FuncModel | None = None
-    models: list[tuple[str, FuncModel]] = field(default_factory=list)
-    families: dict | None = None
-    phi: ControlFunction | None = None
-    phi_certify: bool = False
-    direction_additive: int | str = "auto"
-    direction_cubic: int | str = "auto"
-    samples: SampleSpec = field(default_factory=SampleSpec)
-    tol_abs: float = 1e-12
-    tol_rel: float = 1e-10
-    series_tol: float = 1e-12
-    n_max: int = 48
-    chain: bool = True
-    catalogue_out: str | None = None
-    bounds_items: list[dict] = field(default_factory=list)
-    consistency: dict | None = None
-    output_stem: str = "report"
+    schema_version: int = _key("schema_version", _SCHEMA_VERSION, 1)
+    norm_kind: str = _key("norm", choice(*NORM_KINDS), EUCLIDEAN)
+    mode: str = _key("mode", choice(*MODES), EXACT)
+    model: FuncModel | None = _key("model", model_from_json, None)
+    models: tuple[tuple[str, FuncModel], ...] = _key(
+        "models", _labeled_models, [])
+    families: dict | None = _key("families", _FAMILIES, None)
+    phi: ControlFunction | None = _key("phi", _phi_or_certify, None)
+    direction_additive: int | str = _key("directions.additive", _DIRECTION,
+                                         "auto")
+    direction_cubic: int | str = _key("directions.cubic", _DIRECTION, "auto")
+    samples: SampleSpec = _key("samples", SampleSpec.from_json, {})
+    tol_abs: float = _key("tolerances.abs", real(), 1e-12)
+    tol_rel: float = _key("tolerances.rel", real(), 1e-10)
+    series_tol: float = _key("tolerances.series", real(positive=True), 1e-12)
+    n_max: int = _key("n_max", integer(minimum=1), 48)
+    chain: bool = _key("chain", flag, True)
+    catalogue_out: str | None = _key("catalogue_out", file_name, None)
+    bounds_items: tuple[dict, ...] = _key("bounds", list_of(_bounds_item), [])
+    consistency: dict | None = _key("consistency", _consistency, None)
+    output_stem: str = _key("output_stem", file_name, "report")
+
+    @property
+    def phi_certify(self) -> bool:
+        """True when phi is left to be certified from the model."""
+        return self.phi is None
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        version = doc.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {version!r}")
-        mode = doc.get("mode", EXACT)
-        if mode not in MODES:
-            raise ConfigError(f"unknown mode {mode!r}")
-        norm_kind = doc.get("norm", EUCLIDEAN)
-        if norm_kind not in NORM_KINDS:
-            raise ConfigError(f"unknown norm kind {norm_kind!r}")
-
-        phi_doc = doc.get("phi")
-        phi = None
-        certify = False
-        if phi_doc == "certify":
-            certify = True
-        elif phi_doc is not None:
-            phi = phi_from_json(phi_doc)
-
-        directions = doc.get("directions", {})
-        models = [(entry.get("label", f"model_{idx:02d}"),
-                   model_from_json(entry))
-                  for idx, entry in enumerate(doc.get("models", []))]
-
-        return cls(
-            dim_in=int(doc.get("dim_in", 1)),
-            dim_out=int(doc.get("dim_out", 1)),
-            norm_kind=norm_kind,
-            mode=mode,
-            model=model_from_json(doc["model"]) if "model" in doc else None,
-            models=models,
-            families=doc.get("families"),
-            phi=phi,
-            phi_certify=certify,
-            direction_additive=_direction_from_json(directions.get("additive")),
-            direction_cubic=_direction_from_json(directions.get("cubic")),
-            samples=SampleSpec.from_json(doc.get("samples")),
-            tol_abs=float(doc.get("tolerances", {}).get("abs", 1e-12)),
-            tol_rel=float(doc.get("tolerances", {}).get("rel", 1e-10)),
-            series_tol=float(doc.get("tolerances", {}).get("series", 1e-12)),
-            n_max=_n_max_from_json(doc.get("n_max", 48)),
-            chain=bool(doc.get("chain", True)),
-            catalogue_out=doc.get("catalogue_out"),
-            bounds_items=list(doc.get("bounds", [])),
-            consistency=doc.get("consistency"),
-            output_stem=str(doc.get("output_stem", "report")),
-        )
+        return _from_keys(cls, doc)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                doc = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(_read_json(path))
 
     def family_models(self) -> list[tuple[str, FuncModel]]:
         """Labeled models: explicit ones plus seeded random families."""
         labeled = list(self.models)
         if self.model is not None:
             labeled.insert(0, ("model", self.model))
-        spec = self.families or {}
+        spec = self.families
         if spec:
-            rng = random.Random(int(spec.get("seed", 0)))
-            dims = [tuple(d) for d in spec.get("dims", [[self.dim_in,
-                                                         self.dim_out]])]
-            for idx in range(int(spec.get("linear", 0))):
-                d, m = dims[rng.randint(0, len(dims) - 1)]
-                labeled.append((f"linear_{idx:03d}",
-                                FuncModel(d, m, (random_linear(rng, d, m),))))
-            for idx in range(int(spec.get("cubic", 0))):
-                d, m = dims[rng.randint(0, len(dims) - 1)]
-                labeled.append((f"cubic_{idx:03d}",
-                                FuncModel(d, m, (random_cubic(rng, d, m),))))
+            rng = random.Random(spec["seed"])
+            dims = spec["dims"]
+            for kind, make in (("linear", random_linear),
+                               ("cubic", random_cubic)):
+                for idx in range(spec[kind]):
+                    d, m = dims[rng.randint(0, len(dims) - 1)]
+                    labeled.append((f"{kind}_{idx:03d}",
+                                    FuncModel(d, m, (make(rng, d, m),))))
         return labeled
+
+
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -365,69 +556,48 @@ class ExperimentConfig:
 class SweepSpec:
     """Grid over exponents, theta and noise amplitude, one experiment per cell."""
 
-    form: str = "sum"  # "sum" uses exponents p; "product" uses (r, s) pairs
-    exponents: tuple[Fraction, ...] = ()
-    rs_pairs: tuple[tuple[Fraction, Fraction], ...] = ()
-    thetas: tuple[Fraction, ...] = (Fraction(1),)
-    epsilons: tuple[Fraction, ...] = ()
-    l_modes: tuple[str, ...] = ("auto",)
-    allow_divergent: bool = False
-    solution_linear: Fraction = Fraction(2)
-    solution_cubic: Fraction = Fraction(1)
-    noise_seed: int = 11
-    norm_kind: str = EUCLIDEAN
-    samples: SampleSpec = field(default_factory=SampleSpec)
-    tol_abs: float = 1e-12
-    tol_rel: float = 1e-10
-    series_tol: float = 1e-12
-    n_max: int = 48
-    output_stem: str = "sweep"
+    schema_version: int = _key("schema_version", _SCHEMA_VERSION, 1)
+    form: str = _key("form", choice("sum", "product"), "sum")
+    exponents: tuple[Fraction, ...] = _key(
+        "p", _sorted(list_of(rational(minimum=0))), [])
+    rs_pairs: tuple[tuple[Fraction, Fraction], ...] = _key(
+        "rs", _sorted(list_of(_RS_PAIR)), [])
+    thetas: tuple[Fraction, ...] = _key(
+        "theta", _sorted(list_of(rational(minimum=0))), [1])
+    epsilons: tuple[Fraction, ...] = _key(
+        "epsilon", _sorted(list_of(rational(minimum=0))), [0])
+    l_modes: tuple[str, ...] = _key(
+        "l_mode", _sorted(list_of(choice("auto", "pos", "neg"))), ["auto"])
+    allow_divergent: bool = _key("allow_divergent", flag, False)
+    solution_linear: Fraction = _key("base.solution.linear", rational(), 2)
+    solution_cubic: Fraction = _key("base.solution.cubic", rational(), 1)
+    noise_seed: int = _key("base.noise_seed", integer(), 11)
+    norm_kind: str = _key("base.norm", choice(*NORM_KINDS), EUCLIDEAN)
+    samples: SampleSpec = _key("base.samples", SampleSpec.from_json, {})
+    tol_abs: float = _key("base.tolerances.abs", real(), 1e-12)
+    tol_rel: float = _key("base.tolerances.rel", real(), 1e-10)
+    series_tol: float = _key("base.tolerances.series", real(positive=True),
+                             1e-12)
+    n_max: int = _key("base.n_max", integer(minimum=1), 48)
+    output_stem: str = _key("output_stem", file_name, "sweep")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SweepSpec":
-        version = doc.get("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {version!r}")
-        form = doc.get("form", "sum")
-        if form not in ("sum", "product"):
-            raise ConfigError(f"sweep form must be 'sum' or 'product', got {form!r}")
-        base = doc.get("base", {})
-        solution = base.get("solution", {})
-        tolerances = base.get("tolerances", {})
-        spec = cls(
-            form=form,
-            exponents=tuple(sorted(parse_rational(p) for p in doc.get("p", []))),
-            rs_pairs=tuple(sorted((parse_rational(r), parse_rational(s))
-                                  for r, s in doc.get("rs", []))),
-            thetas=tuple(sorted(parse_rational(t) for t in doc.get("theta", [1]))),
-            epsilons=tuple(sorted(parse_rational(e)
-                                  for e in doc.get("epsilon", [0]))),
-            l_modes=tuple(sorted(doc.get("l_mode", ["auto"]))),
-            allow_divergent=bool(doc.get("allow_divergent", False)),
-            solution_linear=parse_rational(solution.get("linear", 2)),
-            solution_cubic=parse_rational(solution.get("cubic", 1)),
-            noise_seed=int(base.get("noise_seed", 11)),
-            norm_kind=base.get("norm", EUCLIDEAN),
-            samples=SampleSpec.from_json(base.get("samples")),
-            tol_abs=float(tolerances.get("abs", 1e-12)),
-            tol_rel=float(tolerances.get("rel", 1e-10)),
-            series_tol=float(tolerances.get("series", 1e-12)),
-            n_max=_n_max_from_json(base.get("n_max", 48)),
-            output_stem=str(doc.get("output_stem", "sweep")),
-        )
-        for mode in spec.l_modes:
-            if mode not in ("auto", "pos", "neg"):
-                raise ConfigError(f"unknown l_mode {mode!r}")
+        spec = _from_keys(cls, doc)
+        cells = spec.cells()
+        axis = "p" if spec.form == "sum" else "rs"
+        if not spec.allow_divergent:
+            _reject_excluded([cell["p"] for cell in cells], axis,
+                             "; set allow_divergent to demonstrate the "
+                             "divergence instead")
+        if not cells:
+            raise ConfigError(f"the sweep grid is empty: {axis}, theta, "
+                              "epsilon and l_mode each need a value")
         return spec
 
     @classmethod
     def load(cls, path) -> "SweepSpec":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                doc = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(_read_json(path))
 
     def cells(self) -> list[dict]:
         """Grid cells in sorted order; each cell fully describes one run."""

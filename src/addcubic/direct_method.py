@@ -28,10 +28,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
+from .bounds import require_direction
 from .models import (ControlFunction, FuncModel, Point, norm, odd_part)
 from .scalars import EXACT, format_number
 
-DIRECTIONS = (-1, 1)
 OVERFLOW_GUARD_BITS = 500  # abort when any evaluation norm exceeds 2^500
 
 DEFAULT_N_MAX = 48
@@ -46,12 +46,6 @@ class OverflowGuardError(ArithmeticError):
 
 class DivergentControlError(ValueError):
     """The control function's bound series diverges for the chosen direction."""
-
-
-def _require_direction(l: int) -> int:
-    if l not in DIRECTIONS:
-        raise ValueError(f"direction must be -1 or +1, got {l!r}")
-    return l
 
 
 @dataclass(frozen=True)
@@ -115,7 +109,7 @@ class IterationTrace:
 
 def _iterate(f, x: Point, l: int, weight: int, n_steps: int,
              tol_abs: float, tol_rel: float, stop_early: bool) -> IterationTrace:
-    _require_direction(l)
+    require_direction(l)
     if n_steps < 1:
         raise ValueError("iteration count must be at least 1")
     transform = Transform(f, 8 if weight == 2 else 2)
@@ -275,29 +269,8 @@ class RecoveryReport:
                   "bound", "within_bound", "additive_converged",
                   "cubic_converged")
 
-    @staticmethod
-    def _coords(value: Point) -> str:
-        return ";".join(format_number(c) for c in value.coords)
-
-    def csv_rows(self) -> list[tuple]:
-        rows = []
-        for idx, item in enumerate(self.points):
-            rows.append((
-                idx,
-                self._coords(item.x),
-                self._coords(item.additive),
-                self._coords(item.cubic),
-                repr(item.error),
-                repr(item.raw_error),
-                repr(item.bound),
-                str(item.within_bound).lower(),
-                str(item.additive_trace.converged).lower(),
-                str(item.cubic_trace.converged).lower(),
-            ))
-        return rows
-
     def to_json_dict(self) -> dict:
-        from .config import phi_to_json  # late import: config depends on models only
+        from .config import phi_to_json  # late import: config sits above this module
 
         def trace_dict(trace: IterationTrace) -> dict:
             return {
@@ -344,8 +317,8 @@ class RecoveryReport:
 def resolve_directions(phi: ControlFunction, l_additive="auto",
                        l_cubic="auto") -> tuple[int, int]:
     auto_add, auto_cub = bounds_mod.auto_directions(phi)
-    l_a = auto_add if l_additive == "auto" else _require_direction(l_additive)
-    l_c = auto_cub if l_cubic == "auto" else _require_direction(l_cubic)
+    l_a = auto_add if l_additive == "auto" else require_direction(l_additive)
+    l_c = auto_cub if l_cubic == "auto" else require_direction(l_cubic)
     return l_a, l_c
 
 

@@ -13,13 +13,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import residuals
 from .config import (ConfigError, ExperimentConfig, SweepSpec, model_to_json,
-                     phi_from_json, phi_to_json)
+                     phi_to_json)
 from .direct_method import DivergentControlError, OverflowGuardError, recover
 from .models import (BoundedNoise, FuncModel, PowerNoise, ProductOfPowers,
                      SumOfPowers, linear_1d, cubic_1d, point)
@@ -58,6 +57,15 @@ def write_csv(path: Path, header, rows) -> Path:
     return path
 
 
+def _csv_text(value) -> str:
+    """A report value as its CSV field: floats by repr, booleans lowercase."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 # ---------------------------------------------------------------------------
 # Lemma checks and chain replay
 # ---------------------------------------------------------------------------
@@ -84,11 +92,30 @@ def _expectations(model: FuncModel) -> dict[str, bool]:
     }
 
 
-def _require_pairs(label: str, model: FuncModel, pairs) -> None:
-    if not pairs:
-        raise ConfigError(
-            f"model {label!r} has no sample pairs of dimension "
-            f"{model.dim_in}; a check over zero pairs would pass vacuously")
+# Checked when a config names no model and no family.
+DEFAULT_FAMILIES = (("linear_default", FuncModel(1, 1, (linear_1d(1),))),
+                    ("cubic_default", FuncModel(1, 1, (cubic_1d(1),))))
+
+
+def _sampled_models(config: ExperimentConfig) -> list[tuple]:
+    """(label, model, explicit pairs, all pairs) for every model checked.
+
+    A model with no pairs of its input dimension, or an explicit pair that
+    fits no model, is a config error: the check would pass vacuously.
+    """
+    labeled = config.family_models() or DEFAULT_FAMILIES
+    sampled = []
+    for label, model in labeled:
+        args = (model.dim_in, config.mode, config.norm_kind)
+        explicit = config.samples.explicit_pairs(*args)
+        pairs = explicit + config.samples.random_pairs(*args)
+        if not pairs:
+            raise ConfigError(
+                f"model {label!r} has no sample pairs of dimension "
+                f"{model.dim_in}; a check over zero pairs would pass vacuously")
+        sampled.append((label, model, explicit, pairs))
+    config.samples.require_dims({model.dim_in for _, model in labeled})
+    return sampled
 
 
 def _chain_stats(catalogue) -> dict[str, dict]:
@@ -136,9 +163,7 @@ def run_check_lemmas(config: ExperimentConfig, out_dir: Path) -> RunResult:
     Exit is nonzero if any residual that must be identically zero for a
     model family is nonzero on the sampled pairs.
     """
-    labeled = config.family_models()
-    if not labeled:
-        labeled = _default_families(config)
+    sampled = _sampled_models(config)
     exact = config.mode == EXACT
     catalogue = residuals.CHAIN_CATALOGUE if config.chain and exact else ()
     tables = residuals.TermTables(
@@ -147,12 +172,7 @@ def run_check_lemmas(config: ExperimentConfig, out_dir: Path) -> RunResult:
 
     ok = True
     model_reports = []
-    for label, model in labeled:
-        explicit_pairs = config.samples.explicit_pairs(
-            model.dim_in, config.mode, config.norm_kind)
-        pairs = explicit_pairs + config.samples.random_pairs(
-            model.dim_in, config.mode, config.norm_kind)
-        _require_pairs(label, model, pairs)
+    for label, model, explicit_pairs, pairs in sampled:
         expect = _expectations(model)
         rule_stats = {name: {"max_abs": 0.0, "max_rel": 0.0,
                              "nonzero_count": 0, "samples": len(pairs)}
@@ -189,27 +209,15 @@ def run_check_lemmas(config: ExperimentConfig, out_dir: Path) -> RunResult:
     return RunResult(ok, "ok" if ok else "residual-violation", report, files)
 
 
-def _default_families(config: ExperimentConfig) -> list[tuple[str, FuncModel]]:
-    """Fallback model set: slope-1 linear and unit cubic in the config dims."""
-    del config
-    return [("linear_default", FuncModel(1, 1, (linear_1d(1),))),
-            ("cubic_default", FuncModel(1, 1, (cubic_1d(1),)))]
-
-
 def run_replay_chain(config: ExperimentConfig, out_dir: Path) -> RunResult:
     """Chain replay only; rejects float mode (replay is an exactness tool)."""
     if config.mode != EXACT:
         raise ConfigError("chain replay requires \"mode\": \"exact\"")
-    labeled = config.family_models()
-    if not labeled:
-        labeled = _default_families(config)
+    sampled = _sampled_models(config)
     tables = residuals.chain_tables()
     ok = True
     model_reports = []
-    for label, model in labeled:
-        pairs = config.samples.sample_pairs(model.dim_in, EXACT,
-                                            config.norm_kind)
-        _require_pairs(label, model, pairs)
+    for label, model, _, pairs in sampled:
         expect_zero = _expectations(model)["chain"]
         per_identity = _chain_stats(residuals.CHAIN_CATALOGUE)
         _tally_pairs(model, pairs, tables, list(per_identity.values()), True)
@@ -233,15 +241,21 @@ def run_replay_chain(config: ExperimentConfig, out_dir: Path) -> RunResult:
 
 def run_recover(config: ExperimentConfig, out_dir: Path) -> RunResult:
     """Recover additive/cubic parts and certify errors against the bound."""
-    if config.model is None:
+    model = config.model
+    if model is None:
         raise ConfigError("recover needs a \"model\" entry")
     phi = config.phi
-    if phi is None or config.phi_certify:
-        phi = bounds_mod.certify_phi(config.model)
-    points = config.samples.sample_points(config.dim_in, config.mode,
+    if phi is None:
+        phi = bounds_mod.certify_phi(model)
+    config.samples.require_dims({model.dim_in})
+    points = config.samples.sample_points(model.dim_in, config.mode,
                                           config.norm_kind)
+    if not points:
+        raise ConfigError(
+            f"samples has no points of dimension {model.dim_in}; a recovery "
+            "over zero points would pass vacuously")
     try:
-        report = recover(config.model, points, phi,
+        report = recover(model, points, phi,
                          l_additive=config.direction_additive,
                          l_cubic=config.direction_cubic,
                          n_max=config.n_max, tol_abs=config.tol_abs,
@@ -261,10 +275,16 @@ def run_recover(config: ExperimentConfig, out_dir: Path) -> RunResult:
     doc = report.to_json_dict()
     doc["command"] = "recover"
     doc["ok"] = report.ok
+    rows = [[_csv_text(value) for value in (
+        index, ";".join(item["x"]), ";".join(item["additive"]),
+        ";".join(item["cubic"]), item["error"], item["raw_error"],
+        item["bound"], item["within_bound"],
+        item["additive_trace"]["converged"], item["cubic_trace"]["converged"])]
+        for index, item in enumerate(doc["points"])]
     files = [
         write_json(out_dir / f"{config.output_stem}.json", doc),
-        write_csv(out_dir / f"{config.output_stem}.csv",
-                  report.CSV_HEADER, report.csv_rows()),
+        write_csv(out_dir / f"{config.output_stem}.csv", report.CSV_HEADER,
+                  rows),
     ]
     return RunResult(report.ok, "ok" if report.ok else "bound-violation",
                      doc, files)
@@ -276,61 +296,53 @@ def run_recover(config: ExperimentConfig, out_dir: Path) -> RunResult:
 
 def run_bounds(config: ExperimentConfig, out_dir: Path) -> RunResult:
     """Evaluate bound series items and closed-form consistency checks."""
+    spec = config.consistency
+    if not (config.bounds_items or spec and (spec["p"] or spec["rs"])):
+        raise ConfigError("bounds has no items and no consistency exponents; "
+                          "an empty check would pass vacuously")
     ok = True
     items_report = []
     for item in config.bounds_items:
-        phi = phi_from_json(item["phi"])
-        coords = item.get("x", ["1"])
-        x = point(coords, config.mode, config.norm_kind)
-        l_spec = item.get("l", "auto")
-        if l_spec == "auto":
-            l = bounds_mod.auto_directions(phi)
-        elif isinstance(l_spec, list):
-            l = tuple(int(v) for v in l_spec)
-        else:
-            l = int(l_spec)
-        kind = item.get("kind", "combined")
-        if kind in bounds_mod.COMPONENT_WEIGHTS and isinstance(l, tuple):
-            l = l[0] if kind == "additive" else l[1]
-        result = bounds_mod.series_bound(kind, phi, x, l,
-                                         tol=float(item.get("tol", 1e-12)))
-        expect = item.get("expect", "converged")
-        item_ok = result.status == expect
+        x = point(item["x"], config.mode, config.norm_kind)
+        l = item["l"]
+        result = bounds_mod.series_bound(item["kind"], item["phi"], x, l,
+                                         tol=item["tol"])
+        item_ok = result.status == item["expect"]
         ok = ok and item_ok
         items_report.append({
-            "kind": kind, "phi": phi_to_json(phi),
-            "x": [str(c) for c in coords],
+            "kind": item["kind"], "phi": phi_to_json(item["phi"]),
+            "x": list(item["x_text"]),
             "l": list(l) if isinstance(l, tuple) else l,
             "partial_sum": result.partial_sum,
             "tail_bound": (result.tail_bound
                            if math.isfinite(result.tail_bound) else "inf"),
             "upper": (result.upper if math.isfinite(result.upper) else "inf"),
             "terms_used": result.terms_used,
-            "status": result.status, "expect": expect, "ok": item_ok,
+            "status": result.status, "expect": item["expect"], "ok": item_ok,
         })
 
     consistency_report = []
-    spec = config.consistency or {}
-    theta = spec.get("theta", 1)
-    tol = float(spec.get("tol", 1e-9))
-    x = point(spec.get("x", ["1"]), config.mode, config.norm_kind)
-    for p in spec.get("p", []):
-        result = bounds_mod.consistency_check(theta, p, x, tol=tol)
-        ok = ok and result.ok
-        consistency_report.append({
-            "p": result.p, "theta": result.theta, "form": "sum",
-            "closed": result.sum_closed, "series": result.sum_series,
-            "ok": result.sum_ok,
-        })
-    for r, s in spec.get("rs", []):
-        result = bounds_mod.consistency_check(
-            theta, Fraction(r) + Fraction(s), x, tol=tol, r=r, s=s)
-        ok = ok and result.product_ok
-        consistency_report.append({
-            "p": result.p, "r": str(r), "s": str(s), "theta": result.theta,
-            "form": "product", "closed": result.product_closed,
-            "series": result.product_series, "ok": result.product_ok,
-        })
+    if spec:
+        theta, tol = spec["theta"], spec["tol"]
+        x = point(spec["x"], config.mode, config.norm_kind)
+        for p in spec["p"]:
+            result = bounds_mod.consistency_check(theta, p, x, tol=tol)
+            ok = ok and result.ok
+            consistency_report.append({
+                "p": result.p, "theta": result.theta, "form": "sum",
+                "closed": result.sum_closed, "series": result.sum_series,
+                "ok": result.sum_ok,
+            })
+        for (r, s), (r_text, s_text) in zip(spec["rs"], spec["rs_text"]):
+            result = bounds_mod.consistency_check(theta, r + s, x, tol=tol,
+                                                  r=r, s=s)
+            ok = ok and result.product_ok
+            consistency_report.append({
+                "p": result.p, "r": r_text, "s": s_text,
+                "theta": result.theta, "form": "product",
+                "closed": result.product_closed,
+                "series": result.product_series, "ok": result.product_ok,
+            })
 
     report = {"schema_version": 1, "command": "bounds", "items": items_report,
               "consistency": consistency_report, "ok": ok}
@@ -349,100 +361,85 @@ def _sweep_directions(l_mode: str, phi) -> tuple[int, int]:
     return (value, value)
 
 
+def _sweep_cell(spec: SweepSpec, cell: dict, points: list) -> dict:
+    """The report entry of one grid cell, with typed values."""
+    p, r, s = cell["p"], cell["r"], cell["s"]
+    theta, eps = cell["theta"], cell["epsilon"]
+    if spec.form == "sum":
+        grid_phi = SumOfPowers(theta, p)
+    else:
+        grid_phi = ProductOfPowers(theta, r, s)
+    l_add, l_cub = _sweep_directions(cell["l_mode"], grid_phi)
+
+    unit = point(["1"], EXACT, spec.norm_kind)
+    status = "ok"
+    closed = series_value = max_error = bound_ok = None
+    try:
+        if spec.form == "sum":
+            closed = bounds_mod.corollary_sum_bound(theta, p, unit)
+        else:
+            closed = bounds_mod.corollary_product_bound(theta, r, s, unit)
+    except bounds_mod.ExcludedExponentError:
+        status = "diverged"
+    series = bounds_mod.series_bound("combined", grid_phi, unit,
+                                     (l_add, l_cub), tol=spec.series_tol)
+    if series.status == bounds_mod.DIVERGED:
+        status = "diverged"
+    else:
+        series_value = series.upper
+
+    if status == "ok":
+        atoms = [linear_1d(spec.solution_linear), cubic_1d(spec.solution_cubic)]
+        if eps > 0:
+            if p == 0:
+                atoms.append(BoundedNoise(spec.noise_seed, eps))
+            else:
+                atoms.append(PowerNoise(spec.noise_seed, eps, p))
+        model = FuncModel(1, 1, tuple(atoms))
+        try:
+            report = recover(model, points, bounds_mod.certify_phi(model),
+                             l_additive=l_add, l_cubic=l_cub,
+                             n_max=spec.n_max, tol_abs=spec.tol_abs,
+                             tol_rel=spec.tol_rel, series_tol=spec.series_tol)
+            max_error = report.max_error
+            bound_ok = report.all_within_bound
+            if not bound_ok:
+                status = "bound-violation"
+        except DivergentControlError:
+            status = "diverged"
+        except OverflowGuardError:
+            status = "overflow-guard"
+
+    return {
+        "p": format_number(p),
+        "r": None if r is None else format_number(r),
+        "s": None if s is None else format_number(s),
+        "theta": format_number(theta), "epsilon": format_number(eps),
+        "l_additive": l_add, "l_cubic": l_cub,
+        "closed_form": closed, "series_value": series_value,
+        "max_error": max_error, "bound_ok": bound_ok, "status": status,
+        "ok": status == "ok" or (status == "diverged" and spec.allow_divergent),
+    }
+
+
 def run_sweep(spec: SweepSpec, out_dir: Path) -> RunResult:
     """One recovery experiment per grid cell; failures recorded, sweep continues."""
-    excluded = {bounds_mod.EXCLUDED_ADDITIVE_EXPONENT,
-                bounds_mod.EXCLUDED_CUBIC_EXPONENT}
-    rows = []
-    cell_reports = []
-    ok = True
-    for cell in spec.cells():
-        p, r, s = cell["p"], cell["r"], cell["s"]
-        theta, eps, l_mode = cell["theta"], cell["epsilon"], cell["l_mode"]
-        if float(p) in excluded and not spec.allow_divergent:
-            raise ConfigError(
-                f"grid exponent p={p} is excluded; set allow_divergent to "
-                "demonstrate the divergence instead")
-        if spec.form == "sum":
-            grid_phi = SumOfPowers(theta, p)
-        else:
-            grid_phi = ProductOfPowers(theta, r, s)
-        l_add, l_cub = _sweep_directions(l_mode, grid_phi)
-
-        unit = point(["1"], EXACT, spec.norm_kind)
-        status = "ok"
-        closed_form = ""
-        series_value = ""
-        max_error = ""
-        bound_ok = ""
-        try:
-            if spec.form == "sum":
-                closed = bounds_mod.corollary_sum_bound(theta, p, unit)
-            else:
-                closed = bounds_mod.corollary_product_bound(theta, r, s, unit)
-            closed_form = repr(closed)
-        except bounds_mod.ExcludedExponentError:
-            status = "diverged"
-        series = bounds_mod.series_bound("combined", grid_phi, unit,
-                                         (l_add, l_cub), tol=spec.series_tol)
-        if series.status == bounds_mod.DIVERGED:
-            status = "diverged"
-        else:
-            series_value = repr(series.upper)
-
-        if status == "ok":
-            atoms = [linear_1d(spec.solution_linear),
-                     cubic_1d(spec.solution_cubic)]
-            if eps > 0:
-                if p == 0:
-                    atoms.append(BoundedNoise(spec.noise_seed, eps))
-                else:
-                    atoms.append(PowerNoise(spec.noise_seed, eps, p))
-            model = FuncModel(1, 1, tuple(atoms))
-            # Exact-mode points: growth-direction iterates are exact at any
-            # depth, where float evaluation would hit its precision floor.
-            points = spec.samples.sample_points(1, EXACT, spec.norm_kind)
-            try:
-                report = recover(model, points, bounds_mod.certify_phi(model),
-                                 l_additive=l_add, l_cubic=l_cub,
-                                 n_max=spec.n_max, tol_abs=spec.tol_abs,
-                                 tol_rel=spec.tol_rel,
-                                 series_tol=spec.series_tol)
-                max_error = repr(report.max_error)
-                bound_ok = str(report.all_within_bound).lower()
-                if not report.all_within_bound:
-                    status = "bound-violation"
-            except DivergentControlError:
-                status = "diverged"
-            except OverflowGuardError:
-                status = "overflow-guard"
-
-        cell_ok = status == "ok" or (status == "diverged"
-                                     and spec.allow_divergent)
-        ok = ok and cell_ok
-        rows.append((format_number(p), "" if r is None else format_number(r),
-                     "" if s is None else format_number(s),
-                     format_number(theta), format_number(eps),
-                     l_add, l_cub, closed_form, series_value, max_error,
-                     bound_ok, status))
-        cell_reports.append({
-            "p": format_number(p),
-            "r": None if r is None else format_number(r),
-            "s": None if s is None else format_number(s),
-            "theta": format_number(theta), "epsilon": format_number(eps),
-            "l_additive": l_add, "l_cubic": l_cub,
-            "closed_form": float(closed_form) if closed_form else None,
-            "series_value": float(series_value) if series_value else None,
-            "max_error": float(max_error) if max_error else None,
-            "bound_ok": None if bound_ok == "" else bound_ok == "true",
-            "status": status,
-            "ok": cell_ok,
-        })
-
-    report = {"schema_version": 1, "command": "sweep", "cells": cell_reports,
+    spec.samples.require_dims({1}, "base.samples")
+    # Exact-mode points: growth-direction iterates are exact at any depth,
+    # where float evaluation would hit its precision floor.
+    points = spec.samples.sample_points(1, EXACT, spec.norm_kind)
+    if not points:
+        raise ConfigError("base.samples has no points of dimension 1; a sweep "
+                          "over zero points would pass vacuously")
+    cells = [_sweep_cell(spec, cell, points) for cell in spec.cells()]
+    ok = all(cell["ok"] for cell in cells)
+    report = {"schema_version": 1, "command": "sweep", "cells": cells,
               "ok": ok}
+    rows = [[_csv_text(cell[key]) for key in SWEEP_CSV_HEADER]
+            for cell in cells]
     files = [
-        write_csv(out_dir / f"{spec.output_stem}.csv", SWEEP_CSV_HEADER, rows),
+        write_csv(out_dir / f"{spec.output_stem}.csv", SWEEP_CSV_HEADER,
+                  rows),
         write_json(out_dir / f"{spec.output_stem}.json", report),
     ]
     return RunResult(ok, "ok" if ok else "sweep-failures", report, files)

@@ -292,6 +292,11 @@ class Even:
     def __post_init__(self):
         object.__setattr__(
             self, "matrices", tuple(_rational_rows(q) for q in self.matrices))
+        d = len(self.matrices[0])
+        if any(len(q) != d or any(len(row) != d for row in q)
+               for q in self.matrices):
+            raise DimensionMismatchError(
+                "quadratic forms must be square and of one size")
 
     @property
     def dim_in(self) -> int:

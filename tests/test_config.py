@@ -1,11 +1,19 @@
+import copy
 import json
+import re
+import tempfile
+import textwrap
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from addcubic import (BoundedNoise, Constant, CubicHomogeneous, Even,
                       FuncModel, Linear, PowerNoise, ProductOfPowers,
                       SumOfPowers, cubic_1d, linear_1d)
+from addcubic.cli import main as cli_main
 from addcubic.config import (ConfigError, ExperimentConfig, SampleSpec,
                              SweepSpec, atom_from_json, atom_to_json,
                              model_from_json, model_to_json, phi_from_json,
@@ -61,7 +69,6 @@ def test_bad_documents_raise_config_error():
 def test_experiment_config_parsing(tmp_path):
     doc = {
         "schema_version": 1,
-        "dim_in": 1, "dim_out": 1,
         "norm": "max",
         "mode": "float",
         "model": {"dim_in": 1, "dim_out": 1,
@@ -154,3 +161,167 @@ def test_sweep_spec_rejects_unknown_form_and_mode():
         SweepSpec.from_json_dict({"l_mode": ["sideways"]})
     with pytest.raises(ConfigError):
         SweepSpec.from_json_dict({"base": {"n_max": 0}})
+
+
+# ---------------------------------------------------------------------------
+# Every document either runs or is rejected with exit code 2
+# ---------------------------------------------------------------------------
+
+def _valid_documents():
+    from test_harness import BOUNDS_DOC, lemma_config, recover_config, sweep_doc
+    return {"check-lemmas": lemma_config(), "replay-chain": lemma_config(),
+            "recover": recover_config(), "bounds": BOUNDS_DOC,
+            "sweep": sweep_doc()}
+
+
+def _positions(node, path=()):
+    """(path, value) of every value below ``node``, ``node`` included."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _positions(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+BAD_VALUES = st.one_of(
+    st.text(max_size=12), st.floats(), st.none(),
+    st.lists(st.one_of(st.integers(-3, 3), st.text(max_size=3)), max_size=3),
+    st.integers(max_value=-1), st.floats(max_value=0.0, exclude_max=True))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A subcommand's valid document with one key dropped, one unknown key
+    added at any depth, or one value replaced by a value of another kind."""
+    command = draw(st.sampled_from(sorted(_valid_documents())))
+    doc = copy.deepcopy(_valid_documents()[command])
+    objects = [path for path, node in _positions(doc)
+               if isinstance(node, dict) and node]
+    mutation = draw(st.sampled_from(("drop", "add", "replace")))
+    if mutation == "drop":
+        node = _at(doc, draw(st.sampled_from(objects)))
+        del node[draw(st.sampled_from(sorted(node)))]
+    elif mutation == "add":
+        node = _at(doc, draw(st.sampled_from(objects)))
+        key = draw(st.text(min_size=1, max_size=10).filter(
+            lambda k: k not in node))
+        node[key] = draw(st.one_of(BAD_VALUES, st.integers(0, 3)))
+    else:
+        path = draw(st.sampled_from([p for p, _ in _positions(doc) if p]))
+        _at(doc, path[:-1])[path[-1]] = draw(BAD_VALUES)
+    return command, doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents())
+def test_mutated_document_exits_0_1_or_2(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as scratch:
+        config_path = Path(scratch) / "config.json"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli_main([command, "--config", str(config_path),
+                         "--out-dir", str(Path(scratch) / "out")])
+    assert code in (0, 1, 2)
+
+
+def _bad_document(command, edit):
+    doc = copy.deepcopy(_valid_documents()[command])
+    edit(doc)
+    return doc
+
+
+# (subcommand, edit of its valid document, key path named in the error)
+BAD_DOCUMENTS = {
+    "n_max-string": ("recover", lambda d: d.update(n_max="many"), "n_max"),
+    "count-string": ("check-lemmas",
+                     lambda d: d["samples"]["random"].update(count="ten"),
+                     "samples.random.count"),
+    "noise_seed-string": ("sweep",
+                          lambda d: d["base"].update(noise_seed="abc"),
+                          "base.noise_seed"),
+    "families-string": ("check-lemmas",
+                        lambda d: d.update(families={"linear": "two"}),
+                        "families.linear"),
+    "bounds-item-without-phi": ("bounds", lambda d: d["bounds"][0].pop("phi"),
+                                "bounds[0].phi"),
+    "l-string": ("bounds", lambda d: d["bounds"][0].update(l="up"),
+                 "bounds[0].l"),
+    "tol-string": ("bounds", lambda d: d["bounds"][0].update(tol="tiny"),
+                   "bounds[0].tol"),
+    "tolerances-string": ("recover",
+                          lambda d: d.update(tolerances={"abs": "tiny"}),
+                          "tolerances.abs"),
+    "consistency-p-string": ("bounds",
+                             lambda d: d["consistency"].update(p=["x"]),
+                             "consistency.p[0]"),
+    "chain-string": ("check-lemmas", lambda d: d.update(chain="false"),
+                     "chain"),
+    "misspelled-key": ("recover",
+                       lambda d: d.update(tolerences={"abs": 1e-9}),
+                       "tolerences"),
+    "l_mode-string": ("sweep", lambda d: d.update(l_mode="auto"),
+                      "l_mode must be a list"),
+    "top-level-dim_in": ("recover", lambda d: d.update(dim_in=1), "dim_in"),
+    "output-outside-out-dir": ("check-lemmas",
+                               lambda d: d.update(output_stem="../lem"),
+                               "output_stem"),
+    "bounds-nothing-to-check": ("bounds",
+                                lambda d: [d.pop("bounds"),
+                                           d.pop("consistency")],
+                                "bounds"),
+    "sweep-empty-grid": ("sweep", lambda d: d.update(theta=[]), "theta"),
+    "even-form-not-square": ("check-lemmas", lambda d: d["models"][0].update(
+        atoms=[{"kind": "even", "matrices": [[["1", "2"]]]}]),
+        "models[0].atoms[0]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_bad_document_exits_2_naming_the_key(tmp_path, capsys, name):
+    command, edit, key = BAD_DOCUMENTS[name]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_bad_document(command, edit)))
+    out_dir = tmp_path / "out"
+    assert cli_main([command, "--config", str(config_path),
+                     "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# README's documented configs load
+# ---------------------------------------------------------------------------
+
+def _readme_config_examples() -> list:
+    """Every JSON example in README's config schema section, parsed."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    schema = readme[readme.index("### Config schema"):
+                    readme.index("## Module map")]
+    docs = []
+    for block in re.findall(r"^( *)```json\n(.*?)^\1```", schema,
+                            re.MULTILINE | re.DOTALL):
+        text = textwrap.dedent(block[1])
+        if text.startswith("{\n"):
+            docs.append(json.loads(text))
+        else:  # one example per line
+            docs.extend(json.loads(line) for line in text.splitlines())
+    return docs
+
+
+def test_readme_config_examples_load():
+    readers = {"kind": atom_from_json, "variant": phi_from_json,
+               "form": SweepSpec.from_json_dict}
+    loaded = Counter()
+    for doc in _readme_config_examples():
+        tag = next((key for key in readers if key in doc), "common")
+        readers.get(tag, ExperimentConfig.from_json_dict)(doc)
+        loaded[tag] += 1
+    assert loaded == {"kind": 5, "variant": 3, "common": 1, "form": 1}

@@ -97,6 +97,17 @@ def test_cli_zero_sample_pairs_exit_2(tmp_path, capsys):
             assert not out_dir.exists()
 
 
+def test_cli_explicit_pair_of_no_model_dimension_exit_2(tmp_path, capsys):
+    samples = {"pairs": [[["1"], ["1"]], [["1", "2"], ["3", "4"]]]}
+    config_path = write_config(tmp_path, "lem.json", lemma_config(
+        models=lemma_config()["models"][:1], samples=samples))
+    out_dir = tmp_path / "out"
+    assert cli_main(["check-lemmas", "--config", str(config_path),
+                     "--out-dir", str(out_dir)]) == 2
+    assert "samples.pairs[1] has dimension 2" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_check_lemmas_evaluates_each_argument_once(tmp_path, monkeypatch):
     calls = []
     evaluate = FuncModel.evaluate_coords
@@ -196,6 +207,33 @@ def test_run_recover_divergent_series_status(tmp_path):
     assert doc["status"] == "divergent-series"
 
 
+def test_cli_recover_over_zero_points_exit_2(tmp_path, capsys):
+    cases = {"no samples": recover_config(samples={}),
+             "no random draws": recover_config(
+                 samples={"random": {"count": 0}}),
+             "point of another dimension": recover_config(
+                 samples={"points": [["1"], ["1", "2"]]})}
+    for name, doc in cases.items():
+        config_path = write_config(tmp_path, "rec.json", doc)
+        out_dir = tmp_path / "out"
+        assert cli_main(["recover", "--config", str(config_path),
+                         "--out-dir", str(out_dir)]) == 2, name
+        assert "samples" in capsys.readouterr().err, name
+        assert not out_dir.exists(), name
+
+
+def test_run_recover_samples_at_the_model_dimension(tmp_path):
+    config = ExperimentConfig.from_json_dict(recover_config(
+        model={"dim_in": 2, "dim_out": 2, "atoms": [
+            {"kind": "linear", "matrix": [["2", "0"], ["1", "1"]]}]},
+        samples={"points": [["1", "2"], ["-1/2", "3"]],
+                 "random": {"count": 3, "seed": 1}}))
+    result = run_recover(config, tmp_path)
+    assert result.ok
+    assert result.report["summary"]["count"] == 5
+    assert result.report["points"][0]["x"] == ["1.0", "2.0"]  # float mode
+
+
 def test_run_recover_requires_model(tmp_path):
     config = ExperimentConfig.from_json_dict({"mode": "float"})
     with pytest.raises(ConfigError):
@@ -206,23 +244,26 @@ def test_run_recover_requires_model(tmp_path):
 # bounds
 # ---------------------------------------------------------------------------
 
+BOUNDS_DOC = {
+    "mode": "float",
+    "bounds": [
+        {"kind": "additive", "phi": {"variant": "constant", "value": "1"},
+         "x": ["1"], "l": -1},
+        {"kind": "combined",
+         "phi": {"variant": "sum_of_powers", "theta": "1", "power": "2"},
+         "x": ["1"], "l": "auto"},
+        {"kind": "additive",
+         "phi": {"variant": "sum_of_powers", "theta": "1", "power": "1"},
+         "x": ["1"], "l": -1, "expect": "diverged"},
+    ],
+    "consistency": {"theta": 1, "p": [0, 0.5, 2], "rs": [[1, 1]],
+                    "tol": 1e-9},
+    "output_stem": "bnd",
+}
+
+
 def test_run_bounds_items_and_consistency(tmp_path):
-    config = ExperimentConfig.from_json_dict({
-        "mode": "float",
-        "bounds": [
-            {"kind": "additive", "phi": {"variant": "constant", "value": "1"},
-             "x": ["1"], "l": -1},
-            {"kind": "combined",
-             "phi": {"variant": "sum_of_powers", "theta": "1", "power": "2"},
-             "x": ["1"], "l": "auto"},
-            {"kind": "additive",
-             "phi": {"variant": "sum_of_powers", "theta": "1", "power": "1"},
-             "x": ["1"], "l": -1, "expect": "diverged"},
-        ],
-        "consistency": {"theta": 1, "p": [0, 0.5, 2], "rs": [[1, 1]],
-                        "tol": 1e-9},
-        "output_stem": "bnd",
-    })
+    config = ExperimentConfig.from_json_dict(BOUNDS_DOC)
     result = run_bounds(config, tmp_path)
     assert result.ok
     items = result.report["items"]
@@ -315,10 +356,24 @@ def test_run_sweep_divergent_cell_demonstration(tmp_path):
     assert row["max_error"] == ""
 
 
-def test_run_sweep_rejects_excluded_exponent_without_flag(tmp_path):
-    spec = SweepSpec.from_json_dict(sweep_doc(p=[1]))
-    with pytest.raises(ConfigError):
-        run_sweep(spec, tmp_path)
+def test_run_sweep_rejects_excluded_exponent_without_flag(tmp_path, capsys):
+    config_path = write_config(tmp_path, "sweep.json", sweep_doc(p=[1]))
+    out_dir = tmp_path / "out"
+    assert cli_main(["sweep", "--config", str(config_path),
+                     "--out-dir", str(out_dir)]) == 2
+    assert "p: exponent p=1 is excluded" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_sweep_over_zero_points_exit_2(tmp_path, capsys):
+    for samples in ({}, {"random": {"count": 0}}, {"points": [["1", "2"]]}):
+        doc = sweep_doc(base={**sweep_doc()["base"], "samples": samples})
+        config_path = write_config(tmp_path, "sweep.json", doc)
+        out_dir = tmp_path / "out"
+        assert cli_main(["sweep", "--config", str(config_path),
+                         "--out-dir", str(out_dir)]) == 2
+        assert "base.samples" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 def test_run_sweep_product_form(tmp_path):
@@ -403,6 +458,85 @@ def test_check_lemmas_golden_report_bytes(tmp_path):
         assert digests == GOLDEN_SHA256[name], name
 
 
+REPLAY_DOC = {
+    "schema_version": 1, "mode": "exact",
+    "models": [{"label": "lin", "dim_in": 2, "dim_out": 1, "atoms": [
+                    {"kind": "linear", "matrix": [["3", "-1/2"]]}]},
+               {"label": "mix", "dim_in": 1, "dim_out": 1,
+                "atoms": [LINEAR_ATOM, CUBIC_ATOM, NOISE_ATOM]}],
+    "families": {"linear": 1, "cubic": 1, "seed": 3},
+    "samples": {"pairs": [[["1", "2"], ["-1/3", "5"]], [["2"], ["-7/4"]]],
+                "random": {"count": 4, "seed": 8}},
+    "catalogue_out": "catalogue.json", "output_stem": "rep",
+}
+# Exact-mode recovery along both directions with power noise.
+RECOVER_EXACT_DOC = recover_config(
+    mode="exact",
+    model={"dim_in": 1, "dim_out": 1, "atoms": [
+        {"kind": "linear", "matrix": [["2"]]}, CUBIC_ATOM,
+        {"kind": "power_noise", "seed": 5, "amplitude": "1/1000",
+         "exponent": "2"}]},
+    directions={"additive": 1, "cubic": "auto"},
+    samples={"points": [["1"], ["-3/2"]], "random": {"count": 3, "seed": 4}},
+    n_max=40, output_stem="recx")
+# Product form with a divergent cell (p = r + s = 1) documented, not rejected.
+SWEEP_PRODUCT_DOC = sweep_doc(
+    form="product", p=[], rs=[["1/2", "1/2"], [0, 0], [1, "3/2"]],
+    theta=["1/2", 2], epsilon=[0, "1/1000"], l_mode=["auto", "neg"],
+    allow_divergent=True)
+# sha256 of each file the other subcommands write for pinned configs.  A
+# change to a runner, to the config readers or to a report layout changes
+# these bytes.
+COMMAND_GOLDENS = {
+    "recover-float": ("recover", recover_config(), {
+        "rec.json": "fe2483e842a3020827f272bd36783415"
+                    "f02e944c513d8fe98b037c8cf22e4d59",
+        "rec.csv": "0efe0f431a0e29b3bda6d2be06bbaa30"
+                   "2ea2bb01c1cdd58218ac8f7fc035a079",
+    }),
+    "recover-exact": ("recover", RECOVER_EXACT_DOC, {
+        "recx.json": "8774b9babd41c6d4163acaff5701ae78"
+                     "089a9897c13f302afd28e4c2a3131e01",
+        "recx.csv": "6202e99c3944c3ebc7118f465f2dcd41"
+                    "d0ef46a64ebd1868fbfe1ae98eb1fd32",
+    }),
+    "replay-chain": ("replay-chain", REPLAY_DOC, {
+        "rep.json": "d113c44a492bbda8cc0c9056935edb22"
+                    "81cb251a645ae758b55f6e8ba8c4847a",
+        "catalogue.json": "807473463c2db9ec2080be6e13312d82"
+                          "10e20f9c6793cd7f49433d61b78c10be",
+    }),
+    "bounds": ("bounds", BOUNDS_DOC, {
+        "bnd.json": "66f11dfb17582db161e48f41d79c909e"
+                    "f641ffa098bf98fd34036b268040335e",
+    }),
+    "sweep-sum": ("sweep", sweep_doc(), {
+        "sw.csv": "9028785c74d24d9903f0e5a7556c3ae8"
+                  "93ec08b41bd564be0c02b66b9fd22efc",
+        "sw.json": "6a8a2cbdeb505082d2f669a16f87ea52"
+                   "c8b4a89e78a98901b8f16e5c2d023c0c",
+    }),
+    "sweep-product": ("sweep", SWEEP_PRODUCT_DOC, {
+        "sw.csv": "d20b4f6fa6bf65ab8b652b6d0eba1f89"
+                  "a60155dd448ad0167c311742e362109b",
+        "sw.json": "f0c7877356acedea16ec3e5846fb3f5f"
+                   "fd7b30cc3e8f0f8119036c9a92438e6a",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_GOLDENS))
+def test_command_golden_report_bytes(tmp_path, name):
+    command, doc, expected = COMMAND_GOLDENS[name]
+    config_path = write_config(tmp_path, "config.json", doc)
+    out_dir = tmp_path / "out"
+    assert cli_main([command, "--config", str(config_path),
+                     "--out-dir", str(out_dir)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out_dir.iterdir()}
+    assert digests == expected
+
+
 def test_cli_out_dir_environment_override(tmp_path, monkeypatch, capsys):
     config_path = write_config(tmp_path, "lem.json", lemma_config())
     target = tmp_path / "env_out"
@@ -419,6 +553,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert cli_main(["recover", "--config", str(missing),
                      "--out-dir", str(tmp_path)]) == 2
+
+
+def test_cli_unreadable_config_exit_2(tmp_path, capsys):
+    cases = {"nested": "[" * 100_000 + "]" * 100_000,
+             "latin-1": '{"output_stem": "caf\xe9"}'}
+    for name, text in cases.items():
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_bytes(text.encode("latin-1"))
+        assert cli_main(["recover", "--config", str(config_path),
+                         "--out-dir", str(tmp_path / "out")]) == 2, name
+        assert "invalid JSON" in capsys.readouterr().err, name
 
 
 def test_cli_n_max_below_one_exit_2(tmp_path, capsys):
