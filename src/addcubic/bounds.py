@@ -179,7 +179,12 @@ def _closed_form_factor(p: float) -> float:
             f"exponent p = {p} makes one component series diverge; "
             f"p must differ from {EXCLUDED_ADDITIVE_EXPONENT} and "
             f"{EXCLUDED_CUBIC_EXPONENT}")
-    return 1.0 / abs(2.0 ** p - 2.0) + 1.0 / abs(2.0 ** p - 8.0)
+    try:
+        power = 2.0 ** p
+    except OverflowError:  # p >= 1024: factor 2^-p out of both terms
+        return 2.0 ** -p * (1.0 / (1.0 - 2.0 ** (1.0 - p))
+                            + 1.0 / (1.0 - 2.0 ** (3.0 - p)))
+    return 1.0 / abs(power - 2.0) + 1.0 / abs(power - 8.0)
 
 
 def corollary_sum_bound(theta, p, x: Point) -> float:

@@ -15,6 +15,16 @@ converge (direction l in {-1, +1}, arguments shrink for +1 and grow for
 decomposition is A = -A_0 / 6, C = C_0 / 6.  The distance from f to A + C
 is certified by the bound series in :mod:`addcubic.bounds`.
 
+Both iterates and the residual of one point read f on the same dyadic
+orbit x * 2^k.  :func:`recover` gives each point one :class:`OrbitTable`,
+which evaluates f(y) and f(-y) once per argument y (keyed by its
+coordinates), forms the odd part once and guards it once.  With
+``n_max = N`` and no early stop a point costs 2(N + 2) model evaluations
+when both directions agree and 4N + 4 when they differ, against
+8(N + 1) + 3 for an odd part and two transforms per iterate.  The iterates
+read exactly the arguments x.scale((1/2)^(l n)) and their doubles, so float
+results do not depend on the table, not even where x * 2^k is subnormal.
+
 Iterations at distinct points are independent; every structure here is
 either immutable or built single-threaded per point, so points may be
 processed concurrently while report assembly preserves input order.
@@ -29,7 +39,7 @@ from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import require_direction
-from .models import (ControlFunction, FuncModel, Point, norm, odd_part)
+from .models import ControlFunction, FuncModel, Point, norm
 from .scalars import EXACT, format_number
 
 OVERFLOW_GUARD_BITS = 500  # abort when any evaluation norm exceeds 2^500
@@ -38,6 +48,7 @@ DEFAULT_N_MAX = 48
 DEFAULT_TOL_ABS = 1e-12
 DEFAULT_TOL_REL = 1e-10
 CONSECUTIVE_GAPS = 3  # small gaps in a row required to call it converged
+_HALF = Fraction(1, 2)
 
 
 class OverflowGuardError(ArithmeticError):
@@ -56,15 +67,8 @@ class Transform:
     subtract: int
 
     def __call__(self, x: Point) -> Point:
-        try:
-            doubled = self.func(x.scale(2))
-            single = self.func(x)
-        except OverflowError as exc:
-            raise OverflowGuardError(
-                "evaluation overflowed float range") from exc
-        _guard(doubled)
-        _guard(single)
-        return doubled - single.scale(self.subtract)
+        table = OrbitTable(self.func, odd=False)
+        return table(x.scale(2)) - table(x).scale(self.subtract)
 
 
 def _guard(value: Point) -> None:
@@ -75,6 +79,41 @@ def _guard(value: Point) -> None:
     if not math.isfinite(magnitude) or magnitude > 2.0 ** OVERFLOW_GUARD_BITS:
         raise OverflowGuardError(
             f"evaluation norm {magnitude!r} exceeds 2^{OVERFLOW_GUARD_BITS}")
+
+
+class OrbitTable:
+    """Memoized values of f along the dyadic orbit of one point.
+
+    Entries are keyed by the argument's coordinates.  With ``odd`` the
+    table evaluates f(y) and f(-y) and forms the odd part
+    (f(y) - f(-y)) * 1/2 with the arithmetic of ``OddPart``; without it the
+    value is f(y) itself.  Each value is guarded once, when it is formed.
+    Calling the table returns that value; :meth:`raw` returns f(y).
+    """
+
+    def __init__(self, func: Callable[[Point], Point], odd: bool = True):
+        self.func = func
+        self.odd = odd
+        self._entries: dict[tuple, tuple[Point, Point]] = {}
+
+    def _entry(self, y: Point) -> tuple[Point, Point]:
+        entry = self._entries.get(y.coords)
+        if entry is None:
+            try:
+                raw = self.func(y)
+                value = (raw - self.func(-y)).scale(_HALF) if self.odd else raw
+            except OverflowError as exc:
+                raise OverflowGuardError(
+                    "evaluation overflowed float range") from exc
+            _guard(value)
+            entry = self._entries[y.coords] = (raw, value)
+        return entry
+
+    def __call__(self, y: Point) -> Point:
+        return self._entry(y)[1]
+
+    def raw(self, y: Point) -> Point:
+        return self._entry(y)[0]
 
 
 def h_transform(f) -> Transform:
@@ -112,15 +151,17 @@ def _iterate(f, x: Point, l: int, weight: int, n_steps: int,
     require_direction(l)
     if n_steps < 1:
         raise ValueError("iteration count must be at least 1")
-    transform = Transform(f, 8 if weight == 2 else 2)
+    table = f if isinstance(f, OrbitTable) else OrbitTable(f, odd=False)
+    subtract = 8 if weight == 2 else 2
     trace = IterationTrace(direction=l, weight=weight)
     streak = 0
     for n in range(n_steps + 1):
         try:
-            argument = x.scale(Fraction(1, 2) ** (l * n))
+            argument = x.scale(_HALF ** (l * n))
             scale = Fraction(weight) ** (l * n) if x.mode == EXACT \
                 else 2.0 ** (l * n * (weight.bit_length() - 1))
-            value = transform(argument).scale(scale)
+            value = (table(argument.scale(2))
+                     - table(argument).scale(subtract)).scale(scale)
         except OverflowError as exc:
             raise OverflowGuardError(
                 f"iterate step {n} overflowed float range") from exc
@@ -196,14 +237,15 @@ def uniqueness_probe(f, x: Point, l: int, component: str, n1: int, n2: int,
 
     Any two candidate limits agree up to the tail series at min(n1, n2);
     when ``phi`` is given the certified tail bound is attached so callers
-    can assert gap <= tail.
+    can assert gap <= tail.  One run to max(n1, n2) holds both depths.
     """
     if n1 == n2:
         raise ValueError("probe depths must differ")
-    iterate = _ITERATORS[component]
-    first = iterate(f, x, l, n_steps=n1, stop_early=False)
-    second = iterate(f, x, l, n_steps=n2, stop_early=False)
-    gap = norm(first.final - second.final)
+    if min(n1, n2) < 1:
+        raise ValueError("iteration count must be at least 1")
+    trace = _ITERATORS[component](f, x, l, n_steps=max(n1, n2),
+                                  stop_early=False)
+    gap = norm(trace.values[n1] - trace.values[n2])
     tail = None
     if phi is not None:
         tail = bounds_mod.uniqueness_tail(component, phi, x, l,
@@ -332,18 +374,18 @@ def recover(f: FuncModel, points: Sequence[Point],
             stop_early: bool = True) -> RecoveryReport:
     """Recover the additive and cubic parts of f at the given points.
 
-    f is odd-symmetrized first; the perturbation envelope phi is either
-    supplied or certified from the model's noise atoms.  Per point, the
-    report carries A(x), C(x), the odd-part and raw errors, the certified
-    combined bound, and both iteration traces.  A control function whose
-    series diverges for the chosen direction raises
+    f is odd-symmetrized first, through one :class:`OrbitTable` per point
+    that both iterates and the residuals read; the perturbation envelope
+    phi is either supplied or certified from the model's noise atoms.  Per
+    point, the report carries A(x), C(x), the odd-part and raw errors, the
+    certified combined bound, and both iteration traces.  A control function
+    whose series diverges for the chosen direction raises
     :class:`DivergentControlError`.
     """
     if phi is None:
         phi = bounds_mod.certify_phi(f)
     l_add, l_cub = resolve_directions(phi, l_additive, l_cubic)
 
-    f_odd = odd_part(f)
     sixth = Fraction(1, 6)
     mode = points[0].mode if points else EXACT
     norm_kind = points[0].norm_kind if points else "euclidean"
@@ -358,14 +400,15 @@ def recover(f: FuncModel, points: Sequence[Point],
                 "bound series diverges for the chosen directions "
                 f"(additive l={l_add}, cubic l={l_cub})")
         bound_value = series.upper
-        trace_a = additive_iterate(f_odd, x, l_add, n_max, tol_abs, tol_rel,
+        orbit = OrbitTable(f)
+        trace_a = additive_iterate(orbit, x, l_add, n_max, tol_abs, tol_rel,
                                    stop_early=stop_early)
-        trace_c = cubic_iterate(f_odd, x, l_cub, n_max, tol_abs, tol_rel,
+        trace_c = cubic_iterate(orbit, x, l_cub, n_max, tol_abs, tol_rel,
                                 stop_early=stop_early)
         additive_value = trace_a.final.scale(-sixth)
         cubic_value = trace_c.final.scale(sixth)
-        residual = f_odd(x) - additive_value - cubic_value
-        raw_residual = f(x) - additive_value - cubic_value
+        residual = orbit(x) - additive_value - cubic_value
+        raw_residual = orbit.raw(x) - additive_value - cubic_value
         error = norm(residual)
         report.points.append(PointRecovery(
             x=x,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Callable, Sequence, Union
@@ -55,21 +55,18 @@ class Point:
 
     coords: tuple[Number, ...]
     norm_kind: str = EUCLIDEAN
+    mode: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coords) < 1:
             raise DimensionMismatchError("points need at least one coordinate")
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
-        _coord_mode(self.coords)
+        object.__setattr__(self, "mode", _coord_mode(self.coords))
 
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    @property
-    def mode(self) -> str:
-        return _coord_mode(self.coords)
 
     @property
     def is_zero(self) -> bool:

@@ -5,6 +5,7 @@ dependence on the package's models, term tables or series machinery, so a
 bug there cannot hide in here.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -96,3 +97,74 @@ def lattice_float_sum(f, x, y, terms):
         total = contribution if total is None \
             else [t + v for t, v in zip(total, contribution)]
     return tuple(total)
+
+
+def _norm(values, norm_kind):
+    floats = [abs(float(v)) for v in values]
+    if norm_kind == "max":
+        return max(floats)
+    if len(floats) == 1:
+        return floats[0]
+    return math.sqrt(math.fsum(v * v for v in floats))
+
+
+def dyadic_recovery(f, x, norm_kind, l_additive, l_cubic, n_max,
+                    tol_abs, tol_rel, stop_early, consecutive=3):
+    """Direct-method recovery at one point, every value evaluated afresh.
+
+    ``f`` maps a coordinate tuple to a value tuple; ``x`` is a coordinate
+    tuple of Fractions (exact) or floats.  Each iterate step evaluates
+    f(2a), f(-2a), f(a) and f(-a) at a = x (1/2)^(l n), with nothing
+    reused, and the arithmetic follows the direct method coordinate by
+    coordinate: odd part (f(y) - f(-y)) * 1/2, step value
+    (odd(2a) - c odd(a)) * w^(l n), A = -final / 6, C = final / 6.
+    Returns a dict of the traces and the recovered values and errors.
+    """
+    exact = not isinstance(x[0], float)
+    num = (lambda q: q) if exact else float
+
+    def odd(y):
+        plus, minus = f(y), f(tuple(-c for c in y))
+        return tuple(num(Fraction(1, 2)) * (p - m)
+                     for p, m in zip(plus, minus))
+
+    def iterate(l, weight, subtract):
+        trace = {"values": [], "gaps": [], "converged": False,
+                 "converged_at": None}
+        streak = 0
+        for n in range(n_max + 1):
+            a = tuple(num(Fraction(1, 2) ** (l * n)) * c for c in x)
+            doubled = odd(tuple(num(2) * c for c in a))
+            single = odd(a)
+            w = num(Fraction(weight) ** (l * n))
+            value = tuple(w * (d - num(subtract) * s)
+                          for d, s in zip(doubled, single))
+            trace["values"].append(value)
+            if n == 0:
+                continue
+            previous = trace["values"][-2]
+            gap = _norm([v - p for v, p in zip(value, previous)], norm_kind)
+            trace["gaps"].append(gap)
+            if gap <= max(tol_abs, tol_rel * _norm(value, norm_kind)):
+                streak += 1
+                if streak >= consecutive and not trace["converged"]:
+                    trace["converged"] = True
+                    trace["converged_at"] = n
+                    if stop_early:
+                        break
+            else:
+                streak = 0
+        return trace
+
+    trace_a = iterate(l_additive, 2, 8)
+    trace_c = iterate(l_cubic, 8, 2)
+    additive = tuple(num(Fraction(-1, 6)) * v for v in trace_a["values"][-1])
+    cubic = tuple(num(Fraction(1, 6)) * v for v in trace_c["values"][-1])
+
+    def error(values):
+        return _norm([v - a - c for v, a, c in zip(values, additive, cubic)],
+                     norm_kind)
+
+    return {"additive_trace": trace_a, "cubic_trace": trace_c,
+            "additive": additive, "cubic": cubic,
+            "error": error(odd(x)), "raw_error": error(f(x))}

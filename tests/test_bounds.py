@@ -148,6 +148,19 @@ def test_corollary_product_bound_values():
     assert corollary_product_bound(0, 2, 2, X1) == 0.0
 
 
+def test_corollary_bounds_finite_beyond_float_power_range():
+    # 2.0 ** p overflows from p = 1024 on; the factor is then formed as
+    # 2^-p (1/(1 - 2^(1-p)) + 1/(1 - 2^(3-p))).
+    for p in (1024, 1e6):
+        for value in (corollary_sum_bound(1, p, X1),
+                      corollary_product_bound(1, p, 0, X1),
+                      corollary_product_bound(1, p / 2, p / 2, X1)):
+            assert math.isfinite(value) and value >= 0
+    assert corollary_sum_bound(6, 1024, X1) == 2.0 ** -1023
+    below = corollary_sum_bound(6, 1023, X1)
+    assert below == 1 / (2.0 ** 1023 - 2) + 1 / (2.0 ** 1023 - 8)
+
+
 def test_corollary_rejects_excluded_exponents():
     with pytest.raises(ExcludedExponentError):
         corollary_sum_bound(1, 1, X1)

@@ -1,21 +1,39 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from addcubic import (BoundedNoise, Constant, DivergentControlError, FuncModel,
-                      OverflowGuardError, PowerNoise, additive_iterate,
+import oracles
+from addcubic import (BoundedNoise, Constant, DivergentControlError, Even,
+                      FuncModel, OddPart, OverflowGuardError, PowerNoise,
+                      SumOfPowers, Transform, additive_iterate,
                       additive_residual, certify_phi, cubic_1d, cubic_iterate,
                       cubic_residual, even_1d, g_transform, h_transform,
                       linear_1d, model_1d, norm, odd_part, point, random_cubic,
-                      random_linear, random_point, recover, solution_1d,
-                      uniqueness_probe)
+                      random_linear, random_point, random_rational, recover,
+                      solution_1d, uniqueness_probe)
+from addcubic.bounds import uniqueness_tail
+from addcubic.direct_method import DEFAULT_TOL_ABS, DEFAULT_TOL_REL
 
 EPS = Fraction(1, 1000)
 
 
 def noisy_solution(seed=7, eps=EPS):
     return model_1d(linear_1d(2), cubic_1d(1), BoundedNoise(seed, eps))
+
+
+class _Counted:
+    """A model wrapper recording every argument it is evaluated at."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = []
+
+    def __call__(self, p):
+        self.calls.append(p.coords)
+        return self.model(p)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +150,15 @@ def test_iterate_input_validation():
 
 def test_overflow_guard_trips_on_growing_direction():
     spike = model_1d(PowerNoise(3, Fraction(10) ** 60, Fraction(8)))
-    with pytest.raises(OverflowGuardError):
+    with pytest.raises(OverflowGuardError, match=re.escape(
+            "evaluation norm 2.560499765358062e+151 exceeds 2^500")):
         additive_iterate(spike, point([8], mode="float"), -1, 48,
                          stop_early=False)
+    for mode in ("float", "exact"):
+        with pytest.raises(OverflowGuardError, match=re.escape(
+                "evaluation norm 1.9517528119657766e+151 exceeds 2^500")):
+            recover(spike, [point([8], mode=mode)], Constant(1), -1, -1,
+                    stop_early=False)
 
 
 def test_early_stop_truncates_trace():
@@ -324,3 +348,144 @@ def test_probe_bounded_noise_within_tail():
 def test_probe_requires_distinct_depths():
     with pytest.raises(ValueError):
         uniqueness_probe(solution_1d(1, 1), point([1]), 1, "additive", 5, 5)
+    with pytest.raises(ValueError):  # one run to max(n1, n2) has no depth 0
+        uniqueness_probe(solution_1d(1, 1), point([1]), 1, "additive", 0, 5)
+
+
+def test_probe_matches_two_runs_with_fewer_evaluations():
+    counted = _Counted(noisy_solution())
+    calls = counted.calls
+    phi = Constant(76 * EPS)
+    x = point([Fraction(5, 2)])
+    for component, iterate in (("additive", additive_iterate),
+                               ("cubic", cubic_iterate)):
+        for l, n1, n2 in ((-1, 20, 40), (1, 9, 4)):
+            calls.clear()
+            first = iterate(counted, x, l, n_steps=n1, stop_early=False)
+            second = iterate(counted, x, l, n_steps=n2, stop_early=False)
+            two_runs = len(calls)
+            calls.clear()
+            result = uniqueness_probe(counted, x, l, component, n1, n2, phi)
+            assert result.gap == norm(first.final - second.final)
+            assert result.tail_bound == uniqueness_tail(
+                component, phi, x, l, min(n1, n2)).upper
+            assert len(calls) == max(n1, n2) + 2 < two_runs == n1 + n2 + 4
+
+
+# ---------------------------------------------------------------------------
+# Dyadic orbit table
+# ---------------------------------------------------------------------------
+
+def _bits(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def _assert_recover_matches_oracle(f, x, l_additive, l_cubic, phi, n_max,
+                                   stop_early):
+    item = recover(f, [x], phi, l_additive, l_cubic, n_max=n_max,
+                   stop_early=stop_early).points[0]
+    expected = oracles.dyadic_recovery(
+        lambda c: tuple(f.evaluate_coords(c, x.mode)), x.coords, x.norm_kind,
+        l_additive, l_cubic, n_max, DEFAULT_TOL_ABS, DEFAULT_TOL_REL,
+        stop_early)
+    for trace, want in ((item.additive_trace, expected["additive_trace"]),
+                        (item.cubic_trace, expected["cubic_trace"])):
+        assert [_bits(v.coords) for v in trace.values] \
+            == [_bits(v) for v in want["values"]]
+        assert _bits(trace.cauchy_gaps) == _bits(want["gaps"])
+        assert trace.converged == want["converged"]
+        assert trace.converged_at == want["converged_at"]
+    assert _bits(item.additive.coords) == _bits(expected["additive"])
+    assert _bits(item.cubic.coords) == _bits(expected["cubic"])
+    assert _bits([item.error, item.raw_error]) \
+        == _bits([expected["error"], expected["raw_error"]])
+
+
+# Control functions whose combined series converges for each direction pair.
+DIRECTION_PHI = {(-1, -1): SumOfPowers(EPS, Fraction(1, 2)),
+                 (1, -1): SumOfPowers(EPS, 2),
+                 (1, 1): SumOfPowers(EPS, 4)}
+
+
+def _atom(kind, rng, d):
+    if kind == "linear":
+        return random_linear(rng, d, d)
+    if kind == "cubic":
+        return random_cubic(rng, d, d)
+    if kind == "even":
+        return Even(tuple(tuple(tuple(random_rational(rng, 9)
+                                      for _ in range(d)) for _ in range(d))
+                          for _ in range(d)))
+    if kind == "bounded_noise":
+        return BoundedNoise(rng.randint(0, 99), EPS)
+    return PowerNoise(rng.randint(0, 99), EPS,
+                      Fraction(rng.choice((1, 2, 5)), rng.choice((1, 2))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sets(st.sampled_from(("linear", "cubic", "even",
+                                           "bounded_noise", "power_noise")),
+                          min_size=1))
+def test_recover_matches_uncached_oracle(data, kinds):
+    d = data.draw(st.integers(1, 2), label="dim")
+    rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
+    f = FuncModel(d, d, tuple(_atom(kind, rng, d) for kind in sorted(kinds)))
+    coords = data.draw(st.lists(
+        st.fractions(min_value=-10, max_value=10, max_denominator=8),
+        min_size=d, max_size=d), label="x")
+    norm_kind = data.draw(st.sampled_from(("euclidean", "max")), label="norm")
+    directions = data.draw(st.sampled_from(sorted(DIRECTION_PHI)),
+                           label="directions")
+    n_max = data.draw(st.integers(1, 10), label="n_max")
+    stop_early = data.draw(st.booleans(), label="stop_early")
+    for mode in ("exact", "float"):
+        _assert_recover_matches_oracle(
+            f, point(coords, mode, norm_kind), *directions,
+            DIRECTION_PHI[directions], n_max, stop_early)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_recover_float_orbit_through_subnormals_matches_oracle(d):
+    rng = random.Random(17)
+    f = FuncModel(d, d, (random_linear(rng, d, d), random_cubic(rng, d, d)))
+    x = point([3.0000000000000004e-300, -7.000000000000001e-301][:d],
+              mode="float")
+    n_max = 48
+    # Halving rounds away low bits once x * 2^-n is subnormal, so there the
+    # double of one argument is not the argument of the step before.
+    arguments = [x.scale(Fraction(1, 2) ** n) for n in range(n_max + 1)]
+    assert min(abs(c) for c in arguments[-1].coords) < 2.0 ** -1022
+    assert any(later.scale(2) != earlier
+               for earlier, later in zip(arguments, arguments[1:]))
+    _assert_recover_matches_oracle(f, x, 1, 1, DIRECTION_PHI[(1, 1)], n_max,
+                                   stop_early=False)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("coords", [["3/4"], ["-5/2", "1/3"]])
+def test_recover_evaluates_each_orbit_argument_once(mode, coords):
+    n = 12
+    rng = random.Random(4)
+    d = len(coords)
+    f = _Counted(FuncModel(d, d, (random_linear(rng, d, d),
+                                  random_cubic(rng, d, d),
+                                  BoundedNoise(7, EPS))))
+    x = point(coords, mode)
+    for directions, count in (((-1, -1), 2 * (n + 2)), ((1, -1), 4 * n + 4)):
+        f.calls.clear()
+        recover(f, [x], DIRECTION_PHI[directions], *directions, n_max=n,
+                stop_early=False)
+        assert len(f.calls) == count == len(set(f.calls))
+
+
+def test_recover_iterate_and_probe_build_no_wrappers(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    monkeypatch.setattr(Transform, "__init__", refuse)
+    monkeypatch.setattr(OddPart, "__init__", refuse)
+    f = noisy_solution()
+    for x in (point([1]), point([0.5], mode="float")):
+        recover(f, [x])
+        additive_iterate(f, x, -1, 6)
+        uniqueness_probe(f, x, 1, "cubic", 3, 6)

@@ -40,6 +40,16 @@ def test_point_rejects_mixed_modes():
         Point((0.5, Fraction(1, 2)))
 
 
+def test_point_mode_is_stored_but_not_compared():
+    from addcubic.models import Point
+    exact, floating = Point((Fraction(1), Fraction(2))), Point((1.0, 2.0))
+    assert (exact.mode, floating.mode) == ("exact", "float")
+    assert exact == floating and hash(exact) == hash(floating)
+    assert "mode" not in repr(exact)
+    with pytest.raises(TypeError):
+        Point((1.0,), "euclidean", "float")
+
+
 def test_point_dimension_and_norm_kind_checks():
     with pytest.raises(DimensionMismatchError):
         point([1]) + point([1, 2])
