@@ -173,7 +173,13 @@ def uniqueness_tail(component: str, phi: ControlFunction, x: Point, l: int,
 # Closed forms for the power-family control functions
 # ---------------------------------------------------------------------------
 
-def _closed_form_factor(p: float) -> float:
+def _closed_form(coefficient: float, p: float, norm_x: float) -> float:
+    """coefficient * [1/|2^p - 2| + 1/|2^p - 8|] * ||x||^p, never overflowing.
+
+    Where 2^p or ||x||^p leaves the float range, 2^-p is taken out of the
+    bracket into (||x||/2)^p; only a true value beyond the float range
+    gives ``math.inf``.
+    """
     if p == EXCLUDED_ADDITIVE_EXPONENT or p == EXCLUDED_CUBIC_EXPONENT:
         raise ExcludedExponentError(
             f"exponent p = {p} makes one component series diverge; "
@@ -181,10 +187,21 @@ def _closed_form_factor(p: float) -> float:
             f"{EXCLUDED_CUBIC_EXPONENT}")
     try:
         power = 2.0 ** p
-    except OverflowError:  # p >= 1024: factor 2^-p out of both terms
-        return 2.0 ** -p * (1.0 / (1.0 - 2.0 ** (1.0 - p))
-                            + 1.0 / (1.0 - 2.0 ** (3.0 - p)))
-    return 1.0 / abs(power - 2.0) + 1.0 / abs(power - 8.0)
+        factor = 1.0 / abs(power - 2.0) + 1.0 / abs(power - 8.0)
+        return coefficient * factor * norm_x ** p
+    except OverflowError:
+        pass
+    outer = coefficient * (1.0 / abs(1.0 - 2.0 ** (1.0 - p))
+                           + 1.0 / abs(1.0 - 2.0 ** (3.0 - p)))
+    try:
+        return outer * (norm_x / 2.0) ** p
+    except OverflowError:  # (||x||/2)^p > max float; outer may be tiny
+        if outer == 0.0:
+            return 0.0
+        try:
+            return math.exp(math.log(outer) + p * math.log(norm_x / 2.0))
+        except OverflowError:
+            return math.inf
 
 
 def corollary_sum_bound(theta, p, x: Point) -> float:
@@ -196,7 +213,7 @@ def corollary_sum_bound(theta, p, x: Point) -> float:
     theta_f, p_f = float(theta), float(p)
     if theta_f < 0 or p_f < 0:
         raise ValueError("theta and p must be nonnegative")
-    return theta_f / 6.0 * _closed_form_factor(p_f) * norm(x) ** p_f
+    return _closed_form(theta_f / 6.0, p_f, norm(x))
 
 
 def corollary_product_bound(theta, r, s, x: Point) -> float:
@@ -204,8 +221,7 @@ def corollary_product_bound(theta, r, s, x: Point) -> float:
     theta_f, r_f, s_f = float(theta), float(r), float(s)
     if theta_f < 0 or r_f < 0 or s_f < 0:
         raise ValueError("theta, r, s must be nonnegative")
-    p_f = r_f + s_f
-    return theta_f / 12.0 * _closed_form_factor(p_f) * norm(x) ** p_f
+    return _closed_form(theta_f / 12.0, r_f + s_f, norm(x))
 
 
 def auto_directions(phi: ControlFunction) -> tuple[int, int]:

@@ -17,13 +17,20 @@ is certified by the bound series in :mod:`addcubic.bounds`.
 
 Both iterates and the residual of one point read f on the same dyadic
 orbit x * 2^k.  :func:`recover` gives each point one :class:`OrbitTable`,
-which evaluates f(y) and f(-y) once per argument y (keyed by its
-coordinates), forms the odd part once and guards it once.  With
-``n_max = N`` and no early stop a point costs 2(N + 2) model evaluations
-when both directions agree and 4N + 4 when they differ, against
-8(N + 1) + 3 for an odd part and two transforms per iterate.  The iterates
-read exactly the arguments x.scale((1/2)^(l n)) and their doubles, so float
-results do not depend on the table, not even where x * 2^k is subnormal.
+which evaluates f(y) and f(-y) once per argument y, forms the odd part
+once and guards it once.  With ``n_max = N`` and no early stop a point
+costs 2(N + 2) model evaluations when both directions agree and 4N + 4
+when they differ, against 8(N + 1) + 3 for an odd part and two transforms
+per iterate.
+
+Exact mode runs in integers: x is u over one denominator L, the argument
+x * 2^k is (u << k, L) or (u, L << -k), and each value is integer
+numerators over one denominator, so a step w^(l n) * (hi - s * lo) is a
+shift and at most one gcd.  Norms divide int by int, which rounds as
+``float(Fraction)`` does; ``Fraction``s are built only at the model's
+boundary and for the one point each step records.  Float mode reads the
+arguments x * 2^-(l n) and their doubles exactly as computed, so results
+hold bit for bit even where x * 2^k is subnormal.
 
 Iterations at distinct points are independent; every structure here is
 either immutable or built single-threaded per point, so points may be
@@ -39,8 +46,8 @@ from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import require_direction
-from .models import ControlFunction, FuncModel, Point, norm
-from .scalars import EXACT, format_number
+from .models import ControlFunction, FuncModel, Point, coords_norm, norm
+from .scalars import EXACT, add_ratios, format_number, integer_ratio
 
 OVERFLOW_GUARD_BITS = 500  # abort when any evaluation norm exceeds 2^500
 
@@ -67,53 +74,107 @@ class Transform:
     subtract: int
 
     def __call__(self, x: Point) -> Point:
-        table = OrbitTable(self.func, odd=False)
-        return table(x.scale(2)) - table(x).scale(self.subtract)
-
-
-def _guard(value: Point) -> None:
-    try:
-        magnitude = norm(value)
-    except OverflowError as exc:
-        raise OverflowGuardError("evaluation magnitude exceeds float range") from exc
-    if not math.isfinite(magnitude) or magnitude > 2.0 ** OVERFLOW_GUARD_BITS:
-        raise OverflowGuardError(
-            f"evaluation norm {magnitude!r} exceeds 2^{OVERFLOW_GUARD_BITS}")
+        table = OrbitTable(self.func, x, odd=False)
+        return table.point(table.step(0, self.subtract, 0))
 
 
 class OrbitTable:
-    """Memoized values of f along the dyadic orbit of one point.
+    """Memoized values of f along the dyadic orbit x * 2^k of one point.
 
-    Entries are keyed by the argument's coordinates.  With ``odd`` the
-    table evaluates f(y) and f(-y) and forms the odd part
-    (f(y) - f(-y)) * 1/2 with the arithmetic of ``OddPart``; without it the
-    value is f(y) itself.  Each value is guarded once, when it is formed.
-    Calling the table returns that value; :meth:`raw` returns f(y).
+    With ``odd`` a value is the odd part (f(y) - f(-y)) / 2, otherwise f(y);
+    each is guarded once, when it is formed.  Exact entries are keyed by k
+    and hold (numerators, denominator) vectors; float entries are keyed by
+    the argument's coordinates and hold float tuples.  The methods work on
+    those vectors, and :meth:`point` turns one into a point.
     """
 
-    def __init__(self, func: Callable[[Point], Point], odd: bool = True):
-        self.func = func
-        self.odd = odd
-        self._entries: dict[tuple, tuple[Point, Point]] = {}
+    def __init__(self, func: Callable[[Point], Point], x: Point,
+                 odd: bool = True):
+        self.func, self.x, self.odd = func, x, odd
+        self.exact = x.mode == EXACT
+        if self.exact:
+            self._u, self._den = integer_ratio(x.coords)
+        self._entries: dict = {}
 
-    def _entry(self, y: Point) -> tuple[Point, Point]:
-        entry = self._entries.get(y.coords)
+    def _evaluate(self, coords):
+        if isinstance(self.func, FuncModel):
+            values = self.func.evaluate_coords(coords, self.x.mode)
+        else:
+            values = self.func(Point(coords, self.x.norm_kind)).coords
+        return integer_ratio(values) if self.exact else tuple(values)
+
+    def _entry(self, key) -> tuple:
+        """(f(y), table value) at the argument y the key stands for."""
+        entry = self._entries.get(key)
         if entry is None:
+            coords = key
+            if self.exact:  # y = x * 2^key
+                u, den = self._u, self._den
+                coords = tuple(Fraction(c << key, den) if key >= 0
+                               else Fraction(c, den << -key) for c in u)
             try:
-                raw = self.func(y)
-                value = (raw - self.func(-y)).scale(_HALF) if self.odd else raw
+                raw = value = self._evaluate(coords)
+                if self.odd:
+                    minus = self._evaluate(tuple(-c for c in coords))
+                    value = self._combination(raw, minus, 1, -1)
             except OverflowError as exc:
                 raise OverflowGuardError(
                     "evaluation overflowed float range") from exc
-            _guard(value)
-            entry = self._entries[y.coords] = (raw, value)
+            self.magnitude(value)
+            entry = self._entries[key] = (raw, value)
         return entry
 
-    def __call__(self, y: Point) -> Point:
-        return self._entry(y)[1]
+    def _combination(self, a, b, factor: int, e: int):
+        """2^e * (a - factor * b)."""
+        if self.exact:
+            nums, den = add_ratios(a, b, -factor)
+            return ([n << e for n in nums], den) if e >= 0 \
+                else (nums, den << -e)
+        scale, factor = 2.0 ** e, float(factor)
+        return tuple(scale * (p - factor * q) for p, q in zip(a, b))
 
-    def raw(self, y: Point) -> Point:
-        return self._entry(y)[0]
+    def _norm(self, vector) -> float:
+        if self.exact:
+            nums, den = vector
+            vector = [n / den for n in nums]  # rounds as float(Fraction) does
+        return coords_norm(vector, self.x.norm_kind)
+
+    def step(self, k: int, subtract: int, bits: int):
+        """2^(-k bits) * (value(2a) - subtract * value(a)) at a = x * 2^k."""
+        if self.exact:  # at x = 0 every k is the one argument 0
+            hi, lo = (k + 1, k) if any(self._u) else (0, 0)
+        else:
+            lo = tuple(float(_HALF ** -k) * c for c in self.x.coords)
+            hi = tuple(2.0 * c for c in lo)
+        hi = self._entry(hi)[1]
+        return self._combination(hi, self._entry(lo)[1], subtract, -k * bits)
+
+    def magnitude(self, vector) -> float:
+        """The vector's norm; the overflow guard."""
+        try:
+            magnitude = self._norm(vector)
+        except OverflowError as exc:
+            raise OverflowGuardError(
+                "evaluation magnitude exceeds float range") from exc
+        if not math.isfinite(magnitude) \
+                or magnitude > 2.0 ** OVERFLOW_GUARD_BITS:
+            raise OverflowGuardError(
+                f"evaluation norm {magnitude!r} exceeds 2^{OVERFLOW_GUARD_BITS}")
+        return magnitude
+
+    def distance(self, a, b) -> float:
+        return self._norm(self._combination(a, b, 1, 0))
+
+    def point(self, vector) -> Point:
+        if self.exact:
+            nums, den = vector
+            vector = tuple(Fraction(n, den) for n in nums)
+        return Point(vector, self.x.norm_kind)
+
+    def at_x(self) -> tuple[Point, Point]:
+        """f(x) and the table value at x, as points."""
+        raw, value = self._entry(0 if self.exact else self.x.coords)
+        return self.point(raw), self.point(value)
 
 
 def h_transform(f) -> Transform:
@@ -151,27 +212,29 @@ def _iterate(f, x: Point, l: int, weight: int, n_steps: int,
     require_direction(l)
     if n_steps < 1:
         raise ValueError("iteration count must be at least 1")
-    table = f if isinstance(f, OrbitTable) else OrbitTable(f, odd=False)
+    if not isinstance(f, OrbitTable):
+        f = OrbitTable(f, x, odd=False)
+    elif f.x != x:
+        raise ValueError("orbit table belongs to another point")
     subtract = 8 if weight == 2 else 2
+    bits = weight.bit_length() - 1
     trace = IterationTrace(direction=l, weight=weight)
     streak = 0
     for n in range(n_steps + 1):
         try:
-            argument = x.scale(_HALF ** (l * n))
-            scale = Fraction(weight) ** (l * n) if x.mode == EXACT \
-                else 2.0 ** (l * n * (weight.bit_length() - 1))
-            value = (table(argument.scale(2))
-                     - table(argument).scale(subtract)).scale(scale)
+            value = f.step(-l * n, subtract, bits)
         except OverflowError as exc:
             raise OverflowGuardError(
                 f"iterate step {n} overflowed float range") from exc
-        _guard(value)
-        trace.values.append(value)
+        magnitude = f.magnitude(value)
+        trace.values.append(f.point(value))
         if n == 0:
+            previous = value
             continue
-        gap = norm(trace.values[-1] - trace.values[-2])
+        gap = f.distance(value, previous)
+        previous = value
         trace.cauchy_gaps.append(gap)
-        if gap <= max(tol_abs, tol_rel * norm(value)):
+        if gap <= max(tol_abs, tol_rel * magnitude):
             streak += 1
             if streak >= CONSECUTIVE_GAPS and not trace.converged:
                 trace.converged = True
@@ -400,15 +463,16 @@ def recover(f: FuncModel, points: Sequence[Point],
                 "bound series diverges for the chosen directions "
                 f"(additive l={l_add}, cubic l={l_cub})")
         bound_value = series.upper
-        orbit = OrbitTable(f)
+        orbit = OrbitTable(f, x)
         trace_a = additive_iterate(orbit, x, l_add, n_max, tol_abs, tol_rel,
                                    stop_early=stop_early)
         trace_c = cubic_iterate(orbit, x, l_cub, n_max, tol_abs, tol_rel,
                                 stop_early=stop_early)
         additive_value = trace_a.final.scale(-sixth)
         cubic_value = trace_c.final.scale(sixth)
-        residual = orbit(x) - additive_value - cubic_value
-        raw_residual = orbit.raw(x) - additive_value - cubic_value
+        raw, odd = orbit.at_x()
+        residual = odd - additive_value - cubic_value
+        raw_residual = raw - additive_value - cubic_value
         error = norm(residual)
         report.points.append(PointRecovery(
             x=x,

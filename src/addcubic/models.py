@@ -12,9 +12,12 @@ the Euclidean or the max norm.  A function model is a sum of atoms:
                            negative tests.
 
 All coefficients are stored as exact rationals; evaluation happens in the
-mode of the input point (exact or float).  Every value is immutable after
-construction and evaluation is pure, so everything here is safe to share
-across threads without synchronization.
+mode of the input point (exact or float).  Exact evaluation is one integer
+kernel: the argument is cleared to integers over one denominator once, each
+atom returns integer numerators over one denominator, and the model adds
+them and builds one ``Fraction`` per output coordinate.  Every value is
+immutable after construction and evaluation is pure, so everything here is
+safe to share across threads without synchronization.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from functools import cached_property, reduce
 from typing import Callable, Sequence, Union
 
 from . import noise as noise_mod
-from .scalars import EXACT, FLOAT, ModeMismatchError, Number, coerce, require_mode
+from .scalars import (EXACT, FLOAT, ModeMismatchError, Number, add_ratios,
+                      coerce, integer_ratio, require_mode)
 
 EUCLIDEAN = "euclidean"
 MAX = "max"
@@ -122,25 +126,26 @@ def norm(p: Point) -> float:
     Exactness-sensitive checks compare coordinates directly (``is_zero``);
     the norm is a diagnostic metric and float precision is sufficient.
     """
-    if p.norm_kind == MAX:
-        return max(abs(float(c)) for c in p.coords)
-    if p.dim == 1:
-        return abs(float(p.coords[0]))
-    return math.sqrt(math.fsum(float(c) * float(c) for c in p.coords))
+    return coords_norm(p.coords, p.norm_kind)
+
+
+def coords_norm(coords: Sequence, norm_kind: str) -> float:
+    """:func:`norm` of bare coordinates, each rounded to a float first."""
+    if norm_kind == MAX:
+        return max(abs(float(c)) for c in coords)
+    if len(coords) == 1:
+        return abs(float(coords[0]))
+    return math.sqrt(math.fsum(float(c) * float(c) for c in coords))
 
 
 # ---------------------------------------------------------------------------
-# Model atoms
+# Model atoms.  ``evaluate(coords, mode, dim_out, den=1)`` returns floats in
+# float mode; in exact mode ``coords`` are integers over ``den`` and the
+# result is (integer numerators, denominator).
 # ---------------------------------------------------------------------------
 
 def _rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
-def _clear_denominators(coords) -> tuple[list[int], int]:
-    """Integer coordinates u with coords = u / L; the exact-mode fast path."""
-    lcm = reduce(math.lcm, (c.denominator for c in coords), 1)
-    return [c.numerator * (lcm // c.denominator) for c in coords], lcm
 
 
 def _integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -173,27 +178,24 @@ class Linear:
 
     @cached_property
     def _float_matrix(self):
-        return tuple(tuple(float(v) for v in row) for row in self.matrix)
+        return tuple(tuple(float(v) for v in row) for row in self.matrix), None
 
     @cached_property
     def _integer_matrix(self):
         return _integer_rows(self.matrix)
 
-    def evaluate(self, coords, mode: str, dim_out: int) -> list[Number]:
-        if mode != EXACT:
-            out = []
-            for row in self._float_matrix:
-                acc = 0.0
-                for m, c in zip(row, coords):
-                    if m:
-                        acc += m * c
-                out.append(acc)
-            return out
-        ints, scale = _clear_denominators(coords)
-        rows, den = self._integer_matrix
-        den *= scale
-        return [Fraction(sum(m * u for m, u in zip(row, ints) if m), den)
-                for row in rows]
+    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
+        exact = mode == EXACT
+        rows, row_den = self._integer_matrix if exact else self._float_matrix
+        zero = 0 if exact else 0.0
+        out = []
+        for row in rows:
+            acc = zero
+            for m, c in zip(row, coords):
+                if m:
+                    acc += m * c
+            out.append(acc)
+        return (out, row_den * den) if exact else out
 
 
 Monomial = tuple[int, int, int]  # sorted coordinate indices i <= j <= k
@@ -237,47 +239,33 @@ class CubicHomogeneous:
     @cached_property
     def _float_terms(self):
         return tuple(tuple((mono, float(c)) for mono, c in rows)
-                     for rows in self.terms)
+                     for rows in self.terms), None
 
     @cached_property
     def _integer_terms(self):
-        """Per output: (rows with integer coefficients, cleared denominator)."""
-        out = []
-        for rows in self.terms:
-            den = reduce(math.lcm, (c.denominator for _, c in rows), 1)
-            out.append((tuple((mono, c.numerator * (den // c.denominator))
-                              for mono, c in rows), den))
-        return tuple(out)
+        """Rows with integer coefficients, plus the one cleared denominator."""
+        den = reduce(math.lcm, (c.denominator for rows in self.terms
+                                for _, c in rows), 1)
+        return (tuple(tuple((mono, c.numerator * (den // c.denominator))
+                            for mono, c in rows) for rows in self.terms), den)
 
-    def evaluate(self, coords, mode: str, dim_out: int) -> list[Number]:
+    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
+        exact = mode == EXACT
+        table, table_den = self._integer_terms if exact else self._float_terms
+        zero = 0 if exact else 0.0
         products: dict[Monomial, object] = {}
-        if mode != EXACT:
-            out = []
-            for rows in self._float_terms:
-                acc = 0.0
-                for mono, c in rows:
-                    v = products.get(mono)
-                    if v is None:
-                        i, j, k = mono
-                        v = coords[i] * coords[j] * coords[k]
-                        products[mono] = v
-                    acc += c * v
-                out.append(acc)
-            return out
-        ints, scale = _clear_denominators(coords)
-        cube = scale ** 3
         out = []
-        for rows, den in self._integer_terms:
-            acc = 0
+        for rows in table:
+            acc = zero
             for mono, c in rows:
                 v = products.get(mono)
                 if v is None:
                     i, j, k = mono
-                    v = ints[i] * ints[j] * ints[k]
+                    v = coords[i] * coords[j] * coords[k]
                     products[mono] = v
                 acc += c * v
-            out.append(Fraction(acc, den * cube))
-        return out
+            out.append(acc)
+        return (out, table_den * den ** 3) if exact else out
 
 
 @dataclass(frozen=True)
@@ -306,34 +294,29 @@ class Even:
     @cached_property
     def _float_matrices(self):
         return tuple(tuple(tuple(float(v) for v in row) for row in q)
-                     for q in self.matrices)
+                     for q in self.matrices), None
 
     @cached_property
     def _integer_matrices(self):
-        return tuple(_integer_rows(q) for q in self.matrices)
+        """Every form scaled to integers over one cleared denominator."""
+        scaled, den = _integer_rows([row for q in self.matrices for row in q])
+        d = self.dim_in
+        return tuple(scaled[i:i + d] for i in range(0, len(scaled), d)), den
 
-    def evaluate(self, coords, mode: str, dim_out: int) -> list[Number]:
-        if mode != EXACT:
-            out = []
-            for q in self._float_matrices:
-                acc = 0.0
-                for row, ci in zip(q, coords):
-                    for v, cj in zip(row, coords):
-                        if v:
-                            acc += v * ci * cj
-                out.append(acc)
-            return out
-        ints, scale = _clear_denominators(coords)
-        square = scale * scale
+    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
+        exact = mode == EXACT
+        forms, form_den = self._integer_matrices if exact \
+            else self._float_matrices
+        zero = 0 if exact else 0.0
         out = []
-        for q, den in self._integer_matrices:
-            acc = 0
-            for row, ui in zip(q, ints):
-                for v, uj in zip(row, ints):
+        for q in forms:
+            acc = zero
+            for row, ci in zip(q, coords):
+                for v, cj in zip(row, coords):
                     if v:
-                        acc += v * ui * uj
-            out.append(Fraction(acc, den * square))
-        return out
+                        acc += v * ci * cj
+            out.append(acc)
+        return (out, form_den * den * den) if exact else out
 
 
 @dataclass(frozen=True)
@@ -348,9 +331,9 @@ class BoundedNoise:
         if self.amplitude < 0:
             raise ValueError("noise amplitude must be nonnegative")
 
-    def evaluate(self, coords, mode: str, dim_out: int) -> list[Number]:
-        return noise_mod.sample(self.seed, coords, self.amplitude,
-                                Fraction(0), dim_out, mode)
+    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
+        return noise_mod.sample(self.seed, coords, self.amplitude, 0, dim_out,
+                                mode, den)
 
 
 @dataclass(frozen=True)
@@ -369,9 +352,9 @@ class PowerNoise:
         if self.exponent < 0:
             raise ValueError("noise exponent must be nonnegative")
 
-    def evaluate(self, coords, mode: str, dim_out: int) -> list[Number]:
+    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
         return noise_mod.sample(self.seed, coords, self.amplitude,
-                                self.exponent, dim_out, mode)
+                                self.exponent, dim_out, mode, den)
 
 
 Atom = Union[Linear, CubicHomogeneous, Even, BoundedNoise, PowerNoise]
@@ -401,21 +384,30 @@ class FuncModel:
                     f"model is {self.dim_in}->{self.dim_out}")
 
     def evaluate_coords(self, coords, mode: str) -> list[Number]:
-        """Atom-sum evaluation on raw coordinates; the hot path."""
+        """Atom-sum evaluation on raw coordinates; the one evaluation entry.
+
+        Exact mode sums the atoms' integer numerators and returns one
+        normalized ``Fraction`` per output coordinate.
+        """
         if len(coords) != self.dim_in:
             raise DimensionMismatchError(
                 f"got {len(coords)} coordinates, model domain is {self.dim_in}")
-        values = None
+        if not self.atoms:
+            return [coerce(0, mode)] * self.dim_out
+        if mode != EXACT:
+            values = None
+            for atom in self.atoms:
+                atom_values = atom.evaluate(coords, mode, self.dim_out)
+                values = atom_values if values is None \
+                    else [t + v for t, v in zip(values, atom_values)]
+            return values
+        ints, den = integer_ratio(coords)
+        total = None
         for atom in self.atoms:
-            atom_values = atom.evaluate(coords, mode, self.dim_out)
-            if values is None:
-                values = atom_values
-            else:
-                values = [t + v for t, v in zip(values, atom_values)]
-        if values is None:
-            zero = coerce(0, mode)
-            values = [zero] * self.dim_out
-        return values
+            value = atom.evaluate(ints, mode, self.dim_out, den)
+            total = value if total is None else add_ratios(total, value)
+        nums, total_den = total
+        return [Fraction(n, total_den) for n in nums]
 
     def __call__(self, x: Point) -> Point:
         if x.dim != self.dim_in:

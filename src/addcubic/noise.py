@@ -14,6 +14,12 @@ bound of ||x|| for both the Euclidean and the max norm.  The result:
 
 The dyadic snap makes queries at halved/doubled arguments stable, which is
 what the direct-method iterations feed this with.
+
+Both modes compute the value in integers.  The input is read as integer
+numerators u over one denominator L (float coordinates at their exact
+binary values), snapped as floor(u * 2^40 / L), and the output is the
+numerator scale * direction over scale denominator * m * 2^20.  Exact mode
+returns that pair; float mode returns each quotient rounded once.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import hashlib
 import math
 from fractions import Fraction
 
-from .scalars import EXACT, Number, coerce
+from .scalars import EXACT, integer_ratio
 
 QUANT_BITS = 40  # inputs snapped to multiples of 2^-40 before hashing
 VALUE_BITS = 20  # direction components live on the grid 2^-20 in [-1, 1]
@@ -32,55 +38,57 @@ VALUE_BITS = 20  # direction components live on the grid 2^-20 in [-1, 1]
 _POWER_SAFETY = Fraction((1 << 30) - 1, 1 << 30)
 
 
-def _snap(value: Number) -> int:
-    """Floor the coordinate to the 2^-40 grid, returning the grid index."""
-    frac = value if isinstance(value, Fraction) else Fraction(value)
-    return (frac.numerator << QUANT_BITS) // frac.denominator
-
-
-def _direction_component(seed: int, snapped: tuple[int, ...], index: int) -> Fraction:
-    """Hash-derived rational in [-1, 1] for one output coordinate."""
-    payload = f"{seed}|{index}|" + ",".join(str(s) for s in snapped)
+def _direction_component(seed: int, snapped: str, index: int) -> int:
+    """Hash-derived numerator over 2^20 of a direction in [-1, 1]."""
+    payload = f"{seed}|{index}|{snapped}"
     digest = hashlib.blake2b(payload.encode("ascii"), digest_size=8).digest()
     raw = int.from_bytes(digest, "big")
     span = (1 << (VALUE_BITS + 1)) + 1  # odd count keeps 0 reachable
-    return Fraction(raw % span - (1 << VALUE_BITS), 1 << VALUE_BITS)
+    return raw % span - (1 << VALUE_BITS)
 
 
-def _scale(coords, amplitude: Fraction, exponent: Fraction) -> Fraction:
-    """Certified rational s with s <= amplitude * ||x||^p (either norm kind)."""
+def _scale(ints, den: int, amplitude: Fraction,
+           exponent: Fraction) -> tuple[int, int]:
+    """Certified s = num / den' <= amplitude * ||x||^p at x = ints / den."""
     if amplitude == 0:
-        return Fraction(0)
+        return 0, 1
     if exponent == 0:
-        return amplitude
-    base = max(abs(c) if isinstance(c, Fraction) else abs(Fraction(c)) for c in coords)
+        return amplitude.numerator, amplitude.denominator
+    base = max(abs(u) for u in ints)  # max_i |x_i| = base / den
     if base == 0:
-        return Fraction(0)
+        return 0, 1
     if exponent.denominator == 1:
-        return amplitude * base ** exponent.numerator
-    powered = float(base) ** float(exponent)
+        p = exponent.numerator
+        return amplitude.numerator * base ** p, amplitude.denominator * den ** p
+    powered = (base / den) ** float(exponent)
     if not math.isfinite(powered):
         raise OverflowError("noise scale overflow: |x|^p is not finite")
-    return amplitude * Fraction(powered) * _POWER_SAFETY
+    p_num, p_den = powered.as_integer_ratio()
+    return (amplitude.numerator * p_num * _POWER_SAFETY.numerator,
+            amplitude.denominator * p_den * _POWER_SAFETY.denominator)
 
 
 def sample(seed: int, coords, amplitude: Fraction, exponent: Fraction,
-           dim_out: int, mode: str) -> list[Number]:
+           dim_out: int, mode: str, den: int = 1):
     """Noise output coordinates at the given input coordinates.
 
-    The envelope ||output|| <= amplitude * (max_i |x_i|)^exponent
+    Float mode takes float coordinates and returns one float per output
+    coordinate.  Exact mode takes integer numerators ``coords`` over
+    ``den`` and returns ``(numerators, denominator)``.  The envelope
+    ||output|| <= amplitude * (max_i |x_i|)^exponent
     <= amplitude * ||x||^exponent is guaranteed exactly.
     """
-    scale = _scale(coords, amplitude, exponent)
-    if scale == 0:
-        return [coerce(0, mode) for _ in range(dim_out)]
-    snapped = tuple(_snap(c) for c in coords)
-    damping = Fraction(1, dim_out)
-    out = []
-    for j in range(dim_out):
-        value = scale * damping * _direction_component(seed, snapped, j)
-        out.append(value if mode == EXACT else float(value))
-    return out
+    exact = mode == EXACT
+    if not exact:
+        coords, den = integer_ratio(coords)
+    scale_num, scale_den = _scale(coords, den, amplitude, exponent)
+    if scale_num == 0:
+        return ([0] * dim_out, 1) if exact else [0.0] * dim_out
+    snapped = ",".join(str((u << QUANT_BITS) // den) for u in coords)
+    out_den = scale_den * dim_out << VALUE_BITS  # damping 1/m, grid 2^-20
+    nums = [scale_num * _direction_component(seed, snapped, j)
+            for j in range(dim_out)]
+    return (nums, out_den) if exact else [n / out_den for n in nums]
 
 
 def noise_eval(seed: int, x, amplitude, exponent=0, dim_out: int | None = None):
@@ -90,14 +98,7 @@ def noise_eval(seed: int, x, amplitude, exponent=0, dim_out: int | None = None):
     where the output norm never exceeds the amplitude).  With exponent > 0
     the output at x = 0 is 0.
     """
-    from .models import Point  # local import to avoid a cycle
+    from .models import FuncModel, PowerNoise  # local import to avoid a cycle
 
-    amp = Fraction(amplitude)
-    exp = Fraction(exponent)
-    if amp < 0:
-        raise ValueError("noise amplitude must be nonnegative")
-    if exp < 0:
-        raise ValueError("noise exponent must be nonnegative")
     m = x.dim if dim_out is None else dim_out
-    values = sample(seed, x.coords, amp, exp, m, x.mode)
-    return Point(tuple(values), norm_kind=x.norm_kind)
+    return FuncModel(x.dim, m, (PowerNoise(seed, amplitude, exponent),))(x)

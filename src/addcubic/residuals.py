@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .models import DimensionMismatchError, FuncModel, Point, norm
-from .scalars import EXACT, ModeMismatchError, Number
+from .scalars import EXACT, ModeMismatchError, Number, integer_ratio
 
 # One term of a rule: coefficient * f(a*x + b*y).
 Term = tuple[Fraction, int, int]
@@ -97,9 +97,8 @@ def _lattice_coords(x: Point, y: Point, mode: str,
     """
     exact = mode == EXACT
     if exact:
-        den = math.lcm(*(c.denominator for c in x.coords + y.coords))
-        u = [c.numerator * (den // c.denominator) for c in x.coords]
-        v = [c.numerator * (den // c.denominator) for c in y.coords]
+        ints, den = integer_ratio(x.coords + y.coords)
+        u, v = ints[:x.dim], ints[x.dim:]
     out = []
     for a, b in arguments:
         if (a, b) == (1, 0):
@@ -171,11 +170,8 @@ class TermTables:
              x: Point) -> list[ResidualVector]:
         """Each table's sum from :meth:`evaluate` values, in table order."""
         if x.mode == EXACT:
-            columns = []  # per output coordinate: numerators over one lcm
-            for column in zip(*values):
-                lcm = math.lcm(*(v.denominator for v in column))
-                columns.append(([v.numerator * (lcm // v.denominator)
-                                 for v in column], lcm))
+            # per output coordinate: numerators over one lcm
+            columns = [integer_ratio(column) for column in zip(*values)]
             totals = [tuple(Fraction(sum(k * nums[i] for k, i in row),
                                      common * den)
                             for nums, common in columns)

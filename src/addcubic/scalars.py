@@ -4,11 +4,13 @@ Exact mode uses arbitrary-precision ``fractions.Fraction``, which is closed
 and lossless under +, -, *, / (nonzero divisor).  Float mode is ordinary
 IEEE-754 binary64.  A mode is fixed per evaluation context; helpers here
 classify, coerce, parse and format scalars so the rest of the package never
-mixes the two silently.
+mixes the two silently.  Exact kernels hold rational vectors as
+``(integer numerators, denominator)`` pairs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -61,6 +63,26 @@ def coerce(value, mode: str) -> Number:
     if isinstance(value, str):
         return float(Fraction(value))
     raise TypeError(f"cannot coerce {value!r} to float mode")
+
+
+def integer_ratio(values) -> tuple[list[int], int]:
+    """Numerators u over the least common denominator L of ints, Fractions
+    or floats (read at their exact binary value): values = u / L."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
+def add_ratios(a: tuple[list[int], int], b: tuple[list[int], int],
+               factor: int = 1) -> tuple[list[int], int]:
+    """a + factor * b for (numerators, denominator) vectors, unreduced."""
+    (a_nums, a_den), (b_nums, b_den) = a, b
+    if a_den == b_den:
+        return [p + factor * q for p, q in zip(a_nums, b_nums)], a_den
+    g = math.gcd(a_den, b_den)
+    a_scale, b_scale = b_den // g, a_den // g
+    return ([p * a_scale + factor * q * b_scale
+             for p, q in zip(a_nums, b_nums)], a_den * a_scale)
 
 
 def parse_rational(text) -> Fraction:

@@ -5,6 +5,7 @@ dependence on the package's models, term tables or series machinery, so a
 bug there cannot hide in here.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -168,3 +169,56 @@ def dyadic_recovery(f, x, norm_kind, l_additive, l_cubic, n_max,
     return {"additive_trace": trace_a, "cubic_trace": trace_c,
             "additive": additive, "cubic": cubic,
             "error": error(odd(x)), "raw_error": error(f(x))}
+
+
+def noise_value(seed, amplitude, exponent, dim_out, x):
+    """Seeded noise at the rational point x, built from its specification.
+
+    Coordinates are floored to the grid 2^-40 and hashed with BLAKE2b as
+    "seed|j|s_1,...,s_d"; the digest modulo 2^21 + 1, less 2^20, over 2^20
+    is the direction of output j, damped by 1/dim_out and scaled by
+    amplitude * b^p with b = max |x_i|.  A fractional p takes b^p through
+    float pow, padded down by (2^30 - 1) / 2^30.
+    """
+    amplitude, exponent = Fraction(amplitude), Fraction(exponent)
+    base = max(abs(c) for c in x)
+    if exponent.denominator == 1:
+        scale = amplitude * base ** exponent.numerator
+    else:
+        scale = (amplitude * Fraction(float(base) ** float(exponent))
+                 * Fraction(2 ** 30 - 1, 2 ** 30))
+    snapped = ",".join(str(math.floor(c * 2 ** 40)) for c in x)
+    out = []
+    for j in range(dim_out):
+        payload = f"{seed}|{j}|{snapped}".encode("ascii")
+        digest = hashlib.blake2b(payload, digest_size=8).digest()
+        raw = int.from_bytes(digest, "big") % (2 ** 21 + 1) - 2 ** 20
+        out.append(scale * Fraction(raw, 2 ** 20) / dim_out)
+    return out
+
+
+def atom_sum(atoms, x, dim_out):
+    """Exact value of a sum of atoms at the rational point x, term by term.
+
+    ``atoms`` are (kind, data) pairs: ("linear", rows of M),
+    ("cubic", per output the rows ((i, j, k), c) of c x_i x_j x_k),
+    ("even", per output the matrix Q of x^T Q x) or
+    ("noise", (seed, amplitude, exponent)).  Every term is a Fraction.
+    """
+    x = [Fraction(c) for c in x]
+    total = [Fraction(0)] * dim_out
+    for kind, data in atoms:
+        if kind == "linear":
+            values = [sum(Fraction(m) * c for m, c in zip(row, x))
+                      for row in data]
+        elif kind == "cubic":
+            values = [sum(Fraction(c) * x[i] * x[j] * x[k]
+                          for (i, j, k), c in rows) for rows in data]
+        elif kind == "even":
+            values = [sum(Fraction(q[i][j]) * x[i] * x[j]
+                          for i in range(len(x)) for j in range(len(x)))
+                      for q in data]
+        else:
+            values = noise_value(*data, dim_out, x)
+        total = [t + v for t, v in zip(total, values)]
+    return total

@@ -161,6 +161,25 @@ def test_corollary_bounds_finite_beyond_float_power_range():
     assert below == 1 / (2.0 ** 1023 - 2) + 1 / (2.0 ** 1023 - 8)
 
 
+def test_corollary_bounds_finite_where_norm_power_overflows():
+    # ||x||^p leaves the float range, the bound (||x||/2)^p (...) does not.
+    # There (||x||/2)^p = 1 and the bracket is 2, so the values are exact.
+    two = point([2.0], mode="float")
+    assert corollary_sum_bound(1, 1024, two) == 1 / 6 * 2.0 == 1 / 3
+    assert corollary_product_bound(1, 600, 600, two) == 1 / 12 * 2.0
+    # (||x||/2)^p = 2^1200 overflows too, but theta keeps the value finite.
+    value = corollary_sum_bound(1e-300, 2000, point([2.0 ** 1.6], mode="float"))
+    assert value == pytest.approx(
+        math.exp(math.log(1e-300 / 3) + 1200 * math.log(2)), rel=1e-9)
+    assert corollary_sum_bound(0, 2000, point([4.0], mode="float")) == 0.0
+    assert corollary_sum_bound(1, 1e6, point([3.0], mode="float")) == math.inf
+    # Where nothing overflows the value is the plain product, as before.
+    for p in (0, 0.5, 2, 5, 1023):
+        power = 2.0 ** p
+        assert corollary_sum_bound(3, p, two) == 3 / 6.0 * (
+            1.0 / abs(power - 2.0) + 1.0 / abs(power - 8.0)) * 2.0 ** p
+
+
 def test_corollary_rejects_excluded_exponents():
     with pytest.raises(ExcludedExponentError):
         corollary_sum_bound(1, 1, X1)

@@ -461,21 +461,53 @@ def test_recover_float_orbit_through_subnormals_matches_oracle(d):
                                    stop_early=False)
 
 
+def _orbit_model(d):
+    rng = random.Random(4)
+    return FuncModel(d, d, (random_linear(rng, d, d), random_cubic(rng, d, d),
+                            BoundedNoise(7, EPS)))
+
+
+def _assert_each_orbit_argument_once(f, calls, x):
+    n = 12
+    for directions, count in (((-1, -1), 2 * (n + 2)), ((1, -1), 4 * n + 4)):
+        calls.clear()
+        recover(f, [x], DIRECTION_PHI[directions], *directions, n_max=n,
+                stop_early=False)
+        assert len(calls) == count == len(set(calls))
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("coords", [["3/4"], ["-5/2", "1/3"]])
 def test_recover_evaluates_each_orbit_argument_once(mode, coords):
-    n = 12
-    rng = random.Random(4)
-    d = len(coords)
-    f = _Counted(FuncModel(d, d, (random_linear(rng, d, d),
-                                  random_cubic(rng, d, d),
-                                  BoundedNoise(7, EPS))))
-    x = point(coords, mode)
-    for directions, count in (((-1, -1), 2 * (n + 2)), ((1, -1), 4 * n + 4)):
-        f.calls.clear()
-        recover(f, [x], DIRECTION_PHI[directions], *directions, n_max=n,
-                stop_early=False)
-        assert len(f.calls) == count == len(set(f.calls))
+    f = _Counted(_orbit_model(len(coords)))
+    _assert_each_orbit_argument_once(f, f.calls, point(coords, mode))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("coords", [["3/4"], ["-5/2", "1/3"]])
+def test_recover_counts_hold_at_the_model_entry(monkeypatch, mode, coords):
+    # Counted at the model's one evaluation entry, so a kernel that
+    # evaluated around a wrapper could not hide evaluations.
+    calls = []
+    evaluate = FuncModel.evaluate_coords
+
+    def counted(model, values, eval_mode):
+        calls.append(values)
+        return evaluate(model, values, eval_mode)
+
+    monkeypatch.setattr(FuncModel, "evaluate_coords", counted)
+    _assert_each_orbit_argument_once(_orbit_model(len(coords)), calls,
+                                     point(coords, mode))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_recover_zero_point_evaluates_its_one_argument_once(mode):
+    # Every x * 2^k of x = 0 is the argument 0: f(0) and f(-0), once.
+    f = _Counted(noisy_solution())
+    item = recover(f, [point([0], mode)], DIRECTION_PHI[(1, -1)], 1, -1,
+                   n_max=6, stop_early=False).points[0]
+    assert len(f.calls) == 2
+    assert item.additive_trace.n_steps == item.cubic_trace.n_steps == 6
 
 
 def test_recover_iterate_and_probe_build_no_wrappers(monkeypatch):

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
-                      DimensionMismatchError, FuncModel, Linear,
+                      DimensionMismatchError, Even, FuncModel, Linear,
                       ModeMismatchError, PowerNoise, ProductOfPowers,
                       SumOfPowers, cubic_1d, even_1d, evaluate, linear_1d,
                       model_1d, norm, odd_part, phi_value, point,
-                      random_cubic, random_linear, random_point, zero_point)
+                      random_cubic, random_linear, random_point,
+                      random_rational, zero_point)
 from addcubic.models import phi_degree
 from addcubic.noise import noise_eval
 
@@ -280,6 +282,78 @@ def test_noise_atoms_in_models():
     assert norm(deviation) <= 0.01
     g = model_1d(PowerNoise(3, Fraction(1, 100), Fraction(2)))
     assert norm(g(x)) <= 0.01 * norm(x) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Exact integer kernel
+# ---------------------------------------------------------------------------
+
+ATOM_KINDS = ("linear", "cubic", "even", "bounded_noise", "power_noise")
+
+
+def _kernel_atom(kind, rng, d, m):
+    """An atom of the given kind and its (kind, data) form for the oracle."""
+    if kind == "linear":
+        atom = random_linear(rng, d, m)
+        return atom, ("linear", atom.matrix)
+    if kind == "cubic":
+        atom = random_cubic(rng, d, m)
+        return atom, ("cubic", atom.terms)
+    if kind == "even":
+        atom = Even(tuple(tuple(tuple(random_rational(rng, 9)
+                                      for _ in range(d)) for _ in range(d))
+                          for _ in range(m)))
+        return atom, ("even", atom.matrices)
+    amplitude = random_rational(rng, 9, (1, 7, 1000))
+    seed = rng.randint(0, 999)
+    if kind == "bounded_noise":
+        return BoundedNoise(seed, abs(amplitude)), \
+            ("noise", (seed, abs(amplitude), 0))
+    exponent = Fraction(rng.randint(0, 6), rng.choice((1, 1, 2, 3)))
+    return PowerNoise(seed, abs(amplitude), exponent), \
+        ("noise", (seed, abs(amplitude), exponent))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_exact_kernel_matches_term_by_term_oracle(data):
+    d = data.draw(st.integers(1, 3), label="dim_in")
+    m = data.draw(st.integers(1, 3), label="dim_out")
+    rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
+    kinds = data.draw(st.lists(st.sampled_from(ATOM_KINDS), min_size=1,
+                               max_size=5), label="atoms")
+    atoms, specs = zip(*(_kernel_atom(kind, rng, d, m) for kind in kinds))
+    coordinate = st.fractions(min_value=-10, max_value=10, max_denominator=64)
+    x = data.draw(st.one_of(st.just([Fraction(0)] * d),
+                            st.lists(coordinate, min_size=d, max_size=d)),
+                  label="x")
+    values = FuncModel(d, m, atoms).evaluate_coords(tuple(x), "exact")
+    assert all(type(v) is Fraction for v in values)
+    assert values == oracles.atom_sum(specs, x, m)
+    # Each atom on unreduced integers: x = (g L x) / (g L).
+    den = math.lcm(*(c.denominator for c in x)) \
+        * data.draw(st.integers(1, 12), label="unreduced")
+    ints = [int(c * den) for c in x]
+    for atom, spec in zip(atoms, specs):
+        nums, out_den = atom.evaluate(ints, "exact", m, den)
+        assert [Fraction(n, out_den) for n in nums] \
+            == oracles.atom_sum([spec], x, m)
+        if spec[0] == "noise":  # float noise is the exact value rounded once
+            floats = [float(c) for c in x]
+            assert atom.evaluate(floats, "float", m) == [
+                float(v) for v in oracles.atom_sum([spec], floats, m)]
+
+
+@pytest.mark.parametrize("ints, den", [([4], 8), ([0], 5), ([6, -3], 9),
+                                       ([0, 0, 0], 1)])
+def test_atoms_read_unreduced_integer_arguments(ints, den):
+    x = [Fraction(u, den) for u in ints]
+    d, rng = len(ints), random.Random(5)
+    for kind in ATOM_KINDS:
+        atom, spec = _kernel_atom(kind, rng, d, 2)
+        nums, out_den = atom.evaluate(ints, "exact", 2, den)
+        assert [Fraction(n, out_den) for n in nums] \
+            == oracles.atom_sum([spec], x, 2)
 
 
 # ---------------------------------------------------------------------------
