@@ -289,7 +289,12 @@ def certify_phi(f: FuncModel) -> ControlFunction:
     if power_total:
         p, eps = next(iter(power_total.items()))
         if p.denominator == 1:
-            theta = coeff * Fraction(4) ** p.numerator * eps
+            # theta above 2^1024 overflows at first float use: fail before 4^p.
+            scaled = coeff * eps
+            if scaled and 2 * p.numerator + scaled.numerator.bit_length() \
+                    - scaled.denominator.bit_length() > 1024:
+                raise OverflowError(f"theta = 76 * 4^{p} * eps exceeds 2^1024")
+            theta = scaled * Fraction(4) ** p.numerator
         else:
             theta = Fraction(float(coeff) * 4.0 ** float(p)) * eps
         return SumOfPowers(theta, p)

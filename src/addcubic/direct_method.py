@@ -26,11 +26,11 @@ per iterate.
 Exact mode runs in integers: x is u over one denominator L, the argument
 x * 2^k is (u << k, L) or (u, L << -k), and each value is integer
 numerators over one denominator, so a step w^(l n) * (hi - s * lo) is a
-shift and at most one gcd.  Norms divide int by int, which rounds as
-``float(Fraction)`` does; ``Fraction``s are built only at the model's
-boundary and for the one point each step records.  Float mode reads the
-arguments x * 2^-(l n) and their doubles exactly as computed, so results
-hold bit for bit even where x * 2^k is subnormal.
+shift and at most one gcd.  The model is called through its integer
+entry, norms divide int by int, which rounds as ``float(Fraction)`` does,
+and ``Fraction``s are built only for the one point each step records.
+Float mode reads the arguments x * 2^-(l n) and their doubles exactly as
+computed, so results hold bit for bit even where x * 2^k is subnormal.
 
 Iterations at distinct points are independent; every structure here is
 either immutable or built single-threaded per point, so points may be
@@ -93,29 +93,33 @@ class OrbitTable:
         self.func, self.x, self.odd = func, x, odd
         self.exact = x.mode == EXACT
         if self.exact:
-            self._u, self._den = integer_ratio(x.coords)
+            u, self._den = integer_ratio(x.coords)
+            self._u = tuple(u)
         self._entries: dict = {}
 
-    def _evaluate(self, coords):
+    def _evaluate(self, coords, den):
+        """f at coords, or at integer numerators over den in exact mode."""
         if isinstance(self.func, FuncModel):
-            values = self.func.evaluate_coords(coords, self.x.mode)
-        else:
-            values = self.func(Point(coords, self.x.norm_kind)).coords
+            if self.exact:
+                return self.func.evaluate_coords(coords, EXACT, den=den)
+            return tuple(self.func.evaluate_coords(coords, self.x.mode))
+        if self.exact:
+            coords = tuple(Fraction(c, den) for c in coords)
+        values = self.func(Point(coords, self.x.norm_kind)).coords
         return integer_ratio(values) if self.exact else tuple(values)
 
     def _entry(self, key) -> tuple:
         """(f(y), table value) at the argument y the key stands for."""
         entry = self._entries.get(key)
         if entry is None:
-            coords = key
+            coords, den = key, None
             if self.exact:  # y = x * 2^key
-                u, den = self._u, self._den
-                coords = tuple(Fraction(c << key, den) if key >= 0
-                               else Fraction(c, den << -key) for c in u)
+                coords, den = ((tuple(c << key for c in self._u), self._den)
+                               if key >= 0 else (self._u, self._den << -key))
             try:
-                raw = value = self._evaluate(coords)
+                raw = value = self._evaluate(coords, den)
                 if self.odd:
-                    minus = self._evaluate(tuple(-c for c in coords))
+                    minus = self._evaluate(tuple(-c for c in coords), den)
                     value = self._combination(raw, minus, 1, -1)
             except OverflowError as exc:
                 raise OverflowGuardError(

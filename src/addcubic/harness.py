@@ -21,7 +21,7 @@ from .config import (ConfigError, ExperimentConfig, SweepSpec, model_to_json,
                      phi_to_json)
 from .direct_method import DivergentControlError, OverflowGuardError, recover
 from .models import (BoundedNoise, FuncModel, PowerNoise, ProductOfPowers,
-                     SumOfPowers, linear_1d, cubic_1d, point)
+                     SumOfPowers, coords_norm, cubic_1d, linear_1d, point)
 from .scalars import EXACT, format_number
 
 SWEEP_CSV_HEADER = ("p", "r", "s", "theta", "epsilon", "l_additive", "l_cubic",
@@ -128,27 +128,32 @@ def _tally_pairs(f, pairs, tables: residuals.TermTables, rows: list[dict],
     """Fold the residual of ``tables`` entry i at every pair into rows[i].
 
     f is evaluated once per distinct argument of each pair, for all tables
-    together.  Returns the residual vectors of the first ``keep`` pairs.
+    together.  Exact rows read the integer totals: the norm divides int by
+    int, which rounds as ``float(Fraction)`` does.  Returns the residual
+    vectors of the first ``keep`` pairs.
     """
     kept = []
     for x, y in pairs:
         values = tables.evaluate(f, x, y)
-        vectors = tables.sums(values, x)
+        vectors = tables.sums(values, x) \
+            if not exact or len(kept) < keep else None
         if len(kept) < keep:
             kept.append(vectors)
-        if not exact:
-            scales = tables.term_norms(values, x)
-        for index, (row, vector) in enumerate(zip(rows, vectors)):
+        if exact:
+            for row, (nums, den) in zip(rows, tables.integer_sums(values)):
+                magnitude = coords_norm([n / den for n in nums], x.norm_kind)
+                row["max_abs"] = max(row["max_abs"], magnitude)
+                if any(nums):
+                    row["nonzero_count"] += 1
+            continue
+        scales = tables.term_norms(values, x)
+        for row, vector, scale in zip(rows, vectors, scales):
             magnitude = vector.magnitude
             row["max_abs"] = max(row["max_abs"], magnitude)
-            if exact:
-                if not vector.is_zero:
-                    row["nonzero_count"] += 1
-            else:
-                rel = magnitude / max(1.0, scales[index])
-                row["max_rel"] = max(row["max_rel"], rel)
-                if rel > FLOAT_REL_TOL:
-                    row["nonzero_count"] += 1
+            rel = magnitude / max(1.0, scale)
+            row["max_rel"] = max(row["max_rel"], rel)
+            if rel > FLOAT_REL_TOL:
+                row["nonzero_count"] += 1
     return kept
 
 

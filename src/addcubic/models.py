@@ -13,11 +13,12 @@ the Euclidean or the max norm.  A function model is a sum of atoms:
 
 All coefficients are stored as exact rationals; evaluation happens in the
 mode of the input point (exact or float).  Exact evaluation is one integer
-kernel: the argument is cleared to integers over one denominator once, each
-atom returns integer numerators over one denominator, and the model adds
-them and builds one ``Fraction`` per output coordinate.  Every value is
-immutable after construction and evaluation is pure, so everything here is
-safe to share across threads without synchronization.
+kernel: the argument is integer numerators over one denominator, each atom
+returns integer numerators over one denominator, and the model adds them.
+Callers holding integers pass ``den`` and get integers back; others get one
+``Fraction`` per output coordinate.  Every value is immutable after
+construction and evaluation is pure, so everything here is safe to share
+across threads without synchronization.
 """
 
 from __future__ import annotations
@@ -383,29 +384,32 @@ class FuncModel:
                     f"atom {type(atom).__name__} is {d}->{m}, "
                     f"model is {self.dim_in}->{self.dim_out}")
 
-    def evaluate_coords(self, coords, mode: str) -> list[Number]:
+    def evaluate_coords(self, coords, mode: str, *, den: int | None = None):
         """Atom-sum evaluation on raw coordinates; the one evaluation entry.
 
-        Exact mode sums the atoms' integer numerators and returns one
-        normalized ``Fraction`` per output coordinate.
+        Exact mode sums the atoms' integer numerators.  With ``den`` the
+        coordinates are integer numerators over ``den`` and the result is
+        (integer numerators, denominator), unreduced; without it they are
+        rationals and one normalized ``Fraction`` is returned per output
+        coordinate.
         """
         if len(coords) != self.dim_in:
             raise DimensionMismatchError(
                 f"got {len(coords)} coordinates, model domain is {self.dim_in}")
-        if not self.atoms:
-            return [coerce(0, mode)] * self.dim_out
         if mode != EXACT:
-            values = None
+            values = [0.0] * self.dim_out if not self.atoms else None
             for atom in self.atoms:
                 atom_values = atom.evaluate(coords, mode, self.dim_out)
                 values = atom_values if values is None \
                     else [t + v for t, v in zip(values, atom_values)]
             return values
-        ints, den = integer_ratio(coords)
-        total = None
+        ints, ints_den = integer_ratio(coords) if den is None else (coords, den)
+        total = ([0] * self.dim_out, ints_den) if not self.atoms else None
         for atom in self.atoms:
-            value = atom.evaluate(ints, mode, self.dim_out, den)
+            value = atom.evaluate(ints, mode, self.dim_out, ints_den)
             total = value if total is None else add_ratios(total, value)
+        if den is not None:
+            return total
         nums, total_den = total
         return [Fraction(n, total_den) for n in nums]
 

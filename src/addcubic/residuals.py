@@ -22,8 +22,10 @@ evaluates f once per pair (x, y) at each distinct argument of the tables
 it holds and forms every table from those values.  The three rules share
 8 arguments; with the 21 chain identities the union is 19, so
 ``check-lemmas`` evaluates each model 19 times per pair with the chain on
-and 8 times with it off.  Exact sums are taken in integers, with one
-``Fraction`` built per output coordinate of each table.
+and 8 times with it off.  Exact mode runs in integers: every argument is
+numerators over the pair's one denominator, the model's integer entry
+returns numerators over one denominator, and each table's sum is an integer
+dot product; ``Fraction``s are built only for vectors a caller asks for.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .models import DimensionMismatchError, FuncModel, Point, norm
-from .scalars import EXACT, ModeMismatchError, Number, integer_ratio
+from .scalars import EXACT, ModeMismatchError, integer_ratio
 
 # One term of a rule: coefficient * f(a*x + b*y).
 Term = tuple[Fraction, int, int]
@@ -88,33 +91,21 @@ class ResidualVector:
         return self.value.is_zero
 
 
-def _lattice_coords(x: Point, y: Point, mode: str,
+def _lattice_coords(u: Sequence, v: Sequence,
                     arguments: Sequence[tuple[int, int]]) -> list[tuple]:
-    """Coordinates of a x + b y for each (a, b) in ``arguments``.
-
-    Exact coordinates are formed in integers over the common denominator
-    of x and y, with one ``Fraction`` per coordinate.
-    """
-    exact = mode == EXACT
-    if exact:
-        ints, den = integer_ratio(x.coords + y.coords)
-        u, v = ints[:x.dim], ints[x.dim:]
+    """Coordinates of a u + b v for each (a, b) in ``arguments``."""
     out = []
     for a, b in arguments:
         if (a, b) == (1, 0):
-            out.append(x.coords)
+            out.append(u)
         elif (a, b) == (0, 1):
-            out.append(y.coords)
-        elif exact:
-            out.append(tuple(Fraction(a * ui + b * vi, den)
-                             for ui, vi in zip(u, v)))
+            out.append(v)
         elif b == 0:
-            out.append(tuple(a * xi for xi in x.coords))
+            out.append(tuple(a * ui for ui in u))
         elif a == 0:
-            out.append(tuple(b * yi for yi in y.coords))
+            out.append(tuple(b * vi for vi in v))
         else:
-            out.append(tuple(a * xi + b * yi
-                             for xi, yi in zip(x.coords, y.coords)))
+            out.append(tuple(a * ui + b * vi for ui, vi in zip(u, v)))
     return out
 
 
@@ -133,10 +124,11 @@ class TermTables:
     Each table is a sum of c * f(a x + b y).  :meth:`evaluate` computes f
     once at each distinct argument of a pair (x, y), whatever the number of
     tables that use it; :meth:`sums` then forms every table from those
-    values.  Exact sums are taken in integers: each output coordinate's
-    value denominators are cleared once with their lcm, each table keeps
-    integer coefficients over one table denominator, and one ``Fraction``
-    is built per output coordinate.  Float sums keep the term order and the
+    values.  Exact sums are integer dot products: the values' numerators
+    over one common denominator (an lcm only where they differ) times each
+    table's integer coefficients over one table denominator.
+    :meth:`integer_sums` returns them; :meth:`sums` builds one ``Fraction``
+    per output coordinate.  Float sums keep the term order and the
     products c * v, so they equal a term-by-term float sum bit for bit.
     """
 
@@ -152,30 +144,42 @@ class TermTables:
         self._integer_rows = tuple(_integer_row(terms, index)
                                    for terms in tables)
 
-    def evaluate(self, f: Callable[[Point], Point], x: Point,
-                 y: Point) -> list[Sequence[Number]]:
-        """f(a x + b y) at each distinct argument, in ``arguments`` order."""
+    def evaluate(self, f: Callable[[Point], Point], x: Point, y: Point) -> list:
+        """f(a x + b y) at each distinct argument, in ``arguments`` order;
+        exact values are (integer numerators, denominator) pairs."""
         if x.dim != y.dim:
             raise DimensionMismatchError(
                 f"x has dimension {x.dim}, y has {y.dim}")
         if x.mode != y.mode:
             raise ModeMismatchError("x and y carry different scalar modes")
-        mode = x.mode
-        arguments = _lattice_coords(x, y, mode, self.arguments)
+        exact = x.mode == EXACT
+        if exact and isinstance(f, FuncModel):
+            ints, den = integer_ratio(x.coords + y.coords)
+            arguments = _lattice_coords(tuple(ints[:x.dim]),
+                                        tuple(ints[x.dim:]), self.arguments)
+            return [f.evaluate_coords(nums, EXACT, den=den)
+                    for nums in arguments]
+        arguments = _lattice_coords(x.coords, y.coords, self.arguments)
         if isinstance(f, FuncModel):
-            return [f.evaluate_coords(coords, mode) for coords in arguments]
-        return [f(Point(coords, x.norm_kind)).coords for coords in arguments]
+            return [f.evaluate_coords(coords, x.mode) for coords in arguments]
+        values = [f(Point(coords, x.norm_kind)).coords for coords in arguments]
+        return [integer_ratio(v) for v in values] if exact else values
 
-    def sums(self, values: Sequence[Sequence[Number]],
-             x: Point) -> list[ResidualVector]:
+    def integer_sums(self, values) -> list[tuple[list[int], int]]:
+        """Each table's exact sum from exact :meth:`evaluate` values, as
+        (integer numerators, denominator), unreduced, in table order."""
+        common = math.lcm(*{d for _, d in values})
+        columns = list(zip(*(nums if d == common
+                             else [n * (common // d) for n in nums]
+                             for nums, d in values)))
+        return [([sum(k * column[i] for k, i in row) for column in columns],
+                 common * den) for row, den in self._integer_rows]
+
+    def sums(self, values, x: Point) -> list[ResidualVector]:
         """Each table's sum from :meth:`evaluate` values, in table order."""
         if x.mode == EXACT:
-            # per output coordinate: numerators over one lcm
-            columns = [integer_ratio(column) for column in zip(*values)]
-            totals = [tuple(Fraction(sum(k * nums[i] for k, i in row),
-                                     common * den)
-                            for nums, common in columns)
-                      for row, den in self._integer_rows]
+            totals = [tuple(Fraction(n, den) for n in nums)
+                      for nums, den in self.integer_sums(values)]
         else:
             totals = []
             for (c, i), *rest in self._float_rows:
@@ -185,7 +189,7 @@ class TermTables:
                 totals.append(tuple(total))
         return [ResidualVector(Point(total, x.norm_kind)) for total in totals]
 
-    def term_norms(self, values: Sequence[Sequence[Number]],
+    def term_norms(self, values: Sequence[Sequence[float]],
                    x: Point) -> list[float]:
         """Per table, the float sum of |c| * ||f(a x + b y)|| in term order."""
         norms = [norm(Point(tuple(v), x.norm_kind)) for v in values]
@@ -203,10 +207,16 @@ class TermTables:
         return self.sums(self.evaluate(f, x, y), x)
 
 
+@lru_cache(maxsize=64)
+def _compiled(tables: tuple[tuple[Term, ...], ...]) -> TermTables:
+    """One shared :class:`TermTables` per distinct tuple of term tables."""
+    return TermTables(tables)
+
+
 def combine(f: Callable[[Point], Point], x: Point, y: Point,
             terms: tuple[Term, ...]) -> ResidualVector:
     """Evaluate sum of c * f(a x + b y) over the given terms."""
-    return TermTables((terms,)).residuals(f, x, y)[0]
+    return _compiled((terms,)).residuals(f, x, y)[0]
 
 
 def mixed_residual(f, x: Point, y: Point) -> ResidualVector:
@@ -376,4 +386,4 @@ def chain_replay(f, x: Point, y: Point,
 
 def chain_tables(catalogue=CHAIN_CATALOGUE) -> TermTables:
     """The catalogue's LHS - RHS tables over their shared arguments."""
-    return TermTables([ident.moved_terms for ident in catalogue])
+    return _compiled(tuple(ident.moved_terms for ident in catalogue))

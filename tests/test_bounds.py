@@ -239,6 +239,23 @@ def test_certify_rejections():
                              PowerNoise(2, Fraction(1, 5), Fraction(2))))
 
 
+def test_certify_fails_fast_only_where_theta_overflows_anyway():
+    # The power is never formed where theta leaves the float range: at
+    # p = 10^10 it would take 2.5 GB (10^7 keeps a regression cheap here).
+    with pytest.raises(OverflowError):
+        certify_phi(model_1d(PowerNoise(1, Fraction(1, 1000), 10 ** 7)))
+    for eps in (Fraction(1, 1000), Fraction(3, 2 ** 900), Fraction(7)):
+        for p in range(1, 1000, 7):
+            exact = 76 * Fraction(4) ** p * eps
+            try:
+                phi = certify_phi(model_1d(PowerNoise(1, eps, p)))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    float(exact)
+            else:
+                assert phi.theta == exact
+
+
 def test_certified_envelope_is_sound_by_sampling():
     rng = random.Random(99)
     cases = [

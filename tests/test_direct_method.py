@@ -16,6 +16,8 @@ from addcubic import (BoundedNoise, Constant, DivergentControlError, Even,
                       solution_1d, uniqueness_probe)
 from addcubic.bounds import uniqueness_tail
 from addcubic.direct_method import DEFAULT_TOL_ABS, DEFAULT_TOL_REL
+from addcubic.residuals import (ADDITIVE_RULE, CUBIC_RULE, MIXED_RULE,
+                                TermTables)
 
 EPS = Fraction(1, 1000)
 
@@ -107,6 +109,21 @@ def test_iterate_zero_function():
     trace = additive_iterate(f, point([1]), 1, 5, stop_early=False)
     assert all(v.is_zero for v in trace.values)
     assert trace.converged
+
+
+def test_zero_atom_model_through_integer_entry():
+    f = FuncModel(2, 3, ())
+    assert f.evaluate_coords((3, -4), "exact", den=7) == ([0, 0, 0], 7)
+    x, y = point(["3/4", "-1/2"]), point(["5", "1/3"])
+    tables = TermTables((MIXED_RULE, ADDITIVE_RULE, CUBIC_RULE))
+    assert all(v.is_zero and v.value.dim == 3
+               for v in tables.residuals(f, x, y))
+    item = recover(f, [x], SumOfPowers(EPS, 2), 1, -1, n_max=6,
+                   stop_early=False).points[0]
+    assert item.additive.is_zero and item.cubic.is_zero
+    assert item.additive.dim == item.cubic.dim == 3
+    assert item.error == item.raw_error == 0.0
+    assert item.additive_trace.converged and item.cubic_trace.converged
 
 
 def test_iterate_direction_consistency_float():
@@ -491,9 +508,10 @@ def test_recover_counts_hold_at_the_model_entry(monkeypatch, mode, coords):
     calls = []
     evaluate = FuncModel.evaluate_coords
 
-    def counted(model, values, eval_mode):
-        calls.append(values)
-        return evaluate(model, values, eval_mode)
+    def counted(model, values, eval_mode, **kwargs):
+        # Exact orbit points x * 2^-k share numerators and differ in den.
+        calls.append((values, kwargs.get("den")))
+        return evaluate(model, values, eval_mode, **kwargs)
 
     monkeypatch.setattr(FuncModel, "evaluate_coords", counted)
     _assert_each_orbit_argument_once(_orbit_model(len(coords)), calls,

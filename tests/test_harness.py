@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from addcubic import FuncModel
+from addcubic import FuncModel, harness
 from addcubic.cli import main as cli_main
 from addcubic.config import ConfigError, ExperimentConfig, SweepSpec
 from addcubic.harness import (run_bounds, run_check_lemmas, run_recover,
                               run_replay_chain, run_sweep)
+from addcubic.models import Point
 
 LINEAR_ATOM = {"kind": "linear", "matrix": [["1"]]}
 CUBIC_ATOM = {"kind": "cubic", "dims": [1, 1], "terms": [[[[0, 0, 0], "1"]]]}
@@ -112,9 +113,9 @@ def test_check_lemmas_evaluates_each_argument_once(tmp_path, monkeypatch):
     calls = []
     evaluate = FuncModel.evaluate_coords
 
-    def counted(model, coords, mode):
-        calls.append((id(model), coords))
-        return evaluate(model, coords, mode)
+    def counted(model, coords, mode, **kwargs):
+        calls.append((id(model), coords, kwargs.get("den")))
+        return evaluate(model, coords, mode, **kwargs)
 
     monkeypatch.setattr(FuncModel, "evaluate_coords", counted)
     pairs = 1 + 25  # one explicit pair, 25 random ones, per model
@@ -123,6 +124,37 @@ def test_check_lemmas_evaluates_each_argument_once(tmp_path, monkeypatch):
         config = ExperimentConfig.from_json_dict(lemma_config(mode=mode))
         assert run_check_lemmas(config, tmp_path).ok
         assert len(calls) == 2 * pairs * per_pair
+
+
+def test_exact_check_lemmas_builds_points_only_for_explicit_pairs(
+        tmp_path, monkeypatch):
+    built = []
+    post_init = Point.__post_init__
+
+    def counted_init(self):
+        built.append(self)
+        post_init(self)
+
+    tally = harness._tally_pairs
+    inside = []
+
+    def watched(*args, **kwargs):
+        before = len(built)
+        kept = tally(*args, **kwargs)
+        inside.append(len(built) - before)
+        return kept
+
+    monkeypatch.setattr(Point, "__post_init__", counted_init)
+    monkeypatch.setattr(harness, "_tally_pairs", watched)
+    random_only = lemma_config(samples={"random": {"count": 25, "seed": 5}})
+    assert run_check_lemmas(ExperimentConfig.from_json_dict(random_only),
+                            tmp_path).ok
+    assert inside == [0, 0]
+    # The one explicit pair's 3 rule and 21 chain residuals are reported.
+    inside.clear()
+    assert run_check_lemmas(ExperimentConfig.from_json_dict(lemma_config()),
+                            tmp_path).ok
+    assert inside == [24, 24]
 
 
 def test_replay_chain_runner(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,8 +13,10 @@ from addcubic import (ABS_COEFFICIENT_SUM, CHAIN_CATALOGUE, BoundedNoise,
                       mixed_residual, model_1d, cubic_1d, even_1d, linear_1d,
                       odd_part, point, random_cubic, random_linear,
                       random_point, random_rational, FuncModel)
+from addcubic.harness import _tally_pairs
+from addcubic.models import Linear, Point
 from addcubic.residuals import (ADDITIVE_RULE, CUBIC_RULE, MIXED_RULE,
-                                TermTables)
+                                ResidualVector, TermTables)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -248,3 +251,76 @@ def test_each_argument_is_evaluated_once_per_pair():
     assert [v.value for v in vectors] == [
         mixed_residual(model, x, y).value, additive_residual(model, x, y).value,
         cubic_residual(model, x, y).value]
+
+
+# ---------------------------------------------------------------------------
+# Integer evaluation entry
+# ---------------------------------------------------------------------------
+
+def _exact_rows(f, x, y, tables):
+    rows = [{"max_abs": 0.0, "nonzero_count": 0} for _ in ALL_TABLES]
+    _tally_pairs(f, [(x, y)], tables, rows, True)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sets(st.sampled_from(("linear", "cubic", "even",
+                                           "bounded_noise", "power_noise")),
+                          min_size=1))
+def test_integer_entry_matches_fraction_entry(data, kinds):
+    d = data.draw(st.integers(1, 3), label="dim_in")
+    m = data.draw(st.integers(1, 3), label="dim_out")
+    rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
+    f = FuncModel(d, m, tuple(_atom(kind, rng, d, m) for kind in sorted(kinds)))
+    norm_kind = data.draw(st.sampled_from(("euclidean", "max")), label="norm")
+    coords = st.lists(rationals, min_size=d, max_size=d)
+    x = point(data.draw(coords, label="x"), norm_kind=norm_kind)
+    y = point(data.draw(coords, label="y"), norm_kind=norm_kind)
+
+    # Unreduced integers: x = (u g) / (L g).
+    den = math.lcm(*(c.denominator for c in x.coords)) \
+        * data.draw(st.integers(1, 12), label="unreduced")
+    nums, out_den = f.evaluate_coords(tuple(int(c * den) for c in x.coords),
+                                      "exact", den=den)
+    assert [Fraction(n, out_den) for n in nums] \
+        == f.evaluate_coords(x.coords, "exact")
+
+    # The tally's integer totals against the Fraction path, bit for bit.
+    tables = TermTables(ALL_TABLES)
+    at = lambda c: f(point(c)).coords  # noqa: E731
+    expected = [ResidualVector(Point(oracles.lattice_sum(
+        at, x.coords, y.coords, terms), norm_kind)) for terms in ALL_TABLES]
+    rows = _exact_rows(f, x, y, tables)
+    assert [row["max_abs"].hex() for row in rows] \
+        == [vector.magnitude.hex() for vector in expected]
+    assert [row["nonzero_count"] for row in rows] \
+        == [int(not vector.is_zero) for vector in expected]
+    # A plain callable returns reduced Fractions, whose denominators differ.
+    assert _exact_rows(lambda p: f(p), x, y, tables) == rows
+
+
+def test_plain_callable_values_take_the_lcm_branch():
+    f = model_1d(linear_1d(1), cubic_1d(1))
+    x, y = point(["1/2"]), point(["1/3"])
+    tables = TermTables(ALL_TABLES)
+    values = tables.evaluate(lambda p: f(p), x, y)
+    assert len({den for _, den in values}) > 1
+    model_values = tables.evaluate(f, x, y)
+    assert len({den for _, den in model_values}) == 1
+    assert [[Fraction(n, den) for n in nums]
+            for nums, den in tables.integer_sums(values)] \
+        == [[Fraction(n, den) for n in nums]
+            for nums, den in tables.integer_sums(model_values)]
+    assert _exact_rows(lambda p: f(p), x, y, tables) \
+        == _exact_rows(f, x, y, tables)
+
+
+def test_exact_tally_counts_a_residual_nonzero_in_any_coordinate():
+    # Output 0 is additive, output 1 even: the additive rule's residual is
+    # zero in its first coordinate only.
+    f = FuncModel(1, 2, (Linear(((1,), (0,))), Even((((0,),), ((1,),)))))
+    x, y = point(["1/2"], norm_kind="max"), point(["-3"], norm_kind="max")
+    vector = additive_residual(f, x, y)
+    assert vector.value.coords[0] == 0 and not vector.is_zero
+    row = _exact_rows(f, x, y, TermTables(ALL_TABLES))[1]
+    assert row == {"max_abs": vector.magnitude, "nonzero_count": 1}
