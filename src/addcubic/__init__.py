@@ -16,10 +16,10 @@ geometric bound series and their closed-form constants.
 from .scalars import EXACT, FLOAT, ModeMismatchError, format_number, parse_rational
 from .models import (
     EUCLIDEAN, MAX, BoundedNoise, Constant, ControlFunction, CubicHomogeneous,
-    DimensionMismatchError, Even, FuncModel, Linear, OddPart, Point,
-    PowerNoise, ProductOfPowers, SumOfPowers, cubic_1d, even_1d, evaluate,
-    linear_1d, model_1d, norm, odd_part, phi_value, point, random_cubic,
-    random_linear, random_point, random_rational, solution_1d, zero_point,
+    DimensionMismatchError, Even, FuncModel, Linear, Point, PowerNoise,
+    ProductOfPowers, SumOfPowers, cubic_1d, even_1d, evaluate, linear_1d,
+    model_1d, norm, phi_value, point, random_cubic, random_linear,
+    random_point, random_rational, solution_1d, zero_point,
 )
 from .noise import noise_eval
 from .residuals import (
@@ -35,8 +35,8 @@ from .bounds import (
 )
 from .direct_method import (
     DivergentControlError, IterationTrace, OverflowGuardError, ProbeResult,
-    RecoveryReport, Transform, additive_iterate, cubic_iterate, g_transform,
-    h_transform, recover, uniqueness_probe,
+    RecoveryReport, additive_iterate, cubic_iterate, g_transform, h_transform,
+    odd_part, recover, uniqueness_probe,
 )
 
 __version__ = "0.1.0"

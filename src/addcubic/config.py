@@ -509,11 +509,6 @@ class ExperimentConfig:
     consistency: dict | None = _key("consistency", _consistency, None)
     output_stem: str = _key("output_stem", file_name, "report")
 
-    @property
-    def phi_certify(self) -> bool:
-        """True when phi is left to be certified from the model."""
-        return self.phi is None
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
         return _from_keys(cls, doc)

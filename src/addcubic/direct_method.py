@@ -20,8 +20,9 @@ orbit x * 2^k.  :func:`recover` gives each point one :class:`OrbitTable`,
 which evaluates f(y) and f(-y) once per argument y, forms the odd part
 once and guards it once.  With ``n_max = N`` and no early stop a point
 costs 2(N + 2) model evaluations when both directions agree and 4N + 4
-when they differ, against 8(N + 1) + 3 for an odd part and two transforms
-per iterate.
+when they differ.  :func:`odd_part`, :func:`h_transform` and
+:func:`g_transform` read the same table at x, so it is the one
+implementation of (f(y) - f(-y)) / 2 and of f(2y) - s f(y).
 
 Exact mode runs in integers: x is u over one denominator L, the argument
 x * 2^k is (u << k, L) or (u, L << -k), and each value is integer
@@ -46,7 +47,8 @@ from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import require_direction
-from .models import ControlFunction, FuncModel, Point, coords_norm, norm
+from .models import (ControlFunction, FuncModel, Point, coords_norm, evaluate,
+                     norm)
 from .scalars import EXACT, add_ratios, format_number, integer_ratio
 
 OVERFLOW_GUARD_BITS = 500  # abort when any evaluation norm exceeds 2^500
@@ -64,18 +66,6 @@ class OverflowGuardError(ArithmeticError):
 
 class DivergentControlError(ValueError):
     """The control function's bound series diverges for the chosen direction."""
-
-
-@dataclass(frozen=True)
-class Transform:
-    """x -> f(2x) - subtract * f(x), with an overflow guard on evaluations."""
-
-    func: Callable[[Point], Point]
-    subtract: int
-
-    def __call__(self, x: Point) -> Point:
-        table = OrbitTable(self.func, x, odd=False)
-        return table.point(table.step(0, self.subtract, 0))
 
 
 class OrbitTable:
@@ -98,15 +88,7 @@ class OrbitTable:
         self._entries: dict = {}
 
     def _evaluate(self, coords, den):
-        """f at coords, or at integer numerators over den in exact mode."""
-        if isinstance(self.func, FuncModel):
-            if self.exact:
-                return self.func.evaluate_coords(coords, EXACT, den=den)
-            return tuple(self.func.evaluate_coords(coords, self.x.mode))
-        if self.exact:
-            coords = tuple(Fraction(c, den) for c in coords)
-        values = self.func(Point(coords, self.x.norm_kind)).coords
-        return integer_ratio(values) if self.exact else tuple(values)
+        return evaluate(self.func, coords, self.x.mode, self.x.norm_kind, den)
 
     def _entry(self, key) -> tuple:
         """(f(y), table value) at the argument y the key stands for."""
@@ -172,8 +154,8 @@ class OrbitTable:
     def point(self, vector) -> Point:
         if self.exact:
             nums, den = vector
-            vector = tuple(Fraction(n, den) for n in nums)
-        return Point(vector, self.x.norm_kind)
+            vector = [Fraction(n, den) for n in nums]
+        return Point(tuple(vector), self.x.norm_kind)
 
     def at_x(self) -> tuple[Point, Point]:
         """f(x) and the table value at x, as points."""
@@ -181,14 +163,27 @@ class OrbitTable:
         return self.point(raw), self.point(value)
 
 
-def h_transform(f) -> Transform:
+def odd_part(f) -> Callable[[Point], Point]:
+    """x -> (f(x) - f(-x)) / 2, the odd value of x's orbit table."""
+    return lambda x: OrbitTable(f, x).at_x()[1]
+
+
+def _transform(f, subtract: int) -> Callable[[Point], Point]:
+    """x -> f(2x) - subtract * f(x), the orbit table's step at k = 0."""
+    def transform(x: Point) -> Point:
+        table = OrbitTable(f, x, odd=False)
+        return table.point(table.step(0, subtract, 0))
+    return transform
+
+
+def h_transform(f) -> Callable[[Point], Point]:
     """x -> f(2x) - 8 f(x); kills cubic content, -6 times the additive part."""
-    return Transform(f, 8)
+    return _transform(f, 8)
 
 
-def g_transform(f) -> Transform:
+def g_transform(f) -> Callable[[Point], Point]:
     """x -> f(2x) - 2 f(x); kills additive content, 6 times the cubic part."""
-    return Transform(f, 2)
+    return _transform(f, 2)
 
 
 @dataclass
@@ -289,12 +284,6 @@ class ProbeResult:
 
     gap: float
     tail_bound: float | None
-
-    @property
-    def within_tail(self) -> bool | None:
-        if self.tail_bound is None:
-            return None
-        return self.gap <= self.tail_bound
 
 
 def uniqueness_probe(f, x: Point, l: int, component: str, n1: int, n2: int,

@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 from . import noise as noise_mod
@@ -149,12 +149,15 @@ def _rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
-def _integer_rows(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Rows scaled to integers plus the common denominator that was cleared."""
-    den = reduce(math.lcm, (c.denominator for row in rows for c in row), 1)
-    scaled = tuple(tuple(c.numerator * (den // c.denominator) for c in row)
-                   for row in rows)
-    return scaled, den
+def _coefficient_tables(coefficients, build):
+    """An atom's (float table, (integer table, L)) from its coefficients.
+
+    ``build`` lays out a table from an iterator over the coefficients, in
+    order; it is given the floats, then the integer numerators over the one
+    denominator L they share.
+    """
+    ints, den = integer_ratio(coefficients)
+    return build(map(float, coefficients)), (build(iter(ints)), den)
 
 
 @dataclass(frozen=True)
@@ -178,16 +181,16 @@ class Linear:
         return len(self.matrix)
 
     @cached_property
-    def _float_matrix(self):
-        return tuple(tuple(float(v) for v in row) for row in self.matrix), None
-
-    @cached_property
-    def _integer_matrix(self):
-        return _integer_rows(self.matrix)
+    def _tables(self):
+        return _coefficient_tables(
+            [v for row in self.matrix for v in row],
+            lambda it: tuple(tuple(next(it) for _ in row)
+                             for row in self.matrix))
 
     def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
         exact = mode == EXACT
-        rows, row_den = self._integer_matrix if exact else self._float_matrix
+        floats, (ints, row_den) = self._tables
+        rows = ints if exact else floats
         zero = 0 if exact else 0.0
         out = []
         for row in rows:
@@ -238,21 +241,16 @@ class CubicHomogeneous:
         return self.dims[1]
 
     @cached_property
-    def _float_terms(self):
-        return tuple(tuple((mono, float(c)) for mono, c in rows)
-                     for rows in self.terms), None
-
-    @cached_property
-    def _integer_terms(self):
-        """Rows with integer coefficients, plus the one cleared denominator."""
-        den = reduce(math.lcm, (c.denominator for rows in self.terms
-                                for _, c in rows), 1)
-        return (tuple(tuple((mono, c.numerator * (den // c.denominator))
-                            for mono, c in rows) for rows in self.terms), den)
+    def _tables(self):
+        return _coefficient_tables(
+            [c for rows in self.terms for _, c in rows],
+            lambda it: tuple(tuple((mono, next(it)) for mono, _ in rows)
+                             for rows in self.terms))
 
     def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
         exact = mode == EXACT
-        table, table_den = self._integer_terms if exact else self._float_terms
+        floats, (ints, table_den) = self._tables
+        table = ints if exact else floats
         zero = 0 if exact else 0.0
         products: dict[Monomial, object] = {}
         out = []
@@ -293,21 +291,16 @@ class Even:
         return len(self.matrices)
 
     @cached_property
-    def _float_matrices(self):
-        return tuple(tuple(tuple(float(v) for v in row) for row in q)
-                     for q in self.matrices), None
-
-    @cached_property
-    def _integer_matrices(self):
-        """Every form scaled to integers over one cleared denominator."""
-        scaled, den = _integer_rows([row for q in self.matrices for row in q])
-        d = self.dim_in
-        return tuple(scaled[i:i + d] for i in range(0, len(scaled), d)), den
+    def _tables(self):
+        return _coefficient_tables(
+            [v for q in self.matrices for row in q for v in row],
+            lambda it: tuple(tuple(tuple(next(it) for _ in row) for row in q)
+                             for q in self.matrices))
 
     def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
         exact = mode == EXACT
-        forms, form_den = self._integer_matrices if exact \
-            else self._float_matrices
+        floats, (ints, form_den) = self._tables
+        forms = ints if exact else floats
         zero = 0 if exact else 0.0
         out = []
         for q in forms:
@@ -385,7 +378,7 @@ class FuncModel:
                     f"model is {self.dim_in}->{self.dim_out}")
 
     def evaluate_coords(self, coords, mode: str, *, den: int | None = None):
-        """Atom-sum evaluation on raw coordinates; the one evaluation entry.
+        """Atom-sum evaluation on raw coordinates; see :func:`evaluate`.
 
         Exact mode sums the atoms' integer numerators.  With ``den`` the
         coordinates are integer numerators over ``den`` and the result is
@@ -442,33 +435,21 @@ class FuncModel:
         return all(isinstance(a, (Linear, CubicHomogeneous)) for a in self.atoms)
 
 
-def evaluate(f: Callable[[Point], Point], x: Point, mode: str | None = None) -> Point:
-    """Evaluate f at x, optionally asserting the evaluation mode.
+def evaluate(f: Callable[[Point], Point], coords, mode: str, norm_kind: str,
+             den: int | None = None):
+    """f at ``coords``: the one place that knows how to evaluate a function.
 
-    Passing a mode that differs from the point's own mode is rejected:
-    modes are fixed per evaluation context, never converted implicitly.
+    A :class:`FuncModel` sums its atoms on the raw coordinates; any other
+    callable gets a :class:`Point`.  With ``den`` the coordinates are
+    integer numerators over ``den`` and the result is (integer numerators,
+    denominator); without it the result is one value per output coordinate.
     """
-    if mode is not None:
-        require_mode(mode)
-        if mode != x.mode:
-            raise ModeMismatchError(
-                f"requested {mode} evaluation of a {x.mode}-mode point")
-    return f(x)
-
-
-@dataclass(frozen=True)
-class OddPart:
-    """x -> (f(x) - f(-x)) / 2; exactly odd, and zero at the origin."""
-
-    func: Callable[[Point], Point]
-
-    def __call__(self, x: Point) -> Point:
-        return (self.func(x) - self.func(-x)).scale(Fraction(1, 2))
-
-
-def odd_part(f: Callable[[Point], Point]) -> OddPart:
-    """Odd symmetrization of an evaluable function."""
-    return OddPart(f)
+    if isinstance(f, FuncModel):
+        return f.evaluate_coords(coords, mode, den=den)
+    if den is not None:
+        coords = [Fraction(c, den) for c in coords]
+    values = f(Point(tuple(coords), norm_kind)).coords
+    return values if den is None else integer_ratio(values)
 
 
 # Convenience constructors for the 1-D catalogue used throughout the tests.

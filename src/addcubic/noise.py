@@ -33,6 +33,14 @@ from .scalars import EXACT, integer_ratio
 QUANT_BITS = 40  # inputs snapped to multiples of 2^-40 before hashing
 VALUE_BITS = 20  # direction components live on the grid 2^-20 in [-1, 1]
 
+# Largest p * (bits of the base or of its denominator) for which b^p is
+# formed exactly.  Every float's integer ratio has at most 2 098 bits
+# (2^1024 over 2^-1074), and the exponents certify_phi can represent are
+# below 512, since 76 * 4^p * eps must be a finite float; their product is
+# about 2^20.  Twice that admits those with room, and forms a power in well
+# under a second instead of hanging on an exponent such as 10^10.
+MAX_POWER_BITS = 1 << 21
+
 # Pad applied when amplitude * b^p must be computed through float pow
 # (non-integer exponents); float pow errs by ~1 ulp, the pad is 2^-30.
 _POWER_SAFETY = Fraction((1 << 30) - 1, 1 << 30)
@@ -59,6 +67,10 @@ def _scale(ints, den: int, amplitude: Fraction,
         return 0, 1
     if exponent.denominator == 1:
         p = exponent.numerator
+        if p * max(base.bit_length(), den.bit_length()) > MAX_POWER_BITS:
+            raise OverflowError(
+                f"noise scale overflow: exponent {p} would form a power of "
+                f"more than {MAX_POWER_BITS} bits")
         return amplitude.numerator * base ** p, amplitude.denominator * den ** p
     powered = (base / den) ** float(exponent)
     if not math.isfinite(powered):

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .models import DimensionMismatchError, FuncModel, Point, norm
+from .models import DimensionMismatchError, Point, evaluate, norm
 from .scalars import EXACT, ModeMismatchError, integer_ratio
 
 # One term of a rule: coefficient * f(a*x + b*y).
@@ -113,9 +113,8 @@ def _integer_row(terms: tuple[Term, ...],
                  index: Mapping[tuple[int, int], int]
                  ) -> tuple[tuple[tuple[int, int], ...], int]:
     """(integer coefficient, argument index) rows and their denominator."""
-    den = math.lcm(*(c.denominator for c, _, _ in terms))
-    return (tuple((c.numerator * (den // c.denominator), index[a, b])
-                  for c, a, b in terms), den)
+    nums, den = integer_ratio([c for c, _, _ in terms])
+    return tuple(zip(nums, (index[a, b] for _, a, b in terms))), den
 
 
 class TermTables:
@@ -152,18 +151,12 @@ class TermTables:
                 f"x has dimension {x.dim}, y has {y.dim}")
         if x.mode != y.mode:
             raise ModeMismatchError("x and y carry different scalar modes")
-        exact = x.mode == EXACT
-        if exact and isinstance(f, FuncModel):
-            ints, den = integer_ratio(x.coords + y.coords)
-            arguments = _lattice_coords(tuple(ints[:x.dim]),
-                                        tuple(ints[x.dim:]), self.arguments)
-            return [f.evaluate_coords(nums, EXACT, den=den)
-                    for nums in arguments]
-        arguments = _lattice_coords(x.coords, y.coords, self.arguments)
-        if isinstance(f, FuncModel):
-            return [f.evaluate_coords(coords, x.mode) for coords in arguments]
-        values = [f(Point(coords, x.norm_kind)).coords for coords in arguments]
-        return [integer_ratio(v) for v in values] if exact else values
+        u, v, den = x.coords, y.coords, None
+        if x.mode == EXACT:
+            ints, den = integer_ratio(u + v)
+            u, v = tuple(ints[:x.dim]), tuple(ints[x.dim:])
+        return [evaluate(f, coords, x.mode, x.norm_kind, den)
+                for coords in _lattice_coords(u, v, self.arguments)]
 
     def integer_sums(self, values) -> list[tuple[list[int], int]]:
         """Each table's exact sum from exact :meth:`evaluate` values, as
@@ -239,19 +232,6 @@ def double_arg_residual(f, x: Point) -> ResidualVector:
     return combine(f, x, x, DOUBLE_ARG_RULE)
 
 
-@dataclass(frozen=True)
-class _Combination:
-    """alpha*f + beta*g as a pointwise evaluable function."""
-
-    f: Callable[[Point], Point]
-    g: Callable[[Point], Point]
-    alpha: Fraction
-    beta: Fraction
-
-    def __call__(self, x: Point) -> Point:
-        return self.f(x).scale(self.alpha) + self.g(x).scale(self.beta)
-
-
 def linearity_residual(f, g, alpha, beta, x: Point, y: Point) -> ResidualVector:
     """D(alpha f + beta g) - alpha D(f) - beta D(g); exactly zero always.
 
@@ -259,7 +239,8 @@ def linearity_residual(f, g, alpha, beta, x: Point, y: Point) -> ResidualVector:
     an internal consistency check rather than a property of f or g.
     """
     a, b = Fraction(alpha), Fraction(beta)
-    combined = mixed_residual(_Combination(f, g, a, b), x, y).value
+    combined = mixed_residual(lambda p: f(p).scale(a) + g(p).scale(b),
+                              x, y).value
     separate = mixed_residual(f, x, y).value.scale(a) \
         + mixed_residual(g, x, y).value.scale(b)
     return ResidualVector(combined - separate)

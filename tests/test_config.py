@@ -86,7 +86,7 @@ def test_experiment_config_parsing(tmp_path):
     config = ExperimentConfig.load(path)
     assert config.norm_kind == "max"
     assert config.mode == "float"
-    assert config.phi_certify and config.phi is None
+    assert config.phi is None
     assert config.direction_additive == -1
     assert config.direction_cubic == "auto"
     assert config.tol_abs == 1e-10 and config.n_max == 32

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from addcubic import (BoundedNoise, Constant, DivergentControlError, Even,
-                      FuncModel, OddPart, OverflowGuardError, PowerNoise,
-                      SumOfPowers, Transform, additive_iterate,
-                      additive_residual, certify_phi, cubic_1d, cubic_iterate,
-                      cubic_residual, even_1d, g_transform, h_transform,
-                      linear_1d, model_1d, norm, odd_part, point, random_cubic,
+                      FuncModel, OverflowGuardError, PowerNoise, SumOfPowers,
+                      additive_iterate, additive_residual, certify_phi,
+                      cubic_1d, cubic_iterate, cubic_residual, even_1d,
+                      format_number, g_transform, h_transform, linear_1d,
+                      model_1d, norm, odd_part, point, random_cubic,
                       random_linear, random_point, random_rational, recover,
                       solution_1d, uniqueness_probe)
 from addcubic.bounds import uniqueness_tail
@@ -71,6 +71,32 @@ def test_transform_difference_identity():
         H, G = h_transform(f), g_transform(f)
         x = random_point(rng, 1)
         assert (G(x) - H(x)).coords == f(x).scale(6).coords
+
+
+def _exact_text(p):
+    return [format_number(c) for c in p.coords]  # tells -0.0 from 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sets(st.sampled_from(("linear", "cubic", "even",
+                                           "bounded_noise", "power_noise")),
+                          min_size=1),
+       st.sampled_from(("exact", "float")))
+def test_table_maps_match_point_arithmetic(data, kinds, mode):
+    # odd_part, h_transform and g_transform read the orbit table; the
+    # references are their formulas in Point arithmetic, bit for bit.
+    d = data.draw(st.integers(1, 3), label="dim")
+    rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
+    f = FuncModel(d, d, tuple(_atom(kind, rng, d) for kind in sorted(kinds)))
+    values = st.fractions(min_value=-20, max_value=20, max_denominator=16)
+    x = point(data.draw(st.lists(values, min_size=d, max_size=d), label="x"),
+              mode, data.draw(st.sampled_from(("euclidean", "max")),
+                              label="norm"))
+    assert _exact_text(odd_part(f)(x)) \
+        == _exact_text((f(x) - f(-x)).scale(Fraction(1, 2)))
+    for transform, subtract in ((h_transform, 8), (g_transform, 2)):
+        assert _exact_text(transform(f)(x)) \
+            == _exact_text(f(x.scale(2)) - f(x).scale(subtract))
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +554,13 @@ def test_recover_zero_point_evaluates_its_one_argument_once(mode):
     assert item.additive_trace.n_steps == item.cubic_trace.n_steps == 6
 
 
-def test_recover_iterate_and_probe_build_no_wrappers(monkeypatch):
+def test_recover_iterate_and_probe_never_call_the_point_path(monkeypatch):
+    # FuncModel.__call__ is the Point path; a model is read on raw
+    # coordinates through models.evaluate.
     def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} built")
+        raise AssertionError("FuncModel.__call__ reached")
 
-    monkeypatch.setattr(Transform, "__init__", refuse)
-    monkeypatch.setattr(OddPart, "__init__", refuse)
+    monkeypatch.setattr(FuncModel, "__call__", refuse)
     f = noisy_solution()
     for x in (point([1]), point([0.5], mode="float")):
         recover(f, [x])

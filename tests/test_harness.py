@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -237,6 +238,25 @@ def test_run_recover_divergent_series_status(tmp_path):
     assert result.status == "divergent-series"
     doc = json.loads((tmp_path / "rec.json").read_text())
     assert doc["status"] == "divergent-series"
+
+
+def test_cli_recover_huge_noise_exponent_hits_the_overflow_guard(
+        tmp_path, capsys):
+    # phi is given, so certify_phi never sees the exponent; forming 3^(10^10)
+    # in the noise scale used to hang.
+    doc = recover_config(
+        mode="exact", phi={"variant": "constant", "value": "1"},
+        model={"dim_in": 1, "dim_out": 1,
+               "atoms": [{"kind": "power_noise", "seed": 1,
+                          "amplitude": "1/1000", "exponent": "10000000000"}]},
+        samples={"points": [["3"]]})
+    config_path = write_config(tmp_path, "huge.json", doc)
+    start = time.perf_counter()
+    assert cli_main(["recover", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert time.perf_counter() - start < 5.0
+    report = json.loads((tmp_path / "out" / "rec.json").read_text())
+    assert report["status"] == "overflow-guard"
 
 
 def test_cli_recover_over_zero_points_exit_2(tmp_path, capsys):

@@ -9,8 +9,8 @@ import oracles
 from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
                       DimensionMismatchError, Even, FuncModel, Linear,
                       ModeMismatchError, PowerNoise, ProductOfPowers,
-                      SumOfPowers, cubic_1d, even_1d, evaluate, linear_1d,
-                      model_1d, norm, odd_part, phi_value, point,
+                      SumOfPowers, cubic_1d, even_1d, linear_1d,
+                      model_1d, noise, norm, odd_part, phi_value, point,
                       random_cubic, random_linear, random_point,
                       random_rational, zero_point)
 from addcubic.models import phi_degree
@@ -110,14 +110,6 @@ def test_evaluate_examples():
     assert model_1d(linear_1d(2))(point([3])).coords == (Fraction(6),)
     assert model_1d(cubic_1d(1))(point([2])).coords == (Fraction(8),)
     assert model_1d(linear_1d(2), cubic_1d(1))(point([1])).coords == (Fraction(3),)
-
-
-def test_evaluate_mode_assertion():
-    f = model_1d(linear_1d(2))
-    x = point([3])
-    assert evaluate(f, x, mode="exact").coords == (Fraction(6),)
-    with pytest.raises(ModeMismatchError):
-        evaluate(f, x, mode="float")
 
 
 def test_evaluate_dimension_mismatch():
@@ -273,6 +265,19 @@ def test_noise_rejects_negative_parameters():
         noise_eval(1, x, -1)
     with pytest.raises(ValueError):
         noise_eval(1, x, 1, -2)
+
+
+def test_noise_refuses_a_power_too_large_to_form():
+    # 3^(10^7) has 1.6e7 bits: forming it took seconds, 3^(10^10) hung.
+    for mode in ("exact", "float"):
+        with pytest.raises(OverflowError, match="exponent 10000000 "):
+            noise_eval(1, point([3], mode), Fraction(1, 1000), 10 ** 7)
+    # The limit is on p times the bit length of the base or denominator;
+    # x = 1 has one bit.
+    bits = noise.MAX_POWER_BITS
+    noise.sample(1, [1], Fraction(1), Fraction(bits), 1, "exact")
+    with pytest.raises(OverflowError):
+        noise.sample(1, [1], Fraction(1), Fraction(bits + 1), 1, "exact")
 
 
 def test_noise_atoms_in_models():
