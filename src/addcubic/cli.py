@@ -5,10 +5,10 @@ everything else lives in the JSON config so a run is reproducible from one
 artifact.  The output directory may also be set through the ADDCUBIC_OUT_DIR
 environment variable (the --out-dir flag wins).
 
-The config is read in full before anything runs: an unknown key, a
-missing required key or a value of the wrong type or range is a
-configuration error that names the key path, as is a check that would run
-over zero sample points or pairs.
+The config is read in full before anything runs, and each subcommand
+reads only its own keys: any other key, a missing required key or a value
+of the wrong type or range is a configuration error that names the key
+path, as is a check that would run over zero sample points or pairs.
 
 Exit codes: 0 when every asserted identity/inequality held, 1 when an
 assertion failed (including divergent bound series), 2 on configuration or
@@ -55,10 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_out_dir(flag_value) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env_value = os.environ.get(OUT_DIR_ENV)
-    return Path(env_value) if env_value else Path(".")
+    return Path(flag_value or os.environ.get(OUT_DIR_ENV) or ".")
 
 
 def main(argv=None) -> int:
@@ -66,7 +63,7 @@ def main(argv=None) -> int:
     loader, runner = _RUNNERS[args.command]
     out_dir = _resolve_out_dir(args.out_dir)
     try:
-        config = loader.load(args.config)
+        config = loader.load(args.config, args.command)
         result: RunResult = runner(config, out_dir)
     except (ConfigError, OSError, CertificationError) as exc:
         print(f"addcubic {args.command}: error: {exc}", file=sys.stderr)

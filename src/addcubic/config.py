@@ -8,12 +8,12 @@ Mersenne Twister), drawing integers only, so sample streams are portable
 across platforms and Python versions.
 
 Each JSON object of a document is read by a :func:`section` that declares
-its keys once, each with a field reader; the config classes declare theirs
-on their fields (:func:`_key`).  Every value is converted when the document
-is loaded, and an undeclared key, a missing required key, or a value its
-reader cannot convert is a :class:`ConfigError` naming the key path, such
-as ``samples.random.count`` or ``bounds[0].phi``.  The runners see typed
-values only.
+its keys once, each with a field reader; the config classes declare theirs,
+and the subcommands reading each, on their fields (:func:`_key`).  Values
+are converted at load, and a key the subcommand does not read, a missing
+required key, or a value its reader cannot convert is a
+:class:`ConfigError` naming the key path, such as ``samples.random.count``
+or ``bounds[0].phi``.  The runners see typed values only.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .models import (BoundedNoise, Constant, ControlFunction, CubicHomogeneous,
                      PowerNoise, ProductOfPowers, SumOfPowers, EUCLIDEAN,
                      NORM_KINDS, point, random_cubic, random_linear,
                      random_point)
+from .noise import MAX_POWER_BITS
 from .scalars import EXACT, MODES, format_number, parse_rational
 
 SCHEMA_VERSION = 1
@@ -46,7 +47,7 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
-def _reader(convert, what: str, minimum=None):
+def _reader(convert, what: str, minimum=None, maximum=None):
     """A reader applying ``convert``, which raises on a value it rejects."""
     def read(value, where: str):
         try:
@@ -55,6 +56,9 @@ def _reader(convert, what: str, minimum=None):
             raise ConfigError(f"{where} must be {what}, got {value!r}") from None
         if minimum is not None and result < minimum:
             raise ConfigError(f"{where} must be at least {minimum}, "
+                              f"got {value!r}")
+        if maximum is not None and result > maximum:
+            raise ConfigError(f"{where} must be at most {maximum}, "
                               f"got {value!r}")
         return result
     return read
@@ -74,7 +78,7 @@ def integer(minimum: int | None = None):
     return _reader(_exactly(int), "an integer", minimum)
 
 
-def rational(minimum=None, decimal: bool = False):
+def rational(minimum=None, decimal: bool = False, maximum=None):
     """Exact rationals from JSON numbers or strings.
 
     A value must fit in a float, because norms and bound series are
@@ -85,7 +89,7 @@ def rational(minimum=None, decimal: bool = False):
         number = parse_rational(str(value) if decimal else value)
         float(number)
         return number
-    return _reader(convert, "a finite rational number", minimum)
+    return _reader(convert, "a finite rational number", minimum, maximum)
 
 
 def real(positive: bool = False):
@@ -181,18 +185,21 @@ def section(schema: dict):
     return read
 
 
-def _key(path: str, read, default):
+def _key(path: str, read, default, commands=None):
     """A config class field read from the document at ``path`` ("a.b" nests).
 
-    The field defaults to ``default`` read like a configured value.
+    The field defaults to ``default`` read like a configured value.  With
+    ``commands``, only those subcommands read it, else all of them do.
     """
     return field(default=None if default is None else read(default, path),
-                 metadata={"path": path, "entry": (read, default)})
+                 metadata={"path": path, "entry": (read, default),
+                           "commands": commands})
 
 
-def _from_keys(cls, doc, where: str = ""):
-    """A ``cls`` whose fields declared with :func:`_key` are read from doc."""
-    keyed = [f for f in fields(cls) if "path" in f.metadata]
+def _from_keys(cls, doc, where: str = "", command: str | None = None):
+    """A ``cls`` whose fields ``command`` reads are read from doc."""
+    keyed = [f for f in fields(cls) if f.metadata["commands"] is None
+             or command in f.metadata["commands"]]
     values = section({f.metadata["path"]: f.metadata["entry"]
                       for f in keyed})(doc, where)
     return cls(**{f.name: values[f.metadata["path"]] for f in keyed})
@@ -220,6 +227,8 @@ _DIRECTION = choice(-1, 1, "auto")
 _COORDINATES = list_of(rational(decimal=True), nonempty=True)
 _MATRIX = list_of(list_of(rational(), nonempty=True), nonempty=True)
 _RS_PAIR = list_of(rational(minimum=0), size=2)
+# noise._scale refuses an integer power above MAX_POWER_BITS at any x != 0.
+_NOISE_EXPONENT = rational(minimum=0, maximum=MAX_POWER_BITS)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +251,7 @@ _ATOMS = {
                                      "amplitude": rational(minimum=0)}),
     "power_noise": (PowerNoise, {"seed": integer(),
                                  "amplitude": rational(minimum=0),
-                                 "exponent": (rational(minimum=0), 0)}),
+                                 "exponent": (_NOISE_EXPONENT, 0)}),
 }
 _PHIS = {
     "constant": (Constant, {"value": rational(minimum=0)}),
@@ -463,7 +472,8 @@ def _consistency(doc, where: str) -> dict:
     """Closed forms against series at exponents p and r + s."""
     spec = _CONSISTENCY(doc, where)
     _reject_excluded(spec["p"], f"{where}.p")
-    _reject_excluded([r + s for r, s in spec["rs"]], f"{where}.rs")
+    for r, s in spec["rs"]:  # the closed form adds r and s as floats
+        _reject_excluded([r + s, float(r) + float(s)], f"{where}.rs")
     return {**spec,
             "rs_text": [tuple(map(str, pair)) for pair in doc.get("rs", [])]}
 
@@ -476,6 +486,10 @@ _FAMILIES = section({
              [[1, 1]]),
 })
 _SCHEMA_VERSION = choice(SCHEMA_VERSION)
+# The subcommands that read an ExperimentConfig key.
+_LEMMAS = ("check-lemmas", "replay-chain")
+_SAMPLED = (*_LEMMAS, "recover")
+_RECOVER, _BOUNDS = ("recover",), ("bounds",)
 
 
 @dataclass
@@ -490,32 +504,35 @@ class ExperimentConfig:
     schema_version: int = _key("schema_version", _SCHEMA_VERSION, 1)
     norm_kind: str = _key("norm", choice(*NORM_KINDS), EUCLIDEAN)
     mode: str = _key("mode", choice(*MODES), EXACT)
-    model: FuncModel | None = _key("model", model_from_json, None)
+    model: FuncModel | None = _key("model", model_from_json, None, _SAMPLED)
     models: tuple[tuple[str, FuncModel], ...] = _key(
-        "models", _labeled_models, [])
-    families: dict | None = _key("families", _FAMILIES, None)
-    phi: ControlFunction | None = _key("phi", _phi_or_certify, None)
+        "models", _labeled_models, [], _LEMMAS)
+    families: dict | None = _key("families", _FAMILIES, None, _LEMMAS)
+    phi: ControlFunction | None = _key("phi", _phi_or_certify, None, _RECOVER)
     direction_additive: int | str = _key("directions.additive", _DIRECTION,
-                                         "auto")
-    direction_cubic: int | str = _key("directions.cubic", _DIRECTION, "auto")
-    samples: SampleSpec = _key("samples", SampleSpec.from_json, {})
-    tol_abs: float = _key("tolerances.abs", real(), 1e-12)
-    tol_rel: float = _key("tolerances.rel", real(), 1e-10)
-    series_tol: float = _key("tolerances.series", real(positive=True), 1e-12)
-    n_max: int = _key("n_max", integer(minimum=1), 48)
-    chain: bool = _key("chain", flag, True)
-    catalogue_out: str | None = _key("catalogue_out", file_name, None)
-    bounds_items: tuple[dict, ...] = _key("bounds", list_of(_bounds_item), [])
-    consistency: dict | None = _key("consistency", _consistency, None)
+                                         "auto", _RECOVER)
+    direction_cubic: int | str = _key("directions.cubic", _DIRECTION, "auto",
+                                      _RECOVER)
+    samples: SampleSpec = _key("samples", SampleSpec.from_json, {}, _SAMPLED)
+    tol_abs: float = _key("tolerances.abs", real(), 1e-12, _RECOVER)
+    tol_rel: float = _key("tolerances.rel", real(), 1e-10, _RECOVER)
+    series_tol: float = _key("tolerances.series", real(positive=True), 1e-12,
+                             _RECOVER)
+    n_max: int = _key("n_max", integer(minimum=1), 48, _RECOVER)
+    chain: bool = _key("chain", flag, True, ("check-lemmas",))
+    catalogue_out: str | None = _key("catalogue_out", file_name, None, _LEMMAS)
+    bounds_items: tuple[dict, ...] = _key("bounds", list_of(_bounds_item), [],
+                                          _BOUNDS)
+    consistency: dict | None = _key("consistency", _consistency, None, _BOUNDS)
     output_stem: str = _key("output_stem", file_name, "report")
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        return _from_keys(cls, doc)
+    def from_json_dict(cls, doc: dict, command: str) -> "ExperimentConfig":
+        return _from_keys(cls, doc, command=command)
 
     @classmethod
-    def load(cls, path) -> "ExperimentConfig":
-        return cls.from_json_dict(_read_json(path))
+    def load(cls, path, command: str) -> "ExperimentConfig":
+        return cls.from_json_dict(_read_json(path), command)
 
     def family_models(self) -> list[tuple[str, FuncModel]]:
         """Labeled models: explicit ones plus seeded random families."""
@@ -591,7 +608,8 @@ class SweepSpec:
         return spec
 
     @classmethod
-    def load(cls, path) -> "SweepSpec":
+    def load(cls, path, command: str = "sweep") -> "SweepSpec":
+        """``command`` is unused: a sweep spec has one key set."""
         return cls.from_json_dict(_read_json(path))
 
     def cells(self) -> list[dict]:

@@ -105,7 +105,7 @@ class OrbitTable:
                     value = self._combination(raw, minus, 1, -1)
             except OverflowError as exc:
                 raise OverflowGuardError(
-                    "evaluation overflowed float range") from exc
+                    f"evaluation overflowed float range: {exc}") from exc
             self.magnitude(value)
             entry = self._entries[key] = (raw, value)
         return entry

@@ -54,16 +54,17 @@ def test_bad_documents_raise_config_error():
     with pytest.raises(ConfigError):
         phi_from_json({"variant": "constant"})
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_json_dict({"schema_version": 99})
+        ExperimentConfig.from_json_dict({"schema_version": 99}, "bounds")
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_json_dict({"mode": "decimal"})
+        ExperimentConfig.from_json_dict({"mode": "decimal"}, "check-lemmas")
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_json_dict({"norm": "hamming"})
+        ExperimentConfig.from_json_dict({"norm": "hamming"}, "replay-chain")
     with pytest.raises(ConfigError):
-        ExperimentConfig.from_json_dict({"directions": {"additive": 2}})
+        ExperimentConfig.from_json_dict({"directions": {"additive": 2}},
+                                        "recover")
     for n_max in (0, -3):
         with pytest.raises(ConfigError):
-            ExperimentConfig.from_json_dict({"n_max": n_max})
+            ExperimentConfig.from_json_dict({"n_max": n_max}, "recover")
 
 
 def test_experiment_config_parsing(tmp_path):
@@ -83,7 +84,7 @@ def test_experiment_config_parsing(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
-    config = ExperimentConfig.load(path)
+    config = ExperimentConfig.load(path, "recover")
     assert config.norm_kind == "max"
     assert config.mode == "float"
     assert config.phi is None
@@ -117,7 +118,7 @@ def test_random_samples_are_deterministic():
 def test_family_models_generation():
     config = ExperimentConfig.from_json_dict({
         "families": {"linear": 3, "cubic": 2, "seed": 5, "dims": [[1, 1], [2, 2]]},
-    })
+    }, "check-lemmas")
     labeled = config.family_models()
     assert len(labeled) == 5
     labels = [label for label, _ in labeled]
@@ -195,15 +196,57 @@ BAD_VALUES = st.one_of(
     st.integers(max_value=-1), st.floats(max_value=0.0, exclude_max=True))
 
 
+# The top-level keys each subcommand reads.
+_COMMON_KEYS = {"schema_version", "norm", "mode", "output_stem"}
+_LEMMA_KEYS = _COMMON_KEYS | {"model", "models", "families", "samples",
+                              "catalogue_out"}
+COMMAND_KEYS = {
+    "check-lemmas": _LEMMA_KEYS | {"chain"},
+    "replay-chain": _LEMMA_KEYS,
+    "recover": _COMMON_KEYS | {"model", "phi", "directions", "samples",
+                               "tolerances", "n_max"},
+    "bounds": _COMMON_KEYS | {"bounds", "consistency"},
+    "sweep": {"schema_version", "form", "p", "rs", "theta", "epsilon",
+              "l_mode", "allow_divergent", "base", "output_stem"},
+}
+
+
+# A value each subcommand that reads the key accepts.
+KEY_VALUES = {
+    "schema_version": 1, "norm": "max", "mode": "exact", "output_stem": "out",
+    "model": {"atoms": [{"kind": "linear", "matrix": [["2"]]}]},
+    "models": [], "families": {"linear": 1}, "samples": {"points": [["1"]]},
+    "chain": False, "catalogue_out": "catalogue.json", "phi": "certify",
+    "directions": {"additive": 1}, "tolerances": {"abs": 1e-9}, "n_max": 8,
+    "bounds": [], "consistency": {"p": [2]}, "form": "sum", "p": [2],
+    "rs": [[1, 1]], "theta": [1], "epsilon": [0], "l_mode": ["auto"],
+    "allow_divergent": True, "base": {"n_max": 8},
+}
+
+
+def _other_keys(command):
+    """Top-level keys other subcommands read and ``command`` does not."""
+    return sorted(set(KEY_VALUES) - COMMAND_KEYS[command])
+
+
 @st.composite
 def mutated_documents(draw):
     """A subcommand's valid document with one key dropped, one unknown key
-    added at any depth, or one value replaced by a value of another kind."""
+    added at any depth, one value replaced by a value of another kind, or
+    one top-level key of another subcommand added.
+
+    Returns the subcommand, the document and the exit codes allowed: only
+    2 for a key of another subcommand.
+    """
     command = draw(st.sampled_from(sorted(_valid_documents())))
     doc = copy.deepcopy(_valid_documents()[command])
     objects = [path for path, node in _positions(doc)
                if isinstance(node, dict) and node]
-    mutation = draw(st.sampled_from(("drop", "add", "replace")))
+    mutation = draw(st.sampled_from(("drop", "add", "replace", "other")))
+    if mutation == "other":
+        key = draw(st.sampled_from(_other_keys(command)))
+        doc[key] = KEY_VALUES[key]
+        return command, doc, (2,)
     if mutation == "drop":
         node = _at(doc, draw(st.sampled_from(objects)))
         del node[draw(st.sampled_from(sorted(node)))]
@@ -215,19 +258,19 @@ def mutated_documents(draw):
     else:
         path = draw(st.sampled_from([p for p, _ in _positions(doc) if p]))
         _at(doc, path[:-1])[path[-1]] = draw(BAD_VALUES)
-    return command, doc
+    return command, doc, (0, 1, 2)
 
 
 @settings(max_examples=150, deadline=None)
 @given(mutated_documents())
 def test_mutated_document_exits_0_1_or_2(case):
-    command, doc = case
+    command, doc, codes = case
     with tempfile.TemporaryDirectory() as scratch:
         config_path = Path(scratch) / "config.json"
         config_path.write_text(json.dumps(doc), encoding="utf-8")
         code = cli_main([command, "--config", str(config_path),
                          "--out-dir", str(Path(scratch) / "out")])
-    assert code in (0, 1, 2)
+    assert code in codes
 
 
 def _bad_document(command, edit):
@@ -279,6 +322,20 @@ BAD_DOCUMENTS = {
     "even-form-not-square": ("check-lemmas", lambda d: d["models"][0].update(
         atoms=[{"kind": "even", "matrices": [[["1", "2"]]]}]),
         "models[0].atoms[0]"),
+    # r + s is not 1, but float(r) + float(s) is, and the closed form adds
+    # the floats.
+    "consistency-rs-float-sum-1": ("bounds", lambda d: d.update(
+        mode="float", consistency={"theta": 1, "rs": [[
+            "377789318629571784867839/1208925819614629174706176",
+            "831136500985057624719359/1208925819614629174706176"]]}),
+        "consistency.rs"),
+    # A key of another subcommand is unknown.
+    "chain-in-recover": ("recover", lambda d: d.update(chain=True), "chain"),
+    "tolerances-in-check-lemmas": ("check-lemmas", lambda d: d.update(
+        tolerances={"rel": 1e-3}), "tolerances"),
+    "n_max-in-bounds": ("bounds", lambda d: d.update(n_max=8), "n_max"),
+    "chain-in-replay-chain": ("replay-chain",
+                              lambda d: d.update(chain=False), "chain"),
 }
 
 
@@ -295,33 +352,67 @@ def test_bad_document_exits_2_naming_the_key(tmp_path, capsys, name):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_key_of_another_subcommand_exits_2(tmp_path, capsys, command):
+    assert set(KEY_VALUES) == set().union(*COMMAND_KEYS.values())
+    config_path = tmp_path / "config.json"
+    for key in _other_keys(command):
+        doc = {**_valid_documents()[command], key: KEY_VALUES[key]}
+        config_path.write_text(json.dumps(doc))
+        assert cli_main([command, "--config", str(config_path),
+                         "--out-dir", str(tmp_path / "out")]) == 2, key
+        assert f"unknown key {key!r}" in capsys.readouterr().err, key
+
+
 # ---------------------------------------------------------------------------
 # README's documented configs load
 # ---------------------------------------------------------------------------
 
 def _readme_config_examples() -> list:
-    """Every JSON example in README's config schema section, parsed."""
+    """(subcommand, document) of every JSON example in README's config
+    schema section.  The subcommand is that of the list item holding the
+    example, or None for an example outside the list."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
         encoding="utf-8")
     schema = readme[readme.index("### Config schema"):
                     readme.index("## Module map")]
-    docs = []
-    for block in re.findall(r"^( *)```json\n(.*?)^\1```", schema,
-                            re.MULTILINE | re.DOTALL):
-        text = textwrap.dedent(block[1])
-        if text.startswith("{\n"):
-            docs.append(json.loads(text))
-        else:  # one example per line
-            docs.extend(json.loads(line) for line in text.splitlines())
-    return docs
+    examples = []
+    for block in re.finditer(r"^( *)```json\n(.*?)^\1```", schema,
+                             re.MULTILINE | re.DOTALL):
+        items = re.findall(r"^\* `([a-z-]+)`", schema[:block.start()],
+                           re.MULTILINE)
+        command = items[-1] if block.group(1) else None
+        text = textwrap.dedent(block.group(2))
+        docs = [json.loads(text)] if text.startswith("{\n") else [
+            json.loads(line) for line in text.splitlines()]  # one per line
+        examples.extend((command, doc) for doc in docs)
+    return examples
+
+
+def _read(command, doc):
+    if command == "sweep":
+        return SweepSpec.from_json_dict(doc)
+    return ExperimentConfig.from_json_dict(doc, command)
 
 
 def test_readme_config_examples_load():
-    readers = {"kind": atom_from_json, "variant": phi_from_json,
-               "form": SweepSpec.from_json_dict}
+    """Each example loads with its subcommand's reader, and the common
+    fields with every reader but the sweep's.  A subcommand's examples and
+    the common fields show every key it reads."""
     loaded = Counter()
-    for doc in _readme_config_examples():
-        tag = next((key for key in readers if key in doc), "common")
-        readers.get(tag, ExperimentConfig.from_json_dict)(doc)
-        loaded[tag] += 1
-    assert loaded == {"kind": 5, "variant": 3, "common": 1, "form": 1}
+    shown = {command: set() for command in COMMAND_KEYS}
+    for command, doc in _readme_config_examples():
+        tag = next((key for key in ("kind", "variant") if key in doc), None)
+        if command is None and tag:
+            (atom_from_json if tag == "kind" else phi_from_json)(doc)
+            loaded[tag] += 1
+            continue
+        for name in [command] if command else sorted(
+                set(COMMAND_KEYS) - {"sweep"}):
+            _read(name, doc)
+            shown[name] |= set(doc)
+        loaded[command or "common"] += 1
+    assert shown == COMMAND_KEYS
+    assert loaded == {"kind": 5, "variant": 3, "common": 1, "check-lemmas": 1,
+                      "replay-chain": 1, "recover": 1, "bounds": 1,
+                      "sweep": 1}

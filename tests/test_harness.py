@@ -47,7 +47,7 @@ def test_check_lemmas_default_families_all_zero(tmp_path):
     config = ExperimentConfig.from_json_dict(lemma_config(
         models=[], families={"linear": 10, "cubic": 10, "seed": 4,
                              "dims": [[1, 1], [2, 2]]},
-        samples={"random": {"count": 100, "seed": 6}}))
+        samples={"random": {"count": 100, "seed": 6}}), "check-lemmas")
     result = run_check_lemmas(config, tmp_path)
     assert result.ok and result.exit_code == 0
     for entry in result.report["models"]:
@@ -63,7 +63,8 @@ def test_check_lemmas_default_families_all_zero(tmp_path):
 
 def test_check_lemmas_separation(tmp_path):
     result = run_check_lemmas(
-        ExperimentConfig.from_json_dict(lemma_config()), tmp_path)
+        ExperimentConfig.from_json_dict(lemma_config(), "check-lemmas"),
+        tmp_path)
     slope = next(m for m in result.report["models"] if m["label"] == "slope")
     cube = next(m for m in result.report["models"] if m["label"] == "cube")
     # additive model: zero on the additive rule, -48 on the cubic rule at (1,1)
@@ -78,7 +79,7 @@ def test_check_lemmas_separation(tmp_path):
 def test_check_lemmas_even_model_reports_minus_16(tmp_path):
     config = ExperimentConfig.from_json_dict(lemma_config(
         models=[{"label": "square", "dim_in": 1, "dim_out": 1,
-                 "atoms": [EVEN_ATOM]}]))
+                 "atoms": [EVEN_ATOM]}]), "check-lemmas")
     result = run_check_lemmas(config, tmp_path)
     square = result.report["models"][0]
     assert square["explicit_pairs"][0]["residuals"]["mixed"] == ["-16"]
@@ -122,7 +123,8 @@ def test_check_lemmas_evaluates_each_argument_once(tmp_path, monkeypatch):
     pairs = 1 + 25  # one explicit pair, 25 random ones, per model
     for mode, per_pair in (("exact", 19), ("float", 8)):
         calls.clear()
-        config = ExperimentConfig.from_json_dict(lemma_config(mode=mode))
+        config = ExperimentConfig.from_json_dict(lemma_config(mode=mode),
+                                                 "check-lemmas")
         assert run_check_lemmas(config, tmp_path).ok
         assert len(calls) == 2 * pairs * per_pair
 
@@ -148,13 +150,15 @@ def test_exact_check_lemmas_builds_points_only_for_explicit_pairs(
     monkeypatch.setattr(Point, "__post_init__", counted_init)
     monkeypatch.setattr(harness, "_tally_pairs", watched)
     random_only = lemma_config(samples={"random": {"count": 25, "seed": 5}})
-    assert run_check_lemmas(ExperimentConfig.from_json_dict(random_only),
-                            tmp_path).ok
+    assert run_check_lemmas(
+        ExperimentConfig.from_json_dict(random_only, "check-lemmas"),
+        tmp_path).ok
     assert inside == [0, 0]
     # The one explicit pair's 3 rule and 21 chain residuals are reported.
     inside.clear()
-    assert run_check_lemmas(ExperimentConfig.from_json_dict(lemma_config()),
-                            tmp_path).ok
+    assert run_check_lemmas(
+        ExperimentConfig.from_json_dict(lemma_config(), "check-lemmas"),
+        tmp_path).ok
     assert inside == [24, 24]
 
 
@@ -166,7 +170,7 @@ def test_replay_chain_runner(tmp_path):
         "samples": {"random": {"count": 10, "seed": 1}},
         "catalogue_out": "catalogue.json",
         "output_stem": "rep",
-    })
+    }, "replay-chain")
     result = run_replay_chain(config, tmp_path)
     assert result.ok
     identities = result.report["models"][0]["identities"]
@@ -177,7 +181,7 @@ def test_replay_chain_runner(tmp_path):
 
 
 def test_replay_chain_rejects_float_mode(tmp_path):
-    config = ExperimentConfig.from_json_dict({"mode": "float"})
+    config = ExperimentConfig.from_json_dict({"mode": "float"}, "replay-chain")
     with pytest.raises(ConfigError):
         run_replay_chain(config, tmp_path)
 
@@ -203,7 +207,7 @@ def recover_config(**overrides):
 
 
 def test_run_recover_writes_reports(tmp_path):
-    config = ExperimentConfig.from_json_dict(recover_config())
+    config = ExperimentConfig.from_json_dict(recover_config(), "recover")
     result = run_recover(config, tmp_path)
     assert result.ok and result.exit_code == 0
     doc = json.loads((tmp_path / "rec.json").read_text())
@@ -221,7 +225,8 @@ def test_run_recover_writes_reports(tmp_path):
 def test_run_recover_exact_solution_exit_zero(tmp_path):
     config = ExperimentConfig.from_json_dict(recover_config(
         model={"dim_in": 1, "dim_out": 1,
-               "atoms": [{"kind": "linear", "matrix": [["2"]]}, CUBIC_ATOM]}))
+               "atoms": [{"kind": "linear", "matrix": [["2"]]}, CUBIC_ATOM]}),
+        "recover")
     result = run_recover(config, tmp_path)
     assert result.ok
     assert result.report["summary"]["max_error"] <= 1e-12
@@ -232,7 +237,8 @@ def test_run_recover_divergent_series_status(tmp_path):
         model={"dim_in": 1, "dim_out": 1,
                "atoms": [{"kind": "linear", "matrix": [["2"]]}, CUBIC_ATOM,
                          {"kind": "power_noise", "seed": 3,
-                          "amplitude": "1/1000", "exponent": "1"}]}))
+                          "amplitude": "1/1000", "exponent": "1"}]}),
+        "recover")
     result = run_recover(config, tmp_path)
     assert not result.ok
     assert result.status == "divergent-series"
@@ -240,23 +246,41 @@ def test_run_recover_divergent_series_status(tmp_path):
     assert doc["status"] == "divergent-series"
 
 
-def test_cli_recover_huge_noise_exponent_hits_the_overflow_guard(
-        tmp_path, capsys):
-    # phi is given, so certify_phi never sees the exponent; forming 3^(10^10)
-    # in the noise scale used to hang.
-    doc = recover_config(
+def huge_noise_config(exponent: str) -> dict:
+    # phi is given, so certify_phi never sees the exponent.
+    return recover_config(
         mode="exact", phi={"variant": "constant", "value": "1"},
         model={"dim_in": 1, "dim_out": 1,
                "atoms": [{"kind": "power_noise", "seed": 1,
-                          "amplitude": "1/1000", "exponent": "10000000000"}]},
+                          "amplitude": "1/1000", "exponent": exponent}]},
         samples={"points": [["3"]]})
-    config_path = write_config(tmp_path, "huge.json", doc)
+
+
+def test_cli_recover_huge_noise_exponent_hits_the_overflow_guard(
+        tmp_path, capsys):
+    # The exponent is within the load limit, but 3^p would have more than
+    # noise.MAX_POWER_BITS bits; the report keeps the cause.
+    config_path = write_config(tmp_path, "huge.json",
+                               huge_noise_config("2000000"))
     start = time.perf_counter()
     assert cli_main(["recover", "--config", str(config_path),
                      "--out-dir", str(tmp_path / "out")]) == 1
     assert time.perf_counter() - start < 5.0
     report = json.loads((tmp_path / "out" / "rec.json").read_text())
     assert report["status"] == "overflow-guard"
+    assert "noise scale overflow: exponent 2000000" in report["detail"]
+
+
+def test_cli_noise_exponent_above_max_power_bits_exit_2(tmp_path, capsys):
+    # Forming 3^(10^10) used to hang; an integer power above
+    # noise.MAX_POWER_BITS overflows at every x != 0, so it is refused.
+    config_path = write_config(tmp_path, "huge.json",
+                               huge_noise_config("10000000000"))
+    out_dir = tmp_path / "out"
+    assert cli_main(["recover", "--config", str(config_path),
+                     "--out-dir", str(out_dir)]) == 2
+    assert "model.atoms[0].exponent" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_recover_over_zero_points_exit_2(tmp_path, capsys):
@@ -279,7 +303,7 @@ def test_run_recover_samples_at_the_model_dimension(tmp_path):
         model={"dim_in": 2, "dim_out": 2, "atoms": [
             {"kind": "linear", "matrix": [["2", "0"], ["1", "1"]]}]},
         samples={"points": [["1", "2"], ["-1/2", "3"]],
-                 "random": {"count": 3, "seed": 1}}))
+                 "random": {"count": 3, "seed": 1}}), "recover")
     result = run_recover(config, tmp_path)
     assert result.ok
     assert result.report["summary"]["count"] == 5
@@ -287,7 +311,7 @@ def test_run_recover_samples_at_the_model_dimension(tmp_path):
 
 
 def test_run_recover_requires_model(tmp_path):
-    config = ExperimentConfig.from_json_dict({"mode": "float"})
+    config = ExperimentConfig.from_json_dict({"mode": "float"}, "recover")
     with pytest.raises(ConfigError):
         run_recover(config, tmp_path)
 
@@ -315,7 +339,7 @@ BOUNDS_DOC = {
 
 
 def test_run_bounds_items_and_consistency(tmp_path):
-    config = ExperimentConfig.from_json_dict(BOUNDS_DOC)
+    config = ExperimentConfig.from_json_dict(BOUNDS_DOC, "bounds")
     result = run_bounds(config, tmp_path)
     assert result.ok
     items = result.report["items"]
@@ -337,7 +361,7 @@ def test_run_bounds_component_kind_with_auto_direction(tmp_path):
              "x": ["1"], "l": "auto"},  # and l=-1 for the cubic side
         ],
         "output_stem": "bnd",
-    })
+    }, "bounds")
     result = run_bounds(config, tmp_path)
     assert result.ok
     additive_item, cubic_item = result.report["items"]
@@ -355,7 +379,7 @@ def test_run_bounds_expectation_failure(tmp_path):
                             "power": "1"},
                     "x": ["1"], "l": -1}],  # diverges but expected converged
         "output_stem": "bnd",
-    })
+    }, "bounds")
     result = run_bounds(config, tmp_path)
     assert not result.ok and result.exit_code == 1
 
