@@ -21,7 +21,6 @@ from .models import (
     model_1d, norm, phi_value, point, random_cubic, random_linear,
     random_point, random_rational, solution_1d, zero_point,
 )
-from .noise import noise_eval
 from .residuals import (
     ABS_COEFFICIENT_SUM, CHAIN_CATALOGUE, ChainIdentity, ResidualVector,
     additive_residual, catalogue_as_json_dict, catalogue_from_json_dict,

@@ -599,9 +599,11 @@ class SweepSpec:
         cells = spec.cells()
         axis = "p" if spec.form == "sum" else "rs"
         if not spec.allow_divergent:
-            _reject_excluded([cell["p"] for cell in cells], axis,
-                             "; set allow_divergent to demonstrate the "
-                             "divergence instead")
+            exponents = [cell["p"] for cell in cells]
+            if spec.form == "product":  # the closed form adds r, s as floats
+                exponents += [float(r) + float(s) for r, s in spec.rs_pairs]
+            _reject_excluded(exponents, axis, "; set allow_divergent to "
+                             "demonstrate the divergence instead")
         if not cells:
             raise ConfigError(f"the sweep grid is empty: {axis}, theta, "
                               "epsilon and l_mode each need a value")

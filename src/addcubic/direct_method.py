@@ -17,10 +17,11 @@ is certified by the bound series in :mod:`addcubic.bounds`.
 
 Both iterates and the residual of one point read f on the same dyadic
 orbit x * 2^k.  :func:`recover` gives each point one :class:`OrbitTable`,
-which evaluates f(y) and f(-y) once per argument y, forms the odd part
-once and guards it once.  With ``n_max = N`` and no early stop a point
-costs 2(N + 2) model evaluations when both directions agree and 4N + 4
-when they differ.  :func:`odd_part`, :func:`h_transform` and
+which makes one mirrored model call per argument y for the pair f(y) and
+f(-y), forms the odd part once and guards it once.  With ``n_max = N``
+and no early stop a point costs N + 2 model calls when both directions
+agree and 2N + 2 when they differ; a callable that is not a model is
+called twice per argument.  :func:`odd_part`, :func:`h_transform` and
 :func:`g_transform` read the same table at x, so it is the one
 implementation of (f(y) - f(-y)) / 2 and of f(2y) - s f(y).
 
@@ -29,7 +30,7 @@ x * 2^k is (u << k, L) or (u, L << -k), and each value is integer
 numerators over one denominator, so a step w^(l n) * (hi - s * lo) is a
 shift and at most one gcd.  The model is called through its integer
 entry, norms divide int by int, which rounds as ``float(Fraction)`` does,
-and ``Fraction``s are built only for the one point each step records.
+and a trace builds a step's ``Fraction`` point only when it is read.
 Float mode reads the arguments x * 2^-(l n) and their doubles exactly as
 computed, so results hold bit for bit even where x * 2^k is subnormal.
 
@@ -43,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
@@ -87,9 +89,6 @@ class OrbitTable:
             self._u = tuple(u)
         self._entries: dict = {}
 
-    def _evaluate(self, coords, den):
-        return evaluate(self.func, coords, self.x.mode, self.x.norm_kind, den)
-
     def _entry(self, key) -> tuple:
         """(f(y), table value) at the argument y the key stands for."""
         entry = self._entries.get(key)
@@ -99,9 +98,10 @@ class OrbitTable:
                 coords, den = ((tuple(c << key for c in self._u), self._den)
                                if key >= 0 else (self._u, self._den << -key))
             try:
-                raw = value = self._evaluate(coords, den)
-                if self.odd:
-                    minus = self._evaluate(tuple(-c for c in coords), den)
+                raw = value = evaluate(self.func, coords, self.x.mode,
+                                       self.x.norm_kind, den, self.odd)
+                if self.odd:  # the pair (f(y), f(-y))
+                    raw, minus = value
                     value = self._combination(raw, minus, 1, -1)
             except OverflowError as exc:
                 raise OverflowGuardError(
@@ -192,18 +192,23 @@ class IterationTrace:
 
     direction: int
     weight: int
-    values: list[Point] = field(default_factory=list)
+    to_point: Callable[[object], Point] = field(repr=False, compare=False)
+    steps: list = field(default_factory=list)  # turned into points on read
     cauchy_gaps: list[float] = field(default_factory=list)
     converged: bool = False
     converged_at: int | None = None
 
-    @property
+    @cached_property
     def final(self) -> Point:
-        return self.values[-1]
+        return self.to_point(self.steps[-1])
+
+    @cached_property
+    def values(self) -> list[Point]:
+        return [*map(self.to_point, self.steps[:-1]), self.final]
 
     @property
     def n_steps(self) -> int:
-        return len(self.values) - 1
+        return len(self.steps) - 1
 
 
 def _iterate(f, x: Point, l: int, weight: int, n_steps: int,
@@ -217,7 +222,7 @@ def _iterate(f, x: Point, l: int, weight: int, n_steps: int,
         raise ValueError("orbit table belongs to another point")
     subtract = 8 if weight == 2 else 2
     bits = weight.bit_length() - 1
-    trace = IterationTrace(direction=l, weight=weight)
+    trace = IterationTrace(direction=l, weight=weight, to_point=f.point)
     streak = 0
     for n in range(n_steps + 1):
         try:
@@ -226,7 +231,7 @@ def _iterate(f, x: Point, l: int, weight: int, n_steps: int,
             raise OverflowGuardError(
                 f"iterate step {n} overflowed float range") from exc
         magnitude = f.magnitude(value)
-        trace.values.append(f.point(value))
+        trace.steps.append(value)
         if n == 0:
             previous = value
             continue

@@ -324,10 +324,12 @@ class BoundedNoise:
         object.__setattr__(self, "amplitude", Fraction(self.amplitude))
         if self.amplitude < 0:
             raise ValueError("noise amplitude must be nonnegative")
+        object.__setattr__(self, "_amplitude", self.amplitude.as_integer_ratio())
 
-    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
-        return noise_mod.sample(self.seed, coords, self.amplitude, 0, dim_out,
-                                mode, den)
+    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1,
+                 mirror: bool = False):
+        return noise_mod.sample(self.seed, coords, self._amplitude, (0, 1),
+                                dim_out, mode, den, mirror)
 
 
 @dataclass(frozen=True)
@@ -345,14 +347,35 @@ class PowerNoise:
             raise ValueError("noise amplitude must be nonnegative")
         if self.exponent < 0:
             raise ValueError("noise exponent must be nonnegative")
+        object.__setattr__(self, "_amplitude", self.amplitude.as_integer_ratio())
+        object.__setattr__(self, "_exponent", self.exponent.as_integer_ratio())
 
-    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
-        return noise_mod.sample(self.seed, coords, self.amplitude,
-                                self.exponent, dim_out, mode, den)
+    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1,
+                 mirror: bool = False):
+        return noise_mod.sample(self.seed, coords, self._amplitude,
+                                self._exponent, dim_out, mode, den, mirror)
 
 
 Atom = Union[Linear, CubicHomogeneous, Even, BoundedNoise, PowerNoise]
 NOISE_ATOMS = (BoundedNoise, PowerNoise)
+
+
+def _add_floats(a, b):
+    return [t + v for t, v in zip(a, b)]
+
+
+def _mirrored(atom, coords, mode: str, dim_out: int, den: int):
+    """(atom(y), atom(-y)).  An odd atom's float sum starts at 0.0, so it is
+    never -0.0, and 0.0 - v is its value at -y bit for bit, zeros included.
+    """
+    if isinstance(atom, NOISE_ATOMS):
+        return atom.evaluate(coords, mode, dim_out, den, mirror=True)
+    value = atom.evaluate(coords, mode, dim_out, den)
+    if isinstance(atom, Even):
+        return value, value
+    if mode == EXACT:
+        return value, ([-n for n in value[0]], value[1])
+    return value, [0.0 - v for v in value]
 
 
 # ---------------------------------------------------------------------------
@@ -377,34 +400,41 @@ class FuncModel:
                     f"atom {type(atom).__name__} is {d}->{m}, "
                     f"model is {self.dim_in}->{self.dim_out}")
 
-    def evaluate_coords(self, coords, mode: str, *, den: int | None = None):
+    def evaluate_coords(self, coords, mode: str, *, den: int | None = None,
+                        mirror: bool = False):
         """Atom-sum evaluation on raw coordinates; see :func:`evaluate`.
 
         Exact mode sums the atoms' integer numerators.  With ``den`` the
         coordinates are integer numerators over ``den`` and the result is
         (integer numerators, denominator), unreduced; without it they are
         rationals and one normalized ``Fraction`` is returned per output
-        coordinate.
+        coordinate.  With ``mirror`` it is (f(y), f(-y)) from one atom pass.
         """
         if len(coords) != self.dim_in:
             raise DimensionMismatchError(
                 f"got {len(coords)} coordinates, model domain is {self.dim_in}")
-        if mode != EXACT:
-            values = [0.0] * self.dim_out if not self.atoms else None
-            for atom in self.atoms:
-                atom_values = atom.evaluate(coords, mode, self.dim_out)
-                values = atom_values if values is None \
-                    else [t + v for t, v in zip(values, atom_values)]
-            return values
-        ints, ints_den = integer_ratio(coords) if den is None else (coords, den)
-        total = ([0] * self.dim_out, ints_den) if not self.atoms else None
+        exact, ints_den = mode == EXACT, den or 1
+        if exact and den is None:
+            coords, ints_den = integer_ratio(coords)
+        add = add_ratios if exact else _add_floats
+        total = minus = None
         for atom in self.atoms:
-            value = atom.evaluate(ints, mode, self.dim_out, ints_den)
-            total = value if total is None else add_ratios(total, value)
-        if den is not None:
-            return total
-        nums, total_den = total
-        return [Fraction(n, total_den) for n in nums]
+            if mirror:
+                value, value_minus = _mirrored(atom, coords, mode,
+                                               self.dim_out, ints_den)
+                minus = value_minus if minus is None \
+                    else add(minus, value_minus)
+            else:
+                value = atom.evaluate(coords, mode, self.dim_out, ints_den)
+            total = value if total is None else add(total, value)
+        if total is None:
+            total = minus = ([0] * self.dim_out, ints_den) if exact \
+                else [0.0] * self.dim_out
+        if exact and den is None:
+            total = [Fraction(n, total[1]) for n in total[0]]
+            if mirror:
+                minus = [Fraction(n, minus[1]) for n in minus[0]]
+        return (total, minus) if mirror else total
 
     def __call__(self, x: Point) -> Point:
         if x.dim != self.dim_in:
@@ -436,16 +466,20 @@ class FuncModel:
 
 
 def evaluate(f: Callable[[Point], Point], coords, mode: str, norm_kind: str,
-             den: int | None = None):
+             den: int | None = None, mirror: bool = False):
     """f at ``coords``: the one place that knows how to evaluate a function.
 
     A :class:`FuncModel` sums its atoms on the raw coordinates; any other
     callable gets a :class:`Point`.  With ``den`` the coordinates are
     integer numerators over ``den`` and the result is (integer numerators,
     denominator); without it the result is one value per output coordinate.
+    With ``mirror`` it is the pair of values at ``coords`` and ``-coords``.
     """
     if isinstance(f, FuncModel):
-        return f.evaluate_coords(coords, mode, den=den)
+        return f.evaluate_coords(coords, mode, den=den, mirror=mirror)
+    if mirror:
+        return tuple(evaluate(f, c, mode, norm_kind, den)
+                     for c in (coords, tuple(-c for c in coords)))
     if den is not None:
         coords = [Fraction(c, den) for c in coords]
     values = f(Point(tuple(coords), norm_kind)).coords

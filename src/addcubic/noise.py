@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from fractions import Fraction
 
 from .scalars import EXACT, integer_ratio
 
@@ -43,7 +42,7 @@ MAX_POWER_BITS = 1 << 21
 
 # Pad applied when amplitude * b^p must be computed through float pow
 # (non-integer exponents); float pow errs by ~1 ulp, the pad is 2^-30.
-_POWER_SAFETY = Fraction((1 << 30) - 1, 1 << 30)
+_POWER_SAFETY = ((1 << 30) - 1, 1 << 30)
 
 
 def _direction_component(seed: int, snapped: str, index: int) -> int:
@@ -55,38 +54,41 @@ def _direction_component(seed: int, snapped: str, index: int) -> int:
     return raw % span - (1 << VALUE_BITS)
 
 
-def _scale(ints, den: int, amplitude: Fraction,
-           exponent: Fraction) -> tuple[int, int]:
+def _scale(ints, den: int, amplitude: tuple[int, int],
+           exponent: tuple[int, int]) -> tuple[int, int]:
     """Certified s = num / den' <= amplitude * ||x||^p at x = ints / den."""
-    if amplitude == 0:
+    (a_num, a_den), (p_num, p_den) = amplitude, exponent
+    if a_num == 0:
         return 0, 1
-    if exponent == 0:
-        return amplitude.numerator, amplitude.denominator
+    if p_num == 0:
+        return a_num, a_den
     base = max(abs(u) for u in ints)  # max_i |x_i| = base / den
     if base == 0:
         return 0, 1
-    if exponent.denominator == 1:
-        p = exponent.numerator
-        if p * max(base.bit_length(), den.bit_length()) > MAX_POWER_BITS:
+    if p_den == 1:
+        if p_num * max(base.bit_length(), den.bit_length()) > MAX_POWER_BITS:
             raise OverflowError(
-                f"noise scale overflow: exponent {p} would form a power of "
-                f"more than {MAX_POWER_BITS} bits")
-        return amplitude.numerator * base ** p, amplitude.denominator * den ** p
-    powered = (base / den) ** float(exponent)
+                f"noise scale overflow: exponent {p_num} would form a power "
+                f"of more than {MAX_POWER_BITS} bits")
+        return a_num * base ** p_num, a_den * den ** p_num
+    powered = (base / den) ** (p_num / p_den)
     if not math.isfinite(powered):
         raise OverflowError("noise scale overflow: |x|^p is not finite")
-    p_num, p_den = powered.as_integer_ratio()
-    return (amplitude.numerator * p_num * _POWER_SAFETY.numerator,
-            amplitude.denominator * p_den * _POWER_SAFETY.denominator)
+    f_num, f_den = powered.as_integer_ratio()
+    return (a_num * f_num * _POWER_SAFETY[0],
+            a_den * f_den * _POWER_SAFETY[1])
 
 
-def sample(seed: int, coords, amplitude: Fraction, exponent: Fraction,
-           dim_out: int, mode: str, den: int = 1):
+def sample(seed: int, coords, amplitude: tuple[int, int],
+           exponent: tuple[int, int], dim_out: int, mode: str, den: int = 1,
+           mirror: bool = False):
     """Noise output coordinates at the given input coordinates.
 
+    ``amplitude`` and ``exponent`` are integer ratios in lowest terms.
     Float mode takes float coordinates and returns one float per output
     coordinate.  Exact mode takes integer numerators ``coords`` over
-    ``den`` and returns ``(numerators, denominator)``.  The envelope
+    ``den`` and returns ``(numerators, denominator)``.  ``mirror`` gives the
+    values at x and at -x, which share one scale.  The envelope
     ||output|| <= amplitude * (max_i |x_i|)^exponent
     <= amplitude * ||x||^exponent is guaranteed exactly.
     """
@@ -95,22 +97,13 @@ def sample(seed: int, coords, amplitude: Fraction, exponent: Fraction,
         coords, den = integer_ratio(coords)
     scale_num, scale_den = _scale(coords, den, amplitude, exponent)
     if scale_num == 0:
-        return ([0] * dim_out, 1) if exact else [0.0] * dim_out
-    snapped = ",".join(str((u << QUANT_BITS) // den) for u in coords)
+        zero = ([0] * dim_out, 1) if exact else [0.0] * dim_out
+        return (zero, zero) if mirror else zero
     out_den = scale_den * dim_out << VALUE_BITS  # damping 1/m, grid 2^-20
-    nums = [scale_num * _direction_component(seed, snapped, j)
-            for j in range(dim_out)]
-    return (nums, out_den) if exact else [n / out_den for n in nums]
-
-
-def noise_eval(seed: int, x, amplitude, exponent=0, dim_out: int | None = None):
-    """Standalone noise evaluation at a point; see module docstring.
-
-    ``amplitude`` must be >= 0; ``exponent`` >= 0 (0 gives the bounded case,
-    where the output norm never exceeds the amplitude).  With exponent > 0
-    the output at x = 0 is 0.
-    """
-    from .models import FuncModel, PowerNoise  # local import to avoid a cycle
-
-    m = x.dim if dim_out is None else dim_out
-    return FuncModel(x.dim, m, (PowerNoise(seed, amplitude, exponent),))(x)
+    out = []
+    for ints in (coords, [-u for u in coords]) if mirror else (coords,):
+        snapped = ",".join(str((u << QUANT_BITS) // den) for u in ints)
+        nums = [scale_num * _direction_component(seed, snapped, j)
+                for j in range(dim_out)]
+        out.append((nums, out_den) if exact else [n / out_den for n in nums])
+    return tuple(out) if mirror else out[0]

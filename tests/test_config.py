@@ -329,6 +329,11 @@ BAD_DOCUMENTS = {
             "377789318629571784867839/1208925819614629174706176",
             "831136500985057624719359/1208925819614629174706176"]]}),
         "consistency.rs"),
+    # The same pair in a product-form sweep: its cell would diverge.
+    "sweep-rs-float-sum-1": ("sweep", lambda d: d.update(
+        form="product", epsilon=["0"], rs=[[
+            "377789318629571784867839/1208925819614629174706176",
+            "831136500985057624719359/1208925819614629174706176"]]), "rs"),
     # A key of another subcommand is unknown.
     "chain-in-recover": ("recover", lambda d: d.update(chain=True), "chain"),
     "tolerances-in-check-lemmas": ("check-lemmas", lambda d: d.update(

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -218,11 +219,20 @@ def test_trace_structure_invariants():
     fo = odd_part(noisy_solution())
     x = point([1], mode="float")
     tol_abs, tol_rel = 1e-12, 1e-10
-    for l, n in ((-1, 30), (1, 12)):
+    for (l, n), final_first in itertools.product(((-1, 30), (1, 12)),
+                                                 (True, False)):
         trace = additive_iterate(fo, x, l, n, tol_abs, tol_rel)
+        # Points are built when read, each once; final is the last value
+        # whichever is read first.
+        built = []
+        to_point = trace.to_point
+        trace.to_point = lambda v: built.append(v) or to_point(v)
+        first = trace.final if final_first else trace.values[-1]
+        assert len(built) == (1 if final_first else len(trace.steps))
+        assert trace.final is trace.values[-1] is first
+        assert len(built) == len(trace.steps) == trace.n_steps + 1
         assert len(trace.values) == trace.n_steps + 1
         assert len(trace.cauchy_gaps) == trace.n_steps
-        assert trace.final is trace.values[-1]
         if trace.converged:
             threshold = max(tol_abs, tol_rel * norm(trace.final))
             assert trace.cauchy_gaps[-1] <= threshold
@@ -510,20 +520,22 @@ def _orbit_model(d):
                             BoundedNoise(7, EPS)))
 
 
-def _assert_each_orbit_argument_once(f, calls, x):
+def _assert_each_orbit_argument_once(f, calls, x, calls_per_argument):
+    # N + 2 orbit arguments when both directions agree, 2N + 2 when not.
     n = 12
-    for directions, count in (((-1, -1), 2 * (n + 2)), ((1, -1), 4 * n + 4)):
+    for directions, arguments in (((-1, -1), n + 2), ((1, -1), 2 * n + 2)):
         calls.clear()
         recover(f, [x], DIRECTION_PHI[directions], *directions, n_max=n,
                 stop_early=False)
-        assert len(calls) == count == len(set(calls))
+        assert len(calls) == calls_per_argument * arguments == len(set(calls))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("coords", [["3/4"], ["-5/2", "1/3"]])
 def test_recover_evaluates_each_orbit_argument_once(mode, coords):
+    # A plain callable is called at y and at -y.
     f = _Counted(_orbit_model(len(coords)))
-    _assert_each_orbit_argument_once(f, f.calls, point(coords, mode))
+    _assert_each_orbit_argument_once(f, f.calls, point(coords, mode), 2)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -531,17 +543,19 @@ def test_recover_evaluates_each_orbit_argument_once(mode, coords):
 def test_recover_counts_hold_at_the_model_entry(monkeypatch, mode, coords):
     # Counted at the model's one evaluation entry, so a kernel that
     # evaluated around a wrapper could not hide evaluations.
+    # One mirrored call per argument gives f(y) and f(-y).
     calls = []
     evaluate = FuncModel.evaluate_coords
 
     def counted(model, values, eval_mode, **kwargs):
+        assert kwargs["mirror"]
         # Exact orbit points x * 2^-k share numerators and differ in den.
         calls.append((values, kwargs.get("den")))
         return evaluate(model, values, eval_mode, **kwargs)
 
     monkeypatch.setattr(FuncModel, "evaluate_coords", counted)
     _assert_each_orbit_argument_once(_orbit_model(len(coords)), calls,
-                                     point(coords, mode))
+                                     point(coords, mode), 1)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

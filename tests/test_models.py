@@ -13,8 +13,8 @@ from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
                       model_1d, noise, norm, odd_part, phi_value, point,
                       random_cubic, random_linear, random_point,
                       random_rational, zero_point)
-from addcubic.models import phi_degree
-from addcubic.noise import noise_eval
+from addcubic.models import NORM_KINDS, evaluate, phi_degree
+from addcubic.scalars import integer_ratio
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
 
@@ -215,6 +215,11 @@ def test_odd_part_is_odd_and_zero_at_origin(seed, v):
 # Noise
 # ---------------------------------------------------------------------------
 
+def noise_eval(seed, x, amplitude, exponent=0):
+    """One power-noise atom evaluated at the point x, as a d -> d model."""
+    return FuncModel(x.dim, x.dim, (PowerNoise(seed, amplitude, exponent),))(x)
+
+
 def test_noise_zero_amplitude():
     x = point([Fraction(5, 3), Fraction(-1)])
     assert noise_eval(3, x, 0).is_zero
@@ -275,9 +280,37 @@ def test_noise_refuses_a_power_too_large_to_form():
     # The limit is on p times the bit length of the base or denominator;
     # x = 1 has one bit.
     bits = noise.MAX_POWER_BITS
-    noise.sample(1, [1], Fraction(1), Fraction(bits), 1, "exact")
+    noise.sample(1, [1], (1, 1), (bits, 1), 1, "exact")
     with pytest.raises(OverflowError):
-        noise.sample(1, [1], Fraction(1), Fraction(bits + 1), 1, "exact")
+        noise.sample(1, [1], (1, 1), (bits + 1, 1), 1, "exact")
+
+
+@pytest.mark.parametrize("amplitude, exponent, ints, den", [
+    (Fraction(0), Fraction(3), [5], 2),
+    (Fraction(0), Fraction(1, 2), [5], 2),
+    (Fraction(3, 7), Fraction(0), [5, -9], 4),
+    (Fraction(3, 7), Fraction(0), [0, 0], 1),
+    (Fraction(3, 7), Fraction(3), [5, -9], 4),
+    (Fraction(1, 1000), Fraction(1), [0, 0], 1),
+    (Fraction(5), Fraction(2), [-1], 3 << 60),
+    (Fraction(3, 7), Fraction(5, 2), [5, -9], 4),
+    (Fraction(2), Fraction(1, 3), [1], 3 << 60),
+    (Fraction(1, 1000), Fraction(7, 3), [2 ** 80 + 1, 3], 1 << 1074),
+])
+def test_integer_scale_matches_the_fraction_formula(amplitude, exponent,
+                                                    ints, den):
+    # The formula as it read on Fractions: amplitude * b^p, b = max |x_i|,
+    # with b^p through float pow, padded by (2^30 - 1) / 2^30, for a
+    # fractional p.
+    base = Fraction(max(abs(u) for u in ints), den)
+    if amplitude == 0 or exponent == 0 or exponent.denominator == 1:
+        expected = amplitude * base ** exponent.numerator
+    else:
+        expected = (amplitude * Fraction(float(base) ** float(exponent))
+                    * Fraction((1 << 30) - 1, 1 << 30))
+    scale = noise._scale(ints, den, amplitude.as_integer_ratio(),
+                         exponent.as_integer_ratio())
+    assert Fraction(*scale) == expected
 
 
 def test_noise_atoms_in_models():
@@ -359,6 +392,74 @@ def test_atoms_read_unreduced_integer_arguments(ints, den):
         nums, out_den = atom.evaluate(ints, "exact", 2, den)
         assert [Fraction(n, out_den) for n in nums] \
             == oracles.atom_sum([spec], x, 2)
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+# Floats whose cubes stay finite, subnormals (multiples of 2^-1074) and
+# both signed zeros.
+_FLOAT_COORDINATE = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.integers(-2 ** 52, 2 ** 52).map(lambda n: n * 5e-324),
+    st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mirrored_entry_matches_two_calls(data):
+    d = data.draw(st.integers(1, 3), label="dim_in")
+    m = data.draw(st.integers(1, 3), label="dim_out")
+    rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
+    kinds = data.draw(st.lists(st.sampled_from(ATOM_KINDS), max_size=6),
+                      label="atoms")
+    f = FuncModel(d, m, tuple(_kernel_atom(kind, rng, d, m)[0]
+                              for kind in kinds))
+    norm_kind = data.draw(st.sampled_from(NORM_KINDS), label="norm")
+    x = data.draw(st.one_of(st.just([0.0] * d), st.lists(
+        _FLOAT_COORDINATE, min_size=d, max_size=d)), label="x")
+    # Float mode: bit for bit, signed zeros included.
+    plus, minus = evaluate(f, x, "float", norm_kind, mirror=True)
+    assert _hex(plus) == _hex(f.evaluate_coords(x, "float"))
+    assert _hex(minus) == _hex(f.evaluate_coords([-c for c in x], "float"))
+    # Exact mode: on rationals, and on integers over an unreduced
+    # denominator.
+    exact_x = [Fraction(c) for c in x]
+    assert list(evaluate(f, exact_x, "exact", norm_kind, mirror=True)) == [
+        f.evaluate_coords(exact_x, "exact"),
+        f.evaluate_coords([-c for c in exact_x], "exact")]
+    ints, den = integer_ratio(exact_x)
+    factor = data.draw(st.integers(1, 12), label="unreduced")
+    ints, den = [u * factor for u in ints], den * factor
+    pair = evaluate(f, ints, "exact", norm_kind, den, mirror=True)
+    separate = (f.evaluate_coords(ints, "exact", den=den),
+                f.evaluate_coords([-u for u in ints], "exact", den=den))
+    assert [[Fraction(n, out_den) for n in nums] for nums, out_den in pair] \
+        == [[Fraction(n, out_den) for n in nums]
+            for nums, out_den in separate]
+
+
+@pytest.mark.parametrize("norm_kind", NORM_KINDS)
+def test_mirrored_entry_calls_a_plain_callable_twice(norm_kind):
+    model = model_1d(linear_1d(2), cubic_1d(1), BoundedNoise(3, 1))
+    calls = []
+
+    def f(p):
+        calls.append(p)
+        return model(p)
+
+    assert evaluate(f, (0.75,), "float", norm_kind, mirror=True) == (
+        model(point([0.75], "float")).coords,
+        model(point([-0.75], "float")).coords)
+    plus, minus = evaluate(f, (3,), "exact", norm_kind, 4, mirror=True)
+    assert [p.coords for p in calls] == [(0.75,), (-0.75,),
+                                         (Fraction(3, 4),), (Fraction(-3, 4),)]
+    assert all(p.norm_kind == norm_kind for p in calls)
+    assert [Fraction(n, plus[1]) for n in plus[0]] \
+        == list(model(point(["3/4"])).coords)
+    assert [Fraction(n, minus[1]) for n in minus[0]] \
+        == list(model(point(["-3/4"])).coords)
 
 
 # ---------------------------------------------------------------------------
