@@ -17,13 +17,12 @@ is certified by the bound series in :mod:`addcubic.bounds`.
 
 Both iterates and the residual of one point read f on the same dyadic
 orbit x * 2^k.  :func:`recover` gives each point one :class:`OrbitTable`,
-which makes one mirrored model call per argument y for the pair f(y) and
-f(-y), forms the odd part once and guards it once.  With ``n_max = N``
-and no early stop a point costs N + 2 model calls when both directions
-agree and 2N + 2 when they differ; a callable that is not a model is
-called twice per argument.  :func:`odd_part`, :func:`h_transform` and
-:func:`g_transform` read the same table at x, so it is the one
-implementation of (f(y) - f(-y)) / 2 and of f(2y) - s f(y).
+which makes one model call per argument y for f(y) and the odd part
+(f(y) - f(-y)) / 2 (``models.evaluate(..., odd=True)``) and guards it
+once.  With ``n_max = N`` and no early stop a point costs N + 2 model
+calls when both directions agree and 2N + 2 when they differ; a callable
+that is not a model is called twice per argument.  :func:`odd_part`,
+:func:`h_transform` and :func:`g_transform` read the same table at x.
 
 Exact mode runs in integers: x is u over one denominator L, the argument
 x * 2^k is (u << k, L) or (u, L << -k), and each value is integer
@@ -100,9 +99,8 @@ class OrbitTable:
             try:
                 raw = value = evaluate(self.func, coords, self.x.mode,
                                        self.x.norm_kind, den, self.odd)
-                if self.odd:  # the pair (f(y), f(-y))
-                    raw, minus = value
-                    value = self._combination(raw, minus, 1, -1)
+                if self.odd:
+                    raw, value = value
             except OverflowError as exc:
                 raise OverflowGuardError(
                     f"evaluation overflowed float range: {exc}") from exc

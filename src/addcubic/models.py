@@ -13,12 +13,12 @@ the Euclidean or the max norm.  A function model is a sum of atoms:
 
 All coefficients are stored as exact rationals; evaluation happens in the
 mode of the input point (exact or float).  Exact evaluation is one integer
-kernel: the argument is integer numerators over one denominator, each atom
-returns integer numerators over one denominator, and the model adds them.
-Callers holding integers pass ``den`` and get integers back; others get one
-``Fraction`` per output coordinate.  Every value is immutable after
-construction and evaluation is pure, so everything here is safe to share
-across threads without synchronization.
+kernel: a model folds its polynomial atoms into one integer table, reads
+it at integer numerators over one denominator and adds the noise atoms'
+numerators.  The odd part (f(y) - f(-y)) / 2 that the direct method reads
+comes from the same pass.  Callers holding integers pass ``den`` and get
+integers back; others get one ``Fraction`` per output coordinate.  Every
+value is immutable and evaluation is pure, so it is thread-safe.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence, Union
 
 from . import noise as noise_mod
@@ -140,24 +140,13 @@ def coords_norm(coords: Sequence, norm_kind: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Model atoms.  ``evaluate(coords, mode, dim_out, den=1)`` returns floats in
-# float mode; in exact mode ``coords`` are integers over ``den`` and the
-# result is (integer numerators, denominator).
+# Model atoms.  A polynomial atom's ``evaluate(coords)`` returns floats; a
+# model reads exact values from its folded table.  Noise atoms take
+# ``(coords, mode, dim_out, den=1)``, in exact mode integers over ``den``.
 # ---------------------------------------------------------------------------
 
 def _rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
-def _coefficient_tables(coefficients, build):
-    """An atom's (float table, (integer table, L)) from its coefficients.
-
-    ``build`` lays out a table from an iterator over the coefficients, in
-    order; it is given the floats, then the integer numerators over the one
-    denominator L they share.
-    """
-    ints, den = integer_ratio(coefficients)
-    return build(map(float, coefficients)), (build(iter(ints)), den)
 
 
 @dataclass(frozen=True)
@@ -181,25 +170,18 @@ class Linear:
         return len(self.matrix)
 
     @cached_property
-    def _tables(self):
-        return _coefficient_tables(
-            [v for row in self.matrix for v in row],
-            lambda it: tuple(tuple(next(it) for _ in row)
-                             for row in self.matrix))
+    def _floats(self):
+        return tuple(tuple(map(float, row)) for row in self.matrix)
 
-    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
-        exact = mode == EXACT
-        floats, (ints, row_den) = self._tables
-        rows = ints if exact else floats
-        zero = 0 if exact else 0.0
+    def evaluate(self, coords):
         out = []
-        for row in rows:
-            acc = zero
+        for row in self._floats:
+            acc = 0.0
             for m, c in zip(row, coords):
                 if m:
                     acc += m * c
             out.append(acc)
-        return (out, row_den * den) if exact else out
+        return out
 
 
 Monomial = tuple[int, int, int]  # sorted coordinate indices i <= j <= k
@@ -241,30 +223,18 @@ class CubicHomogeneous:
         return self.dims[1]
 
     @cached_property
-    def _tables(self):
-        return _coefficient_tables(
-            [c for rows in self.terms for _, c in rows],
-            lambda it: tuple(tuple((mono, next(it)) for mono, _ in rows)
-                             for rows in self.terms))
+    def _floats(self):
+        return tuple(tuple((mono, float(c)) for mono, c in rows)
+                     for rows in self.terms)
 
-    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
-        exact = mode == EXACT
-        floats, (ints, table_den) = self._tables
-        table = ints if exact else floats
-        zero = 0 if exact else 0.0
-        products: dict[Monomial, object] = {}
+    def evaluate(self, coords):
         out = []
-        for rows in table:
-            acc = zero
-            for mono, c in rows:
-                v = products.get(mono)
-                if v is None:
-                    i, j, k = mono
-                    v = coords[i] * coords[j] * coords[k]
-                    products[mono] = v
-                acc += c * v
+        for rows in self._floats:
+            acc = 0.0
+            for (i, j, k), c in rows:
+                acc += c * (coords[i] * coords[j] * coords[k])
             out.append(acc)
-        return (out, table_den * den ** 3) if exact else out
+        return out
 
 
 @dataclass(frozen=True)
@@ -291,26 +261,20 @@ class Even:
         return len(self.matrices)
 
     @cached_property
-    def _tables(self):
-        return _coefficient_tables(
-            [v for q in self.matrices for row in q for v in row],
-            lambda it: tuple(tuple(tuple(next(it) for _ in row) for row in q)
-                             for q in self.matrices))
+    def _floats(self):
+        return tuple(tuple(tuple(map(float, row)) for row in q)
+                     for q in self.matrices)
 
-    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1):
-        exact = mode == EXACT
-        floats, (ints, form_den) = self._tables
-        forms = ints if exact else floats
-        zero = 0 if exact else 0.0
+    def evaluate(self, coords):
         out = []
-        for q in forms:
-            acc = zero
+        for q in self._floats:
+            acc = 0.0
             for row, ci in zip(q, coords):
                 for v, cj in zip(row, coords):
                     if v:
                         acc += v * ci * cj
             out.append(acc)
-        return (out, form_den * den * den) if exact else out
+        return out
 
 
 @dataclass(frozen=True)
@@ -327,9 +291,9 @@ class BoundedNoise:
         object.__setattr__(self, "_amplitude", self.amplitude.as_integer_ratio())
 
     def evaluate(self, coords, mode: str, dim_out: int, den: int = 1,
-                 mirror: bool = False):
+                 odd: bool = False):
         return noise_mod.sample(self.seed, coords, self._amplitude, (0, 1),
-                                dim_out, mode, den, mirror)
+                                dim_out, mode, den, odd)
 
 
 @dataclass(frozen=True)
@@ -351,9 +315,9 @@ class PowerNoise:
         object.__setattr__(self, "_exponent", self.exponent.as_integer_ratio())
 
     def evaluate(self, coords, mode: str, dim_out: int, den: int = 1,
-                 mirror: bool = False):
+                 odd: bool = False):
         return noise_mod.sample(self.seed, coords, self._amplitude,
-                                self._exponent, dim_out, mode, den, mirror)
+                                self._exponent, dim_out, mode, den, odd)
 
 
 Atom = Union[Linear, CubicHomogeneous, Even, BoundedNoise, PowerNoise]
@@ -364,18 +328,41 @@ def _add_floats(a, b):
     return [t + v for t, v in zip(a, b)]
 
 
-def _mirrored(atom, coords, mode: str, dim_out: int, den: int):
-    """(atom(y), atom(-y)).  An odd atom's float sum starts at 0.0, so it is
-    never -0.0, and 0.0 - v is its value at -y bit for bit, zeros included.
-    """
+def _float_values(atom, coords, dim_out: int, odd: bool):
+    """atom(y), or with ``odd`` (atom(y), atom(-y)), in float mode.  An odd
+    atom's float sum starts at 0.0, so 0.0 - v is its value at -y bit for
+    bit, zeros included."""
     if isinstance(atom, NOISE_ATOMS):
-        return atom.evaluate(coords, mode, dim_out, den, mirror=True)
-    value = atom.evaluate(coords, mode, dim_out, den)
-    if isinstance(atom, Even):
-        return value, value
-    if mode == EXACT:
-        return value, ([-n for n in value[0]], value[1])
-    return value, [0.0 - v for v in value]
+        return atom.evaluate(coords, FLOAT, dim_out, odd=odd)
+    value = atom.evaluate(coords)
+    return (value, value if isinstance(atom, Even)
+            else [0.0 - v for v in value]) if odd else value
+
+
+def _fold(atoms, dim_in: int, dim_out: int):
+    """Per output, the polynomial atoms' (odd-degree, even-degree) terms
+    (c, (i, j, k)), c an integer over one L: at x = u / D a term adds
+    c * v_i v_j v_k / (L D^t) with v = (*u, D, 1), t the top degree."""
+    terms = []  # (output, input indices, coefficient)
+    for atom in atoms:
+        if isinstance(atom, Linear):
+            terms += [(j, (i,), m) for j, row in enumerate(atom.matrix)
+                      for i, m in enumerate(row)]
+        elif isinstance(atom, CubicHomogeneous):
+            terms += [(j, mono, c) for j, rows in enumerate(atom.terms)
+                      for mono, c in rows]
+        elif isinstance(atom, Even):
+            terms += [(j, (i, k), v) for j, q in enumerate(atom.matrices)
+                      for i, row in enumerate(q) for k, v in enumerate(row)]
+    top = max((len(indices) for _, indices, _ in terms), default=1)
+    ints, den = integer_ratio([c for _, _, c in terms])
+    table = [([], []) for _ in range(dim_out)]
+    for (j, indices, _), c in zip(terms, ints):
+        if c:  # pad with D up to degree t, then with 1
+            table[j][len(indices) % 2 == 0].append((c, (
+                *indices, *(dim_in,) * (top - len(indices)),
+                *(dim_in + 1,) * (3 - top))))
+    return tuple(tuple(map(tuple, parts)) for parts in table), den, top
 
 
 # ---------------------------------------------------------------------------
@@ -399,42 +386,61 @@ class FuncModel:
                 raise DimensionMismatchError(
                     f"atom {type(atom).__name__} is {d}->{m}, "
                     f"model is {self.dim_in}->{self.dim_out}")
+        object.__setattr__(self, "_folded",
+                           _fold(self.atoms, self.dim_in, self.dim_out))
+        object.__setattr__(self, "_noise", tuple(
+            a for a in self.atoms if isinstance(a, NOISE_ATOMS)))
 
     def evaluate_coords(self, coords, mode: str, *, den: int | None = None,
-                        mirror: bool = False):
+                        odd: bool = False):
         """Atom-sum evaluation on raw coordinates; see :func:`evaluate`.
 
-        Exact mode sums the atoms' integer numerators.  With ``den`` the
-        coordinates are integer numerators over ``den`` and the result is
-        (integer numerators, denominator), unreduced; without it they are
-        rationals and one normalized ``Fraction`` is returned per output
-        coordinate.  With ``mirror`` it is (f(y), f(-y)) from one atom pass.
+        Exact mode sums the folded table and the noise atoms' integer
+        numerators.  With ``den`` the coordinates are integer numerators
+        over ``den`` and the result is (integer numerators, denominator),
+        unreduced; without it they are rationals and one normalized
+        ``Fraction`` is returned per output coordinate.  With ``odd`` it is
+        (f(y), (f(y) - f(-y)) / 2), in float mode bit for bit as two calls.
         """
         if len(coords) != self.dim_in:
             raise DimensionMismatchError(
                 f"got {len(coords)} coordinates, model domain is {self.dim_in}")
-        exact, ints_den = mode == EXACT, den or 1
-        if exact and den is None:
-            coords, ints_den = integer_ratio(coords)
-        add = add_ratios if exact else _add_floats
-        total = minus = None
-        for atom in self.atoms:
-            if mirror:
-                value, value_minus = _mirrored(atom, coords, mode,
-                                               self.dim_out, ints_den)
-                minus = value_minus if minus is None \
-                    else add(minus, value_minus)
-            else:
-                value = atom.evaluate(coords, mode, self.dim_out, ints_den)
-            total = value if total is None else add(total, value)
-        if total is None:
-            total = minus = ([0] * self.dim_out, ints_den) if exact \
-                else [0.0] * self.dim_out
-        if exact and den is None:
-            total = [Fraction(n, total[1]) for n in total[0]]
-            if mirror:
-                minus = [Fraction(n, minus[1]) for n in minus[0]]
-        return (total, minus) if mirror else total
+        if mode == EXACT:
+            values = self._exact(*(integer_ratio(coords) if den is None
+                                   else (coords, den)), odd)
+            if den is None:
+                values = [[Fraction(n, d) for n in nums] for nums, d in values]
+            return tuple(values) if odd else values[0]
+        zero = [0.0] * self.dim_out
+        values = [_float_values(atom, coords, self.dim_out, odd)
+                  for atom in self.atoms] or [(zero, zero) if odd else zero]
+        if not odd:  # summed in atom order
+            return reduce(_add_floats, values)
+        total, minus = (reduce(_add_floats, column) for column in zip(*values))
+        return total, [0.5 * (p - q) for p, q in zip(total, minus)]
+
+    def _exact(self, u, den: int, odd: bool) -> list:
+        """[f(y)], or [f(y), odd part], at y = u / den as integer ratios."""
+        table, table_den, top = self._folded
+        v = (*u, den, 1)
+        f_nums, odd_nums = [], []
+        for odd_terms, even_terms in table:
+            acc = 0
+            for c, (i, j, k) in odd_terms:
+                acc += c * v[i] * v[j] * v[k]
+            odd_nums.append(acc)
+            for c, (i, j, k) in even_terms:
+                acc += c * v[i] * v[j] * v[k]
+            f_nums.append(acc)
+        out_den = table_den * den ** top
+        total, odd_part = (f_nums, out_den), (odd_nums, out_den)
+        for atom in self._noise:
+            value = atom.evaluate(u, EXACT, self.dim_out, den, odd)
+            if odd:
+                value, value_odd = value
+                odd_part = add_ratios(odd_part, value_odd)
+            total = add_ratios(total, value)
+        return [total, odd_part] if odd else [total]
 
     def __call__(self, x: Point) -> Point:
         if x.dim != self.dim_in:
@@ -444,7 +450,7 @@ class FuncModel:
 
     @property
     def has_noise(self) -> bool:
-        return any(isinstance(a, NOISE_ATOMS) for a in self.atoms)
+        return bool(self._noise)
 
     @property
     def has_even(self) -> bool:
@@ -466,20 +472,26 @@ class FuncModel:
 
 
 def evaluate(f: Callable[[Point], Point], coords, mode: str, norm_kind: str,
-             den: int | None = None, mirror: bool = False):
+             den: int | None = None, odd: bool = False):
     """f at ``coords``: the one place that knows how to evaluate a function.
 
     A :class:`FuncModel` sums its atoms on the raw coordinates; any other
     callable gets a :class:`Point`.  With ``den`` the coordinates are
     integer numerators over ``den`` and the result is (integer numerators,
     denominator); without it the result is one value per output coordinate.
-    With ``mirror`` it is the pair of values at ``coords`` and ``-coords``.
+    With ``odd`` it is the pair f(y), (f(y) - f(-y)) / 2 at y = ``coords``;
+    a callable that is not a model is called at y and at -y.
     """
     if isinstance(f, FuncModel):
-        return f.evaluate_coords(coords, mode, den=den, mirror=mirror)
-    if mirror:
-        return tuple(evaluate(f, c, mode, norm_kind, den)
-                     for c in (coords, tuple(-c for c in coords)))
+        return f.evaluate_coords(coords, mode, den=den, odd=odd)
+    if odd:
+        plus, minus = (evaluate(f, c, mode, norm_kind, den)
+                       for c in (coords, tuple(-c for c in coords)))
+        if mode == EXACT and den is not None:
+            nums, out_den = add_ratios(plus, minus, -1)
+            return plus, (nums, out_den << 1)
+        half = Fraction(1, 2) if mode == EXACT else 0.5
+        return plus, [half * (p - q) for p, q in zip(plus, minus)]
     if den is not None:
         coords = [Fraction(c, den) for c in coords]
     values = f(Point(tuple(coords), norm_kind)).coords

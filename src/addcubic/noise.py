@@ -13,7 +13,8 @@ bound of ||x|| for both the Euclidean and the max norm.  The result:
 * the same (seed, x) always yields the bit-identical output.
 
 The dyadic snap makes queries at halved/doubled arguments stable, which is
-what the direct-method iterations feed this with.
+what the direct-method iterations feed this with.  Hashed components are
+cached per process, since the cells of a sweep share seed and points.
 
 Both modes compute the value in integers.  The input is read as integer
 numerators u over one denominator L (float coordinates at their exact
@@ -24,6 +25,7 @@ returns that pair; float mode returns each quotient rounded once.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 
@@ -31,6 +33,7 @@ from .scalars import EXACT, integer_ratio
 
 QUANT_BITS = 40  # inputs snapped to multiples of 2^-40 before hashing
 VALUE_BITS = 20  # direction components live on the grid 2^-20 in [-1, 1]
+DIRECTION_CACHE_SIZE = 4096  # hashed direction components kept per process
 
 # Largest p * (bits of the base or of its denominator) for which b^p is
 # formed exactly.  Every float's integer ratio has at most 2 098 bits
@@ -45,9 +48,10 @@ MAX_POWER_BITS = 1 << 21
 _POWER_SAFETY = ((1 << 30) - 1, 1 << 30)
 
 
-def _direction_component(seed: int, snapped: str, index: int) -> int:
+@functools.lru_cache(maxsize=DIRECTION_CACHE_SIZE)
+def _direction_component(seed: int, snapped: tuple, index: int) -> int:
     """Hash-derived numerator over 2^20 of a direction in [-1, 1]."""
-    payload = f"{seed}|{index}|{snapped}"
+    payload = f"{seed}|{index}|{','.join(map(str, snapped))}"
     digest = hashlib.blake2b(payload.encode("ascii"), digest_size=8).digest()
     raw = int.from_bytes(digest, "big")
     span = (1 << (VALUE_BITS + 1)) + 1  # odd count keeps 0 reachable
@@ -81,14 +85,16 @@ def _scale(ints, den: int, amplitude: tuple[int, int],
 
 def sample(seed: int, coords, amplitude: tuple[int, int],
            exponent: tuple[int, int], dim_out: int, mode: str, den: int = 1,
-           mirror: bool = False):
+           odd: bool = False):
     """Noise output coordinates at the given input coordinates.
 
     ``amplitude`` and ``exponent`` are integer ratios in lowest terms.
     Float mode takes float coordinates and returns one float per output
     coordinate.  Exact mode takes integer numerators ``coords`` over
-    ``den`` and returns ``(numerators, denominator)``.  ``mirror`` gives the
-    values at x and at -x, which share one scale.  The envelope
+    ``den`` and returns ``(numerators, denominator)``.  With ``odd`` the
+    value at x comes with what a model's odd part needs, from one scale:
+    in exact mode (N(x) - N(-x)) / 2 over the same denominator as N(x), in
+    float mode N(-x).  The envelope
     ||output|| <= amplitude * (max_i |x_i|)^exponent
     <= amplitude * ||x||^exponent is guaranteed exactly.
     """
@@ -98,12 +104,16 @@ def sample(seed: int, coords, amplitude: tuple[int, int],
     scale_num, scale_den = _scale(coords, den, amplitude, exponent)
     if scale_num == 0:
         zero = ([0] * dim_out, 1) if exact else [0.0] * dim_out
-        return (zero, zero) if mirror else zero
+        return (zero, zero) if odd else zero
     out_den = scale_den * dim_out << VALUE_BITS  # damping 1/m, grid 2^-20
     out = []
-    for ints in (coords, [-u for u in coords]) if mirror else (coords,):
-        snapped = ",".join(str((u << QUANT_BITS) // den) for u in ints)
+    for sign in (1, -1) if odd else (1,):
+        snapped = tuple([(sign * u << QUANT_BITS) // den for u in coords])
         nums = [scale_num * _direction_component(seed, snapped, j)
                 for j in range(dim_out)]
         out.append((nums, out_den) if exact else [n / out_den for n in nums])
-    return tuple(out) if mirror else out[0]
+    if exact and odd:  # N(x) and (N(x) - N(-x)) / 2 over one denominator
+        (plus, _), (minus, _) = out
+        out = [([n << 1 for n in plus], out_den << 1),
+               ([p - q for p, q in zip(plus, minus)], out_den << 1)]
+    return tuple(out) if odd else out[0]

@@ -543,12 +543,12 @@ def test_recover_evaluates_each_orbit_argument_once(mode, coords):
 def test_recover_counts_hold_at_the_model_entry(monkeypatch, mode, coords):
     # Counted at the model's one evaluation entry, so a kernel that
     # evaluated around a wrapper could not hide evaluations.
-    # One mirrored call per argument gives f(y) and f(-y).
+    # One odd call per argument gives f(y) and (f(y) - f(-y)) / 2.
     calls = []
     evaluate = FuncModel.evaluate_coords
 
     def counted(model, values, eval_mode, **kwargs):
-        assert kwargs["mirror"]
+        assert kwargs["odd"]
         # Exact orbit points x * 2^-k share numerators and differ in den.
         calls.append((values, kwargs.get("den")))
         return evaluate(model, values, eval_mode, **kwargs)

@@ -452,6 +452,24 @@ def test_cli_sweep_over_zero_points_exit_2(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_sweep_bytes_do_not_depend_on_the_direction_cache(tmp_path):
+    # The cells share the seed and the points, so the second and later
+    # runs in a process read their noise directions from the cache; a run
+    # with another seed in between must not leak into the next one.
+    spec = SweepSpec.from_json_dict(sweep_doc())
+    other = SweepSpec.from_json_dict(sweep_doc(base={
+        **sweep_doc()["base"], "noise_seed": 12}))
+    outputs = []
+    for name, runs in (("first", [spec]), ("second", [spec]),
+                       ("third", [other, spec])):
+        for run_spec in runs:
+            run_sweep(run_spec, tmp_path / name)
+        outputs.append({path.name: path.read_bytes()
+                        for path in (tmp_path / name).iterdir()})
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert set(outputs[0]) == {"sw.csv", "sw.json"}
+
+
 def test_run_sweep_product_form(tmp_path):
     spec = SweepSpec.from_json_dict(sweep_doc(
         form="product", p=[], rs=[[0, 0], [1, 1], [2, 2]]))
@@ -555,6 +573,20 @@ RECOVER_EXACT_DOC = recover_config(
     directions={"additive": 1, "cubic": "auto"},
     samples={"points": [["1"], ["-3/2"]], "random": {"count": 3, "seed": 4}},
     n_max=40, output_stem="recx")
+# Exact 2-D recovery of a model with every atom kind but power noise: an
+# even atom is in f(x), so in raw_error, and not in the odd part.
+RECOVER_BLEND_DOC = recover_config(
+    mode="exact",
+    model={"dim_in": 2, "dim_out": 2, "atoms": [
+        GOLDEN_MODELS[0]["atoms"][0], GOLDEN_MODELS[1]["atoms"][0],
+        {"kind": "even", "matrices": [[["1/3", "0"], ["0", "1"]],
+                                      [["0", "1/2"], ["1/2", "0"]]]},
+        {"kind": "bounded_noise", "seed": 3, "amplitude": "1/1000"}]},
+    phi={"variant": "constant", "value": "1"},
+    directions={"additive": -1, "cubic": -1},
+    samples={"points": [["1", "-2"], ["0", "0"]],
+             "random": {"count": 3, "seed": 4}},
+    n_max=40, output_stem="blend")
 # Product form with a divergent cell (p = r + s = 1) documented, not rejected.
 SWEEP_PRODUCT_DOC = sweep_doc(
     form="product", p=[], rs=[["1/2", "1/2"], [0, 0], [1, "3/2"]],
@@ -575,6 +607,12 @@ COMMAND_GOLDENS = {
                      "089a9897c13f302afd28e4c2a3131e01",
         "recx.csv": "6202e99c3944c3ebc7118f465f2dcd41"
                     "d0ef46a64ebd1868fbfe1ae98eb1fd32",
+    }),
+    "recover-exact-blend": ("recover", RECOVER_BLEND_DOC, {
+        "blend.json": "cf71375a7752e13f93c3e623566c67ef"
+                      "0f48f10a4d819b5235176bd53961b524",
+        "blend.csv": "0ba6b01ccc9186bfe2f016f4112afc66"
+                     "29efa0229620dfb2f05223d15c026d25",
     }),
     "replay-chain": ("replay-chain", REPLAY_DOC, {
         "rep.json": "d113c44a492bbda8cc0c9056935edb22"

@@ -368,12 +368,14 @@ def test_exact_kernel_matches_term_by_term_oracle(data):
     values = FuncModel(d, m, atoms).evaluate_coords(tuple(x), "exact")
     assert all(type(v) is Fraction for v in values)
     assert values == oracles.atom_sum(specs, x, m)
-    # Each atom on unreduced integers: x = (g L x) / (g L).
+    # Each atom, as a one-atom model, on unreduced integers:
+    # x = (g L x) / (g L).
     den = math.lcm(*(c.denominator for c in x)) \
         * data.draw(st.integers(1, 12), label="unreduced")
     ints = [int(c * den) for c in x]
     for atom, spec in zip(atoms, specs):
-        nums, out_den = atom.evaluate(ints, "exact", m, den)
+        nums, out_den = FuncModel(d, m, (atom,)).evaluate_coords(
+            ints, "exact", den=den)
         assert [Fraction(n, out_den) for n in nums] \
             == oracles.atom_sum([spec], x, m)
         if spec[0] == "noise":  # float noise is the exact value rounded once
@@ -389,7 +391,8 @@ def test_atoms_read_unreduced_integer_arguments(ints, den):
     d, rng = len(ints), random.Random(5)
     for kind in ATOM_KINDS:
         atom, spec = _kernel_atom(kind, rng, d, 2)
-        nums, out_den = atom.evaluate(ints, "exact", 2, den)
+        nums, out_den = FuncModel(d, 2, (atom,)).evaluate_coords(
+            ints, "exact", den=den)
         assert [Fraction(n, out_den) for n in nums] \
             == oracles.atom_sum([spec], x, 2)
 
@@ -408,7 +411,7 @@ _FLOAT_COORDINATE = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_mirrored_entry_matches_two_calls(data):
+def test_odd_entry_matches_two_calls(data):
     d = data.draw(st.integers(1, 3), label="dim_in")
     m = data.draw(st.integers(1, 3), label="dim_out")
     rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
@@ -419,29 +422,34 @@ def test_mirrored_entry_matches_two_calls(data):
     norm_kind = data.draw(st.sampled_from(NORM_KINDS), label="norm")
     x = data.draw(st.one_of(st.just([0.0] * d), st.lists(
         _FLOAT_COORDINATE, min_size=d, max_size=d)), label="x")
-    # Float mode: bit for bit, signed zeros included.
-    plus, minus = evaluate(f, x, "float", norm_kind, mirror=True)
-    assert _hex(plus) == _hex(f.evaluate_coords(x, "float"))
-    assert _hex(minus) == _hex(f.evaluate_coords([-c for c in x], "float"))
+    # Float mode: bit for bit, signed zeros included, against the odd part
+    # as the orbit table formed it from two plain calls.
+    value, odd = evaluate(f, x, "float", norm_kind, odd=True)
+    plus = f.evaluate_coords(x, "float")
+    minus = f.evaluate_coords([-c for c in x], "float")
+    assert _hex(value) == _hex(plus)
+    assert _hex(odd) == _hex(0.5 * (p - 1.0 * q) for p, q in zip(plus, minus))
     # Exact mode: on rationals, and on integers over an unreduced
     # denominator.
     exact_x = [Fraction(c) for c in x]
-    assert list(evaluate(f, exact_x, "exact", norm_kind, mirror=True)) == [
-        f.evaluate_coords(exact_x, "exact"),
-        f.evaluate_coords([-c for c in exact_x], "exact")]
+    plus = f.evaluate_coords(exact_x, "exact")
+    minus = f.evaluate_coords([-c for c in exact_x], "exact")
+    assert evaluate(f, exact_x, "exact", norm_kind, odd=True) == (
+        plus, [(p - q) / 2 for p, q in zip(plus, minus)])
     ints, den = integer_ratio(exact_x)
     factor = data.draw(st.integers(1, 12), label="unreduced")
     ints, den = [u * factor for u in ints], den * factor
-    pair = evaluate(f, ints, "exact", norm_kind, den, mirror=True)
-    separate = (f.evaluate_coords(ints, "exact", den=den),
-                f.evaluate_coords([-u for u in ints], "exact", den=den))
+    pair = evaluate(f, ints, "exact", norm_kind, den, odd=True)
+    plus, minus = (f.evaluate_coords(u, "exact", den=den)
+                   for u in (ints, [-u for u in ints]))
     assert [[Fraction(n, out_den) for n in nums] for nums, out_den in pair] \
-        == [[Fraction(n, out_den) for n in nums]
-            for nums, out_den in separate]
+        == [[Fraction(n, plus[1]) for n in plus[0]],
+            [Fraction(p, 2 * plus[1]) - Fraction(q, 2 * minus[1])
+             for p, q in zip(plus[0], minus[0])]]
 
 
 @pytest.mark.parametrize("norm_kind", NORM_KINDS)
-def test_mirrored_entry_calls_a_plain_callable_twice(norm_kind):
+def test_odd_entry_calls_a_plain_callable_twice(norm_kind):
     model = model_1d(linear_1d(2), cubic_1d(1), BoundedNoise(3, 1))
     calls = []
 
@@ -449,17 +457,34 @@ def test_mirrored_entry_calls_a_plain_callable_twice(norm_kind):
         calls.append(p)
         return model(p)
 
-    assert evaluate(f, (0.75,), "float", norm_kind, mirror=True) == (
-        model(point([0.75], "float")).coords,
-        model(point([-0.75], "float")).coords)
-    plus, minus = evaluate(f, (3,), "exact", norm_kind, 4, mirror=True)
+    plus, minus = (model(point([c], "float")).coords for c in (0.75, -0.75))
+    assert evaluate(f, (0.75,), "float", norm_kind, odd=True) == (
+        plus, [0.5 * (plus[0] - minus[0])])
+    value, odd = evaluate(f, (3,), "exact", norm_kind, 4, odd=True)
     assert [p.coords for p in calls] == [(0.75,), (-0.75,),
                                          (Fraction(3, 4),), (Fraction(-3, 4),)]
     assert all(p.norm_kind == norm_kind for p in calls)
-    assert [Fraction(n, plus[1]) for n in plus[0]] \
-        == list(model(point(["3/4"])).coords)
-    assert [Fraction(n, minus[1]) for n in minus[0]] \
-        == list(model(point(["-3/4"])).coords)
+    plus, minus = (model(point([c])).coords for c in ("3/4", "-3/4"))
+    assert [Fraction(n, value[1]) for n in value[0]] == list(plus)
+    assert [Fraction(n, odd[1]) for n in odd[0]] == [(plus[0] - minus[0]) / 2]
+
+
+def test_noise_directions_are_cached_without_changing_values():
+    f = model_1d(linear_1d(1), PowerNoise(4, Fraction(1, 100), 2),
+                 BoundedNoise(9, Fraction(1, 7)))
+    xs = [point(["3/8"]), point(["-5/3"]), point([0.3], "float")]
+    noise._direction_component.cache_clear()
+    cold = [(f(x).coords, f(-x).coords,
+             evaluate(f, x.coords, x.mode, x.norm_kind, odd=True))
+            for x in xs]
+    assert noise._direction_component.cache_info().currsize > 0
+    warm = [(f(x).coords, f(-x).coords,
+             evaluate(f, x.coords, x.mode, x.norm_kind, odd=True))
+            for x in xs]
+    assert warm == cold
+    assert noise._direction_component.cache_info().hits > 0
+    maxsize = noise._direction_component.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize == noise.DIRECTION_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
