@@ -19,13 +19,12 @@ from .models import (
     DimensionMismatchError, Even, FuncModel, Linear, Point, PowerNoise,
     ProductOfPowers, SumOfPowers, cubic_1d, even_1d, evaluate, linear_1d,
     model_1d, norm, phi_value, point, random_cubic, random_linear,
-    random_point, random_rational, solution_1d, zero_point,
+    random_point, random_rational, solution_1d,
 )
 from .residuals import (
     ABS_COEFFICIENT_SUM, CHAIN_CATALOGUE, ChainIdentity, ResidualVector,
     additive_residual, catalogue_as_json_dict, catalogue_from_json_dict,
-    chain_replay, cubic_residual, double_arg_residual, linearity_residual,
-    mixed_residual,
+    chain_replay, cubic_residual, double_arg_residual, mixed_residual,
 )
 from .bounds import (
     CertificationError, ConsistencyReport, ExcludedExponentError, SeriesResult,

@@ -18,8 +18,8 @@ huge number; for power control functions this happens exactly at exponent
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .models import (Constant, ControlFunction, FuncModel, Linear,
                      CubicHomogeneous, BoundedNoise, PowerNoise, Point,
@@ -49,8 +49,7 @@ class CertificationError(ValueError):
     """Model contains atoms with no certified perturbation envelope."""
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """A certified truncation: true value in [partial_sum, partial_sum + tail_bound]."""
 
     partial_sum: float
@@ -305,8 +304,7 @@ def certify_phi(f: FuncModel) -> ControlFunction:
 # Closed form vs. truncated series consistency
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     p: float
     theta: float
     sum_closed: float

@@ -8,10 +8,10 @@ Mersenne Twister), drawing integers only, so sample streams are portable
 across platforms and Python versions.
 
 Each JSON object of a document is read by a :func:`section` that declares
-its keys once, each with a field reader; the config classes declare theirs,
-and the subcommands reading each, on their fields (:func:`_key`).  Values
-are converted at load, and a key the subcommand does not read, a missing
-required key, or a value its reader cannot convert is a
+its keys once, each with a field reader; an experiment's keys also name
+the subcommands that read them, and each subcommand has a section of its
+own.  Values are converted at load, and a key the subcommand does not read,
+a missing required key, or a value its reader cannot convert is a
 :class:`ConfigError` naming the key path, such as ``samples.random.count``
 or ``bounds[0].phi``.  The runners see typed values only.
 """
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .bounds import (CONVERGED, DIVERGED, EXCLUDED_ADDITIVE_EXPONENT,
@@ -185,26 +184,6 @@ def section(schema: dict):
     return read
 
 
-def _key(path: str, read, default, commands=None):
-    """A config class field read from the document at ``path`` ("a.b" nests).
-
-    The field defaults to ``default`` read like a configured value.  With
-    ``commands``, only those subcommands read it, else all of them do.
-    """
-    return field(default=None if default is None else read(default, path),
-                 metadata={"path": path, "entry": (read, default),
-                           "commands": commands})
-
-
-def _from_keys(cls, doc, where: str = "", command: str | None = None):
-    """A ``cls`` whose fields ``command`` reads are read from doc."""
-    keyed = [f for f in fields(cls) if f.metadata["commands"] is None
-             or command in f.metadata["commands"]]
-    values = section({f.metadata["path"]: f.metadata["entry"]
-                      for f in keyed})(doc, where)
-    return cls(**{f.name: values[f.metadata["path"]] for f in keyed})
-
-
 def _sorted(read):
     return lambda value, where: tuple(sorted(read(value, where)))
 
@@ -349,24 +328,30 @@ def _sample_pair(value, where: str):
     return x, y
 
 
-@dataclass(frozen=True)
+_SAMPLE_KEYS = section({
+    "points": (list_of(_COORDINATES), []),
+    "pairs": (list_of(_sample_pair), []),
+    "random.count": (integer(minimum=0), 0),
+    "random.seed": (integer(), 0),
+    "random.low": (integer(), -8),
+    "random.high": (integer(), 8),
+    "random.max_denominator": (integer(minimum=1), 1024),
+})
+
+
 class SampleSpec:
     """Explicit points/pairs plus ``count`` seeded random draws."""
 
-    points: tuple[tuple[Fraction, ...], ...] = _key(
-        "points", list_of(_COORDINATES), [])
-    pairs: tuple[tuple[tuple[Fraction, ...], tuple[Fraction, ...]], ...] = _key(
-        "pairs", list_of(_sample_pair), [])
-    count: int = _key("random.count", integer(minimum=0), 0)
-    seed: int = _key("random.seed", integer(), 0)
-    low: int = _key("random.low", integer(), -8)
-    high: int = _key("random.high", integer(), 8)
-    max_denominator: int = _key("random.max_denominator", integer(minimum=1),
-                                1024)
+    def __init__(self, keys: dict):
+        """``keys``: the values :data:`_SAMPLE_KEYS` reads, by key path."""
+        self.points, self.pairs = keys["points"], keys["pairs"]
+        self.count, self.seed = keys["random.count"], keys["random.seed"]
+        self.low, self.high = keys["random.low"], keys["random.high"]
+        self.max_denominator = keys["random.max_denominator"]
 
     @classmethod
     def from_json(cls, doc: dict, where: str = "samples") -> "SampleSpec":
-        spec = _from_keys(cls, doc, where)
+        spec = cls(_SAMPLE_KEYS(doc, where))
         if spec.high < spec.low:
             raise ConfigError(f"{where}.random.high must be at least low "
                               f"({spec.low}), got {spec.high}")
@@ -490,45 +475,68 @@ _SCHEMA_VERSION = choice(SCHEMA_VERSION)
 _LEMMAS = ("check-lemmas", "replay-chain")
 _SAMPLED = (*_LEMMAS, "recover")
 _RECOVER, _BOUNDS = ("recover",), ("bounds",)
+_ALL = (*_SAMPLED, *_BOUNDS)
+# Each key: (reader, default, the subcommands that read it).
+_EXPERIMENT_KEYS = {
+    "schema_version": (_SCHEMA_VERSION, 1, _ALL),
+    "norm": (choice(*NORM_KINDS), EUCLIDEAN, _ALL),
+    "mode": (choice(*MODES), EXACT, _ALL),
+    "model": (model_from_json, None, _SAMPLED),
+    "models": (_labeled_models, [], _LEMMAS),
+    "families": (_FAMILIES, None, _LEMMAS),
+    "phi": (_phi_or_certify, None, _RECOVER),
+    "directions.additive": (_DIRECTION, "auto", _RECOVER),
+    "directions.cubic": (_DIRECTION, "auto", _RECOVER),
+    "samples": (SampleSpec.from_json, {}, _SAMPLED),
+    "tolerances.abs": (real(), 1e-12, _RECOVER),
+    "tolerances.rel": (real(), 1e-10, _RECOVER),
+    "tolerances.series": (real(positive=True), 1e-12, _RECOVER),
+    "n_max": (integer(minimum=1), 48, _RECOVER),
+    "chain": (flag, True, ("check-lemmas",)),
+    "catalogue_out": (file_name, None, _LEMMAS),
+    "bounds": (list_of(_bounds_item), [], _BOUNDS),
+    "consistency": (_consistency, None, _BOUNDS),
+    "output_stem": (file_name, "report", _ALL),
+}
+_EXPERIMENT_SECTIONS = {
+    command: section({key: (read, default) for key, (read, default, commands)
+                      in _EXPERIMENT_KEYS.items() if command in commands})
+    for command in _ALL}
 
 
-@dataclass
 class ExperimentConfig:
     """One experiment: model(s), control function, sampling and tolerances.
 
-    Each field is read from the document key its declaration names.  Two
-    runs of the same config produce byte-identical outputs; nothing here
-    depends on wall time, platform or hashing randomization.
+    Each attribute holds the value of one document key, or None when the
+    subcommand does not read that key; a direction is -1, 1 or "auto".
+    Two runs of the same config produce byte-identical outputs; nothing
+    here depends on wall time, platform or hashing randomization.
     """
 
-    schema_version: int = _key("schema_version", _SCHEMA_VERSION, 1)
-    norm_kind: str = _key("norm", choice(*NORM_KINDS), EUCLIDEAN)
-    mode: str = _key("mode", choice(*MODES), EXACT)
-    model: FuncModel | None = _key("model", model_from_json, None, _SAMPLED)
-    models: tuple[tuple[str, FuncModel], ...] = _key(
-        "models", _labeled_models, [], _LEMMAS)
-    families: dict | None = _key("families", _FAMILIES, None, _LEMMAS)
-    phi: ControlFunction | None = _key("phi", _phi_or_certify, None, _RECOVER)
-    direction_additive: int | str = _key("directions.additive", _DIRECTION,
-                                         "auto", _RECOVER)
-    direction_cubic: int | str = _key("directions.cubic", _DIRECTION, "auto",
-                                      _RECOVER)
-    samples: SampleSpec = _key("samples", SampleSpec.from_json, {}, _SAMPLED)
-    tol_abs: float = _key("tolerances.abs", real(), 1e-12, _RECOVER)
-    tol_rel: float = _key("tolerances.rel", real(), 1e-10, _RECOVER)
-    series_tol: float = _key("tolerances.series", real(positive=True), 1e-12,
-                             _RECOVER)
-    n_max: int = _key("n_max", integer(minimum=1), 48, _RECOVER)
-    chain: bool = _key("chain", flag, True, ("check-lemmas",))
-    catalogue_out: str | None = _key("catalogue_out", file_name, None, _LEMMAS)
-    bounds_items: tuple[dict, ...] = _key("bounds", list_of(_bounds_item), [],
-                                          _BOUNDS)
-    consistency: dict | None = _key("consistency", _consistency, None, _BOUNDS)
-    output_stem: str = _key("output_stem", file_name, "report")
+    def __init__(self, keys: dict):
+        """``keys``: a subcommand's values of :data:`_EXPERIMENT_KEYS`."""
+        self.norm_kind: str = keys["norm"]
+        self.mode: str = keys["mode"]
+        self.model: FuncModel | None = keys.get("model")
+        self.models: tuple | None = keys.get("models")
+        self.families: dict | None = keys.get("families")
+        self.phi: ControlFunction | None = keys.get("phi")
+        self.direction_additive = keys.get("directions.additive")
+        self.direction_cubic = keys.get("directions.cubic")
+        self.samples: SampleSpec | None = keys.get("samples")
+        self.tol_abs: float | None = keys.get("tolerances.abs")
+        self.tol_rel: float | None = keys.get("tolerances.rel")
+        self.series_tol: float | None = keys.get("tolerances.series")
+        self.n_max: int | None = keys.get("n_max")
+        self.chain: bool | None = keys.get("chain")
+        self.catalogue_out: str | None = keys.get("catalogue_out")
+        self.bounds_items: tuple[dict, ...] | None = keys.get("bounds")
+        self.consistency: dict | None = keys.get("consistency")
+        self.output_stem: str = keys["output_stem"]
 
     @classmethod
     def from_json_dict(cls, doc: dict, command: str) -> "ExperimentConfig":
-        return _from_keys(cls, doc, command=command)
+        return cls(_EXPERIMENT_SECTIONS[command](doc, ""))
 
     @classmethod
     def load(cls, path, command: str) -> "ExperimentConfig":
@@ -564,38 +572,54 @@ def _read_json(path):
 # Sweep specification
 # ---------------------------------------------------------------------------
 
-@dataclass
+_SWEEP_KEYS = section({
+    "schema_version": (_SCHEMA_VERSION, 1),
+    "form": (choice("sum", "product"), "sum"),
+    "p": (_sorted(list_of(rational(minimum=0))), []),
+    "rs": (_sorted(list_of(_RS_PAIR)), []),
+    "theta": (_sorted(list_of(rational(minimum=0))), [1]),
+    "epsilon": (_sorted(list_of(rational(minimum=0))), [0]),
+    "l_mode": (_sorted(list_of(choice("auto", "pos", "neg"))), ["auto"]),
+    "allow_divergent": (flag, False),
+    "base.solution.linear": (rational(), 2),
+    "base.solution.cubic": (rational(), 1),
+    "base.noise_seed": (integer(), 11),
+    "base.norm": (choice(*NORM_KINDS), EUCLIDEAN),
+    "base.samples": (SampleSpec.from_json, {}),
+    "base.tolerances.abs": (real(), 1e-12),
+    "base.tolerances.rel": (real(), 1e-10),
+    "base.tolerances.series": (real(positive=True), 1e-12),
+    "base.n_max": (integer(minimum=1), 48),
+    "output_stem": (file_name, "sweep"),
+})
+
+
 class SweepSpec:
     """Grid over exponents, theta and noise amplitude, one experiment per cell."""
 
-    schema_version: int = _key("schema_version", _SCHEMA_VERSION, 1)
-    form: str = _key("form", choice("sum", "product"), "sum")
-    exponents: tuple[Fraction, ...] = _key(
-        "p", _sorted(list_of(rational(minimum=0))), [])
-    rs_pairs: tuple[tuple[Fraction, Fraction], ...] = _key(
-        "rs", _sorted(list_of(_RS_PAIR)), [])
-    thetas: tuple[Fraction, ...] = _key(
-        "theta", _sorted(list_of(rational(minimum=0))), [1])
-    epsilons: tuple[Fraction, ...] = _key(
-        "epsilon", _sorted(list_of(rational(minimum=0))), [0])
-    l_modes: tuple[str, ...] = _key(
-        "l_mode", _sorted(list_of(choice("auto", "pos", "neg"))), ["auto"])
-    allow_divergent: bool = _key("allow_divergent", flag, False)
-    solution_linear: Fraction = _key("base.solution.linear", rational(), 2)
-    solution_cubic: Fraction = _key("base.solution.cubic", rational(), 1)
-    noise_seed: int = _key("base.noise_seed", integer(), 11)
-    norm_kind: str = _key("base.norm", choice(*NORM_KINDS), EUCLIDEAN)
-    samples: SampleSpec = _key("base.samples", SampleSpec.from_json, {})
-    tol_abs: float = _key("base.tolerances.abs", real(), 1e-12)
-    tol_rel: float = _key("base.tolerances.rel", real(), 1e-10)
-    series_tol: float = _key("base.tolerances.series", real(positive=True),
-                             1e-12)
-    n_max: int = _key("base.n_max", integer(minimum=1), 48)
-    output_stem: str = _key("output_stem", file_name, "sweep")
+    def __init__(self, keys: dict):
+        """``keys``: the values :data:`_SWEEP_KEYS` reads, by key path."""
+        self.form: str = keys["form"]
+        self.exponents: tuple[Fraction, ...] = keys["p"]
+        self.rs_pairs: tuple[tuple[Fraction, Fraction], ...] = keys["rs"]
+        self.thetas: tuple[Fraction, ...] = keys["theta"]
+        self.epsilons: tuple[Fraction, ...] = keys["epsilon"]
+        self.l_modes: tuple[str, ...] = keys["l_mode"]
+        self.allow_divergent: bool = keys["allow_divergent"]
+        self.solution_linear: Fraction = keys["base.solution.linear"]
+        self.solution_cubic: Fraction = keys["base.solution.cubic"]
+        self.noise_seed: int = keys["base.noise_seed"]
+        self.norm_kind: str = keys["base.norm"]
+        self.samples: SampleSpec = keys["base.samples"]
+        self.tol_abs: float = keys["base.tolerances.abs"]
+        self.tol_rel: float = keys["base.tolerances.rel"]
+        self.series_tol: float = keys["base.tolerances.series"]
+        self.n_max: int = keys["base.n_max"]
+        self.output_stem: str = keys["output_stem"]
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SweepSpec":
-        spec = _from_keys(cls, doc)
+        spec = cls(_SWEEP_KEYS(doc, ""))
         cells = spec.cells()
         axis = "p" if spec.form == "sum" else "rs"
         if not spec.allow_divergent:

@@ -41,10 +41,9 @@ processed concurrently while report assembly preserves input order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import require_direction
@@ -112,7 +111,9 @@ class OrbitTable:
         """2^e * (a - factor * b)."""
         if self.exact:
             nums, den = add_ratios(a, b, -factor)
-            return ([n << e for n in nums], den) if e >= 0 \
+            if e == 0:
+                return nums, den
+            return ([n << e for n in nums], den) if e > 0 \
                 else (nums, den << -e)
         scale, factor = 2.0 ** e, float(factor)
         return tuple(scale * (p - factor * q) for p, q in zip(a, b))
@@ -184,17 +185,17 @@ def g_transform(f) -> Callable[[Point], Point]:
     return _transform(f, 2)
 
 
-@dataclass
 class IterationTrace:
     """One rescaled-iterate run: values, Cauchy gaps and convergence flags."""
 
-    direction: int
-    weight: int
-    to_point: Callable[[object], Point] = field(repr=False, compare=False)
-    steps: list = field(default_factory=list)  # turned into points on read
-    cauchy_gaps: list[float] = field(default_factory=list)
-    converged: bool = False
-    converged_at: int | None = None
+    def __init__(self, direction: int, weight: int,
+                 to_point: Callable[[object], Point]):
+        self.direction, self.weight = direction, weight
+        self.to_point = to_point
+        self.steps: list = []  # orbit vectors, turned into points on read
+        self.cauchy_gaps: list[float] = []
+        self.converged = False
+        self.converged_at: int | None = None
 
     @cached_property
     def final(self) -> Point:
@@ -281,8 +282,7 @@ def cubic_iterate(f, x: Point, l: int, n_steps: int = DEFAULT_N_MAX,
 _ITERATORS = {"additive": additive_iterate, "cubic": cubic_iterate}
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """Distance between two truncation depths of one iteration."""
 
     gap: float
@@ -316,34 +316,29 @@ def uniqueness_probe(f, x: Point, l: int, component: str, n1: int, n2: int,
 # Combined recovery
 # ---------------------------------------------------------------------------
 
-@dataclass
 class PointRecovery:
     """Recovered values and certified bound at one sample point."""
 
-    x: Point
-    additive: Point
-    cubic: Point
-    error: float
-    raw_error: float
-    bound: float
-    within_bound: bool
-    additive_trace: IterationTrace
-    cubic_trace: IterationTrace
+    def __init__(self, x: Point, additive: Point, cubic: Point, error: float,
+                 raw_error: float, bound: float, within_bound: bool,
+                 additive_trace: IterationTrace, cubic_trace: IterationTrace):
+        self.x, self.additive, self.cubic = x, additive, cubic
+        self.error, self.raw_error, self.bound = error, raw_error, bound
+        self.within_bound = within_bound
+        self.additive_trace, self.cubic_trace = additive_trace, cubic_trace
 
 
-@dataclass
 class RecoveryReport:
     """Deterministic record of a recovery run over a list of points."""
 
-    direction_additive: int
-    direction_cubic: int
-    phi: ControlFunction
-    mode: str
-    norm_kind: str
-    n_max: int
-    tol_abs: float
-    tol_rel: float
-    points: list[PointRecovery] = field(default_factory=list)
+    def __init__(self, direction_additive: int, direction_cubic: int,
+                 phi: ControlFunction, mode: str, norm_kind: str, n_max: int,
+                 tol_abs: float, tol_rel: float):
+        self.direction_additive = direction_additive
+        self.direction_cubic = direction_cubic
+        self.phi, self.mode, self.norm_kind = phi, mode, norm_kind
+        self.n_max, self.tol_abs, self.tol_rel = n_max, tol_abs, tol_rel
+        self.points: list[PointRecovery] = []
 
     @property
     def max_error(self) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -29,12 +28,13 @@ SWEEP_CSV_HEADER = ("p", "r", "s", "theta", "epsilon", "l_additive", "l_cubic",
                     "status")
 
 
-@dataclass
 class RunResult:
-    ok: bool
-    status: str
-    report: dict
-    files: list[Path] = field(default_factory=list)
+    """A runner's verdict, status word, report document and written files."""
+
+    def __init__(self, ok: bool, status: str, report: dict,
+                 files: list[Path]):
+        self.ok, self.status = ok, status
+        self.report, self.files = report, files
 
     @property
     def exit_code(self) -> int:

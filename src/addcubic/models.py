@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Callable, Sequence, Union
@@ -43,6 +42,32 @@ class DimensionMismatchError(ValueError):
     """Raised when points or models of incompatible dimensions meet."""
 
 
+class _Value:
+    """Immutable value compared, hashed and shown by its ``_fields``;
+    ``__init__`` writes ``__dict__``, and a later assignment raises."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = zip(self._fields, self._values())
+        return (f"{type(self).__name__}("
+                f"{', '.join(f'{name}={value!r}' for name, value in fields)})")
+
+
 # ---------------------------------------------------------------------------
 # Points and norms
 # ---------------------------------------------------------------------------
@@ -54,20 +79,26 @@ def _coord_mode(coords) -> str:
     return modes.pop()
 
 
-@dataclass(frozen=True)
-class Point:
-    """An element of R^d: ordered coordinates plus the active norm kind."""
+class Point(_Value):
+    """An element of R^d: ordered coordinates plus the active norm kind.
 
-    coords: tuple[Number, ...]
-    norm_kind: str = EUCLIDEAN
-    mode: str = field(init=False, repr=False, compare=False)
+    The scalar mode is derived from the coordinates and is not compared.
+    """
+
+    _fields = ("coords", "norm_kind")
+
+    def __init__(self, coords: tuple[Number, ...], norm_kind: str = EUCLIDEAN):
+        self.__dict__.update(coords=coords, norm_kind=norm_kind)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Validation, a method of its own so that a construction can be
+        counted by wrapping it (the benchmark tracer does)."""
         if len(self.coords) < 1:
             raise DimensionMismatchError("points need at least one coordinate")
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
-        object.__setattr__(self, "mode", _coord_mode(self.coords))
+        self.__dict__["mode"] = _coord_mode(self.coords)
 
     @property
     def dim(self) -> int:
@@ -117,10 +148,6 @@ def point(values: Sequence, mode: str = EXACT, norm_kind: str = EUCLIDEAN) -> Po
     return Point(tuple(coerce(v, mode) for v in values), norm_kind)
 
 
-def zero_point(dim: int, mode: str = EXACT, norm_kind: str = EUCLIDEAN) -> Point:
-    return point([0] * dim, mode, norm_kind)
-
-
 def norm(p: Point) -> float:
     """Norm of a point under its norm kind, computed as a float.
 
@@ -149,14 +176,13 @@ def _rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
-@dataclass(frozen=True)
-class Linear:
+class Linear(_Value):
     """f(x) = M x for an m-by-d rational matrix M; exactly additive."""
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _rational_rows(self.matrix))
+    def __init__(self, matrix: tuple[tuple[Fraction, ...], ...]):
+        self.__dict__["matrix"] = _rational_rows(matrix)
         widths = {len(row) for row in self.matrix}
         if len(widths) != 1:
             raise DimensionMismatchError("ragged matrix")
@@ -187,22 +213,23 @@ class Linear:
 Monomial = tuple[int, int, int]  # sorted coordinate indices i <= j <= k
 
 
-@dataclass(frozen=True)
-class CubicHomogeneous:
+class CubicHomogeneous(_Value):
     """Per-output homogeneous cubic polynomials: f_j(x) = sum c * x_i x_j x_k.
 
     Each output coordinate carries a tuple of (monomial, coefficient) rows
     with sorted index triples, i.e. the diagonal of a symmetric trilinear
     form.  Any such map satisfies f(2x) = 8 f(x) and f(-x) = -f(x) exactly.
+    ``dims`` is (d, m); d is not implied by sparse terms.
     """
 
-    terms: tuple[tuple[tuple[Monomial, Fraction], ...], ...]
-    dims: tuple[int, int]  # (d, m); d is not implied by sparse terms
+    _fields = ("terms", "dims")
 
-    def __post_init__(self):
-        d, m = self.dims
+    def __init__(self,
+                 terms: tuple[tuple[tuple[Monomial, Fraction], ...], ...],
+                 dims: tuple[int, int]):
+        d, m = dims
         normalized = []
-        for out_terms in self.terms:
+        for out_terms in terms:
             rows = []
             for mono, coeff in out_terms:
                 i, j, k = sorted(mono)
@@ -212,7 +239,7 @@ class CubicHomogeneous:
             normalized.append(tuple(rows))
         if len(normalized) != m:
             raise DimensionMismatchError("one term table per output coordinate")
-        object.__setattr__(self, "terms", tuple(normalized))
+        self.__dict__.update(terms=tuple(normalized), dims=dims)
 
     @property
     def dim_in(self) -> int:
@@ -237,15 +264,13 @@ class CubicHomogeneous:
         return out
 
 
-@dataclass(frozen=True)
-class Even:
+class Even(_Value):
     """Quadratic forms f_j(x) = x^T Q_j x; even, hence never a solution."""
 
-    matrices: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    _fields = ("matrices",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "matrices", tuple(_rational_rows(q) for q in self.matrices))
+    def __init__(self, matrices: tuple[tuple[tuple[Fraction, ...], ...], ...]):
+        self.__dict__["matrices"] = tuple(_rational_rows(q) for q in matrices)
         d = len(self.matrices[0])
         if any(len(q) != d or any(len(row) != d for row in q)
                for q in self.matrices):
@@ -277,18 +302,17 @@ class Even:
         return out
 
 
-@dataclass(frozen=True)
-class BoundedNoise:
+class BoundedNoise(_Value):
     """Deterministic seeded perturbation with ||f(x)|| <= amplitude."""
 
-    seed: int
-    amplitude: Fraction
+    _fields = ("seed", "amplitude")
 
-    def __post_init__(self):
-        object.__setattr__(self, "amplitude", Fraction(self.amplitude))
-        if self.amplitude < 0:
+    def __init__(self, seed: int, amplitude: Fraction):
+        amplitude = Fraction(amplitude)
+        if amplitude < 0:
             raise ValueError("noise amplitude must be nonnegative")
-        object.__setattr__(self, "_amplitude", self.amplitude.as_integer_ratio())
+        self.__dict__.update(seed=seed, amplitude=amplitude,
+                             _amplitude=amplitude.as_integer_ratio())
 
     def evaluate(self, coords, mode: str, dim_out: int, den: int = 1,
                  odd: bool = False):
@@ -296,23 +320,20 @@ class BoundedNoise:
                                 dim_out, mode, den, odd)
 
 
-@dataclass(frozen=True)
-class PowerNoise:
+class PowerNoise(_Value):
     """Deterministic seeded perturbation with ||f(x)|| <= amplitude * ||x||^p."""
 
-    seed: int
-    amplitude: Fraction
-    exponent: Fraction
+    _fields = ("seed", "amplitude", "exponent")
 
-    def __post_init__(self):
-        object.__setattr__(self, "amplitude", Fraction(self.amplitude))
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
-        if self.amplitude < 0:
+    def __init__(self, seed: int, amplitude: Fraction, exponent: Fraction):
+        amplitude, exponent = Fraction(amplitude), Fraction(exponent)
+        if amplitude < 0:
             raise ValueError("noise amplitude must be nonnegative")
-        if self.exponent < 0:
+        if exponent < 0:
             raise ValueError("noise exponent must be nonnegative")
-        object.__setattr__(self, "_amplitude", self.amplitude.as_integer_ratio())
-        object.__setattr__(self, "_exponent", self.exponent.as_integer_ratio())
+        self.__dict__.update(seed=seed, amplitude=amplitude, exponent=exponent,
+                             _amplitude=amplitude.as_integer_ratio(),
+                             _exponent=exponent.as_integer_ratio())
 
     def evaluate(self, coords, mode: str, dim_out: int, den: int = 1,
                  odd: bool = False):
@@ -369,27 +390,24 @@ def _fold(atoms, dim_in: int, dim_out: int):
 # Function models
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FuncModel:
+class FuncModel(_Value):
     """A function R^d -> R^m given as a sum of atoms; callable on points."""
 
-    dim_in: int
-    dim_out: int
-    atoms: tuple[Atom, ...]
+    _fields = ("dim_in", "dim_out", "atoms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        for atom in self.atoms:
-            d = getattr(atom, "dim_in", self.dim_in)
-            m = getattr(atom, "dim_out", self.dim_out)
-            if (d, m) != (self.dim_in, self.dim_out):
+    def __init__(self, dim_in: int, dim_out: int, atoms: tuple[Atom, ...]):
+        atoms = tuple(atoms)
+        for atom in atoms:
+            d = getattr(atom, "dim_in", dim_in)
+            m = getattr(atom, "dim_out", dim_out)
+            if (d, m) != (dim_in, dim_out):
                 raise DimensionMismatchError(
                     f"atom {type(atom).__name__} is {d}->{m}, "
-                    f"model is {self.dim_in}->{self.dim_out}")
-        object.__setattr__(self, "_folded",
-                           _fold(self.atoms, self.dim_in, self.dim_out))
-        object.__setattr__(self, "_noise", tuple(
-            a for a in self.atoms if isinstance(a, NOISE_ATOMS)))
+                    f"model is {dim_in}->{dim_out}")
+        self.__dict__.update(
+            dim_in=dim_in, dim_out=dim_out, atoms=atoms,
+            _folded=_fold(atoms, dim_in, dim_out),
+            _noise=tuple(a for a in atoms if isinstance(a, NOISE_ATOMS)))
 
     def evaluate_coords(self, coords, mode: str, *, den: int | None = None,
                         odd: bool = False):
@@ -525,44 +543,36 @@ def solution_1d(slope, cubic_coefficient) -> FuncModel:
 # Control functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(_Value):
     """phi(x, y) = c."""
 
-    value: Fraction
+    _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(self, value: Fraction):
+        self.__dict__["value"] = Fraction(value)
         if self.value < 0:
             raise ValueError("control functions are nonnegative")
 
 
-@dataclass(frozen=True)
-class SumOfPowers:
+class SumOfPowers(_Value):
     """phi(x, y) = theta * (||x||^p + ||y||^p)."""
 
-    theta: Fraction
-    power: Fraction
+    _fields = ("theta", "power")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", Fraction(self.theta))
-        object.__setattr__(self, "power", Fraction(self.power))
+    def __init__(self, theta: Fraction, power: Fraction):
+        self.__dict__.update(theta=Fraction(theta), power=Fraction(power))
         if self.theta < 0 or self.power < 0:
             raise ValueError("theta and p must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ProductOfPowers:
+class ProductOfPowers(_Value):
     """phi(x, y) = theta * ||x||^r * ||y||^s."""
 
-    theta: Fraction
-    r: Fraction
-    s: Fraction
+    _fields = ("theta", "r", "s")
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta", Fraction(self.theta))
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "s", Fraction(self.s))
+    def __init__(self, theta: Fraction, r: Fraction, s: Fraction):
+        self.__dict__.update(theta=Fraction(theta), r=Fraction(r),
+                             s=Fraction(s))
         if self.theta < 0 or self.r < 0 or self.s < 0:
             raise ValueError("theta, r, s must be nonnegative")
 

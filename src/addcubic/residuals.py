@@ -31,10 +31,9 @@ dot product; ``Fraction``s are built only for vectors a caller asks for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .models import DimensionMismatchError, Point, evaluate, norm
 from .scalars import EXACT, ModeMismatchError, integer_ratio
@@ -76,8 +75,7 @@ DOUBLE_ARG_RULE: tuple[Term, ...] = _terms(((1, 4, 0), (-10, 2, 0), (16, 1, 0)))
 ABS_COEFFICIENT_SUM = int(sum(abs(c) for c, _, _ in MIXED_RULE))
 
 
-@dataclass(frozen=True)
-class ResidualVector:
+class ResidualVector(NamedTuple):
     """A codomain vector with its norm; exactness checks use the coordinates."""
 
     value: Point
@@ -232,26 +230,11 @@ def double_arg_residual(f, x: Point) -> ResidualVector:
     return combine(f, x, x, DOUBLE_ARG_RULE)
 
 
-def linearity_residual(f, g, alpha, beta, x: Point, y: Point) -> ResidualVector:
-    """D(alpha f + beta g) - alpha D(f) - beta D(g); exactly zero always.
-
-    The difference operator is linear in the function argument, so this is
-    an internal consistency check rather than a property of f or g.
-    """
-    a, b = Fraction(alpha), Fraction(beta)
-    combined = mixed_residual(lambda p: f(p).scale(a) + g(p).scale(b),
-                              x, y).value
-    separate = mixed_residual(f, x, y).value.scale(a) \
-        + mixed_residual(g, x, y).value.scale(b)
-    return ResidualVector(combined - separate)
-
-
 # ---------------------------------------------------------------------------
 # Derivation-chain catalogue
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainIdentity:
+class ChainIdentity(NamedTuple):
     """One catalogued identity, stored as LHS and RHS term tables.
 
     The residual is the single expression LHS - RHS, evaluable at any
@@ -314,10 +297,6 @@ CHAIN_CATALOGUE: tuple[ChainIdentity, ...] = tuple(
     for label, lhs, rhs in _CATALOGUE_ROWS)
 
 CATALOGUE_SCHEMA_VERSION = 1
-
-
-def catalogue_by_label() -> Mapping[str, ChainIdentity]:
-    return {ident.label: ident for ident in CHAIN_CATALOGUE}
 
 
 def catalogue_as_json_dict(catalogue=CHAIN_CATALOGUE) -> dict:

@@ -31,18 +31,6 @@ def require_mode(mode: str) -> str:
     return mode
 
 
-def mode_of(value: Number) -> str:
-    """Classify a scalar as exact or float."""
-    if isinstance(value, Fraction):
-        return EXACT
-    if isinstance(value, float):
-        return FLOAT
-    if isinstance(value, int):
-        # Bare integers are exact by nature; callers coerce as needed.
-        return EXACT
-    raise TypeError(f"not a scalar: {value!r}")
-
-
 def coerce(value, mode: str) -> Number:
     """Coerce ints, Fractions, floats or numeric strings into the given mode.
 

@@ -8,7 +8,6 @@ from addcubic import (CHAIN_CATALOGUE, ModeMismatchError,
                       catalogue_as_json_dict, catalogue_from_json_dict,
                       chain_replay, cubic_1d, even_1d, linear_1d, model_1d,
                       point, random_linear, random_point, FuncModel)
-from addcubic.residuals import catalogue_by_label
 
 EXPECTED_LABELS = ("2.5", "2.8", "2.9", "2.10", "2.11", "2.12", "2.13",
                    "2.14", "2.15", "2.16", "2.17", "2.18", "2.19", "2.20",
@@ -28,7 +27,7 @@ def test_catalogue_argument_reach():
 
 
 def test_fractional_identity_stores_printed_coefficients():
-    ident = catalogue_by_label()["2.19"]
+    ident = next(i for i in CHAIN_CATALOGUE if i.label == "2.19")
     printed = {c for c, _, _ in ident.rhs_printed}
     assert printed == {"-79/28", "-73/28", "6/28", "264/28"}
     parsed = {c for c, _, _ in ident.rhs}

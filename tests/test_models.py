@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,8 +13,10 @@ from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
                       SumOfPowers, cubic_1d, even_1d, linear_1d,
                       model_1d, noise, norm, odd_part, phi_value, point,
                       random_cubic, random_linear, random_point,
-                      random_rational, zero_point)
-from addcubic.models import NORM_KINDS, evaluate, phi_degree
+                      random_rational)
+from addcubic.config import (model_from_json, model_to_json, phi_from_json,
+                             phi_to_json)
+from addcubic.models import NORM_KINDS, Point, evaluate, phi_degree
 from addcubic.scalars import integer_ratio
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
@@ -67,7 +70,7 @@ def test_norms():
     assert norm(point([3, 4])) == 5.0
     assert norm(point([3, -4], norm_kind="max")) == 4.0
     assert norm(point([-7])) == 7.0
-    assert norm(zero_point(3)) == 0.0
+    assert norm(point([0, 0, 0])) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,6 +103,85 @@ def test_norm_axioms_bulk_sampling():
             expected = abs(float(a)) * norm(x)
             assert abs(scaled - expected) <= 1e-12 * max(1.0, expected)
             assert norm(x + y) <= (norm(x) + norm(y)) * (1 + 1e-12) + 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Value semantics: points, atoms, models and control functions
+# ---------------------------------------------------------------------------
+
+nonnegative = st.fractions(min_value=0, max_value=20, max_denominator=16)
+
+
+def _rows(width, height):
+    return st.lists(st.lists(rationals, min_size=width, max_size=width),
+                    min_size=height, max_size=height)
+
+
+def _atom_specs(d, m):
+    """(class, arguments) of every atom kind of a d -> m model."""
+    monomial = st.tuples(*[st.integers(0, d - 1)] * 3)
+    cubic_terms = st.lists(st.lists(st.tuples(monomial, rationals),
+                                    max_size=3), min_size=m, max_size=m)
+    return st.one_of(
+        st.tuples(st.just(Linear), st.tuples(_rows(d, m))),
+        st.tuples(st.just(CubicHomogeneous),
+                  st.tuples(cubic_terms, st.just((d, m)))),
+        st.tuples(st.just(Even),
+                  st.tuples(st.lists(_rows(d, d), min_size=m, max_size=m))),
+        st.tuples(st.just(BoundedNoise),
+                  st.tuples(st.integers(0, 99), nonnegative)),
+        st.tuples(st.just(PowerNoise),
+                  st.tuples(st.integers(0, 99), nonnegative, nonnegative)))
+
+
+@st.composite
+def value_specs(draw):
+    """(class, arguments) of a point, an atom, a model or a control
+    function; an argument may itself be such a pair."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coords = st.one_of(
+        st.lists(rationals, min_size=d, max_size=d),
+        st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d)).map(tuple)
+    return draw(st.one_of(
+        st.tuples(st.just(Point),
+                  st.tuples(coords, st.sampled_from(NORM_KINDS))),
+        _atom_specs(d, m),
+        st.tuples(st.just(FuncModel), st.tuples(
+            st.just(d), st.just(m),
+            st.lists(_atom_specs(d, m), max_size=4).map(tuple))),
+        st.tuples(st.just(Constant), st.tuples(nonnegative)),
+        st.tuples(st.just(SumOfPowers), st.tuples(nonnegative, nonnegative)),
+        st.tuples(st.just(ProductOfPowers),
+                  st.tuples(nonnegative, nonnegative, nonnegative))))
+
+
+def _build(spec):
+    """The value a spec describes, built from new objects on every call."""
+    if isinstance(spec, Fraction):
+        return Fraction(spec.numerator, spec.denominator)
+    if isinstance(spec, tuple) and spec and isinstance(spec[0], type):
+        cls, args = spec
+        return cls(*map(_build, args))
+    if isinstance(spec, (tuple, list)):
+        return type(spec)(map(_build, spec))
+    return spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_specs())
+def test_values_compare_and_hash_by_value(spec):
+    value, twin = _build(spec), _build(spec)
+    assert value is not twin
+    assert value == twin and not value != twin and hash(value) == hash(twin)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    if isinstance(value, (Constant, SumOfPowers, ProductOfPowers)):
+        assert phi_from_json(phi_to_json(value)) == value
+    if isinstance(value, FuncModel):
+        text = json.dumps(model_to_json(value))
+        first, second = (model_from_json(json.loads(text)) for _ in range(2))
+        assert first == second == value
+        assert hash(first) == hash(second) == hash(value)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +253,7 @@ def test_even_atom_is_even_and_not_odd():
     f = model_1d(even_1d(1))
     x = point([3])
     assert f(x).coords == f(-x).coords == (Fraction(9),)
-    assert f(zero_point(1)).is_zero
+    assert f(point([0])).is_zero
 
 
 def test_model_float_mode_matches_exact():
@@ -208,7 +290,7 @@ def test_odd_part_is_odd_and_zero_at_origin(seed, v):
     g = odd_part(f)
     x = point([v])
     assert g(-x).coords == (-g(x)).coords
-    assert g(zero_point(1)).is_zero
+    assert g(point([0])).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +343,7 @@ def test_noise_exact_outputs_are_rational():
 
 
 def test_noise_zero_at_origin_for_positive_exponent():
-    assert noise_eval(2, zero_point(2), Fraction(1), 3).is_zero
+    assert noise_eval(2, point([0, 0]), Fraction(1), 3).is_zero
 
 
 def test_noise_rejects_negative_parameters():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from addcubic.scalars import (EXACT, FLOAT, coerce, format_number, mode_of,
+from addcubic.scalars import (EXACT, FLOAT, coerce, format_number,
                               parse_rational, require_mode)
 
 
@@ -39,14 +39,6 @@ def test_coerce_exact_is_lossless():
 def test_coerce_float():
     assert coerce(Fraction(1, 2), FLOAT) == 0.5
     assert isinstance(coerce(3, FLOAT), float)
-
-
-def test_mode_of():
-    assert mode_of(Fraction(1, 2)) == EXACT
-    assert mode_of(0.5) == FLOAT
-    assert mode_of(3) == EXACT
-    with pytest.raises(TypeError):
-        mode_of("0.5")
 
 
 def test_require_mode():
