@@ -24,14 +24,16 @@ calls when both directions agree and 2N + 2 when they differ; a callable
 that is not a model is called twice per argument.  :func:`odd_part`,
 :func:`h_transform` and :func:`g_transform` read the same table at x.
 
-Exact mode runs in integers: x is u over one denominator L, the argument
-x * 2^k is (u << k, L) or (u, L << -k), and each value is integer
-numerators over one denominator, so a step w^(l n) * (hi - s * lo) is a
-shift and at most one gcd.  The model is called through its integer
-entry, norms divide int by int, which rounds as ``float(Fraction)`` does,
-and a trace builds a step's ``Fraction`` point only when it is read.
-Float mode reads the arguments x * 2^-(l n) and their doubles exactly as
-computed, so results hold bit for bit even where x * 2^k is subnormal.
+Both modes run in integers: x is u over one denominator L (a double at
+its exact binary value), the argument x * 2^k is (u << k, L) or
+(u, L << -k), and each value is integer numerators over one denominator,
+so a step w^(l n) * (hi - s * lo) is a shift and at most one gcd.  The
+model is called through its integer entry, norms divide int by int, which
+rounds as ``float(Fraction)`` does, and a trace builds a step's point only
+when it is read.  :func:`recover` forms A, C and both residuals on those
+vectors too, so a float-mode result is the exact-mode result at the same
+double with each value rounded once: no float cancellation can pass for
+convergence.
 
 Iterations at distinct points are independent; every structure here is
 either immutable or built single-threaded per point, so points may be
@@ -47,8 +49,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import require_direction
-from .models import (ControlFunction, FuncModel, Point, coords_norm, evaluate,
-                     norm)
+from .models import ControlFunction, FuncModel, Point, coords_norm, evaluate
 from .scalars import EXACT, add_ratios, format_number, integer_ratio
 
 OVERFLOW_GUARD_BITS = 500  # abort when any evaluation norm exceeds 2^500
@@ -57,7 +58,6 @@ DEFAULT_N_MAX = 48
 DEFAULT_TOL_ABS = 1e-12
 DEFAULT_TOL_REL = 1e-10
 CONSECUTIVE_GAPS = 3  # small gaps in a row required to call it converged
-_HALF = Fraction(1, 2)
 
 
 class OverflowGuardError(ArithmeticError):
@@ -71,32 +71,30 @@ class DivergentControlError(ValueError):
 class OrbitTable:
     """Memoized values of f along the dyadic orbit x * 2^k of one point.
 
+    x is read as integer numerators u over one denominator L, a double at
+    its exact binary value, so in both modes the argument x * 2^k is
+    (u << k, L) or (u, L << -k) and f is called through its integer entry.
     With ``odd`` a value is the odd part (f(y) - f(-y)) / 2, otherwise f(y);
-    each is guarded once, when it is formed.  Exact entries are keyed by k
-    and hold (numerators, denominator) vectors; float entries are keyed by
-    the argument's coordinates and hold float tuples.  The methods work on
-    those vectors, and :meth:`point` turns one into a point.
+    each is guarded once, when it is formed.  Entries are keyed by k and
+    hold (numerators, denominator) vectors.  The methods work on those
+    vectors, and :meth:`point` turns one into a point of x's mode.
     """
 
     def __init__(self, func: Callable[[Point], Point], x: Point,
                  odd: bool = True):
         self.func, self.x, self.odd = func, x, odd
-        self.exact = x.mode == EXACT
-        if self.exact:
-            u, self._den = integer_ratio(x.coords)
-            self._u = tuple(u)
+        u, self._den = integer_ratio(x.coords)
+        self._u = tuple(u)
         self._entries: dict = {}
 
-    def _entry(self, key) -> tuple:
-        """(f(y), table value) at the argument y the key stands for."""
-        entry = self._entries.get(key)
+    def entry(self, k: int) -> tuple:
+        """(f(y), table value) at y = x * 2^k."""
+        entry = self._entries.get(k)
         if entry is None:
-            coords, den = key, None
-            if self.exact:  # y = x * 2^key
-                coords, den = ((tuple(c << key for c in self._u), self._den)
-                               if key >= 0 else (self._u, self._den << -key))
+            coords, den = ((tuple(c << k for c in self._u), self._den)
+                           if k >= 0 else (self._u, self._den << -k))
             try:
-                raw = value = evaluate(self.func, coords, self.x.mode,
+                raw = value = evaluate(self.func, coords, EXACT,
                                        self.x.norm_kind, den, self.odd)
                 if self.odd:
                     raw, value = value
@@ -104,35 +102,26 @@ class OrbitTable:
                 raise OverflowGuardError(
                     f"evaluation overflowed float range: {exc}") from exc
             self.magnitude(value)
-            entry = self._entries[key] = (raw, value)
+            entry = self._entries[k] = (raw, value)
         return entry
 
     def _combination(self, a, b, factor: int, e: int):
         """2^e * (a - factor * b)."""
-        if self.exact:
-            nums, den = add_ratios(a, b, -factor)
-            if e == 0:
-                return nums, den
-            return ([n << e for n in nums], den) if e > 0 \
-                else (nums, den << -e)
-        scale, factor = 2.0 ** e, float(factor)
-        return tuple(scale * (p - factor * q) for p, q in zip(a, b))
+        nums, den = add_ratios(a, b, -factor)
+        if e == 0:
+            return nums, den
+        return ([n << e for n in nums], den) if e > 0 else (nums, den << -e)
 
     def _norm(self, vector) -> float:
-        if self.exact:
-            nums, den = vector
-            vector = [n / den for n in nums]  # rounds as float(Fraction) does
-        return coords_norm(vector, self.x.norm_kind)
+        nums, den = vector  # n / den rounds as float(Fraction) does
+        return coords_norm([n / den for n in nums], self.x.norm_kind)
 
     def step(self, k: int, subtract: int, bits: int):
         """2^(-k bits) * (value(2a) - subtract * value(a)) at a = x * 2^k."""
-        if self.exact:  # at x = 0 every k is the one argument 0
-            hi, lo = (k + 1, k) if any(self._u) else (0, 0)
-        else:
-            lo = tuple(float(_HALF ** -k) * c for c in self.x.coords)
-            hi = tuple(2.0 * c for c in lo)
-        hi = self._entry(hi)[1]
-        return self._combination(hi, self._entry(lo)[1], subtract, -k * bits)
+        # At x = 0 every k is the one argument 0.
+        hi, lo = (k + 1, k) if any(self._u) else (0, 0)
+        hi = self.entry(hi)[1]
+        return self._combination(hi, self.entry(lo)[1], subtract, -k * bits)
 
     def magnitude(self, vector) -> float:
         """The vector's norm; the overflow guard."""
@@ -151,20 +140,21 @@ class OrbitTable:
         return self._norm(self._combination(a, b, 1, 0))
 
     def point(self, vector) -> Point:
-        if self.exact:
-            nums, den = vector
-            vector = [Fraction(n, den) for n in nums]
-        return Point(tuple(vector), self.x.norm_kind)
-
-    def at_x(self) -> tuple[Point, Point]:
-        """f(x) and the table value at x, as points."""
-        raw, value = self._entry(0 if self.exact else self.x.coords)
-        return self.point(raw), self.point(value)
+        """The vector as a point: ``Fraction``s in exact mode, each
+        coordinate rounded once in float mode."""
+        nums, den = vector
+        if self.x.mode == EXACT:
+            return Point(tuple([Fraction(n, den) for n in nums]),
+                         self.x.norm_kind)
+        return Point(tuple([n / den for n in nums]), self.x.norm_kind)
 
 
 def odd_part(f) -> Callable[[Point], Point]:
     """x -> (f(x) - f(-x)) / 2, the odd value of x's orbit table."""
-    return lambda x: OrbitTable(f, x).at_x()[1]
+    def odd(x: Point) -> Point:
+        table = OrbitTable(f, x)
+        return table.point(table.entry(0)[1])
+    return odd
 
 
 def _transform(f, subtract: int) -> Callable[[Point], Point]:
@@ -224,11 +214,7 @@ def _iterate(f, x: Point, l: int, weight: int, n_steps: int,
     trace = IterationTrace(direction=l, weight=weight, to_point=f.point)
     streak = 0
     for n in range(n_steps + 1):
-        try:
-            value = f.step(-l * n, subtract, bits)
-        except OverflowError as exc:
-            raise OverflowGuardError(
-                f"iterate step {n} overflowed float range") from exc
+        value = f.step(-l * n, subtract, bits)
         magnitude = f.magnitude(value)
         trace.steps.append(value)
         if n == 0:
@@ -259,11 +245,10 @@ def additive_iterate(f, x: Point, l: int, n_steps: int = DEFAULT_N_MAX,
     ``n_steps`` is reported via the flag, not an error; only the growth
     guard (direction -1 with fast-growing f) raises.
 
-    Stopping at the gap criterion is the default: in float mode with l = -1
-    the cubic content of f eventually dominates every evaluation and the
-    additive signal drops below its ulp, so iterating past convergence only
-    degrades the value.  Exact-mode points reproduce the infinite-precision
-    sequence at any depth (use ``stop_early=False`` to force full depth).
+    Stopping at the gap criterion is the default.  The values are exact
+    in both modes, float points read at their binary value, so any depth
+    reproduces the infinite-precision sequence (use ``stop_early=False``
+    to force full depth).
     """
     return _iterate(f, x, l, 2, n_steps, tol_abs, tol_rel, stop_early)
 
@@ -302,9 +287,10 @@ def uniqueness_probe(f, x: Point, l: int, component: str, n1: int, n2: int,
         raise ValueError("probe depths must differ")
     if min(n1, n2) < 1:
         raise ValueError("iteration count must be at least 1")
-    trace = _ITERATORS[component](f, x, l, n_steps=max(n1, n2),
+    table = f if isinstance(f, OrbitTable) else OrbitTable(f, x, odd=False)
+    trace = _ITERATORS[component](table, x, l, n_steps=max(n1, n2),
                                   stop_early=False)
-    gap = norm(trace.values[n1] - trace.values[n2])
+    gap = table.distance(trace.steps[n1], trace.steps[n2])
     tail = None
     if phi is not None:
         tail = bounds_mod.uniqueness_tail(component, phi, x, l,
@@ -440,7 +426,6 @@ def recover(f: FuncModel, points: Sequence[Point],
         phi = bounds_mod.certify_phi(f)
     l_add, l_cub = resolve_directions(phi, l_additive, l_cubic)
 
-    sixth = Fraction(1, 6)
     mode = points[0].mode if points else EXACT
     norm_kind = points[0].norm_kind if points else "euclidean"
     report = RecoveryReport(direction_additive=l_add, direction_cubic=l_cub,
@@ -459,18 +444,18 @@ def recover(f: FuncModel, points: Sequence[Point],
                                    stop_early=stop_early)
         trace_c = cubic_iterate(orbit, x, l_cub, n_max, tol_abs, tol_rel,
                                 stop_early=stop_early)
-        additive_value = trace_a.final.scale(-sixth)
-        cubic_value = trace_c.final.scale(sixth)
-        raw, odd = orbit.at_x()
-        residual = odd - additive_value - cubic_value
-        raw_residual = raw - additive_value - cubic_value
-        error = norm(residual)
+        (a_nums, a_den), (c_nums, c_den) = trace_a.steps[-1], trace_c.steps[-1]
+        additive = [-n for n in a_nums], 6 * a_den  # A = -final / 6
+        cubic = c_nums, 6 * c_den  # C = final / 6
+        parts = add_ratios(additive, cubic)
+        raw, odd = orbit.entry(0)
+        error = orbit.distance(odd, parts)
         report.points.append(PointRecovery(
             x=x,
-            additive=additive_value,
-            cubic=cubic_value,
+            additive=orbit.point(additive),
+            cubic=orbit.point(cubic),
             error=error,
-            raw_error=norm(raw_residual),
+            raw_error=orbit.distance(raw, parts),
             bound=bound_value,
             within_bound=error <= bound_value,
             additive_trace=trace_a,

@@ -430,8 +430,8 @@ def _sweep_cell(spec: SweepSpec, cell: dict, points: list) -> dict:
 def run_sweep(spec: SweepSpec, out_dir: Path) -> RunResult:
     """One recovery experiment per grid cell; failures recorded, sweep continues."""
     spec.samples.require_dims({1}, "base.samples")
-    # Exact-mode points: growth-direction iterates are exact at any depth,
-    # where float evaluation would hit its precision floor.
+    # Exact-mode points keep the sampled rationals as drawn; float points
+    # would round them to doubles first.  Both modes iterate exactly.
     points = spec.samples.sample_points(1, EXACT, spec.norm_kind)
     if not points:
         raise ConfigError("base.samples has no points of dimension 1; a sweep "

@@ -16,9 +16,11 @@ mode of the input point (exact or float).  Exact evaluation is one integer
 kernel: a model folds its polynomial atoms into one integer table, reads
 it at integer numerators over one denominator and adds the noise atoms'
 numerators.  The odd part (f(y) - f(-y)) / 2 that the direct method reads
-comes from the same pass.  Callers holding integers pass ``den`` and get
-integers back; others get one ``Fraction`` per output coordinate.  Every
-value is immutable and evaluation is pure, so it is thread-safe.
+comes from the same pass, and the direct method reads float points through
+it too, at their exact binary values.  Callers holding integers pass
+``den`` and get integers back; others get one ``Fraction`` per output
+coordinate.  Every value is immutable and evaluation is pure, so it is
+thread-safe.
 """
 
 from __future__ import annotations
@@ -349,17 +351,6 @@ def _add_floats(a, b):
     return [t + v for t, v in zip(a, b)]
 
 
-def _float_values(atom, coords, dim_out: int, odd: bool):
-    """atom(y), or with ``odd`` (atom(y), atom(-y)), in float mode.  An odd
-    atom's float sum starts at 0.0, so 0.0 - v is its value at -y bit for
-    bit, zeros included."""
-    if isinstance(atom, NOISE_ATOMS):
-        return atom.evaluate(coords, FLOAT, dim_out, odd=odd)
-    value = atom.evaluate(coords)
-    return (value, value if isinstance(atom, Even)
-            else [0.0 - v for v in value]) if odd else value
-
-
 def _fold(atoms, dim_in: int, dim_out: int):
     """Per output, the polynomial atoms' (odd-degree, even-degree) terms
     (c, (i, j, k)), c an integer over one L: at x = u / D a term adds
@@ -417,8 +408,9 @@ class FuncModel(_Value):
         numerators.  With ``den`` the coordinates are integer numerators
         over ``den`` and the result is (integer numerators, denominator),
         unreduced; without it they are rationals and one normalized
-        ``Fraction`` is returned per output coordinate.  With ``odd`` it is
-        (f(y), (f(y) - f(-y)) / 2), in float mode bit for bit as two calls.
+        ``Fraction`` is returned per output coordinate.  With ``odd``, exact
+        mode only, it is (f(y), (f(y) - f(-y)) / 2).  Float mode sums the
+        atoms' float values in atom order.
         """
         if len(coords) != self.dim_in:
             raise DimensionMismatchError(
@@ -429,13 +421,13 @@ class FuncModel(_Value):
             if den is None:
                 values = [[Fraction(n, d) for n in nums] for nums, d in values]
             return tuple(values) if odd else values[0]
-        zero = [0.0] * self.dim_out
-        values = [_float_values(atom, coords, self.dim_out, odd)
-                  for atom in self.atoms] or [(zero, zero) if odd else zero]
-        if not odd:  # summed in atom order
-            return reduce(_add_floats, values)
-        total, minus = (reduce(_add_floats, column) for column in zip(*values))
-        return total, [0.5 * (p - q) for p, q in zip(total, minus)]
+        if odd:
+            raise ValueError("odd=True is exact mode only; read float "
+                             "coordinates through integer_ratio")
+        values = [atom.evaluate(coords, FLOAT, self.dim_out)
+                  if isinstance(atom, NOISE_ATOMS) else atom.evaluate(coords)
+                  for atom in self.atoms]
+        return reduce(_add_floats, values or [[0.0] * self.dim_out])
 
     def _exact(self, u, den: int, odd: bool) -> list:
         """[f(y)], or [f(y), odd part], at y = u / den as integer ratios."""
@@ -497,19 +489,17 @@ def evaluate(f: Callable[[Point], Point], coords, mode: str, norm_kind: str,
     callable gets a :class:`Point`.  With ``den`` the coordinates are
     integer numerators over ``den`` and the result is (integer numerators,
     denominator); without it the result is one value per output coordinate.
-    With ``odd`` it is the pair f(y), (f(y) - f(-y)) / 2 at y = ``coords``;
-    a callable that is not a model is called at y and at -y.
+    With ``odd``, in exact mode, it is the pair f(y), (f(y) - f(-y)) / 2 at
+    y = ``coords``; a callable that is not a model is called at y and at
+    -y, and then ``den`` is required.
     """
     if isinstance(f, FuncModel):
         return f.evaluate_coords(coords, mode, den=den, odd=odd)
     if odd:
         plus, minus = (evaluate(f, c, mode, norm_kind, den)
                        for c in (coords, tuple(-c for c in coords)))
-        if mode == EXACT and den is not None:
-            nums, out_den = add_ratios(plus, minus, -1)
-            return plus, (nums, out_den << 1)
-        half = Fraction(1, 2) if mode == EXACT else 0.5
-        return plus, [half * (p - q) for p, q in zip(plus, minus)]
+        nums, out_den = add_ratios(plus, minus, -1)
+        return plus, (nums, out_den << 1)
     if den is not None:
         coords = [Fraction(c, den) for c in coords]
     values = f(Point(tuple(coords), norm_kind)).coords

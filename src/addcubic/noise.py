@@ -91,10 +91,9 @@ def sample(seed: int, coords, amplitude: tuple[int, int],
     ``amplitude`` and ``exponent`` are integer ratios in lowest terms.
     Float mode takes float coordinates and returns one float per output
     coordinate.  Exact mode takes integer numerators ``coords`` over
-    ``den`` and returns ``(numerators, denominator)``.  With ``odd`` the
-    value at x comes with what a model's odd part needs, from one scale:
-    in exact mode (N(x) - N(-x)) / 2 over the same denominator as N(x), in
-    float mode N(-x).  The envelope
+    ``den`` and returns ``(numerators, denominator)``; with ``odd`` that
+    value comes with (N(x) - N(-x)) / 2 over the same denominator, from
+    one scale, as a model's odd part needs.  The envelope
     ||output|| <= amplitude * (max_i |x_i|)^exponent
     <= amplitude * ||x||^exponent is guaranteed exactly.
     """
@@ -109,11 +108,12 @@ def sample(seed: int, coords, amplitude: tuple[int, int],
     out = []
     for sign in (1, -1) if odd else (1,):
         snapped = tuple([(sign * u << QUANT_BITS) // den for u in coords])
-        nums = [scale_num * _direction_component(seed, snapped, j)
-                for j in range(dim_out)]
-        out.append((nums, out_den) if exact else [n / out_den for n in nums])
-    if exact and odd:  # N(x) and (N(x) - N(-x)) / 2 over one denominator
-        (plus, _), (minus, _) = out
-        out = [([n << 1 for n in plus], out_den << 1),
-               ([p - q for p, q in zip(plus, minus)], out_den << 1)]
-    return tuple(out) if odd else out[0]
+        out.append([scale_num * _direction_component(seed, snapped, j)
+                    for j in range(dim_out)])
+    if not exact:
+        return [n / out_den for n in out[0]]
+    if odd:  # N(x) and (N(x) - N(-x)) / 2 over one denominator
+        plus, minus = out
+        return (([n << 1 for n in plus], out_den << 1),
+                ([p - q for p, q in zip(plus, minus)], out_den << 1))
+    return out[0], out_den

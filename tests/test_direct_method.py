@@ -19,6 +19,7 @@ from addcubic.bounds import uniqueness_tail
 from addcubic.direct_method import DEFAULT_TOL_ABS, DEFAULT_TOL_REL
 from addcubic.residuals import (ADDITIVE_RULE, CUBIC_RULE, MIXED_RULE,
                                 TermTables)
+from addcubic.scalars import coerce
 
 EPS = Fraction(1, 1000)
 
@@ -85,7 +86,8 @@ def _exact_text(p):
        st.sampled_from(("exact", "float")))
 def test_table_maps_match_point_arithmetic(data, kinds, mode):
     # odd_part, h_transform and g_transform read the orbit table; the
-    # references are their formulas in Point arithmetic, bit for bit.
+    # references are their formulas in exact Point arithmetic at the value
+    # x holds, each coordinate rounded once to x's mode, bit for bit.
     d = data.draw(st.integers(1, 3), label="dim")
     rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
     f = FuncModel(d, d, tuple(_atom(kind, rng, d) for kind in sorted(kinds)))
@@ -93,11 +95,12 @@ def test_table_maps_match_point_arithmetic(data, kinds, mode):
     x = point(data.draw(st.lists(values, min_size=d, max_size=d), label="x"),
               mode, data.draw(st.sampled_from(("euclidean", "max")),
                               label="norm"))
+    q = x.to_mode("exact")
     assert _exact_text(odd_part(f)(x)) \
-        == _exact_text((f(x) - f(-x)).scale(Fraction(1, 2)))
+        == _exact_text((f(q) - f(-q)).scale(Fraction(1, 2)).to_mode(mode))
     for transform, subtract in ((h_transform, 8), (g_transform, 2)):
         assert _exact_text(transform(f)(x)) \
-            == _exact_text(f(x.scale(2)) - f(x).scale(subtract))
+            == _exact_text((f(q.scale(2)) - f(q).scale(subtract)).to_mode(mode))
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +374,49 @@ def test_recover_with_max_norm_points():
     assert report.ok
 
 
+# Doubles up to 1e30 in size: non-dyadic ones, subnormals (multiples of
+# 2^-1074) and both signed zeros.
+_FLOAT_X = st.one_of(
+    st.floats(min_value=-1e30, max_value=1e30),
+    st.fractions(min_value=-50, max_value=50, max_denominator=97).map(float),
+    st.integers(-2 ** 52, 2 ** 52).map(lambda n: n * 5e-324),
+    st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_float_recover_is_exact_recover_rounded_once(data):
+    # The stability theorem holds for L + C + bounded noise at every point,
+    # so a float recovery stays within the bound; it is the exact recovery
+    # at the double x holds, each value rounded once, so no trace converges
+    # on a rounding artefact.
+    d = data.draw(st.integers(1, 2), label="dim")
+    rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
+    f = FuncModel(d, d, (random_linear(rng, d, d), random_cubic(rng, d, d),
+                         BoundedNoise(rng.randint(0, 99), EPS)))
+    x = point(data.draw(st.lists(_FLOAT_X, min_size=d, max_size=d),
+                        label="x"), "float",
+              data.draw(st.sampled_from(("euclidean", "max")), label="norm"))
+    got = recover(f, [x]).points[0]
+    want = recover(f, [x.to_mode("exact")]).points[0]
+    assert got.within_bound
+
+    def rounded(p):
+        return _bits(p.to_mode("float").coords)
+
+    for trace, exact in ((got.additive_trace, want.additive_trace),
+                         (got.cubic_trace, want.cubic_trace)):
+        assert [_bits(v.coords) for v in trace.values] \
+            == [rounded(v) for v in exact.values]
+        assert _bits(trace.cauchy_gaps) == _bits(exact.cauchy_gaps)
+        assert (trace.converged, trace.converged_at) \
+            == (exact.converged, exact.converged_at)
+    assert _bits(got.additive.coords) == rounded(want.additive)
+    assert _bits(got.cubic.coords) == rounded(want.cubic)
+    assert _bits([got.error, got.raw_error]) \
+        == _bits([want.error, want.raw_error])
+
+
 # ---------------------------------------------------------------------------
 # Uniqueness probe
 # ---------------------------------------------------------------------------
@@ -435,21 +481,27 @@ def _bits(values):
 
 def _assert_recover_matches_oracle(f, x, l_additive, l_cubic, phi, n_max,
                                    stop_early):
+    # The oracle runs exactly at the value x holds; a float recovery equals
+    # it with each value rounded once.
     item = recover(f, [x], phi, l_additive, l_cubic, n_max=n_max,
                    stop_early=stop_early).points[0]
     expected = oracles.dyadic_recovery(
-        lambda c: tuple(f.evaluate_coords(c, x.mode)), x.coords, x.norm_kind,
-        l_additive, l_cubic, n_max, DEFAULT_TOL_ABS, DEFAULT_TOL_REL,
-        stop_early)
+        lambda c: tuple(f.evaluate_coords(c, "exact")),
+        x.to_mode("exact").coords, x.norm_kind, l_additive, l_cubic, n_max,
+        DEFAULT_TOL_ABS, DEFAULT_TOL_REL, stop_early)
+
+    def rounded(values):
+        return _bits([coerce(v, x.mode) for v in values])
+
     for trace, want in ((item.additive_trace, expected["additive_trace"]),
                         (item.cubic_trace, expected["cubic_trace"])):
         assert [_bits(v.coords) for v in trace.values] \
-            == [_bits(v) for v in want["values"]]
+            == [rounded(v) for v in want["values"]]
         assert _bits(trace.cauchy_gaps) == _bits(want["gaps"])
         assert trace.converged == want["converged"]
         assert trace.converged_at == want["converged_at"]
-    assert _bits(item.additive.coords) == _bits(expected["additive"])
-    assert _bits(item.cubic.coords) == _bits(expected["cubic"])
+    assert _bits(item.additive.coords) == rounded(expected["additive"])
+    assert _bits(item.cubic.coords) == rounded(expected["cubic"])
     assert _bits([item.error, item.raw_error]) \
         == _bits([expected["error"], expected["raw_error"]])
 
@@ -504,8 +556,9 @@ def test_recover_float_orbit_through_subnormals_matches_oracle(d):
     x = point([3.0000000000000004e-300, -7.000000000000001e-301][:d],
               mode="float")
     n_max = 48
-    # Halving rounds away low bits once x * 2^-n is subnormal, so there the
-    # double of one argument is not the argument of the step before.
+    # Halving a double rounds away low bits once x * 2^-n is subnormal, so
+    # there the double of one argument is not the argument of the step
+    # before; the orbit is read in integers and stays exact.
     arguments = [x.scale(Fraction(1, 2) ** n) for n in range(n_max + 1)]
     assert min(abs(c) for c in arguments[-1].coords) < 2.0 ** -1022
     assert any(later.scale(2) != earlier

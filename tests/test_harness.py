@@ -592,15 +592,28 @@ SWEEP_PRODUCT_DOC = sweep_doc(
     form="product", p=[], rs=[["1/2", "1/2"], [0, 0], [1, "3/2"]],
     theta=["1/2", 2], epsilon=[0, "1/1000"], l_mode=["auto", "neg"],
     allow_divergent=True)
+# Float recovery of the benchmark's model at the non-dyadic points n/7, where
+# float cancellation along the orbit once broke the bound at 169 of the 200.
+RECOVER_SEVENTHS_DOC = recover_config(
+    directions={"additive": -1, "cubic": -1},
+    samples={"random": {"count": 200, "seed": 1708705673,
+                        "max_denominator": 7}},
+    output_stem="rec7")
 # sha256 of each file the other subcommands write for pinned configs.  A
 # change to a runner, to the config readers or to a report layout changes
 # these bytes.
 COMMAND_GOLDENS = {
     "recover-float": ("recover", recover_config(), {
-        "rec.json": "fe2483e842a3020827f272bd36783415"
-                    "f02e944c513d8fe98b037c8cf22e4d59",
-        "rec.csv": "0efe0f431a0e29b3bda6d2be06bbaa30"
-                   "2ea2bb01c1cdd58218ac8f7fc035a079",
+        "rec.json": "c0565cff55afc8aa5e9378450aae46f9"
+                    "61409d8d548e4a1cb9f7c0f269a9f8ad",
+        "rec.csv": "bf45c88654a7b106ab2798e90d4aec30"
+                   "36b752dc732563e81ce30004ec7e0eaf",
+    }),
+    "recover-float-sevenths": ("recover", RECOVER_SEVENTHS_DOC, {
+        "rec7.json": "641b6a8ee7b2bc93e07bb8ad77db06f1"
+                     "d1011a6d4d55e5e947856155c5341e7a",
+        "rec7.csv": "517bf3dc08a0097f6da8affe8e0b644e"
+                    "ab197d567f7f2ebaf7629064e2255b9a",
     }),
     "recover-exact": ("recover", RECOVER_EXACT_DOC, {
         "recx.json": "8774b9babd41c6d4163acaff5701ae78"

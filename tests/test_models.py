@@ -479,10 +479,6 @@ def test_atoms_read_unreduced_integer_arguments(ints, den):
             == oracles.atom_sum([spec], x, 2)
 
 
-def _hex(values):
-    return [v.hex() for v in values]
-
-
 # Floats whose cubes stay finite, subnormals (multiples of 2^-1074) and
 # both signed zeros.
 _FLOAT_COORDINATE = st.one_of(
@@ -504,15 +500,10 @@ def test_odd_entry_matches_two_calls(data):
     norm_kind = data.draw(st.sampled_from(NORM_KINDS), label="norm")
     x = data.draw(st.one_of(st.just([0.0] * d), st.lists(
         _FLOAT_COORDINATE, min_size=d, max_size=d)), label="x")
-    # Float mode: bit for bit, signed zeros included, against the odd part
-    # as the orbit table formed it from two plain calls.
-    value, odd = evaluate(f, x, "float", norm_kind, odd=True)
-    plus = f.evaluate_coords(x, "float")
-    minus = f.evaluate_coords([-c for c in x], "float")
-    assert _hex(value) == _hex(plus)
-    assert _hex(odd) == _hex(0.5 * (p - 1.0 * q) for p, q in zip(plus, minus))
-    # Exact mode: on rationals, and on integers over an unreduced
-    # denominator.
+    # Float mode has no odd entry.  Exact mode: on the doubles' exact
+    # values, and on integers over an unreduced denominator.
+    with pytest.raises(ValueError, match="exact mode only"):
+        evaluate(f, x, "float", norm_kind, odd=True)
     exact_x = [Fraction(c) for c in x]
     plus = f.evaluate_coords(exact_x, "exact")
     minus = f.evaluate_coords([-c for c in exact_x], "exact")
@@ -539,12 +530,8 @@ def test_odd_entry_calls_a_plain_callable_twice(norm_kind):
         calls.append(p)
         return model(p)
 
-    plus, minus = (model(point([c], "float")).coords for c in (0.75, -0.75))
-    assert evaluate(f, (0.75,), "float", norm_kind, odd=True) == (
-        plus, [0.5 * (plus[0] - minus[0])])
     value, odd = evaluate(f, (3,), "exact", norm_kind, 4, odd=True)
-    assert [p.coords for p in calls] == [(0.75,), (-0.75,),
-                                         (Fraction(3, 4),), (Fraction(-3, 4),)]
+    assert [p.coords for p in calls] == [(Fraction(3, 4),), (Fraction(-3, 4),)]
     assert all(p.norm_kind == norm_kind for p in calls)
     plus, minus = (model(point([c])).coords for c in ("3/4", "-3/4"))
     assert [Fraction(n, value[1]) for n in value[0]] == list(plus)
@@ -556,13 +543,15 @@ def test_noise_directions_are_cached_without_changing_values():
                  BoundedNoise(9, Fraction(1, 7)))
     xs = [point(["3/8"]), point(["-5/3"]), point([0.3], "float")]
     noise._direction_component.cache_clear()
-    cold = [(f(x).coords, f(-x).coords,
-             evaluate(f, x.coords, x.mode, x.norm_kind, odd=True))
-            for x in xs]
+
+    def values(x):  # a float point's odd part is read at its integer ratio
+        ints, den = integer_ratio(x.coords)
+        return (f(x).coords, f(-x).coords,
+                evaluate(f, ints, "exact", x.norm_kind, den, odd=True))
+
+    cold = [values(x) for x in xs]
     assert noise._direction_component.cache_info().currsize > 0
-    warm = [(f(x).coords, f(-x).coords,
-             evaluate(f, x.coords, x.mode, x.norm_kind, odd=True))
-            for x in xs]
+    warm = [values(x) for x in xs]
     assert warm == cold
     assert noise._direction_component.cache_info().hits > 0
     maxsize = noise._direction_component.cache_info().maxsize
