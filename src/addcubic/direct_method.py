@@ -43,14 +43,14 @@ processed concurrently while report assembly preserves input order.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import require_direction
 from .models import ControlFunction, FuncModel, Point, coords_norm, evaluate
-from .scalars import EXACT, add_ratios, format_number, integer_ratio
+from .scalars import (EXACT, add_ratios, format_number, integer_ratio,
+                      ratio_values)
 
 OVERFLOW_GUARD_BITS = 500  # abort when any evaluation norm exceeds 2^500
 
@@ -68,6 +68,12 @@ class DivergentControlError(ValueError):
     """The control function's bound series diverges for the chosen direction."""
 
 
+def _vector_point(mode: str, norm_kind: str, vector) -> Point:
+    """The vector as a point: ``Fraction``s in exact mode, each coordinate
+    rounded once in float mode."""
+    return Point(tuple(ratio_values(vector, mode)), norm_kind)
+
+
 class OrbitTable:
     """Memoized values of f along the dyadic orbit x * 2^k of one point.
 
@@ -77,7 +83,9 @@ class OrbitTable:
     With ``odd`` a value is the odd part (f(y) - f(-y)) / 2, otherwise f(y);
     each is guarded once, when it is formed.  Entries are keyed by k and
     hold (numerators, denominator) vectors.  The methods work on those
-    vectors, and :meth:`point` turns one into a point of x's mode.
+    vectors, and ``point`` turns one into a point of x's mode; it holds
+    the mode and norm kind only, so a trace that keeps it does not keep
+    the table's entries alive.
     """
 
     def __init__(self, func: Callable[[Point], Point], x: Point,
@@ -86,6 +94,7 @@ class OrbitTable:
         u, self._den = integer_ratio(x.coords)
         self._u = tuple(u)
         self._entries: dict = {}
+        self.point = partial(_vector_point, x.mode, x.norm_kind)
 
     def entry(self, k: int) -> tuple:
         """(f(y), table value) at y = x * 2^k."""
@@ -138,15 +147,6 @@ class OrbitTable:
 
     def distance(self, a, b) -> float:
         return self._norm(self._combination(a, b, 1, 0))
-
-    def point(self, vector) -> Point:
-        """The vector as a point: ``Fraction``s in exact mode, each
-        coordinate rounded once in float mode."""
-        nums, den = vector
-        if self.x.mode == EXACT:
-            return Point(tuple([Fraction(n, den) for n in nums]),
-                         self.x.norm_kind)
-        return Point(tuple([n / den for n in nums]), self.x.norm_kind)
 
 
 def odd_part(f) -> Callable[[Point], Point]:

@@ -4,7 +4,8 @@ Every runner consumes an :class:`~addcubic.config.ExperimentConfig` (or
 :class:`~addcubic.config.SweepSpec`), writes deterministic JSON/CSV files
 into an output directory and returns a :class:`RunResult` whose ``ok`` flag
 feeds the process exit status: 0 iff every asserted inequality/identity in
-the run holds.
+the run holds.  Model values, residuals and recovered parts are exact in
+both modes; a float report holds each exact value rounded once.
 """
 
 from __future__ import annotations
@@ -76,8 +77,6 @@ _RULE_TABLES = {
     "cubic": residuals.CUBIC_RULE,
 }
 
-FLOAT_REL_TOL = 1e-9
-
 
 def _expectations(model: FuncModel) -> dict[str, bool]:
     """Which residuals must vanish identically, derived from the atom mix."""
@@ -124,35 +123,24 @@ def _chain_stats(catalogue) -> dict[str, dict]:
 
 
 def _tally_pairs(f, pairs, tables: residuals.TermTables, rows: list[dict],
-                 exact: bool, keep: int = 0) -> list:
+                 keep: int = 0) -> list:
     """Fold the residual of ``tables`` entry i at every pair into rows[i].
 
     f is evaluated once per distinct argument of each pair, for all tables
-    together.  Exact rows read the integer totals: the norm divides int by
+    together, and in both modes the rows read the exact integer totals: a
+    residual is nonzero when any numerator is, and the norm divides int by
     int, which rounds as ``float(Fraction)`` does.  Returns the residual
     vectors of the first ``keep`` pairs.
     """
     kept = []
     for x, y in pairs:
         values = tables.evaluate(f, x, y)
-        vectors = tables.sums(values, x) \
-            if not exact or len(kept) < keep else None
         if len(kept) < keep:
-            kept.append(vectors)
-        if exact:
-            for row, (nums, den) in zip(rows, tables.integer_sums(values)):
-                magnitude = coords_norm([n / den for n in nums], x.norm_kind)
-                row["max_abs"] = max(row["max_abs"], magnitude)
-                if any(nums):
-                    row["nonzero_count"] += 1
-            continue
-        scales = tables.term_norms(values, x)
-        for row, vector, scale in zip(rows, vectors, scales):
-            magnitude = vector.magnitude
+            kept.append(tables.sums(values, x))
+        for row, (nums, den) in zip(rows, tables.integer_sums(values)):
+            magnitude = coords_norm([n / den for n in nums], x.norm_kind)
             row["max_abs"] = max(row["max_abs"], magnitude)
-            rel = magnitude / max(1.0, scale)
-            row["max_rel"] = max(row["max_rel"], rel)
-            if rel > FLOAT_REL_TOL:
+            if any(nums):
                 row["nonzero_count"] += 1
     return kept
 
@@ -166,11 +154,13 @@ def run_check_lemmas(config: ExperimentConfig, out_dir: Path) -> RunResult:
     """Residual statistics for the mixed/additive/cubic rules plus replay.
 
     Exit is nonzero if any residual that must be identically zero for a
-    model family is nonzero on the sampled pairs.
+    model family is nonzero on the sampled pairs.  Residuals are exact in
+    both modes; float mode reports each value rounded once.  ``max_rel``
+    is kept in schema 1 and reads 0.0.
     """
     sampled = _sampled_models(config)
-    exact = config.mode == EXACT
-    catalogue = residuals.CHAIN_CATALOGUE if config.chain and exact else ()
+    catalogue = (residuals.CHAIN_CATALOGUE
+                 if config.chain and config.mode == EXACT else ())
     tables = residuals.TermTables(
         tuple(_RULE_TABLES.values())
         + tuple(ident.moved_terms for ident in catalogue))
@@ -185,7 +175,7 @@ def run_check_lemmas(config: ExperimentConfig, out_dir: Path) -> RunResult:
         chain_stats = _chain_stats(catalogue)
         kept = _tally_pairs(model, pairs, tables,
                             [*rule_stats.values(), *chain_stats.values()],
-                            exact, keep=len(explicit_pairs))
+                            keep=len(explicit_pairs))
         entry: dict = {"label": label, "model": model_to_json(model),
                        "expect": expect, **rule_stats}
         model_ok = not any(expect[name] and stats["nonzero_count"]
@@ -225,7 +215,7 @@ def run_replay_chain(config: ExperimentConfig, out_dir: Path) -> RunResult:
     for label, model, _, pairs in sampled:
         expect_zero = _expectations(model)["chain"]
         per_identity = _chain_stats(residuals.CHAIN_CATALOGUE)
-        _tally_pairs(model, pairs, tables, list(per_identity.values()), True)
+        _tally_pairs(model, pairs, tables, list(per_identity.values()))
         model_ok = _chain_ok(expect_zero, per_identity)
         ok = ok and model_ok
         model_reports.append({"label": label, "model": model_to_json(model),

@@ -11,16 +11,16 @@ the Euclidean or the max norm.  A function model is a sum of atoms:
 * ``Even``              -- quadratic forms, a deliberate non-solution used in
                            negative tests.
 
-All coefficients are stored as exact rationals; evaluation happens in the
-mode of the input point (exact or float).  Exact evaluation is one integer
-kernel: a model folds its polynomial atoms into one integer table, reads
-it at integer numerators over one denominator and adds the noise atoms'
-numerators.  The odd part (f(y) - f(-y)) / 2 that the direct method reads
-comes from the same pass, and the direct method reads float points through
-it too, at their exact binary values.  Callers holding integers pass
-``den`` and get integers back; others get one ``Fraction`` per output
-coordinate.  Every value is immutable and evaluation is pure, so it is
-thread-safe.
+All coefficients are stored as exact rationals, and evaluation in both
+modes is one integer kernel: a model folds its polynomial atoms into one
+integer table, reads it at integer numerators over one denominator and
+adds the noise atoms' numerators.  Float coordinates are read at their
+exact binary values, and each float result is the exact value rounded
+once.  The odd part (f(y) - f(-y)) / 2 that the direct method reads comes
+from the same pass.  Callers holding integers pass ``den`` and get
+integers back; others get one ``Fraction`` (exact mode) or float (float
+mode) per output coordinate.  Every value is immutable and evaluation is
+pure, so it is thread-safe.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import cached_property, reduce
 from typing import Callable, Sequence, Union
 
 from . import noise as noise_mod
 from .scalars import (EXACT, FLOAT, ModeMismatchError, Number, add_ratios,
-                      coerce, integer_ratio, require_mode)
+                      coerce, integer_ratio, ratio_values, require_mode)
 
 EUCLIDEAN = "euclidean"
 MAX = "max"
@@ -169,13 +168,19 @@ def coords_norm(coords: Sequence, norm_kind: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Model atoms.  A polynomial atom's ``evaluate(coords)`` returns floats; a
-# model reads exact values from its folded table.  Noise atoms take
-# ``(coords, mode, dim_out, den=1)``, in exact mode integers over ``den``.
+# Model atoms.  A model reads its polynomial atoms from its folded table; a
+# polynomial atom's ``evaluate(coords)`` is the one-atom model's float
+# value.  Noise atoms take ``(coords, dim_out, den=1)``, integers over den.
 # ---------------------------------------------------------------------------
 
 def _rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+def _evaluate_alone(atom, coords):
+    """The atom at ``coords`` in floats, read through a one-atom fold."""
+    return FuncModel(atom.dim_in, atom.dim_out, (atom,)).evaluate_coords(
+        coords, FLOAT)
 
 
 class Linear(_Value):
@@ -197,19 +202,7 @@ class Linear(_Value):
     def dim_out(self) -> int:
         return len(self.matrix)
 
-    @cached_property
-    def _floats(self):
-        return tuple(tuple(map(float, row)) for row in self.matrix)
-
-    def evaluate(self, coords):
-        out = []
-        for row in self._floats:
-            acc = 0.0
-            for m, c in zip(row, coords):
-                if m:
-                    acc += m * c
-            out.append(acc)
-        return out
+    evaluate = _evaluate_alone
 
 
 Monomial = tuple[int, int, int]  # sorted coordinate indices i <= j <= k
@@ -251,19 +244,7 @@ class CubicHomogeneous(_Value):
     def dim_out(self) -> int:
         return self.dims[1]
 
-    @cached_property
-    def _floats(self):
-        return tuple(tuple((mono, float(c)) for mono, c in rows)
-                     for rows in self.terms)
-
-    def evaluate(self, coords):
-        out = []
-        for rows in self._floats:
-            acc = 0.0
-            for (i, j, k), c in rows:
-                acc += c * (coords[i] * coords[j] * coords[k])
-            out.append(acc)
-        return out
+    evaluate = _evaluate_alone
 
 
 class Even(_Value):
@@ -287,21 +268,7 @@ class Even(_Value):
     def dim_out(self) -> int:
         return len(self.matrices)
 
-    @cached_property
-    def _floats(self):
-        return tuple(tuple(tuple(map(float, row)) for row in q)
-                     for q in self.matrices)
-
-    def evaluate(self, coords):
-        out = []
-        for q in self._floats:
-            acc = 0.0
-            for row, ci in zip(q, coords):
-                for v, cj in zip(row, coords):
-                    if v:
-                        acc += v * ci * cj
-            out.append(acc)
-        return out
+    evaluate = _evaluate_alone
 
 
 class BoundedNoise(_Value):
@@ -316,10 +283,9 @@ class BoundedNoise(_Value):
         self.__dict__.update(seed=seed, amplitude=amplitude,
                              _amplitude=amplitude.as_integer_ratio())
 
-    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1,
-                 odd: bool = False):
+    def evaluate(self, coords, dim_out: int, den: int = 1, odd: bool = False):
         return noise_mod.sample(self.seed, coords, self._amplitude, (0, 1),
-                                dim_out, mode, den, odd)
+                                dim_out, den, odd)
 
 
 class PowerNoise(_Value):
@@ -337,18 +303,13 @@ class PowerNoise(_Value):
                              _amplitude=amplitude.as_integer_ratio(),
                              _exponent=exponent.as_integer_ratio())
 
-    def evaluate(self, coords, mode: str, dim_out: int, den: int = 1,
-                 odd: bool = False):
+    def evaluate(self, coords, dim_out: int, den: int = 1, odd: bool = False):
         return noise_mod.sample(self.seed, coords, self._amplitude,
-                                self._exponent, dim_out, mode, den, odd)
+                                self._exponent, dim_out, den, odd)
 
 
 Atom = Union[Linear, CubicHomogeneous, Even, BoundedNoise, PowerNoise]
 NOISE_ATOMS = (BoundedNoise, PowerNoise)
-
-
-def _add_floats(a, b):
-    return [t + v for t, v in zip(a, b)]
 
 
 def _fold(atoms, dim_in: int, dim_out: int):
@@ -404,30 +365,24 @@ class FuncModel(_Value):
                         odd: bool = False):
         """Atom-sum evaluation on raw coordinates; see :func:`evaluate`.
 
-        Exact mode sums the folded table and the noise atoms' integer
-        numerators.  With ``den`` the coordinates are integer numerators
-        over ``den`` and the result is (integer numerators, denominator),
-        unreduced; without it they are rationals and one normalized
-        ``Fraction`` is returned per output coordinate.  With ``odd``, exact
-        mode only, it is (f(y), (f(y) - f(-y)) / 2).  Float mode sums the
-        atoms' float values in atom order.
+        Sums the folded table and the noise atoms' integer numerators.
+        With ``den`` the coordinates are integer numerators over ``den``
+        and the result is (integer numerators, denominator), unreduced.
+        Without it they are rationals or floats, read at their exact
+        values, and each output coordinate is one normalized ``Fraction``
+        in exact mode and that value rounded once in float mode.  With
+        ``odd`` it is the pair (f(y), (f(y) - f(-y)) / 2).
         """
         if len(coords) != self.dim_in:
             raise DimensionMismatchError(
                 f"got {len(coords)} coordinates, model domain is {self.dim_in}")
-        if mode == EXACT:
-            values = self._exact(*(integer_ratio(coords) if den is None
-                                   else (coords, den)), odd)
-            if den is None:
-                values = [[Fraction(n, d) for n in nums] for nums, d in values]
+        if den is not None:
+            values = self._exact(coords, den, odd)
             return tuple(values) if odd else values[0]
+        values = self._exact(*integer_ratio(coords), odd)
         if odd:
-            raise ValueError("odd=True is exact mode only; read float "
-                             "coordinates through integer_ratio")
-        values = [atom.evaluate(coords, FLOAT, self.dim_out)
-                  if isinstance(atom, NOISE_ATOMS) else atom.evaluate(coords)
-                  for atom in self.atoms]
-        return reduce(_add_floats, values or [[0.0] * self.dim_out])
+            return tuple([ratio_values(vector, mode) for vector in values])
+        return ratio_values(values[0], mode)
 
     def _exact(self, u, den: int, odd: bool) -> list:
         """[f(y)], or [f(y), odd part], at y = u / den as integer ratios."""
@@ -445,7 +400,7 @@ class FuncModel(_Value):
         out_den = table_den * den ** top
         total, odd_part = (f_nums, out_den), (odd_nums, out_den)
         for atom in self._noise:
-            value = atom.evaluate(u, EXACT, self.dim_out, den, odd)
+            value = atom.evaluate(u, self.dim_out, den, odd)
             if odd:
                 value, value_odd = value
                 odd_part = add_ratios(odd_part, value_odd)
@@ -489,9 +444,9 @@ def evaluate(f: Callable[[Point], Point], coords, mode: str, norm_kind: str,
     callable gets a :class:`Point`.  With ``den`` the coordinates are
     integer numerators over ``den`` and the result is (integer numerators,
     denominator); without it the result is one value per output coordinate.
-    With ``odd``, in exact mode, it is the pair f(y), (f(y) - f(-y)) / 2 at
-    y = ``coords``; a callable that is not a model is called at y and at
-    -y, and then ``den`` is required.
+    With ``odd`` it is the pair f(y), (f(y) - f(-y)) / 2 at y = ``coords``;
+    a callable that is not a model is called at y and at -y, and then
+    ``den`` is required.
     """
     if isinstance(f, FuncModel):
         return f.evaluate_coords(coords, mode, den=den, odd=odd)

@@ -16,11 +16,10 @@ The dyadic snap makes queries at halved/doubled arguments stable, which is
 what the direct-method iterations feed this with.  Hashed components are
 cached per process, since the cells of a sweep share seed and points.
 
-Both modes compute the value in integers.  The input is read as integer
-numerators u over one denominator L (float coordinates at their exact
+The value is computed in integers.  The input is integer numerators u
+over one denominator L (a model reads float coordinates at their exact
 binary values), snapped as floor(u * 2^40 / L), and the output is the
-numerator scale * direction over scale denominator * m * 2^20.  Exact mode
-returns that pair; float mode returns each quotient rounded once.
+numerator scale * direction over scale denominator * m * 2^20.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-
-from .scalars import EXACT, integer_ratio
 
 QUANT_BITS = 40  # inputs snapped to multiples of 2^-40 before hashing
 VALUE_BITS = 20  # direction components live on the grid 2^-20 in [-1, 1]
@@ -84,25 +81,21 @@ def _scale(ints, den: int, amplitude: tuple[int, int],
 
 
 def sample(seed: int, coords, amplitude: tuple[int, int],
-           exponent: tuple[int, int], dim_out: int, mode: str, den: int = 1,
+           exponent: tuple[int, int], dim_out: int, den: int = 1,
            odd: bool = False):
     """Noise output coordinates at the given input coordinates.
 
     ``amplitude`` and ``exponent`` are integer ratios in lowest terms.
-    Float mode takes float coordinates and returns one float per output
-    coordinate.  Exact mode takes integer numerators ``coords`` over
-    ``den`` and returns ``(numerators, denominator)``; with ``odd`` that
-    value comes with (N(x) - N(-x)) / 2 over the same denominator, from
-    one scale, as a model's odd part needs.  The envelope
+    Takes integer numerators ``coords`` over ``den`` and returns
+    ``(numerators, denominator)``; with ``odd`` that value comes with
+    (N(x) - N(-x)) / 2 over the same denominator, from one scale, as a
+    model's odd part needs.  The envelope
     ||output|| <= amplitude * (max_i |x_i|)^exponent
     <= amplitude * ||x||^exponent is guaranteed exactly.
     """
-    exact = mode == EXACT
-    if not exact:
-        coords, den = integer_ratio(coords)
     scale_num, scale_den = _scale(coords, den, amplitude, exponent)
     if scale_num == 0:
-        zero = ([0] * dim_out, 1) if exact else [0.0] * dim_out
+        zero = [0] * dim_out, 1
         return (zero, zero) if odd else zero
     out_den = scale_den * dim_out << VALUE_BITS  # damping 1/m, grid 2^-20
     out = []
@@ -110,8 +103,6 @@ def sample(seed: int, coords, amplitude: tuple[int, int],
         snapped = tuple([(sign * u << QUANT_BITS) // den for u in coords])
         out.append([scale_num * _direction_component(seed, snapped, j)
                     for j in range(dim_out)])
-    if not exact:
-        return [n / out_den for n in out[0]]
     if odd:  # N(x) and (N(x) - N(-x)) / 2 over one denominator
         plus, minus = out
         return (([n << 1 for n in plus], out_den << 1),

@@ -22,10 +22,13 @@ evaluates f once per pair (x, y) at each distinct argument of the tables
 it holds and forms every table from those values.  The three rules share
 8 arguments; with the 21 chain identities the union is 19, so
 ``check-lemmas`` evaluates each model 19 times per pair with the chain on
-and 8 times with it off.  Exact mode runs in integers: every argument is
-numerators over the pair's one denominator, the model's integer entry
-returns numerators over one denominator, and each table's sum is an integer
-dot product; ``Fraction``s are built only for vectors a caller asks for.
+and 8 times with it off.  Both modes run in integers: every argument is
+numerators over the pair's one denominator (float coordinates at their
+exact binary values), the model's integer entry returns numerators over
+one denominator, and each table's sum is an integer dot product.  A vector
+a caller asks for is built from those sums: ``Fraction``s in exact mode,
+each coordinate rounded once in float mode, so no float cancellation can
+pass for a zero.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .models import DimensionMismatchError, Point, evaluate, norm
-from .scalars import EXACT, ModeMismatchError, integer_ratio
+from .scalars import EXACT, ModeMismatchError, integer_ratio, ratio_values
 
 # One term of a rule: coefficient * f(a*x + b*y).
 Term = tuple[Fraction, int, int]
@@ -121,12 +124,11 @@ class TermTables:
     Each table is a sum of c * f(a x + b y).  :meth:`evaluate` computes f
     once at each distinct argument of a pair (x, y), whatever the number of
     tables that use it; :meth:`sums` then forms every table from those
-    values.  Exact sums are integer dot products: the values' numerators
-    over one common denominator (an lcm only where they differ) times each
+    values.  Sums are integer dot products: the values' numerators over
+    one common denominator (an lcm only where they differ) times each
     table's integer coefficients over one table denominator.
     :meth:`integer_sums` returns them; :meth:`sums` builds one ``Fraction``
-    per output coordinate.  Float sums keep the term order and the
-    products c * v, so they equal a term-by-term float sum bit for bit.
+    (exact mode) or one rounded float (float mode) per output coordinate.
     """
 
     def __init__(self, tables: Sequence[tuple[Term, ...]]):
@@ -135,29 +137,24 @@ class TermTables:
             for _, a, b in terms:
                 index.setdefault((a, b), len(index))
         self.arguments: tuple[tuple[int, int], ...] = tuple(index)
-        self._float_rows = tuple(
-            tuple((float(c), index[a, b]) for c, a, b in terms)
-            for terms in tables)
         self._integer_rows = tuple(_integer_row(terms, index)
                                    for terms in tables)
 
     def evaluate(self, f: Callable[[Point], Point], x: Point, y: Point) -> list:
-        """f(a x + b y) at each distinct argument, in ``arguments`` order;
-        exact values are (integer numerators, denominator) pairs."""
+        """f(a x + b y) at each distinct argument, in ``arguments`` order,
+        as (integer numerators, denominator) pairs in both modes."""
         if x.dim != y.dim:
             raise DimensionMismatchError(
                 f"x has dimension {x.dim}, y has {y.dim}")
         if x.mode != y.mode:
             raise ModeMismatchError("x and y carry different scalar modes")
-        u, v, den = x.coords, y.coords, None
-        if x.mode == EXACT:
-            ints, den = integer_ratio(u + v)
-            u, v = tuple(ints[:x.dim]), tuple(ints[x.dim:])
-        return [evaluate(f, coords, x.mode, x.norm_kind, den)
+        ints, den = integer_ratio(x.coords + y.coords)
+        u, v = tuple(ints[:x.dim]), tuple(ints[x.dim:])
+        return [evaluate(f, coords, EXACT, x.norm_kind, den)
                 for coords in _lattice_coords(u, v, self.arguments)]
 
     def integer_sums(self, values) -> list[tuple[list[int], int]]:
-        """Each table's exact sum from exact :meth:`evaluate` values, as
+        """Each table's exact sum from :meth:`evaluate` values, as
         (integer numerators, denominator), unreduced, in table order."""
         common = math.lcm(*{d for _, d in values})
         columns = list(zip(*(nums if d == common
@@ -167,30 +164,12 @@ class TermTables:
                  common * den) for row, den in self._integer_rows]
 
     def sums(self, values, x: Point) -> list[ResidualVector]:
-        """Each table's sum from :meth:`evaluate` values, in table order."""
-        if x.mode == EXACT:
-            totals = [tuple(Fraction(n, den) for n in nums)
-                      for nums, den in self.integer_sums(values)]
-        else:
-            totals = []
-            for (c, i), *rest in self._float_rows:
-                total = [c * v for v in values[i]]
-                for c, i in rest:
-                    total = [t + c * v for t, v in zip(total, values[i])]
-                totals.append(tuple(total))
-        return [ResidualVector(Point(total, x.norm_kind)) for total in totals]
-
-    def term_norms(self, values: Sequence[Sequence[float]],
-                   x: Point) -> list[float]:
-        """Per table, the float sum of |c| * ||f(a x + b y)|| in term order."""
-        norms = [norm(Point(tuple(v), x.norm_kind)) for v in values]
-        out = []
-        for row in self._float_rows:
-            total = 0.0
-            for c, i in row:
-                total += abs(c) * norms[i]
-            out.append(total)
-        return out
+        """Each table's sum from :meth:`evaluate` values, in table order:
+        ``Fraction``s in exact mode, each exact value rounded once in
+        float mode."""
+        return [ResidualVector(Point(tuple(ratio_values(total, x.mode)),
+                                     x.norm_kind))
+                for total in self.integer_sums(values)]
 
     def residuals(self, f: Callable[[Point], Point], x: Point,
                   y: Point) -> list[ResidualVector]:

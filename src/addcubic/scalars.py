@@ -4,8 +4,10 @@ Exact mode uses arbitrary-precision ``fractions.Fraction``, which is closed
 and lossless under +, -, *, / (nonzero divisor).  Float mode is ordinary
 IEEE-754 binary64.  A mode is fixed per evaluation context; helpers here
 classify, coerce, parse and format scalars so the rest of the package never
-mixes the two silently.  Exact kernels hold rational vectors as
-``(integer numerators, denominator)`` pairs.
+mixes the two silently.  Model arithmetic runs in integers in both modes:
+kernels hold rational vectors as ``(integer numerators, denominator)``
+pairs, read a float at its exact binary value (:func:`integer_ratio`), and
+a float result is the exact value rounded once.
 """
 
 from __future__ import annotations
@@ -56,9 +58,21 @@ def coerce(value, mode: str) -> Number:
 def integer_ratio(values) -> tuple[list[int], int]:
     """Numerators u over the least common denominator L of ints, Fractions
     or floats (read at their exact binary value): values = u / L."""
+    if len(values) == 1:  # a 1-D point, the common case, skips the lcm
+        num, den = values[0].as_integer_ratio()
+        return [num], den
     ratios = [v.as_integer_ratio() for v in values]
     den = math.lcm(*[d for _, d in ratios])
     return [n * (den // d) for n, d in ratios], den
+
+
+def ratio_values(vector: tuple[list[int], int], mode: str) -> list:
+    """A (numerators, denominator) vector's values: ``Fraction``s in exact
+    mode, each exact value rounded once in float mode."""
+    nums, den = vector
+    if mode == EXACT:
+        return [Fraction(n, den) for n in nums]
+    return [n / den for n in nums]
 
 
 def add_ratios(a: tuple[list[int], int], b: tuple[list[int], int],

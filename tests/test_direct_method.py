@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from addcubic import (BoundedNoise, Constant, DivergentControlError, Even,
                       model_1d, norm, odd_part, point, random_cubic,
                       random_linear, random_point, random_rational, recover,
                       solution_1d, uniqueness_probe)
+from addcubic import direct_method
 from addcubic.bounds import uniqueness_tail
 from addcubic.direct_method import DEFAULT_TOL_ABS, DEFAULT_TOL_REL
 from addcubic.residuals import (ADDITIVE_RULE, CUBIC_RULE, MIXED_RULE,
@@ -244,6 +247,33 @@ def test_trace_structure_invariants():
 # ---------------------------------------------------------------------------
 # Recovery
 # ---------------------------------------------------------------------------
+
+def test_recover_keeps_no_orbit_table_alive(monkeypatch):
+    # Each trace once kept its table's bound method ``point``, so every
+    # table and all its entries lived as long as the report.
+    rng = random.Random(7)
+    points = [random_point(rng, 1, mode="float", max_denominator=7)
+              for _ in range(40)]
+    expected = recover(noisy_solution(), points, l_additive=-1,
+                       l_cubic=-1).to_json_dict()
+    tables = []
+
+    class Recorded(direct_method.OrbitTable):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(direct_method, "OrbitTable", Recorded)
+    report = recover(noisy_solution(), points, l_additive=-1, l_cubic=-1)
+    gc.collect()
+    assert len(tables) == 40
+    assert [ref() for ref in tables] == [None] * 40
+    # The traces still build their points on read.
+    assert report.to_json_dict() == expected
+    trace = report.points[0].additive_trace
+    assert trace.values[-1] is trace.final
+    assert len(trace.values) == trace.n_steps + 1
+
 
 def test_recover_exact_solution():
     f = solution_1d(2, 1)

@@ -111,6 +111,34 @@ def test_cli_explicit_pair_of_no_model_dimension_exit_2(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("atom, value", [(CUBIC_ATOM, "1e120"),
+                                         (LINEAR_ATOM, "1e307")])
+def test_check_lemmas_overflow_exits_2_in_both_modes(tmp_path, capsys, atom,
+                                                     value):
+    # Float residuals past the float range were once written as "nan" or
+    # Infinity, and a NaN never counted as nonzero, so the run passed.
+    big = [{"label": "big", "dim_in": 1, "dim_out": 1, "atoms": [atom]}]
+    for mode in ("exact", "float"):
+        config_path = write_config(tmp_path, f"{mode}.json", lemma_config(
+            mode=mode, models=big, samples={"pairs": [[[value], [value]]]}))
+        out_dir = tmp_path / mode
+        assert cli_main(["check-lemmas", "--config", str(config_path),
+                         "--out-dir", str(out_dir)]) == 2, mode
+        assert "too large for float arithmetic" in capsys.readouterr().err
+        assert not out_dir.exists()
+    # A passing float report is strict JSON.
+    config_path = write_config(tmp_path, "ok.json", lemma_config(mode="float"))
+    assert cli_main(["check-lemmas", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "ok")]) == 0
+    report = json.loads((tmp_path / "ok" / "lem.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert report["ok"]
+
+
 def test_check_lemmas_evaluates_each_argument_once(tmp_path, monkeypatch):
     calls = []
     evaluate = FuncModel.evaluate_coords
@@ -535,8 +563,8 @@ GOLDEN_SHA256 = {
                           "10e20f9c6793cd7f49433d61b78c10be",
     },
     "float": {
-        "golden.json": "7c9a0ba660f23438a3cb492203a750d1"
-                       "7461dfa9198c5d5438a1859ea32c643a",
+        "golden.json": "cde16209632eab8ff1c50ba9a709b691"
+                       "be8553b0e08c2faec9ecffa305897875",
     },
 }
 

@@ -362,9 +362,9 @@ def test_noise_refuses_a_power_too_large_to_form():
     # The limit is on p times the bit length of the base or denominator;
     # x = 1 has one bit.
     bits = noise.MAX_POWER_BITS
-    noise.sample(1, [1], (1, 1), (bits, 1), 1, "exact")
+    noise.sample(1, [1], (1, 1), (bits, 1), 1)
     with pytest.raises(OverflowError):
-        noise.sample(1, [1], (1, 1), (bits + 1, 1), 1, "exact")
+        noise.sample(1, [1], (1, 1), (bits + 1, 1), 1)
 
 
 @pytest.mark.parametrize("amplitude, exponent, ints, den", [
@@ -411,6 +411,11 @@ def test_noise_atoms_in_models():
 ATOM_KINDS = ("linear", "cubic", "even", "bounded_noise", "power_noise")
 
 
+def _hex(floats) -> list[str]:
+    """Floats compared bit for bit, signed zeros included."""
+    return [v.hex() for v in floats]
+
+
 def _kernel_atom(kind, rng, d, m):
     """An atom of the given kind and its (kind, data) form for the oracle."""
     if kind == "linear":
@@ -450,6 +455,10 @@ def test_exact_kernel_matches_term_by_term_oracle(data):
     values = FuncModel(d, m, atoms).evaluate_coords(tuple(x), "exact")
     assert all(type(v) is Fraction for v in values)
     assert values == oracles.atom_sum(specs, x, m)
+    # Float mode is the exact value at the doubles, each rounded once.
+    floats = [float(c) for c in x]
+    assert _hex(FuncModel(d, m, atoms).evaluate_coords(floats, "float")) \
+        == _hex(map(float, oracles.atom_sum(specs, floats, m)))
     # Each atom, as a one-atom model, on unreduced integers:
     # x = (g L x) / (g L).
     den = math.lcm(*(c.denominator for c in x)) \
@@ -460,10 +469,11 @@ def test_exact_kernel_matches_term_by_term_oracle(data):
             ints, "exact", den=den)
         assert [Fraction(n, out_den) for n in nums] \
             == oracles.atom_sum([spec], x, m)
-        if spec[0] == "noise":  # float noise is the exact value rounded once
-            floats = [float(c) for c in x]
-            assert atom.evaluate(floats, "float", m) == [
-                float(v) for v in oracles.atom_sum([spec], floats, m)]
+        expected = _hex(map(float, oracles.atom_sum([spec], floats, m)))
+        assert _hex(FuncModel(d, m, (atom,)).evaluate_coords(
+            floats, "float")) == expected
+        if spec[0] != "noise":
+            assert _hex(atom.evaluate(floats)) == expected
 
 
 @pytest.mark.parametrize("ints, den", [([4], 8), ([0], 5), ([6, -3], 9),
@@ -500,15 +510,16 @@ def test_odd_entry_matches_two_calls(data):
     norm_kind = data.draw(st.sampled_from(NORM_KINDS), label="norm")
     x = data.draw(st.one_of(st.just([0.0] * d), st.lists(
         _FLOAT_COORDINATE, min_size=d, max_size=d)), label="x")
-    # Float mode has no odd entry.  Exact mode: on the doubles' exact
-    # values, and on integers over an unreduced denominator.
-    with pytest.raises(ValueError, match="exact mode only"):
-        evaluate(f, x, "float", norm_kind, odd=True)
+    # On the doubles' exact values, then in float mode, which is that pair
+    # rounded once, then on integers over an unreduced denominator.
     exact_x = [Fraction(c) for c in x]
     plus = f.evaluate_coords(exact_x, "exact")
     minus = f.evaluate_coords([-c for c in exact_x], "exact")
-    assert evaluate(f, exact_x, "exact", norm_kind, odd=True) == (
-        plus, [(p - q) / 2 for p, q in zip(plus, minus)])
+    pair = (plus, [(p - q) / 2 for p, q in zip(plus, minus)])
+    assert evaluate(f, exact_x, "exact", norm_kind, odd=True) == pair
+    assert [_hex(part) for part in evaluate(f, x, "float", norm_kind,
+                                            odd=True)] \
+        == [_hex(map(float, part)) for part in pair]
     ints, den = integer_ratio(exact_x)
     factor = data.draw(st.integers(1, 12), label="unreduced")
     ints, den = [u * factor for u in ints], den * factor
