@@ -58,9 +58,6 @@ def coerce(value, mode: str) -> Number:
 def integer_ratio(values) -> tuple[list[int], int]:
     """Numerators u over the least common denominator L of ints, Fractions
     or floats (read at their exact binary value): values = u / L."""
-    if len(values) == 1:  # a 1-D point, the common case, skips the lcm
-        num, den = values[0].as_integer_ratio()
-        return [num], den
     ratios = [v.as_integer_ratio() for v in values]
     den = math.lcm(*[d for _, d in ratios])
     return [n * (den // d) for n, d in ratios], den
