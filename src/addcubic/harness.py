@@ -126,21 +126,21 @@ def _tally_pairs(f, pairs, tables: residuals.TermTables, rows: list[dict],
                  keep: int = 0) -> list:
     """Fold the residual of ``tables`` entry i at every pair into rows[i].
 
-    f is evaluated once per distinct argument of each pair, for all tables
-    together, and in both modes the rows read the exact integer totals: a
-    residual is nonzero when any numerator is, and the norm divides int by
-    int, which rounds as ``float(Fraction)`` does.  Returns the residual
-    vectors of the first ``keep`` pairs.
+    In both modes the rows read the exact integer totals of
+    :meth:`~addcubic.residuals.TermTables.integer_sums`: a residual is
+    nonzero when any numerator is, and the norm divides int by int, which
+    rounds as ``float(Fraction)`` does.  Returns the residual vectors of
+    the first ``keep`` pairs, built from the same totals.
     """
     kept = []
     for x, y in pairs:
-        values = tables.evaluate(f, x, y)
+        totals = tables.integer_sums(f, x, y)
         if len(kept) < keep:
-            kept.append(tables.sums(values, x))
-        for row, (nums, den) in zip(rows, tables.integer_sums(values)):
-            magnitude = coords_norm([n / den for n in nums], x.norm_kind)
-            row["max_abs"] = max(row["max_abs"], magnitude)
+            kept.append(residuals.residual_vectors(totals, x))
+        for row, (nums, den) in zip(rows, totals):
             if any(nums):
+                magnitude = coords_norm([n / den for n in nums], x.norm_kind)
+                row["max_abs"] = max(row["max_abs"], magnitude)
                 row["nonzero_count"] += 1
     return kept
 

@@ -17,7 +17,9 @@ integer table, reads it at integer numerators over one denominator and
 adds the noise atoms' numerators.  Float coordinates are read at their
 exact binary values, and each float result is the exact value rounded
 once.  The odd part (f(y) - f(-y)) / 2 that the direct method reads comes
-from the same pass.  Callers holding integers pass ``den`` and get
+from the same pass.  Residual tables read the same table expanded in
+(a, b) at the arguments (a u + b v) / den of a pair
+(:meth:`FuncModel.moments`).  Callers holding integers pass ``den`` and get
 integers back; others get one ``Fraction`` (exact mode) or float (float
 mode) per output coordinate.  Every value is immutable and evaluation is
 pure, so it is thread-safe.
@@ -159,12 +161,24 @@ def norm(p: Point) -> float:
 
 
 def coords_norm(coords: Sequence, norm_kind: str) -> float:
-    """:func:`norm` of bare coordinates, each rounded to a float first."""
+    """:func:`norm` of bare coordinates, each rounded to a float first.
+
+    Raises ``OverflowError`` when the norm is beyond the float range.
+    """
     if norm_kind == MAX:
         return max(abs(float(c)) for c in coords)
     if len(coords) == 1:
         return abs(float(coords[0]))
-    return math.sqrt(math.fsum(float(c) * float(c) for c in coords))
+    floats = [float(c) for c in coords]
+    try:
+        total = math.sqrt(math.fsum(c * c for c in floats))
+    except OverflowError:  # a partial sum of the squares overflows
+        total = math.inf
+    if total == math.inf:  # the squares overflow; hypot scales first
+        total = math.hypot(*floats)
+        if total == math.inf:
+            raise OverflowError("norm is beyond the float range")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +344,15 @@ def _fold(atoms, dim_in: int, dim_out: int):
     top = max((len(indices) for _, indices, _ in terms), default=1)
     ints, den = integer_ratio([c for _, _, c in terms])
     table = [([], []) for _ in range(dim_out)]
+    degrees = set()
     for (j, indices, _), c in zip(terms, ints):
         if c:  # pad with D up to degree t, then with 1
+            degrees.add(len(indices))
             table[j][len(indices) % 2 == 0].append((c, (
                 *indices, *(dim_in,) * (top - len(indices)),
                 *(dim_in + 1,) * (3 - top))))
-    return tuple(tuple(map(tuple, parts)) for parts in table), den, top
+    return (tuple(tuple(map(tuple, parts)) for parts in table), den, top,
+            tuple(sorted(degrees)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +373,17 @@ class FuncModel(_Value):
                 raise DimensionMismatchError(
                     f"atom {type(atom).__name__} is {d}->{m}, "
                     f"model is {dim_in}->{dim_out}")
+        table, den, top, degrees = _fold(atoms, dim_in, dim_out)
+        noise = tuple(a for a in atoms if isinstance(a, NOISE_ATOMS))
+        # ``moment_keys`` are the (r, q) of :meth:`moments`; ``noise_model``
+        # is what the table does not hold, the noise atoms, or None.
         self.__dict__.update(
             dim_in=dim_in, dim_out=dim_out, atoms=atoms,
-            _folded=_fold(atoms, dim_in, dim_out),
-            _noise=tuple(a for a in atoms if isinstance(a, NOISE_ATOMS)))
+            _folded=(table, den, top), _noise=noise,
+            moment_keys=tuple((r, q) for r in degrees for q in range(r + 1)),
+            noise_model=(None if not noise
+                         else self if len(noise) == len(atoms)
+                         else FuncModel(dim_in, dim_out, noise)))
 
     def evaluate_coords(self, coords, mode: str, *, den: int | None = None,
                         odd: bool = False):
@@ -406,6 +430,50 @@ class FuncModel(_Value):
                 odd_part = add_ratios(odd_part, value_odd)
             total = add_ratios(total, value)
         return [total, odd_part] if odd else [total]
+
+    def moments(self, u, v, den: int) -> tuple[list[list[int]], int]:
+        """The folded table at (a u + b v) / den, expanded in (a, b).
+
+        Returns (columns, denominator): columns[j][n] is the integer
+        A_{r,q} of output j at ``moment_keys[n]`` = (r, q), so that for
+        every integer a and b the table's part of output j is
+        sum a^q b^(r-q) A_{r,q} over the denominator.  Each term is the
+        product of its three slots, a u_i + b v_i per coordinate and den
+        or 1 per pad; the noise atoms are not in the table
+        (:attr:`noise_model`).
+        """
+        d = self.dim_in
+        if len(u) != d or len(v) != d:
+            raise DimensionMismatchError(
+                f"got {len(u)} and {len(v)} coordinates, model domain is {d}")
+        table, table_den, top = self._folded
+        scaled = [(r * (r + 1) // 2 + q, den ** (top - r))
+                  for r, q in self.moment_keys]
+        columns = []
+        for parts in table:
+            # A_{r,q} at index r (r + 1) / 2 + q
+            acc = [0] * 10
+            for terms in parts:
+                for c, (i, j, k) in terms:
+                    ui, vi = c * u[i], c * v[i]
+                    if j >= d:
+                        acc[1] += vi
+                        acc[2] += ui
+                        continue
+                    uu, vv = ui * u[j], vi * v[j]
+                    uv = ui * v[j] + vi * u[j]
+                    if k >= d:
+                        acc[3] += vv
+                        acc[4] += uv
+                        acc[5] += uu
+                        continue
+                    uk, vk = u[k], v[k]
+                    acc[6] += vv * vk
+                    acc[7] += vv * uk + uv * vk
+                    acc[8] += uv * uk + uu * vk
+                    acc[9] += uu * uk
+            columns.append([acc[n] * scale for n, scale in scaled])
+        return columns, table_den * den ** top
 
     def __call__(self, x: Point) -> Point:
         if x.dim != self.dim_in:

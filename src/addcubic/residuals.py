@@ -17,18 +17,21 @@ additive rule is stored as data (coefficient/argument tables keyed by
 catalogue labels "2.5" ... "2.27"), making it auditable row by row and
 replayable as exact identities.
 
-Every residual is a table of terms c * f(a x + b y).  :class:`TermTables`
-evaluates f once per pair (x, y) at each distinct argument of the tables
-it holds and forms every table from those values.  The three rules share
-8 arguments; with the 21 chain identities the union is 19, so
-``check-lemmas`` evaluates each model 19 times per pair with the chain on
-and 8 times with it off.  Both modes run in integers: every argument is
-numerators over the pair's one denominator (float coordinates at their
-exact binary values), the model's integer entry returns numerators over
-one denominator, and each table's sum is an integer dot product.  A vector
-a caller asks for is built from those sums: ``Fraction``s in exact mode,
-each coordinate rounded once in float mode, so no float cancellation can
-pass for a zero.
+Every residual is a table of terms c * f(a x + b y).  For a polynomial
+model, f(a u + b v) = sum a^q b^(r-q) A_{r,q}(u, v) over degrees r <= 3,
+so a table's sum is sum M_{r,q} A_{r,q} with the table's integer moments
+M_{r,q} = sum c a^q b^(r-q).  :class:`TermTables` holds the moments of
+its tables and reads a model's folded table once per pair (x, y), as its
+expansion A_{r,q} (:meth:`~addcubic.models.FuncModel.moments`); a model
+without noise atoms is never evaluated at a point.  What the expansion
+cannot express, a model's noise atoms or all of a plain callable, is
+evaluated once at each distinct argument of the tables: the three rules
+share 8 arguments, and with the 21 chain identities the union is 19.
+Both modes run in integers: the pair is numerators over one denominator
+(float coordinates at their exact binary values), and every sum is an
+integer dot product over one denominator.  A vector a caller asks for is
+built from those sums: ``Fraction``s in exact mode, each coordinate
+rounded once in float mode, so no float cancellation can pass for a zero.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .models import DimensionMismatchError, Point, evaluate, norm
-from .scalars import EXACT, ModeMismatchError, integer_ratio, ratio_values
+from .models import DimensionMismatchError, FuncModel, Point, evaluate, norm
+from .scalars import (EXACT, ModeMismatchError, add_ratios, integer_ratio,
+                      ratio_values)
 
 # One term of a rule: coefficient * f(a*x + b*y).
 Term = tuple[Fraction, int, int]
@@ -121,14 +126,17 @@ def _integer_row(terms: tuple[Term, ...],
 class TermTables:
     """Term tables sharing one list of distinct lattice arguments (a, b).
 
-    Each table is a sum of c * f(a x + b y).  :meth:`evaluate` computes f
-    once at each distinct argument of a pair (x, y), whatever the number of
-    tables that use it; :meth:`sums` then forms every table from those
-    values.  Sums are integer dot products: the values' numerators over
-    one common denominator (an lcm only where they differ) times each
-    table's integer coefficients over one table denominator.
-    :meth:`integer_sums` returns them; :meth:`sums` builds one ``Fraction``
-    (exact mode) or one rounded float (float mode) per output coordinate.
+    Each table is a sum of c * f(a x + b y), with integer coefficients k
+    over one table denominator.  For a :class:`FuncModel` the folded
+    polynomial atoms enter through their expansion in (a, b)
+    (:meth:`FuncModel.moments`): the table's sum is then M . A with the
+    table's integer moments M_{r,q} = sum k a^q b^(r-q), computed once per
+    set of model degrees.  What the fold does not hold, a model's noise
+    atoms or all of a plain callable, is evaluated once at each distinct
+    argument of the pair and summed by integer dot products.
+    :meth:`integer_sums` returns the exact sums; :meth:`residuals` builds
+    one ``Fraction`` (exact mode) or one rounded float (float mode) per
+    output coordinate.
     """
 
     def __init__(self, tables: Sequence[tuple[Term, ...]]):
@@ -139,10 +147,26 @@ class TermTables:
         self.arguments: tuple[tuple[int, int], ...] = tuple(index)
         self._integer_rows = tuple(_integer_row(terms, index)
                                    for terms in tables)
+        self._moments: dict[tuple, tuple] = {}
 
-    def evaluate(self, f: Callable[[Point], Point], x: Point, y: Point) -> list:
-        """f(a x + b y) at each distinct argument, in ``arguments`` order,
-        as (integer numerators, denominator) pairs in both modes."""
+    def _moment_rows(self, keys: tuple[tuple[int, int], ...]) -> tuple:
+        """Each table's moments M_{r,q} at ``keys`` = ((r, q), ...), with
+        the table denominator; () when they all vanish."""
+        rows = self._moments.get(keys)
+        if rows is None:
+            args = self.arguments
+            rows = []
+            for row, den in self._integer_rows:
+                moments = tuple(sum(k * args[i][0] ** q * args[i][1] ** (r - q)
+                                    for k, i in row) for r, q in keys)
+                rows.append((moments if any(moments) else (), den))
+            rows = self._moments[keys] = tuple(rows)
+        return rows
+
+    def integer_sums(self, f: Callable[[Point], Point], x: Point,
+                     y: Point) -> list[tuple[list[int], int]]:
+        """Each table's exact sum at (x, y), as (integer numerators,
+        denominator), unreduced, in table order."""
         if x.dim != y.dim:
             raise DimensionMismatchError(
                 f"x has dimension {x.dim}, y has {y.dim}")
@@ -150,31 +174,39 @@ class TermTables:
             raise ModeMismatchError("x and y carry different scalar modes")
         ints, den = integer_ratio(x.coords + y.coords)
         u, v = tuple(ints[:x.dim]), tuple(ints[x.dim:])
-        return [evaluate(f, coords, EXACT, x.norm_kind, den)
-                for coords in _lattice_coords(u, v, self.arguments)]
-
-    def integer_sums(self, values) -> list[tuple[list[int], int]]:
-        """Each table's exact sum from :meth:`evaluate` values, as
-        (integer numerators, denominator), unreduced, in table order."""
+        totals = None
+        if isinstance(f, FuncModel):
+            columns, out_den = f.moments(u, v, den)
+            totals = [([sum(map(mul, row, column)) for column in columns],
+                       out_den * table_den)
+                      for row, table_den in self._moment_rows(f.moment_keys)]
+            f = f.noise_model
+            if f is None:
+                return totals
+        values = [evaluate(f, coords, EXACT, x.norm_kind, den)
+                  for coords in _lattice_coords(u, v, self.arguments)]
         common = math.lcm(*{d for _, d in values})
         columns = list(zip(*(nums if d == common
                              else [n * (common // d) for n in nums]
                              for nums, d in values)))
-        return [([sum(k * column[i] for k, i in row) for column in columns],
-                 common * den) for row, den in self._integer_rows]
-
-    def sums(self, values, x: Point) -> list[ResidualVector]:
-        """Each table's sum from :meth:`evaluate` values, in table order:
-        ``Fraction``s in exact mode, each exact value rounded once in
-        float mode."""
-        return [ResidualVector(Point(tuple(ratio_values(total, x.mode)),
-                                     x.norm_kind))
-                for total in self.integer_sums(values)]
+        sampled = [([sum(k * column[i] for k, i in row) for column in columns],
+                    common * table_den)
+                   for row, table_den in self._integer_rows]
+        if totals is None:
+            return sampled
+        return [add_ratios(total, part) for total, part in zip(totals, sampled)]
 
     def residuals(self, f: Callable[[Point], Point], x: Point,
                   y: Point) -> list[ResidualVector]:
-        """Every table's sum at (x, y); f is evaluated once per argument."""
-        return self.sums(self.evaluate(f, x, y), x)
+        """Every table's sum at (x, y), in table order."""
+        return residual_vectors(self.integer_sums(f, x, y), x)
+
+
+def residual_vectors(totals, x: Point) -> list[ResidualVector]:
+    """:meth:`TermTables.integer_sums` as vectors: ``Fraction``s in exact
+    mode, each exact value rounded once in float mode."""
+    return [ResidualVector(Point(tuple(ratio_values(total, x.mode)),
+                                 x.norm_kind)) for total in totals]
 
 
 @lru_cache(maxsize=64)

@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import json
+import math
 import time
+from fractions import Fraction
 
 import pytest
 
-from addcubic import FuncModel, harness
+from addcubic import BoundedNoise, FuncModel, harness
 from addcubic.cli import main as cli_main
 from addcubic.config import ConfigError, ExperimentConfig, SweepSpec
 from addcubic.harness import (run_bounds, run_check_lemmas, run_recover,
@@ -139,22 +141,49 @@ def test_check_lemmas_overflow_exits_2_in_both_modes(tmp_path, capsys, atom,
     assert report["ok"]
 
 
+def test_even_residual_norm_past_the_squares_range_is_finite(tmp_path):
+    # Each residual coordinate is about 1e161, so its square overflows; the
+    # Euclidean norm was once written as Infinity, which is not JSON.
+    even = {"kind": "even", "matrices": [[["1", "0"], ["0", "1"]],
+                                         [["1", "0"], ["0", "0"]]]}
+    models = [{"label": "even", "dim_in": 2, "dim_out": 2, "atoms": [even]}]
+    config_path = write_config(tmp_path, "even.json", lemma_config(
+        models=models, samples={"pairs": [[["1e80", "0"], ["1e80", "0"]]]}))
+    assert cli_main(["check-lemmas", "--config", str(config_path),
+                     "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "lem.json").read_text(),
+                        parse_constant=_reject_constant)
+    # D(q)(x, x) = -16 q(x) per output, at q(x) = (1e160, 1e160).
+    assert report["models"][0]["mixed"]["max_abs"] \
+        == math.hypot(16e160, 16e160)
+
+
 def test_check_lemmas_evaluates_each_argument_once(tmp_path, monkeypatch):
     calls = []
     evaluate = FuncModel.evaluate_coords
 
     def counted(model, coords, mode, **kwargs):
-        calls.append((id(model), coords, kwargs.get("den")))
+        calls.append(model)
         return evaluate(model, coords, mode, **kwargs)
 
     monkeypatch.setattr(FuncModel, "evaluate_coords", counted)
     pairs = 1 + 25  # one explicit pair, 25 random ones, per model
-    for mode, per_pair in (("exact", 19), ("float", 8)):
+    noisy = [{**entry, "atoms": [*entry["atoms"], NOISE_ATOM]}
+             for entry in lemma_config()["models"]]
+    for overrides, per_pair in (({}, 19), ({"chain": False}, 8),
+                                ({"mode": "float"}, 8)):
         calls.clear()
-        config = ExperimentConfig.from_json_dict(lemma_config(mode=mode),
+        config = ExperimentConfig.from_json_dict(lemma_config(**overrides),
                                                  "check-lemmas")
         assert run_check_lemmas(config, tmp_path).ok
+        assert calls == []  # polynomial models are expanded, never evaluated
+        config = ExperimentConfig.from_json_dict(
+            lemma_config(models=noisy, **overrides), "check-lemmas")
+        assert run_check_lemmas(config, tmp_path).ok
+        # Once per distinct argument of each pair, on the noise atoms alone.
         assert len(calls) == 2 * pairs * per_pair
+        assert {model.atoms for model in calls} == {(BoundedNoise(
+            7, Fraction(1, 1000)),)}
 
 
 def test_exact_check_lemmas_builds_points_only_for_explicit_pairs(

@@ -16,7 +16,8 @@ from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
                       random_rational)
 from addcubic.config import (model_from_json, model_to_json, phi_from_json,
                              phi_to_json)
-from addcubic.models import NORM_KINDS, Point, evaluate, phi_degree
+from addcubic.models import (NORM_KINDS, Point, coords_norm, evaluate,
+                             phi_degree)
 from addcubic.scalars import integer_ratio
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
@@ -71,6 +72,15 @@ def test_norms():
     assert norm(point([3, -4], norm_kind="max")) == 4.0
     assert norm(point([-7])) == 7.0
     assert norm(point([0, 0, 0])) == 0.0
+
+
+def test_euclidean_norm_past_the_range_of_the_squares():
+    assert coords_norm([Fraction(10 ** 160), 0], "euclidean") == 1e160
+    assert coords_norm([1.2e154, -1.2e154], "euclidean") \
+        == math.hypot(1.2e154, 1.2e154)
+    assert coords_norm([3, 4], "euclidean") == 5.0
+    with pytest.raises(OverflowError):
+        coords_norm([1.5e308, 1.5e308], "euclidean")
 
 
 @settings(max_examples=60, deadline=None)
@@ -474,6 +484,36 @@ def test_exact_kernel_matches_term_by_term_oracle(data):
             floats, "float")) == expected
         if spec[0] != "noise":
             assert _hex(atom.evaluate(floats)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_moments_expand_the_table_at_every_lattice_argument(data):
+    d = data.draw(st.integers(1, 3), label="dim_in")
+    m = data.draw(st.integers(1, 3), label="dim_out")
+    rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
+    kinds = data.draw(st.lists(st.sampled_from(ATOM_KINDS), max_size=5),
+                      label="atoms")
+    atoms, specs = zip(*(_kernel_atom(kind, rng, d, m) for kind in kinds)) \
+        if kinds else ((), ())
+    f = FuncModel(d, m, atoms)
+    polynomial = [spec for spec in specs if spec[0] != "noise"]
+    assert (f.noise_model is None) == (len(polynomial) == len(specs))
+    # Integers over an unreduced denominator, as a pair of points reads.
+    ints = st.lists(st.integers(-40, 40), min_size=d, max_size=d)
+    u, v = data.draw(ints, label="u"), data.draw(ints, label="v")
+    den = data.draw(st.integers(1, 24), label="den")
+    columns, out_den = f.moments(u, v, den)
+    assert len(columns) == m
+    assert all(len(column) == len(f.moment_keys) <= 10 for column in columns)
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            w = [Fraction(a * ui + b * vi, den) for ui, vi in zip(u, v)]
+            expanded = [Fraction(sum(a ** q * b ** (r - q) * value
+                                     for (r, q), value
+                                     in zip(f.moment_keys, column)), out_den)
+                        for column in columns]
+            assert expanded == oracles.atom_sum(polynomial, w, m)
 
 
 @pytest.mark.parametrize("ints, den", [([4], 8), ([0], 5), ([6, -3], 9),

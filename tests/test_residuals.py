@@ -14,9 +14,10 @@ from addcubic import (ABS_COEFFICIENT_SUM, CHAIN_CATALOGUE, BoundedNoise,
                       odd_part, point, random_cubic, random_linear,
                       random_point, random_rational, FuncModel)
 from addcubic.harness import _tally_pairs
-from addcubic.models import Linear, Point
+from addcubic.models import Linear, Point, evaluate
 from addcubic.residuals import (ADDITIVE_RULE, CUBIC_RULE, MIXED_RULE,
                                 ResidualVector, TermTables)
+from addcubic.scalars import integer_ratio
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -213,30 +214,40 @@ def _atom(kind, rng, d, m):
                       Fraction(rng.choice((1, 2, 5)), rng.choice((1, 2))))
 
 
-@settings(max_examples=60, deadline=None)
+# A term table of its own: coefficients over mixed denominators, and
+# arguments a x + b y with a = 0 or b = 0 among them.
+term_tables = st.lists(st.tuples(
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=8).map(tuple)
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data(), st.sets(st.sampled_from(("linear", "cubic", "even",
                                            "bounded_noise", "power_noise")),
-                          min_size=1))
-def test_term_tables_match_term_by_term_oracle(data, kinds):
+                          min_size=1), st.booleans())
+def test_term_tables_match_term_by_term_oracle(data, kinds, plain):
     d = data.draw(st.integers(1, 3), label="dim_in")
     m = data.draw(st.integers(1, 3), label="dim_out")
     rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
     f = FuncModel(d, m, tuple(_atom(kind, rng, d, m) for kind in sorted(kinds)))
+    if plain:  # a plain callable is evaluated at every argument
+        model, f = f, lambda p: model(p)
     coords = st.lists(rationals, min_size=d, max_size=d)
     x = point(data.draw(coords, label="x"))
     y = point(data.draw(coords, label="y"))
-    tables = TermTables(ALL_TABLES)
+    tables_drawn = ALL_TABLES + (data.draw(term_tables, label="table"),)
+    tables = TermTables(tables_drawn)
 
     exact = tables.residuals(f, x, y)
     at = lambda c: f(point(c)).coords  # noqa: E731
-    for terms, vector in zip(ALL_TABLES, exact):
+    for terms, vector in zip(tables_drawn, exact):
         assert vector.value.coords == oracles.lattice_sum(
             at, x.coords, y.coords, terms)
 
     # Float sums are the exact sums at the doubles, each rounded once.
     xf, yf = x.to_mode("float"), y.to_mode("float")
     floats = tables.residuals(f, xf, yf)
-    for terms, vector in zip(ALL_TABLES, floats):
+    for terms, vector in zip(tables_drawn, floats):
         expected = oracles.lattice_sum(at, tuple(map(Fraction, xf.coords)),
                                        tuple(map(Fraction, yf.coords)), terms)
         assert [v.hex() for v in vector.value.coords] \
@@ -311,18 +322,17 @@ def test_integer_entry_matches_fraction_entry(data, kinds):
 
 def test_plain_callable_values_take_the_lcm_branch():
     f = model_1d(linear_1d(1), cubic_1d(1))
+    g = lambda p: f(p)  # noqa: E731
     x, y = point(["1/2"]), point(["1/3"])
     tables = TermTables(ALL_TABLES)
-    values = tables.evaluate(lambda p: f(p), x, y)
-    assert len({den for _, den in values}) > 1
-    model_values = tables.evaluate(f, x, y)
-    assert len({den for _, den in model_values}) == 1
+    (u, v), den = integer_ratio(x.coords + y.coords)
+    assert len({evaluate(g, (a * u + b * v,), "exact", "euclidean", den)[1]
+                for a, b in tables.arguments}) > 1
     assert [[Fraction(n, den) for n in nums]
-            for nums, den in tables.integer_sums(values)] \
+            for nums, den in tables.integer_sums(g, x, y)] \
         == [[Fraction(n, den) for n in nums]
-            for nums, den in tables.integer_sums(model_values)]
-    assert _exact_rows(lambda p: f(p), x, y, tables) \
-        == _exact_rows(f, x, y, tables)
+            for nums, den in tables.integer_sums(f, x, y)]
+    assert _exact_rows(g, x, y, tables) == _exact_rows(f, x, y, tables)
 
 
 def test_exact_tally_counts_a_residual_nonzero_in_any_coordinate():
