@@ -16,24 +16,25 @@ decomposition is A = -A_0 / 6, C = C_0 / 6.  The distance from f to A + C
 is certified by the bound series in :mod:`addcubic.bounds`.
 
 Both iterates and the residual of one point read f on the same dyadic
-orbit x * 2^k.  :func:`recover` gives each point one :class:`OrbitTable`,
-which makes one model call per argument y for f(y) and the odd part
-(f(y) - f(-y)) / 2 (``models.evaluate(..., odd=True)``) and guards it
-once.  With ``n_max = N`` and no early stop a point costs N + 2 model
-calls when both directions agree and 2N + 2 when they differ; a callable
-that is not a model is called twice per argument.  :func:`odd_part`,
+orbit x * 2^k.  :func:`recover` gives each point one :class:`OrbitTable`
+over one orbit reader (``models.orbit``): a model is expanded once at x
+and read at each argument y by shifts, giving the odd part
+(f(y) - f(-y)) / 2, and f(y) at k = 0, and each value is guarded once.
+With ``n_max = N`` and no early stop a point costs N + 2 reads when both
+directions agree and 2N + 2 when they differ; a callable that is not a
+model is called twice per argument.  :func:`odd_part`,
 :func:`h_transform` and :func:`g_transform` read the same table at x.
 
 Both modes run in integers: x is u over one denominator L (a double at
 its exact binary value), the argument x * 2^k is (u << k, L) or
 (u, L << -k), and each value is integer numerators over one denominator,
-so a step w^(l n) * (hi - s * lo) is a shift and at most one gcd.  The
-model is called through its integer entry, norms divide int by int, which
-rounds as ``float(Fraction)`` does, and a trace builds a step's point only
-when it is read.  :func:`recover` forms A, C and both residuals on those
-vectors too, so a float-mode result is the exact-mode result at the same
-double with each value rounded once: no float cancellation can pass for
-convergence.
+so a step w^(l n) * (hi - s * lo) is a shift and at most one gcd, formed
+with its magnitude and Cauchy gap in :func:`_iterate` itself.  Norms
+divide int by int, which rounds as ``float(Fraction)`` does, and a trace
+builds a step's point only when it is read.  :func:`recover` forms A, C
+and both residuals on those vectors too, so a float-mode result is the
+exact-mode result at the same double with each value rounded once: no
+float cancellation can pass for convergence.
 
 Iterations at distinct points are independent; every structure here is
 either immutable or built single-threaded per point, so points may be
@@ -48,7 +49,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import require_direction
-from .models import ControlFunction, FuncModel, Point, coords_norm, evaluate
+from .models import ControlFunction, FuncModel, Point, coords_norm, orbit
 from .scalars import (EXACT, add_ratios, format_number, integer_ratio,
                       ratio_values)
 
@@ -74,68 +75,68 @@ def _vector_point(mode: str, norm_kind: str, vector) -> Point:
     return Point(tuple(ratio_values(vector, mode)), norm_kind)
 
 
+def _norm(vector, norm_kind: str) -> float:
+    nums, den = vector  # n / den rounds as float(Fraction) does
+    if len(nums) == 1:
+        return abs(nums[0] / den)
+    return coords_norm([n / den for n in nums], norm_kind)
+
+
 class OrbitTable:
     """Memoized values of f along the dyadic orbit x * 2^k of one point.
 
     x is read as integer numerators u over one denominator L, a double at
     its exact binary value, so in both modes the argument x * 2^k is
-    (u << k, L) or (u, L << -k) and f is called through its integer entry.
-    With ``odd`` a value is the odd part (f(y) - f(-y)) / 2, otherwise f(y);
-    each is guarded once, when it is formed.  Entries are keyed by k and
-    hold (numerators, denominator) vectors.  The methods work on those
-    vectors, and ``point`` turns one into a point of x's mode; it holds
-    the mode and norm kind only, so a trace that keeps it does not keep
-    the table's entries alive.
+    (u << k, L) or (u, L << -k), and f is read through one
+    :func:`models.orbit` reader made for x.  With ``odd`` a value is the
+    odd part (f(y) - f(-y)) / 2, otherwise f(y); each is guarded once,
+    when it is formed.  Entries are keyed by k and hold (numerators,
+    denominator) vectors.  The methods work on those vectors, and
+    ``point`` turns one into a point of x's mode; it holds the mode and
+    norm kind only, so a trace that keeps it does not keep the table's
+    entries alive.
     """
 
     def __init__(self, func: Callable[[Point], Point], x: Point,
                  odd: bool = True):
-        self.func, self.x, self.odd = func, x, odd
-        u, self._den = integer_ratio(x.coords)
-        self._u = tuple(u)
+        self.x = x
+        u, den = integer_ratio(x.coords)
+        self._moves = any(u)  # at x = 0 every k is the one argument 0
+        self._read = orbit(func, tuple(u), den, x.norm_kind, odd)
         self._entries: dict = {}
         self.point = partial(_vector_point, x.mode, x.norm_kind)
 
     def entry(self, k: int) -> tuple:
-        """(f(y), table value) at y = x * 2^k."""
+        """(f(y), table value) at y = x * 2^k; f(y) is None at k != 0 of
+        an odd table."""
         entry = self._entries.get(k)
         if entry is None:
-            coords, den = ((tuple(c << k for c in self._u), self._den)
-                           if k >= 0 else (self._u, self._den << -k))
             try:
-                raw = value = evaluate(self.func, coords, EXACT,
-                                       self.x.norm_kind, den, self.odd)
-                if self.odd:
-                    raw, value = value
+                entry = self._read(k)
             except OverflowError as exc:
                 raise OverflowGuardError(
                     f"evaluation overflowed float range: {exc}") from exc
-            self.magnitude(value)
-            entry = self._entries[k] = (raw, value)
+            nums, den = entry[1]
+            # |n / den| < 2^(bits + 1) and the norm is at most sqrt(m) times
+            # that, so within 498 - ceil(log2(m) / 2) bits it is below 2^499.
+            bits = max(map(abs, nums), default=0).bit_length() - den.bit_length()
+            if bits > (OVERFLOW_GUARD_BITS - 2
+                       - ((len(nums) - 1).bit_length() + 1) // 2):
+                self.magnitude(entry[1])
+            self._entries[k] = entry
         return entry
 
-    def _combination(self, a, b, factor: int, e: int):
-        """2^e * (a - factor * b)."""
-        nums, den = add_ratios(a, b, -factor)
-        if e == 0:
-            return nums, den
-        return ([n << e for n in nums], den) if e > 0 else (nums, den << -e)
-
-    def _norm(self, vector) -> float:
-        nums, den = vector  # n / den rounds as float(Fraction) does
-        return coords_norm([n / den for n in nums], self.x.norm_kind)
-
-    def step(self, k: int, subtract: int, bits: int):
-        """2^(-k bits) * (value(2a) - subtract * value(a)) at a = x * 2^k."""
-        # At x = 0 every k is the one argument 0.
-        hi, lo = (k + 1, k) if any(self._u) else (0, 0)
-        hi = self.entry(hi)[1]
-        return self._combination(hi, self.entry(lo)[1], subtract, -k * bits)
+    def pair(self, k: int) -> tuple:
+        """The table values at x * 2^(k+1) and at x * 2^k."""
+        hi, lo = (k + 1, k) if self._moves else (0, 0)
+        entries = self._entries
+        return ((entries.get(hi) or self.entry(hi))[1],
+                (entries.get(lo) or self.entry(lo))[1])
 
     def magnitude(self, vector) -> float:
         """The vector's norm; the overflow guard."""
         try:
-            magnitude = self._norm(vector)
+            magnitude = _norm(vector, self.x.norm_kind)
         except OverflowError as exc:
             raise OverflowGuardError(
                 "evaluation magnitude exceeds float range") from exc
@@ -146,7 +147,7 @@ class OrbitTable:
         return magnitude
 
     def distance(self, a, b) -> float:
-        return self._norm(self._combination(a, b, 1, 0))
+        return _norm(add_ratios(a, b, -1), self.x.norm_kind)
 
 
 def odd_part(f) -> Callable[[Point], Point]:
@@ -161,7 +162,7 @@ def _transform(f, subtract: int) -> Callable[[Point], Point]:
     """x -> f(2x) - subtract * f(x), the orbit table's step at k = 0."""
     def transform(x: Point) -> Point:
         table = OrbitTable(f, x, odd=False)
-        return table.point(table.step(0, subtract, 0))
+        return table.point(add_ratios(*table.pair(0), -subtract))
     return transform
 
 
@@ -212,16 +213,23 @@ def _iterate(f, x: Point, l: int, weight: int, n_steps: int,
     subtract = 8 if weight == 2 else 2
     bits = weight.bit_length() - 1
     trace = IterationTrace(direction=l, weight=weight, to_point=f.point)
+    steps = trace.steps
     streak = 0
     for n in range(n_steps + 1):
-        value = f.step(-l * n, subtract, bits)
+        # 2^(l n bits) * (value(2a) - subtract * value(a)) at a = x / 2^(l n),
+        # formed on the numerators over the pair's common denominator.
+        (h, h_den), (g, g_den) = f.pair(-l * n)
+        common = math.gcd(h_den, g_den)
+        h_scale, g_scale = g_den // common, subtract * (h_den // common)
+        den, e = h_den * h_scale, l * n * bits
+        if e < 0:
+            den, e = den << -e, 0
+        value = [(p * h_scale - q * g_scale) << e for p, q in zip(h, g)], den
         magnitude = f.magnitude(value)
-        trace.steps.append(value)
+        steps.append(value)
         if n == 0:
-            previous = value
             continue
-        gap = f.distance(value, previous)
-        previous = value
+        gap = f.distance(value, steps[-2])
         trace.cauchy_gaps.append(gap)
         if gap <= max(tol_abs, tol_rel * magnitude):
             streak += 1

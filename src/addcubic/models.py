@@ -16,13 +16,15 @@ modes is one integer kernel: a model folds its polynomial atoms into one
 integer table, reads it at integer numerators over one denominator and
 adds the noise atoms' numerators.  Float coordinates are read at their
 exact binary values, and each float result is the exact value rounded
-once.  The odd part (f(y) - f(-y)) / 2 that the direct method reads comes
-from the same pass.  Residual tables read the same table expanded in
-(a, b) at the arguments (a u + b v) / den of a pair
-(:meth:`FuncModel.moments`).  Callers holding integers pass ``den`` and get
-integers back; others get one ``Fraction`` (exact mode) or float (float
-mode) per output coordinate.  Every value is immutable and evaluation is
-pure, so it is thread-safe.
+once.  The direct method reads a model along the dyadic orbit x * 2^k of
+one point (:meth:`FuncModel.orbit`): the table is summed by degree once,
+at x, each degree-r part at x * 2^k is a shift of it, and the odd part
+(f(y) - f(-y)) / 2 adds the noise atoms' from their per-point readers.
+Residual tables read the same table expanded in (a, b) at the arguments
+(a u + b v) / den of a pair (:meth:`FuncModel.moments`).  Callers holding
+integers pass ``den`` and get integers back; others get one ``Fraction``
+(exact mode) or float (float mode) per output coordinate.  Every value is
+immutable and evaluation is pure, so it is thread-safe.
 """
 
 from __future__ import annotations
@@ -171,13 +173,16 @@ def coords_norm(coords: Sequence, norm_kind: str) -> float:
         return abs(float(coords[0]))
     floats = [float(c) for c in coords]
     try:
-        total = math.sqrt(math.fsum(c * c for c in floats))
+        squares = math.fsum(c * c for c in floats)
     except OverflowError:  # a partial sum of the squares overflows
-        total = math.inf
-    if total == math.inf:  # the squares overflow; hypot scales first
-        total = math.hypot(*floats)
-        if total == math.inf:
-            raise OverflowError("norm is beyond the float range")
+        squares = math.inf
+    if 2.0 ** -510 <= squares < math.inf:
+        return math.sqrt(squares)
+    # The squares overflow, or may have lost bits below 2^-1022; hypot
+    # scales first.
+    total = math.hypot(*floats)
+    if total == math.inf:
+        raise OverflowError("norm is beyond the float range")
     return total
 
 
@@ -297,9 +302,11 @@ class BoundedNoise(_Value):
         self.__dict__.update(seed=seed, amplitude=amplitude,
                              _amplitude=amplitude.as_integer_ratio())
 
-    def evaluate(self, coords, dim_out: int, den: int = 1, odd: bool = False):
-        return noise_mod.sample(self.seed, coords, self._amplitude, (0, 1),
-                                dim_out, den, odd)
+    _exponent = (0, 1)
+
+    def evaluate(self, coords, dim_out: int, den: int = 1):
+        return noise_mod.sample(self.seed, coords, self._amplitude,
+                                self._exponent, dim_out, den)
 
 
 class PowerNoise(_Value):
@@ -317,9 +324,7 @@ class PowerNoise(_Value):
                              _amplitude=amplitude.as_integer_ratio(),
                              _exponent=exponent.as_integer_ratio())
 
-    def evaluate(self, coords, dim_out: int, den: int = 1, odd: bool = False):
-        return noise_mod.sample(self.seed, coords, self._amplitude,
-                                self._exponent, dim_out, den, odd)
+    evaluate = BoundedNoise.evaluate
 
 
 Atom = Union[Linear, CubicHomogeneous, Even, BoundedNoise, PowerNoise]
@@ -327,8 +332,8 @@ NOISE_ATOMS = (BoundedNoise, PowerNoise)
 
 
 def _fold(atoms, dim_in: int, dim_out: int):
-    """Per output, the polynomial atoms' (odd-degree, even-degree) terms
-    (c, (i, j, k)), c an integer over one L: at x = u / D a term adds
+    """Per output, the polynomial atoms' terms (c, (i, j, k)) of degree 1,
+    2 and 3, c an integer over one L: at x = u / D a term adds
     c * v_i v_j v_k / (L D^t) with v = (*u, D, 1), t the top degree."""
     terms = []  # (output, input indices, coefficient)
     for atom in atoms:
@@ -343,12 +348,12 @@ def _fold(atoms, dim_in: int, dim_out: int):
                       for i, row in enumerate(q) for k, v in enumerate(row)]
     top = max((len(indices) for _, indices, _ in terms), default=1)
     ints, den = integer_ratio([c for _, _, c in terms])
-    table = [([], []) for _ in range(dim_out)]
+    table = [([], [], []) for _ in range(dim_out)]
     degrees = set()
     for (j, indices, _), c in zip(terms, ints):
         if c:  # pad with D up to degree t, then with 1
             degrees.add(len(indices))
-            table[j][len(indices) % 2 == 0].append((c, (
+            table[j][len(indices) - 1].append((c, (
                 *indices, *(dim_in,) * (top - len(indices)),
                 *(dim_in + 1,) * (3 - top))))
     return (tuple(tuple(map(tuple, parts)) for parts in table), den, top,
@@ -385,51 +390,63 @@ class FuncModel(_Value):
                          else self if len(noise) == len(atoms)
                          else FuncModel(dim_in, dim_out, noise)))
 
-    def evaluate_coords(self, coords, mode: str, *, den: int | None = None,
-                        odd: bool = False):
+    def evaluate_coords(self, coords, mode: str, *, den: int | None = None):
         """Atom-sum evaluation on raw coordinates; see :func:`evaluate`.
 
-        Sums the folded table and the noise atoms' integer numerators.
-        With ``den`` the coordinates are integer numerators over ``den``
-        and the result is (integer numerators, denominator), unreduced.
-        Without it they are rationals or floats, read at their exact
-        values, and each output coordinate is one normalized ``Fraction``
-        in exact mode and that value rounded once in float mode.  With
-        ``odd`` it is the pair (f(y), (f(y) - f(-y)) / 2).
+        Reads the folded table and the noise atoms' integer numerators at
+        k = 0 of :meth:`orbit`.  With ``den`` the coordinates are integer
+        numerators over ``den`` and the result is (integer numerators,
+        denominator), unreduced.  Without it they are rationals or floats,
+        read at their exact values, and each output coordinate is one
+        normalized ``Fraction`` in exact mode and that value rounded once
+        in float mode.
         """
-        if len(coords) != self.dim_in:
-            raise DimensionMismatchError(
-                f"got {len(coords)} coordinates, model domain is {self.dim_in}")
         if den is not None:
-            values = self._exact(coords, den, odd)
-            return tuple(values) if odd else values[0]
-        values = self._exact(*integer_ratio(coords), odd)
-        if odd:
-            return tuple([ratio_values(vector, mode) for vector in values])
-        return ratio_values(values[0], mode)
+            return self.orbit(coords, den, odd=False)(0)[0]
+        u, den = integer_ratio(coords)
+        return ratio_values(self.orbit(u, den, odd=False)(0)[0], mode)
 
-    def _exact(self, u, den: int, odd: bool) -> list:
-        """[f(y)], or [f(y), odd part], at y = u / den as integer ratios."""
+    def orbit(self, u, den: int, odd: bool = True):
+        """Reader of f along the dyadic orbit y = x * 2^k of x = u / den.
+
+        ``read(k)`` is (f(y), value) as integer ratios at y = (u << k, den)
+        or (u, den << -k).  With ``odd`` the value is (f(y) - f(-y)) / 2
+        and f(y) is formed at k = 0 only (None elsewhere); without it both
+        are f(y).  The table is summed by degree once, at x: its degree-r
+        part at y is that at x shifted left k r bits (-k (t - r) bits for
+        k < 0, the den pads).  Each noise atom has a :func:`noise.orbit`
+        reader.
+        """
+        if len(u) != self.dim_in:
+            raise DimensionMismatchError(
+                f"got {len(u)} coordinates, model domain is {self.dim_in}")
         table, table_den, top = self._folded
-        v = (*u, den, 1)
-        f_nums, odd_nums = [], []
-        for odd_terms, even_terms in table:
-            acc = 0
-            for c, (i, j, k) in odd_terms:
-                acc += c * v[i] * v[j] * v[k]
-            odd_nums.append(acc)
-            for c, (i, j, k) in even_terms:
-                acc += c * v[i] * v[j] * v[k]
-            f_nums.append(acc)
-        out_den = table_den * den ** top
-        total, odd_part = (f_nums, out_den), (odd_nums, out_den)
-        for atom in self._noise:
-            value = atom.evaluate(u, self.dim_out, den, odd)
-            if odd:
-                value, value_odd = value
-                odd_part = add_ratios(odd_part, value_odd)
-            total = add_ratios(total, value)
-        return [total, odd_part] if odd else [total]
+        v, table_den = (*u, den, 1), table_den * den ** top
+        sums = [[sum([c * v[i] * v[j] * v[k] for c, (i, j, k) in terms])
+                 for terms in parts] for parts in table]
+        parts = [(r, column) for r, column in enumerate(zip(*sums), 1)
+                 if any(column)]  # the degree-r part at x, per output
+        odd_parts = [(r, column) for r, column in parts if r % 2]
+        noise = [noise_mod.orbit(atom.seed, u, den, atom._amplitude,
+                                 atom._exponent, self.dim_out)
+                 for atom in self._noise]
+
+        def at(k, odd_part):
+            nums = [0] * self.dim_out
+            for r, column in odd_parts if odd_part else parts:
+                e = k * r if k >= 0 else -k * (top - r)
+                nums = [n + (c << e) for n, c in zip(nums, column)]
+            value = nums, table_den if k >= 0 else table_den << -k * top
+            for noise_at in noise:
+                value = add_ratios(value, noise_at(k, odd_part))
+            return value
+
+        def read(k):
+            value = at(k, odd)
+            if not odd:
+                return value, value
+            return (at(k, False) if k == 0 else None), value
+        return read
 
     def moments(self, u, v, den: int) -> tuple[list[list[int]], int]:
         """The folded table at (a u + b v) / den, expanded in (a, b).
@@ -505,28 +522,42 @@ class FuncModel(_Value):
 
 
 def evaluate(f: Callable[[Point], Point], coords, mode: str, norm_kind: str,
-             den: int | None = None, odd: bool = False):
+             den: int | None = None):
     """f at ``coords``: the one place that knows how to evaluate a function.
 
     A :class:`FuncModel` sums its atoms on the raw coordinates; any other
     callable gets a :class:`Point`.  With ``den`` the coordinates are
     integer numerators over ``den`` and the result is (integer numerators,
     denominator); without it the result is one value per output coordinate.
-    With ``odd`` it is the pair f(y), (f(y) - f(-y)) / 2 at y = ``coords``;
-    a callable that is not a model is called at y and at -y, and then
-    ``den`` is required.
     """
     if isinstance(f, FuncModel):
-        return f.evaluate_coords(coords, mode, den=den, odd=odd)
-    if odd:
-        plus, minus = (evaluate(f, c, mode, norm_kind, den)
-                       for c in (coords, tuple(-c for c in coords)))
-        nums, out_den = add_ratios(plus, minus, -1)
-        return plus, (nums, out_den << 1)
+        return f.evaluate_coords(coords, mode, den=den)
     if den is not None:
         coords = [Fraction(c, den) for c in coords]
     values = f(Point(tuple(coords), norm_kind)).coords
     return values if den is None else integer_ratio(values)
+
+
+def orbit(f: Callable[[Point], Point], u, den: int, norm_kind: str,
+          odd: bool = True):
+    """Reader of f along the dyadic orbit x * 2^k of x = u / den.
+
+    A :class:`FuncModel` reads through :meth:`FuncModel.orbit`; any other
+    callable is called through :func:`evaluate` at y, and with ``odd`` at
+    -y too, so ``read(k)`` is (f(y), value) as that method gives it.
+    """
+    if isinstance(f, FuncModel):
+        return f.orbit(u, den, odd)
+
+    def read(k):
+        coords, d = ([c << k for c in u], den) if k >= 0 else (u, den << -k)
+        plus = evaluate(f, coords, EXACT, norm_kind, d)
+        if not odd:
+            return plus, plus
+        minus = evaluate(f, [-c for c in coords], EXACT, norm_kind, d)
+        nums, out_den = add_ratios(plus, minus, -1)
+        return plus, (nums, out_den << 1)
+    return read
 
 
 # Convenience constructors for the 1-D catalogue used throughout the tests.

@@ -19,7 +19,8 @@ cached per process, since the cells of a sweep share seed and points.
 The value is computed in integers.  The input is integer numerators u
 over one denominator L (a model reads float coordinates at their exact
 binary values), snapped as floor(u * 2^40 / L), and the output is the
-numerator scale * direction over scale denominator * m * 2^20.
+numerator scale * direction over scale denominator * m * 2^20, read
+along the dyadic orbit of a point by :func:`orbit`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _scale(ints, den: int, amplitude: tuple[int, int],
         return 0, 1
     if p_num == 0:
         return a_num, a_den
-    base = max(abs(u) for u in ints)  # max_i |x_i| = base / den
+    base = max(map(abs, ints))  # max_i |x_i| = base / den
     if base == 0:
         return 0, 1
     if p_den == 1:
@@ -81,30 +82,41 @@ def _scale(ints, den: int, amplitude: tuple[int, int],
 
 
 def sample(seed: int, coords, amplitude: tuple[int, int],
-           exponent: tuple[int, int], dim_out: int, den: int = 1,
-           odd: bool = False):
+           exponent: tuple[int, int], dim_out: int, den: int = 1):
     """Noise output coordinates at the given input coordinates.
 
     ``amplitude`` and ``exponent`` are integer ratios in lowest terms.
     Takes integer numerators ``coords`` over ``den`` and returns
-    ``(numerators, denominator)``; with ``odd`` that value comes with
-    (N(x) - N(-x)) / 2 over the same denominator, from one scale, as a
-    model's odd part needs.  The envelope
+    ``(numerators, denominator)``.  The envelope
     ||output|| <= amplitude * (max_i |x_i|)^exponent
     <= amplitude * ||x||^exponent is guaranteed exactly.
     """
-    scale_num, scale_den = _scale(coords, den, amplitude, exponent)
-    if scale_num == 0:
-        zero = [0] * dim_out, 1
-        return (zero, zero) if odd else zero
-    out_den = scale_den * dim_out << VALUE_BITS  # damping 1/m, grid 2^-20
-    out = []
-    for sign in (1, -1) if odd else (1,):
-        snapped = tuple([(sign * u << QUANT_BITS) // den for u in coords])
-        out.append([scale_num * _direction_component(seed, snapped, j)
-                    for j in range(dim_out)])
-    if odd:  # N(x) and (N(x) - N(-x)) / 2 over one denominator
-        plus, minus = out
-        return (([n << 1 for n in plus], out_den << 1),
-                ([p - q for p, q in zip(plus, minus)], out_den << 1))
-    return out[0], out_den
+    return orbit(seed, coords, den, amplitude, exponent, dim_out)(0, False)
+
+
+def orbit(seed: int, coords, den: int, amplitude: tuple[int, int],
+          exponent: tuple[int, int], dim_out: int):
+    """Reader of :func:`sample` along the orbit y = x * 2^k of x = coords
+    / den, read at (coords << k, den) or (coords, den << -k).
+
+    ``read(k, odd)`` is N(y), or with ``odd`` (N(y) - N(-y)) / 2 from one
+    scale, as a model's odd part needs.
+    """
+    def read(k: int, odd: bool):
+        y, d = (([u << k for u in coords], den) if k >= 0
+                else (coords, den << -k))
+        scale_num, scale_den = _scale(y, d, amplitude, exponent)
+        if scale_num == 0:
+            return [0] * dim_out, 1
+        plus = tuple([(u << QUANT_BITS) // d for u in y])
+        if odd:  # D(y) - D(-y)
+            minus = tuple([(-u << QUANT_BITS) // d for u in y])
+            nums = [scale_num * (_direction_component(seed, plus, j)
+                                 - _direction_component(seed, minus, j))
+                    for j in range(dim_out)]
+        else:
+            nums = [scale_num * _direction_component(seed, plus, j)
+                    for j in range(dim_out)]
+        # damping 1/m, grid 2^-20, and the odd part's 1/2
+        return nums, scale_den * dim_out << (VALUE_BITS + odd)
+    return read

@@ -624,21 +624,31 @@ def test_recover_evaluates_each_orbit_argument_once(mode, coords):
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("coords", [["3/4"], ["-5/2", "1/3"]])
 def test_recover_counts_hold_at_the_model_entry(monkeypatch, mode, coords):
-    # Counted at the model's one evaluation entry, so a kernel that
-    # evaluated around a wrapper could not hide evaluations.
-    # One odd call per argument gives f(y) and (f(y) - f(-y)) / 2.
-    calls = []
-    evaluate = FuncModel.evaluate_coords
+    # Counted at the model's orbit reader, so a kernel that evaluated
+    # around it could not hide evaluations: one read per argument gives
+    # the odd part, and f(y) with it at k = 0.  The model's evaluation
+    # entry is never called.
+    calls, entry_calls = [], []
+    orbit, evaluate = FuncModel.orbit, FuncModel.evaluate_coords
 
-    def counted(model, values, eval_mode, **kwargs):
-        assert kwargs["odd"]
-        # Exact orbit points x * 2^-k share numerators and differ in den.
-        calls.append((values, kwargs.get("den")))
-        return evaluate(model, values, eval_mode, **kwargs)
+    def counted_orbit(model, u, den, odd=True):
+        assert odd
+        read = orbit(model, u, den, odd)
 
-    monkeypatch.setattr(FuncModel, "evaluate_coords", counted)
+        def counted(k):
+            calls.append((u, den, k))
+            return read(k)
+        return counted
+
+    def counted_entry(model, *args, **kwargs):
+        entry_calls.append(args)
+        return evaluate(model, *args, **kwargs)
+
+    monkeypatch.setattr(FuncModel, "orbit", counted_orbit)
+    monkeypatch.setattr(FuncModel, "evaluate_coords", counted_entry)
     _assert_each_orbit_argument_once(_orbit_model(len(coords)), calls,
                                      point(coords, mode), 1)
+    assert entry_calls == []
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])

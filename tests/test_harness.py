@@ -158,6 +158,25 @@ def test_even_residual_norm_past_the_squares_range_is_finite(tmp_path):
         == math.hypot(16e160, 16e160)
 
 
+def test_even_residual_norm_below_the_squares_range_is_nonzero(tmp_path):
+    # The residual coordinates are about 1e-169, so their squares underflow
+    # to 0; the Euclidean norm was once written as 0.0 beside a nonzero
+    # count.
+    even = {"kind": "even", "matrices": [[["1", "0"], ["0", "1"]],
+                                         [["1", "0"], ["0", "0"]]]}
+    models = [{"label": "even", "dim_in": 2, "dim_out": 2, "atoms": [even]}]
+    config_path = write_config(tmp_path, "even.json", lemma_config(
+        models=models, samples={"pairs": [[["1e-85", "0"], ["1e-85", "0"]]]}))
+    assert cli_main(["check-lemmas", "--config", str(config_path),
+                     "--out-dir", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "lem.json").read_text())["models"][0]
+    # -16 q(x) and -48 q(x) per output, at q(x) = (1e-170, 1e-170).
+    assert rows["mixed"]["max_abs"] == math.hypot(16e-170, 16e-170)
+    assert rows["cubic"]["max_abs"] == math.hypot(48e-170, 48e-170)
+    assert all(row["max_abs"] > 0 and row["nonzero_count"] == 1
+               for row in rows["chain"].values())
+
+
 def test_check_lemmas_evaluates_each_argument_once(tmp_path, monkeypatch):
     calls = []
     evaluate = FuncModel.evaluate_coords
@@ -656,6 +675,14 @@ RECOVER_SEVENTHS_DOC = recover_config(
     samples={"random": {"count": 200, "seed": 1708705673,
                         "max_denominator": 7}},
     output_stem="rec7")
+# The benchmark's seed-1 sweep in every direction mode: fractional
+# exponents take the float-pow noise scale, and "pos" forces l = +1 where
+# "auto" picks -1.
+SWEEP_DIRECTIONS_DOC = sweep_doc(
+    p=["0", "1/2", "1", "2", "5/2", "3", "4", "5"], theta=["1"],
+    l_mode=["auto", "pos", "neg"], allow_divergent=True,
+    base={"solution": {"linear": "2", "cubic": "1"}, "noise_seed": 1548140966,
+          "samples": {"random": {"count": 6, "seed": 912610027}}})
 # sha256 of each file the other subcommands write for pinned configs.  A
 # change to a runner, to the config readers or to a report layout changes
 # these bytes.
@@ -705,6 +732,12 @@ COMMAND_GOLDENS = {
                   "a60155dd448ad0167c311742e362109b",
         "sw.json": "f0c7877356acedea16ec3e5846fb3f5f"
                    "fd7b30cc3e8f0f8119036c9a92438e6a",
+    }),
+    "sweep-fractional-directions": ("sweep", SWEEP_DIRECTIONS_DOC, {
+        "sw.csv": "404dbeddb98be9cdb273514aab94687c"
+                  "71024ed8a62d6b92b02e7369872c087c",
+        "sw.json": "cc58ac573a9ea2c1ae81e51eafd659c3"
+                   "df58dfed1fc516171d5fbf8eb4d50fbe",
     }),
 }
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
                       DimensionMismatchError, Even, FuncModel, Linear,
-                      ModeMismatchError, PowerNoise, ProductOfPowers,
-                      SumOfPowers, cubic_1d, even_1d, linear_1d,
-                      model_1d, noise, norm, odd_part, phi_value, point,
-                      random_cubic, random_linear, random_point,
-                      random_rational)
+                      ModeMismatchError, OverflowGuardError,
+                      PowerNoise, ProductOfPowers, SumOfPowers, cubic_1d,
+                      even_1d, linear_1d, model_1d, noise, norm, odd_part,
+                      phi_value, point, random_cubic, random_linear,
+                      random_point, random_rational)
 from addcubic.config import (model_from_json, model_to_json, phi_from_json,
                              phi_to_json)
-from addcubic.models import (NORM_KINDS, Point, coords_norm, evaluate,
+from addcubic.direct_method import OrbitTable
+from addcubic.models import (NORM_KINDS, Point, coords_norm, orbit,
                              phi_degree)
 from addcubic.scalars import integer_ratio
 
@@ -81,6 +83,17 @@ def test_euclidean_norm_past_the_range_of_the_squares():
     assert coords_norm([3, 4], "euclidean") == 5.0
     with pytest.raises(OverflowError):
         coords_norm([1.5e308, 1.5e308], "euclidean")
+
+
+def test_euclidean_norm_below_the_range_of_the_squares():
+    # The squares of these coordinates underflow, to 0 or to subnormals
+    # that have lost bits; hypot scales first.
+    assert coords_norm([1e-170, 0], "euclidean") == 1e-170
+    assert coords_norm([Fraction(-1, 10 ** 170), 0], "euclidean") == 1e-170
+    assert coords_norm([3e-160, 4e-160], "euclidean") == 5e-160
+    assert coords_norm([5e-324, 5e-324], "euclidean") \
+        == math.hypot(5e-324, 5e-324) > 0
+    assert coords_norm([0.0, -0.0], "euclidean") == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -540,6 +553,9 @@ _FLOAT_COORDINATE = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_odd_entry_matches_two_calls(data):
+    # The orbit reader at y = x * 2^k against evaluate_coords at y and -y:
+    # the odd part at every k, f(y) with it at k = 0 only, and f(y)
+    # everywhere without odd.  Noise exponents are integers or fractions.
     d = data.draw(st.integers(1, 3), label="dim_in")
     m = data.draw(st.integers(1, 3), label="dim_out")
     rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
@@ -547,29 +563,32 @@ def test_odd_entry_matches_two_calls(data):
                       label="atoms")
     f = FuncModel(d, m, tuple(_kernel_atom(kind, rng, d, m)[0]
                               for kind in kinds))
-    norm_kind = data.draw(st.sampled_from(NORM_KINDS), label="norm")
-    x = data.draw(st.one_of(st.just([0.0] * d), st.lists(
-        _FLOAT_COORDINATE, min_size=d, max_size=d)), label="x")
-    # On the doubles' exact values, then in float mode, which is that pair
-    # rounded once, then on integers over an unreduced denominator.
-    exact_x = [Fraction(c) for c in x]
-    plus = f.evaluate_coords(exact_x, "exact")
-    minus = f.evaluate_coords([-c for c in exact_x], "exact")
-    pair = (plus, [(p - q) / 2 for p, q in zip(plus, minus)])
-    assert evaluate(f, exact_x, "exact", norm_kind, odd=True) == pair
-    assert [_hex(part) for part in evaluate(f, x, "float", norm_kind,
-                                            odd=True)] \
-        == [_hex(map(float, part)) for part in pair]
-    ints, den = integer_ratio(exact_x)
+    # Doubles at their exact values, or rationals over an unreduced
+    # denominator; the orbit of x = 0 is the one argument 0.
+    x = data.draw(st.one_of(
+        st.just([0.0] * d),
+        st.lists(_FLOAT_COORDINATE, min_size=d, max_size=d),
+        st.lists(rationals, min_size=d, max_size=d)), label="x")
+    u, den = integer_ratio(x)
     factor = data.draw(st.integers(1, 12), label="unreduced")
-    ints, den = [u * factor for u in ints], den * factor
-    pair = evaluate(f, ints, "exact", norm_kind, den, odd=True)
-    plus, minus = (f.evaluate_coords(u, "exact", den=den)
-                   for u in (ints, [-u for u in ints]))
-    assert [[Fraction(n, out_den) for n in nums] for nums, out_den in pair] \
-        == [[Fraction(n, plus[1]) for n in plus[0]],
-            [Fraction(p, 2 * plus[1]) - Fraction(q, 2 * minus[1])
-             for p, q in zip(plus[0], minus[0])]]
+    u, den = tuple(c * factor for c in u), den * factor
+    ks = data.draw(st.lists(st.integers(-60, 60), max_size=4), label="k")
+
+    def at(nums, out_den):
+        return [Fraction(n, out_den) for n in nums]
+
+    odd_read, plain_read = f.orbit(u, den), f.orbit(u, den, odd=False)
+    for k in [0, *ks]:
+        y, y_den = ([c << k for c in u], den) if k >= 0 else (u, den << -k)
+        plus = at(*f.evaluate_coords(y, "exact", den=y_den))
+        minus = at(*f.evaluate_coords([-c for c in y], "exact", den=y_den))
+        total, value = odd_read(k)
+        assert at(*value) == [(p - q) / 2 for p, q in zip(plus, minus)]
+        assert (total is None) == (k != 0)
+        if k == 0:
+            assert at(*total) == plus
+        total, value = plain_read(k)
+        assert at(*total) == at(*value) == plus
 
 
 @pytest.mark.parametrize("norm_kind", NORM_KINDS)
@@ -581,12 +600,36 @@ def test_odd_entry_calls_a_plain_callable_twice(norm_kind):
         calls.append(p)
         return model(p)
 
-    value, odd = evaluate(f, (3,), "exact", norm_kind, 4, odd=True)
+    value, odd = orbit(f, (3,), 4, norm_kind)(0)
     assert [p.coords for p in calls] == [(Fraction(3, 4),), (Fraction(-3, 4),)]
     assert all(p.norm_kind == norm_kind for p in calls)
     plus, minus = (model(point([c])).coords for c in ("3/4", "-3/4"))
     assert [Fraction(n, value[1]) for n in value[0]] == list(plus)
     assert [Fraction(n, odd[1]) for n in odd[0]] == [(plus[0] - minus[0]) / 2]
+
+
+@pytest.mark.parametrize("norm_kind", NORM_KINDS)
+@pytest.mark.parametrize("m", range(1, 21))
+def test_orbit_guard_trips_where_the_plain_norm_does(norm_kind, m):
+    # Each output of f(1/3) is c/3, so the norm sits near 2^e.  The guard
+    # skips the float norm only where it cannot exceed 2^500: it trips
+    # exactly where that norm does, with its message.
+    width = math.sqrt(m) if norm_kind == "euclidean" else 1
+    tripped = 0
+    for e in range(494, 502):
+        for step in (-2 ** -30, -2 ** -52, 0, 2 ** -52, 2 ** -30):
+            c = round(3 * 2.0 ** e * (1 + step) / width)
+            f = FuncModel(1, m, (Linear(((c,),) * m),))
+            x = point([Fraction(1, 3)], norm_kind=norm_kind)
+            magnitude = coords_norm([Fraction(c, 3)] * m, norm_kind)
+            if magnitude <= 2.0 ** 500:
+                OrbitTable(f, x).entry(0)
+                continue
+            tripped += 1
+            with pytest.raises(OverflowGuardError, match=re.escape(
+                    f"evaluation norm {magnitude!r} exceeds 2^500")):
+                OrbitTable(f, x).entry(0)
+    assert 0 < tripped < 40
 
 
 def test_noise_directions_are_cached_without_changing_values():
@@ -597,8 +640,7 @@ def test_noise_directions_are_cached_without_changing_values():
 
     def values(x):  # a float point's odd part is read at its integer ratio
         ints, den = integer_ratio(x.coords)
-        return (f(x).coords, f(-x).coords,
-                evaluate(f, ints, "exact", x.norm_kind, den, odd=True))
+        return f(x).coords, f(-x).coords, f.orbit(tuple(ints), den)(0)
 
     cold = [values(x) for x in xs]
     assert noise._direction_component.cache_info().currsize > 0
