@@ -1,9 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: addcubic SUBCOMMAND --config PATH [--out-dir DIR].
 
 Flags only select the subcommand, the config path and the output directory;
 everything else lives in the JSON config so a run is reproducible from one
-artifact.  The output directory may also be set through the ADDCUBIC_OUT_DIR
-environment variable (the --out-dir flag wins).
+artifact.  Flags are spelled in full, as ``--flag value`` or ``--flag=value``;
+the last one given wins, and ``--out-dir`` wins over ADDCUBIC_OUT_DIR in the
+environment.  ``-h`` or ``--help`` prints the usage.
 
 The config is read in full before anything runs, and each subcommand
 reads only its own keys: any other key, a missing required key or a value
@@ -13,12 +14,11 @@ path, as is a check that would run over zero sample points or pairs.
 Exit codes: 0 when every asserted identity/inequality held, 1 when an
 assertion failed (including divergent bound series), 2 on configuration or
 usage errors, including a config file or output path the system refuses
-and values too large for float arithmetic.
+and values too large for float arithmetic; a usage error prints the usage.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
@@ -38,43 +38,56 @@ _RUNNERS = {
     "sweep": (SweepSpec, run_sweep),
 }
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="addcubic",
-        description="Verification lab for a mixed additive-cubic functional "
-                    "equation: residual checks, identity replay, recovery "
-                    "and certified stability bounds.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="JSON config path")
-        cmd.add_argument("--out-dir", default=None,
-                         help=f"output directory (default: ${OUT_DIR_ENV} or .)")
-    return parser
+USAGE = (f"usage: addcubic {{{','.join(_RUNNERS)}}} --config PATH "
+         "[--out-dir DIR]")
 
 
-def _resolve_out_dir(flag_value) -> Path:
-    return Path(flag_value or os.environ.get(OUT_DIR_ENV) or ".")
+def _parse(argv: list[str]) -> tuple[str, str, str | None]:
+    """(subcommand, config path, --out-dir or None); ValueError if misused."""
+    if not argv or argv[0] not in _RUNNERS:
+        raise ValueError(f"unknown subcommand {argv[0]!r}" if argv
+                         else "a subcommand is required")
+    values = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, has_value, value = arg.partition("=")
+        if flag not in ("--config", "--out-dir"):
+            raise ValueError(f"unrecognized argument {arg!r}")
+        if not has_value:
+            value = next(rest, None)
+            if value is None or value.startswith("-"):
+                raise ValueError(f"{flag} expects a value")
+        values[flag] = value
+    if "--config" not in values:
+        raise ValueError("--config is required")
+    return argv[0], values["--config"], values.get("--out-dir")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    loader, runner = _RUNNERS[args.command]
-    out_dir = _resolve_out_dir(args.out_dir)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return 0
     try:
-        config = loader.load(args.config, args.command)
+        command, config_path, out_flag = _parse(argv)
+    except ValueError as exc:
+        print(f"{USAGE}\naddcubic: error: {exc}", file=sys.stderr)
+        return 2
+    loader, runner = _RUNNERS[command]
+    out_dir = Path(out_flag or os.environ.get(OUT_DIR_ENV) or ".")
+    try:
+        config = loader.load(config_path, command)
         result: RunResult = runner(config, out_dir)
     except (ConfigError, OSError, CertificationError) as exc:
-        print(f"addcubic {args.command}: error: {exc}", file=sys.stderr)
+        print(f"addcubic {command}: error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
-        print(f"addcubic {args.command}: error: a config value is too large "
+        print(f"addcubic {command}: error: a config value is too large "
               f"for float arithmetic ({exc})", file=sys.stderr)
         return 2
     for path in result.files:
         print(f"wrote {path}")
-    print(f"addcubic {args.command}: {result.status}")
+    print(f"addcubic {command}: {result.status}")
     return result.exit_code
 
 

@@ -97,17 +97,20 @@ DEFAULT_FAMILIES = (("linear_default", FuncModel(1, 1, (linear_1d(1),))),
 
 
 def _sampled_models(config: ExperimentConfig) -> list[tuple]:
-    """(label, model, explicit pairs, all pairs) for every model checked.
+    """(label, model, explicit pairs, all pairs), drawn once per dimension.
 
     A model with no pairs of its input dimension, or an explicit pair that
     fits no model, is a config error: the check would pass vacuously.
     """
     labeled = config.family_models() or DEFAULT_FAMILIES
+    drawn = {}
     sampled = []
     for label, model in labeled:
         args = (model.dim_in, config.mode, config.norm_kind)
-        explicit = config.samples.explicit_pairs(*args)
-        pairs = explicit + config.samples.random_pairs(*args)
+        if args not in drawn:
+            explicit = config.samples.explicit_pairs(*args)
+            drawn[args] = explicit, explicit + config.samples.random_pairs(*args)
+        explicit, pairs = drawn[args]
         if not pairs:
             raise ConfigError(
                 f"model {label!r} has no sample pairs of dimension "
@@ -129,15 +132,17 @@ def _tally_pairs(f, pairs, tables: residuals.TermTables, rows: list[dict],
     In both modes the rows read the exact integer totals of
     :meth:`~addcubic.residuals.TermTables.integer_sums`: a residual is
     nonzero when any numerator is, and the norm divides int by int, which
-    rounds as ``float(Fraction)`` does.  Returns the residual vectors of
-    the first ``keep`` pairs, built from the same totals.
+    rounds as ``float(Fraction)`` does; tables not ``live`` for f stay 0.
+    Returns the residual vectors of the first ``keep`` pairs, from the totals.
     """
     kept = []
+    live = [(rows[i], i) for i in tables.live(f)]
     for x, y in pairs:
         totals = tables.integer_sums(f, x, y)
         if len(kept) < keep:
             kept.append(residuals.residual_vectors(totals, x))
-        for row, (nums, den) in zip(rows, totals):
+        for row, i in live:
+            nums, den = totals[i]
             if any(nums):
                 magnitude = coords_norm([n / den for n in nums], x.norm_kind)
                 row["max_abs"] = max(row["max_abs"], magnitude)

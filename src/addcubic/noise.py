@@ -2,11 +2,12 @@
 
 A noise value at a point x is a pure function of (seed, x, output index):
 the input coordinates are snapped to the dyadic grid 2^-40, hashed with
-BLAKE2b together with the seed and coordinate index, and the digest is
-mapped to a rational direction vector in [-1, 1]^m.  The direction is
-damped by 1/m so its norm is at most 1 under both supported norms, then
-scaled by amplitude * b^p where b = max_i |x_i| is an exact rational lower
-bound of ||x|| for both the Euclidean and the max norm.  The result:
+BLAKE2b (the builtin ``_blake2``: ``hashlib`` would load OpenSSL) with the
+seed and coordinate index, and the digest is mapped to a rational direction
+vector in [-1, 1]^m.  The direction is damped by 1/m so its norm is at most
+1 under both supported norms, then scaled by amplitude * b^p where
+b = max_i |x_i| is an exact rational lower bound of ||x|| for both the
+Euclidean and the max norm.  The result:
 
 * outputs are rationals with bounded denominators, so exact mode works;
 * ||output|| <= amplitude * ||x||^p holds by construction for p >= 0;
@@ -26,8 +27,12 @@ along the dyadic orbit of a point by :func:`orbit`.
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
+
+try:  # on CPython, hashlib.blake2b is this same function
+    from _blake2 import blake2b
+except ImportError:  # a build without the builtin hashes
+    from hashlib import blake2b
 
 QUANT_BITS = 40  # inputs snapped to multiples of 2^-40 before hashing
 VALUE_BITS = 20  # direction components live on the grid 2^-20 in [-1, 1]
@@ -50,7 +55,7 @@ _POWER_SAFETY = ((1 << 30) - 1, 1 << 30)
 def _direction_component(seed: int, snapped: tuple, index: int) -> int:
     """Hash-derived numerator over 2^20 of a direction in [-1, 1]."""
     payload = f"{seed}|{index}|{','.join(map(str, snapped))}"
-    digest = hashlib.blake2b(payload.encode("ascii"), digest_size=8).digest()
+    digest = blake2b(payload.encode("ascii"), digest_size=8).digest()
     raw = int.from_bytes(digest, "big")
     span = (1 << (VALUE_BITS + 1)) + 1  # odd count keeps 0 reachable
     return raw % span - (1 << VALUE_BITS)

@@ -163,6 +163,13 @@ class TermTables:
             rows = self._moments[keys] = tuple(rows)
         return rows
 
+    def live(self, f) -> tuple[int, ...]:
+        """Indexes of the tables that can sum to nonzero at some pair."""
+        if isinstance(f, FuncModel) and f.noise_model is None:
+            return tuple(i for i, (row, _) in enumerate(
+                self._moment_rows(f.moment_keys)) if row)
+        return tuple(range(len(self._integer_rows)))
+
     def integer_sums(self, f: Callable[[Point], Point], x: Point,
                      y: Point) -> list[tuple[list[int], int]]:
         """Each table's exact sum at (x, y), as (integer numerators,
@@ -177,8 +184,8 @@ class TermTables:
         totals = None
         if isinstance(f, FuncModel):
             columns, out_den = f.moments(u, v, den)
-            totals = [([sum(map(mul, row, column)) for column in columns],
-                       out_den * table_den)
+            totals = [([sum(map(mul, row, column)) for column in columns]
+                       if row else [0] * f.dim_out, out_den * table_den)
                       for row, table_den in self._moment_rows(f.moment_keys)]
             f = f.noise_model
             if f is None:

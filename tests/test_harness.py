@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from addcubic import BoundedNoise, FuncModel, harness
+from addcubic import BoundedNoise, FuncModel, harness, residuals
 from addcubic.cli import main as cli_main
-from addcubic.config import ConfigError, ExperimentConfig, SweepSpec
+from addcubic.config import (ConfigError, ExperimentConfig, SampleSpec,
+                             SweepSpec)
 from addcubic.harness import (run_bounds, run_check_lemmas, run_recover,
                               run_replay_chain, run_sweep)
 from addcubic.models import Point
@@ -236,6 +237,55 @@ def test_exact_check_lemmas_builds_points_only_for_explicit_pairs(
         ExperimentConfig.from_json_dict(lemma_config(), "check-lemmas"),
         tmp_path).ok
     assert inside == [24, 24]
+
+
+def test_check_lemmas_draws_pairs_once_per_dimension(monkeypatch):
+    drawn = []
+    random_pairs = SampleSpec.random_pairs
+
+    def counted(self, dim, *args):
+        drawn.append(dim)
+        return random_pairs(self, dim, *args)
+
+    monkeypatch.setattr(SampleSpec, "random_pairs", counted)
+    plane = {"label": "plane", "dim_in": 2, "dim_out": 1,
+             "atoms": [{"kind": "linear", "matrix": [["1", "-2"]]}]}
+    config = ExperimentConfig.from_json_dict(lemma_config(
+        models=[*lemma_config()["models"], plane]), "check-lemmas")
+    (_, _, explicit, pairs), (_, _, _, shared), (_, _, none, planar) = \
+        harness._sampled_models(config)
+    assert drawn == [1, 2]
+    assert shared is pairs and len(pairs) == 26 and len(explicit) == 1
+    assert none == [] and len(planar) == 25
+
+
+def test_check_lemmas_rows_equal_tallying_every_table(tmp_path):
+    # A noise-free model's tally reads only its live tables; a plain
+    # callable's reads all 24.  The rows must agree.
+    bowl = {"label": "bowl", "dim_in": 2, "dim_out": 1, "atoms": [
+        {"kind": "even", "matrices": [[["1", "2"], ["0", "-1/3"]]]}]}
+    solution = {"label": "solution", "dim_in": 1, "dim_out": 1,
+                "atoms": [LINEAR_ATOM, CUBIC_ATOM]}
+    config = ExperimentConfig.from_json_dict(
+        lemma_config(models=[bowl, solution]), "check-lemmas")
+    report = run_check_lemmas(config, tmp_path).report
+    tables = residuals.TermTables(
+        tuple(harness._RULE_TABLES.values())
+        + tuple(ident.moved_terms for ident in residuals.CHAIN_CATALOGUE))
+    live = []
+    for (_, model, _, pairs), entry in zip(harness._sampled_models(config),
+                                           report["models"]):
+        live.append(len(tables.live(model)))
+        rows = [{"max_abs": 0.0, "nonzero_count": 0} for _ in range(24)]
+        harness._tally_pairs(lambda p, f=model: f(p), pairs, tables, rows)
+        reported = [entry[name] for name in harness._RULE_TABLES]
+        reported += entry["chain"].values()
+        assert [(row["max_abs"], row["nonzero_count"]) for row in reported] \
+            == [(row["max_abs"], row["nonzero_count"]) for row in rows]
+    # Every table can be nonzero for the even model; the solution's mixed
+    # rule and identity 2.10 (f(-x) = -f(x)) are zero by their moments.
+    assert live == [24, 22]
+    assert report["models"][0]["mixed"]["nonzero_count"] == 25
 
 
 def test_replay_chain_runner(tmp_path):

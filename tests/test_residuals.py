@@ -14,7 +14,7 @@ from addcubic import (ABS_COEFFICIENT_SUM, CHAIN_CATALOGUE, BoundedNoise,
                       odd_part, point, random_cubic, random_linear,
                       random_point, random_rational, FuncModel)
 from addcubic.harness import _tally_pairs
-from addcubic.models import Linear, Point, evaluate
+from addcubic.models import CubicHomogeneous, Linear, Point, evaluate
 from addcubic.residuals import (ADDITIVE_RULE, CUBIC_RULE, MIXED_RULE,
                                 ResidualVector, TermTables)
 from addcubic.scalars import integer_ratio
@@ -252,6 +252,61 @@ def test_term_tables_match_term_by_term_oracle(data, kinds, plain):
                                        tuple(map(Fraction, yf.coords)), terms)
         assert [v.hex() for v in vector.value.coords] \
             == [float(v).hex() for v in expected]
+
+
+# Coefficients of sparse models: zeros are common, so an atom, an output or
+# a degree may vanish (a cubic atom of coefficient 0 keeps no table).
+sparse = st.sampled_from((0, 0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 4)))
+
+
+def _sparse_spec(data, kind, d, m):
+    """A noise-free atom as an ``oracles.atom_sum`` spec (kind, data)."""
+    draw = lambda: data.draw(sparse)  # noqa: E731
+    if kind == "linear":
+        return kind, [[draw() for _ in range(d)] for _ in range(m)]
+    if kind == "even":
+        return kind, [[[draw() for _ in range(d)] for _ in range(d)]
+                      for _ in range(m)]
+    monomials = [(i, j, k) for i in range(d) for j in range(i, d)
+                 for k in range(j, d)]
+    return kind, [[(mono, draw()) for mono in monomials] for _ in range(m)]
+
+
+def _spec_atom(kind, data, d, m):
+    if kind == "linear":
+        return Linear(data)
+    if kind == "even":
+        return Even(data)
+    return CubicHomogeneous(data, dims=(d, m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.lists(st.sampled_from(("linear", "cubic", "even")),
+                           min_size=1, max_size=3))
+def test_only_live_tables_can_sum_to_nonzero(data, kinds):
+    d = data.draw(st.integers(1, 3), label="dim_in")
+    m = data.draw(st.integers(1, 3), label="dim_out")
+    specs = [_sparse_spec(data, kind, d, m) for kind in kinds]
+    f = FuncModel(d, m, tuple(_spec_atom(*spec, d, m) for spec in specs))
+    coords = st.lists(rationals, min_size=d, max_size=d)
+    x = point(data.draw(coords, label="x"))
+    y = point(data.draw(coords, label="y"))
+    tables = TermTables(ALL_TABLES)
+    live = tables.live(f)
+    at = lambda c: oracles.atom_sum(specs, c, m)  # noqa: E731
+
+    sums = tables.integer_sums(f, x, y)
+    for index, (terms, (nums, den)) in enumerate(zip(ALL_TABLES, sums)):
+        expected = list(oracles.lattice_sum(at, x.coords, y.coords, terms))
+        assert [Fraction(n, den) for n in nums] == expected
+        if index not in live:
+            assert not any(expected)
+
+    # With a noise atom or as a plain callable, every table is named.
+    every = tuple(range(len(ALL_TABLES)))
+    noisy = FuncModel(d, m, f.atoms + (BoundedNoise(3, Fraction(1, 1000)),))
+    assert tables.live(noisy) == every
+    assert tables.live(lambda p: f(p)) == every
 
 
 def test_each_argument_is_evaluated_once_per_pair():
