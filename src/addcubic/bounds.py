@@ -12,7 +12,8 @@ term ratio is an exact geometric constant, so a partial sum always comes
 with a tail bound and the true value lies in [partial, partial + tail].
 Divergence (term ratio >= 1) is reported as a status, never as a silently
 huge number; for power control functions this happens exactly at exponent
-1 (additive part) and 3 (cubic part).
+1 (additive part) and 3 (cubic part).  The ratio also fixes the depth of
+the direct-method iterates, :func:`certified_depth`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .models import (Constant, ControlFunction, FuncModel, Linear,
                      CubicHomogeneous, BoundedNoise, PowerNoise, Point,
                      ProductOfPowers, SumOfPowers, norm, phi_degree,
                      phi_diagonal)
+from .noise import _POWER_SAFETY
 from .residuals import ABS_COEFFICIENT_SUM
 
 CONVERGED = "converged"
@@ -36,6 +38,7 @@ DIVERGENCE_EPS = 1e-12   # ratios at least 1 - this are treated as non-shrinking
 DIVERGENCE_RUN = 8       # consecutive non-shrinking terms before giving up
 
 COMPONENT_WEIGHTS = {"additive": 2, "cubic": 8}
+TAIL_BITS = 20  # an iterate stops once its tail is at most 2^-20 of its bound
 
 EXCLUDED_ADDITIVE_EXPONENT = 1
 EXCLUDED_CUBIC_EXPONENT = 3
@@ -74,6 +77,11 @@ def require_direction(l: int) -> int:
     return l
 
 
+def term_ratio(weight: int, phi: ControlFunction, l: int) -> float:
+    """rho = w^l * 2^(-l*p), the term ratio of one component's series."""
+    return 2.0 ** (l * (weight.bit_length() - 1 - float(phi_degree(phi))))
+
+
 def _component_series(weight: int, phi: ControlFunction, x: Point, l: int,
                       tol: float, prefactor: float = 0.5,
                       extra_offset: int = 0) -> SeriesResult:
@@ -90,8 +98,7 @@ def _component_series(weight: int, phi: ControlFunction, x: Point, l: int,
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     w_bits = weight.bit_length() - 1  # 2 -> 1, 8 -> 3
-    degree = float(phi_degree(phi))
-    ratio = 2.0 ** (l * (w_bits - degree))
+    ratio = term_ratio(weight, phi, l)
 
     i0 = start_index(l) + extra_offset
     first_argument = x.scale(Fraction(1, 2) ** (l * (i0 + l)))
@@ -124,7 +131,7 @@ def _component_series(weight: int, phi: ControlFunction, x: Point, l: int,
     return SeriesResult(partial, tail, terms, status)
 
 
-def _merge(a: SeriesResult, b: SeriesResult, scale: float) -> SeriesResult:
+def merge_series(a, b, scale: float) -> SeriesResult:
     statuses = {a.status, b.status}
     if DIVERGED in statuses:
         status = DIVERGED
@@ -153,7 +160,7 @@ def series_bound(kind: str, phi: ControlFunction, x: Point, l,
     l_add, l_cub = (l, l) if isinstance(l, int) else tuple(l)
     s_add = _component_series(2, phi, x, l_add, tol)
     s_cub = _component_series(8, phi, x, l_cub, tol)
-    return _merge(s_add, s_cub, 1.0 / 6.0)
+    return merge_series(s_add, s_cub, 1.0 / 6.0)
 
 
 def uniqueness_tail(component: str, phi: ControlFunction, x: Point, l: int,
@@ -161,11 +168,25 @@ def uniqueness_tail(component: str, phi: ControlFunction, x: Point, l: int,
     """Tail series sum_{i=n+i0}^inf w^(il) phi(...) bounding limit ambiguity.
 
     Two runs of the same iteration truncated at N1 < N2 can differ by at
-    most this tail evaluated at n = N1.
+    most this tail evaluated at n = N1: 2 rho^n times the series.
     """
     weight = COMPONENT_WEIGHTS[component]
     return _component_series(weight, phi, x, l, tol, prefactor=1.0,
                              extra_offset=n)
+
+
+def certified_depth(component: str, phi: ControlFunction,
+                    l: int) -> int | None:
+    """First n with uniqueness_tail(n) <= 2^-TAIL_BITS * series_bound.
+
+    ceil((TAIL_BITS + 1) / |w - deg phi|), w = 1 (additive) or 3 (cubic),
+    whatever x and theta; None where l (w - deg phi) >= 0: no tail."""
+    require_direction(l)
+    w_bits = COMPONENT_WEIGHTS[component].bit_length() - 1
+    exponent = l * (w_bits - phi_degree(phi))
+    if exponent >= 0:
+        return None
+    return math.ceil((TAIL_BITS + 1) / -exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +316,9 @@ def certify_phi(f: FuncModel) -> ControlFunction:
                 raise OverflowError(f"theta = 76 * 4^{p} * eps exceeds 2^1024")
             theta = scaled * Fraction(4) ** p.numerator
         else:
-            theta = Fraction(float(coeff) * 4.0 ** float(p)) * eps
+            # float pow errs by ~1 ulp: pad up by the noise scale's 2^-30
+            pad = 2 - Fraction(*_POWER_SAFETY)
+            theta = Fraction(float(coeff) * 4.0 ** float(p)) * pad * eps
         return SumOfPowers(theta, p)
     return Constant(coeff * bounded_total)
 
@@ -320,7 +343,7 @@ class ConsistencyReport(NamedTuple):
 
 
 def consistency_check(theta, p, x: Point, tol: float = 1e-9,
-                      r=None, s=None, series_tol: float = 1e-12) -> ConsistencyReport:
+                      r=None, s=None) -> ConsistencyReport:
     """Compare the truncated combined series against both closed forms.
 
     The sum-of-powers form is checked at exponent p; the product form at
@@ -334,11 +357,11 @@ def consistency_check(theta, p, x: Point, tol: float = 1e-9,
 
     sum_closed = corollary_sum_bound(theta, p_frac, x)
     sum_series = series_bound("combined", SumOfPowers(Fraction(theta), p_frac),
-                              x, directions, tol=series_tol)
+                              x, directions)
     product_closed = corollary_product_bound(theta, r_frac, s_frac, x)
     product_series = series_bound(
         "combined", ProductOfPowers(Fraction(theta), r_frac, s_frac),
-        x, directions, tol=series_tol)
+        x, directions)
 
     sum_ok = (sum_series.status == CONVERGED
               and abs(sum_series.upper - sum_closed) <= tol)

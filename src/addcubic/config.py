@@ -92,7 +92,7 @@ def rational(minimum=None, decimal: bool = False, maximum=None):
 
 
 def real(positive: bool = False):
-    """Nonnegative floats such as tolerances; ``positive`` also rejects 0."""
+    """Nonnegative floats such as a ``tol``; ``positive`` also rejects 0."""
     def convert(value) -> float:
         number = float(parse_rational(value))
         if number < 0 or positive and number == 0:
@@ -488,9 +488,6 @@ _EXPERIMENT_KEYS = {
     "directions.additive": (_DIRECTION, "auto", _RECOVER),
     "directions.cubic": (_DIRECTION, "auto", _RECOVER),
     "samples": (SampleSpec.from_json, {}, _SAMPLED),
-    "tolerances.abs": (real(), 1e-12, _RECOVER),
-    "tolerances.rel": (real(), 1e-10, _RECOVER),
-    "tolerances.series": (real(positive=True), 1e-12, _RECOVER),
     "n_max": (integer(minimum=1), 48, _RECOVER),
     "chain": (flag, True, ("check-lemmas",)),
     "catalogue_out": (file_name, None, _LEMMAS),
@@ -505,7 +502,7 @@ _EXPERIMENT_SECTIONS = {
 
 
 class ExperimentConfig:
-    """One experiment: model(s), control function, sampling and tolerances.
+    """One experiment: model(s), control function, sampling and depth cap.
 
     Each attribute holds the value of one document key, or None when the
     subcommand does not read that key; a direction is -1, 1 or "auto".
@@ -524,9 +521,6 @@ class ExperimentConfig:
         self.direction_additive = keys.get("directions.additive")
         self.direction_cubic = keys.get("directions.cubic")
         self.samples: SampleSpec | None = keys.get("samples")
-        self.tol_abs: float | None = keys.get("tolerances.abs")
-        self.tol_rel: float | None = keys.get("tolerances.rel")
-        self.series_tol: float | None = keys.get("tolerances.series")
         self.n_max: int | None = keys.get("n_max")
         self.chain: bool | None = keys.get("chain")
         self.catalogue_out: str | None = keys.get("catalogue_out")
@@ -586,9 +580,6 @@ _SWEEP_KEYS = section({
     "base.noise_seed": (integer(), 11),
     "base.norm": (choice(*NORM_KINDS), EUCLIDEAN),
     "base.samples": (SampleSpec.from_json, {}),
-    "base.tolerances.abs": (real(), 1e-12),
-    "base.tolerances.rel": (real(), 1e-10),
-    "base.tolerances.series": (real(positive=True), 1e-12),
     "base.n_max": (integer(minimum=1), 48),
     "output_stem": (file_name, "sweep"),
 })
@@ -611,9 +602,6 @@ class SweepSpec:
         self.noise_seed: int = keys["base.noise_seed"]
         self.norm_kind: str = keys["base.norm"]
         self.samples: SampleSpec = keys["base.samples"]
-        self.tol_abs: float = keys["base.tolerances.abs"]
-        self.tol_rel: float = keys["base.tolerances.rel"]
-        self.series_tol: float = keys["base.tolerances.series"]
         self.n_max: int = keys["base.n_max"]
         self.output_stem: str = keys["output_stem"]
 

@@ -15,13 +15,17 @@ converge (direction l in {-1, +1}, arguments shrink for +1 and grow for
 decomposition is A = -A_0 / 6, C = C_0 / 6.  The distance from f to A + C
 is certified by the bound series in :mod:`addcubic.bounds`.
 
+Given phi, an iterate stops where the series tail, which bounds its
+distance from the limit, is at most 2^-20 of the series
+(:func:`bounds.certified_depth`); a Cauchy gap above the tail fails.
+
 Both iterates and the residual of one point read f on the same dyadic
 orbit x * 2^k.  :func:`recover` gives each point one :class:`OrbitTable`
 over one orbit reader (``models.orbit``): a model is expanded once at x
 and read at each argument y by shifts, giving the odd part
 (f(y) - f(-y)) / 2, and f(y) at k = 0, and each value is guarded once.
-With ``n_max = N`` and no early stop a point costs N + 2 reads when both
-directions agree and 2N + 2 when they differ; a callable that is not a
+A point costs depth + 2 reads, the deeper depth when both directions
+agree and the sum of both when they differ; a callable that is not a
 model is called twice per argument.  :func:`odd_part`,
 :func:`h_transform` and :func:`g_transform` read the same table at x.
 
@@ -34,7 +38,7 @@ divide int by int, which rounds as ``float(Fraction)`` does, and a trace
 builds a step's point only when it is read.  :func:`recover` forms A, C
 and both residuals on those vectors too, so a float-mode result is the
 exact-mode result at the same double with each value rounded once: no
-float cancellation can pass for convergence.
+float cancellation can hide a Cauchy gap.
 
 Iterations at distinct points are independent; every structure here is
 either immutable or built single-threaded per point, so points may be
@@ -56,9 +60,6 @@ from .scalars import (EXACT, add_ratios, format_number, integer_ratio,
 OVERFLOW_GUARD_BITS = 500  # abort when any evaluation norm exceeds 2^500
 
 DEFAULT_N_MAX = 48
-DEFAULT_TOL_ABS = 1e-12
-DEFAULT_TOL_REL = 1e-10
-CONSECUTIVE_GAPS = 3  # small gaps in a row required to call it converged
 
 
 class OverflowGuardError(ArithmeticError):
@@ -201,8 +202,8 @@ class IterationTrace:
         return len(self.steps) - 1
 
 
-def _iterate(f, x: Point, l: int, weight: int, n_steps: int,
-             tol_abs: float, tol_rel: float, stop_early: bool) -> IterationTrace:
+def _iterate(f, x: Point, l: int, component: str, n_steps: int,
+             phi: ControlFunction | None) -> IterationTrace:
     require_direction(l)
     if n_steps < 1:
         raise ValueError("iteration count must be at least 1")
@@ -210,11 +211,16 @@ def _iterate(f, x: Point, l: int, weight: int, n_steps: int,
         f = OrbitTable(f, x, odd=False)
     elif f.x != x:
         raise ValueError("orbit table belongs to another point")
+    weight = bounds_mod.COMPONENT_WEIGHTS[component]
     subtract = 8 if weight == 2 else 2
     bits = weight.bit_length() - 1
     trace = IterationTrace(direction=l, weight=weight, to_point=f.point)
+    depth = None if phi is None else bounds_mod.certified_depth(component,
+                                                                 phi, l)
+    if depth is not None and depth <= n_steps:
+        trace.converged, trace.converged_at = True, depth
+        n_steps = depth
     steps = trace.steps
-    streak = 0
     for n in range(n_steps + 1):
         # 2^(l n bits) * (value(2a) - subtract * value(a)) at a = x / 2^(l n),
         # formed on the numerators over the pair's common denominator.
@@ -225,54 +231,32 @@ def _iterate(f, x: Point, l: int, weight: int, n_steps: int,
         if e < 0:
             den, e = den << -e, 0
         value = [(p * h_scale - q * g_scale) << e for p, q in zip(h, g)], den
-        magnitude = f.magnitude(value)
+        f.magnitude(value)  # the overflow guard on the step
         steps.append(value)
-        if n == 0:
-            continue
-        gap = f.distance(value, steps[-2])
-        trace.cauchy_gaps.append(gap)
-        if gap <= max(tol_abs, tol_rel * magnitude):
-            streak += 1
-            if streak >= CONSECUTIVE_GAPS and not trace.converged:
-                trace.converged = True
-                trace.converged_at = n
-                if stop_early:
-                    break
-        else:
-            streak = 0
+        if n:
+            trace.cauchy_gaps.append(f.distance(value, steps[-2]))
     return trace
 
 
 def additive_iterate(f, x: Point, l: int, n_steps: int = DEFAULT_N_MAX,
-                     tol_abs: float = DEFAULT_TOL_ABS,
-                     tol_rel: float = DEFAULT_TOL_REL,
-                     stop_early: bool = True) -> IterationTrace:
+                     phi: ControlFunction | None = None) -> IterationTrace:
     """values[n] = 2^(ln) [f(x / 2^(l(n-l))) - 8 f(x / 2^(ln))].
 
-    On exact solutions every value equals H(x).  Non-convergence within
-    ``n_steps`` is reported via the flag, not an error; only the growth
-    guard (direction -1 with fast-growing f) raises.
-
-    Stopping at the gap criterion is the default.  The values are exact
-    in both modes, float points read at their binary value, so any depth
-    reproduces the infinite-precision sequence (use ``stop_early=False``
-    to force full depth).
+    On exact solutions every value equals H(x).  Given the envelope
+    ``phi`` the run stops at the certified depth, converged, when that is
+    at most ``n_steps``; otherwise it runs ``n_steps``, not converged.
+    Only the growth guard (direction -1 with fast-growing f) raises.
     """
-    return _iterate(f, x, l, 2, n_steps, tol_abs, tol_rel, stop_early)
+    return _iterate(f, x, l, "additive", n_steps, phi)
 
 
 def cubic_iterate(f, x: Point, l: int, n_steps: int = DEFAULT_N_MAX,
-                  tol_abs: float = DEFAULT_TOL_ABS,
-                  tol_rel: float = DEFAULT_TOL_REL,
-                  stop_early: bool = True) -> IterationTrace:
+                  phi: ControlFunction | None = None) -> IterationTrace:
     """values[n] = 8^(ln) [f(x / 2^(l(n-l))) - 2 f(x / 2^(ln))].
 
     Same stopping behavior as :func:`additive_iterate`.
     """
-    return _iterate(f, x, l, 8, n_steps, tol_abs, tol_rel, stop_early)
-
-
-_ITERATORS = {"additive": additive_iterate, "cubic": cubic_iterate}
+    return _iterate(f, x, l, "cubic", n_steps, phi)
 
 
 class ProbeResult(NamedTuple):
@@ -296,8 +280,7 @@ def uniqueness_probe(f, x: Point, l: int, component: str, n1: int, n2: int,
     if min(n1, n2) < 1:
         raise ValueError("iteration count must be at least 1")
     table = f if isinstance(f, OrbitTable) else OrbitTable(f, x, odd=False)
-    trace = _ITERATORS[component](table, x, l, n_steps=max(n1, n2),
-                                  stop_early=False)
+    trace = _iterate(table, x, l, component, max(n1, n2), None)
     gap = table.distance(trace.steps[n1], trace.steps[n2])
     tail = None
     if phi is not None:
@@ -326,12 +309,11 @@ class RecoveryReport:
     """Deterministic record of a recovery run over a list of points."""
 
     def __init__(self, direction_additive: int, direction_cubic: int,
-                 phi: ControlFunction, mode: str, norm_kind: str, n_max: int,
-                 tol_abs: float, tol_rel: float):
+                 phi: ControlFunction, mode: str, norm_kind: str, n_max: int):
         self.direction_additive = direction_additive
         self.direction_cubic = direction_cubic
         self.phi, self.mode, self.norm_kind = phi, mode, norm_kind
-        self.n_max, self.tol_abs, self.tol_rel = n_max, tol_abs, tol_rel
+        self.n_max = n_max
         self.points: list[PointRecovery] = []
 
     @property
@@ -379,7 +361,6 @@ class RecoveryReport:
             "direction_cubic": self.direction_cubic,
             "phi": phi_to_json(self.phi),
             "n_max": self.n_max,
-            "tolerances": {"abs": self.tol_abs, "rel": self.tol_rel},
             "summary": {
                 "count": len(self.points),
                 "max_error": self.max_error,
@@ -412,23 +393,31 @@ def resolve_directions(phi: ControlFunction, l_additive="auto",
     return l_a, l_c
 
 
+def _gaps_within_tails(trace: IterationTrace, series, phi) -> bool:
+    """Each gap at step n at most the tail at n - 1, 2 rho^(n-1) series."""
+    ratio = bounds_mod.term_ratio(trace.weight, phi, trace.direction)
+    tail = 2.0 * series.upper
+    for gap in trace.cauchy_gaps:
+        if gap > tail:
+            return False
+        tail *= ratio
+    return True
+
+
 def recover(f: FuncModel, points: Sequence[Point],
             phi: ControlFunction | None = None,
             l_additive="auto", l_cubic="auto",
-            n_max: int = DEFAULT_N_MAX,
-            tol_abs: float = DEFAULT_TOL_ABS,
-            tol_rel: float = DEFAULT_TOL_REL,
-            series_tol: float = 1e-12,
-            stop_early: bool = True) -> RecoveryReport:
+            n_max: int = DEFAULT_N_MAX) -> RecoveryReport:
     """Recover the additive and cubic parts of f at the given points.
 
     f is odd-symmetrized first, through one :class:`OrbitTable` per point
     that both iterates and the residuals read; the perturbation envelope
     phi is either supplied or certified from the model's noise atoms.  Per
     point, the report carries A(x), C(x), the odd-part and raw errors, the
-    certified combined bound, and both iteration traces.  A control function
-    whose series diverges for the chosen direction raises
-    :class:`DivergentControlError`.
+    certified combined bound, and both iteration traces.  A point is within
+    its bound when its error is, and each Cauchy gap at step n is at most
+    the uniqueness tail at n - 1.  A control function whose series diverges
+    for the chosen direction raises :class:`DivergentControlError`.
     """
     if phi is None:
         phi = bounds_mod.certify_phi(f)
@@ -438,20 +427,19 @@ def recover(f: FuncModel, points: Sequence[Point],
     norm_kind = points[0].norm_kind if points else "euclidean"
     report = RecoveryReport(direction_additive=l_add, direction_cubic=l_cub,
                             phi=phi, mode=mode, norm_kind=norm_kind,
-                            n_max=n_max, tol_abs=tol_abs, tol_rel=tol_rel)
+                            n_max=n_max)
     for x in points:
-        series = bounds_mod.series_bound("combined", phi, x, (l_add, l_cub),
-                                         tol=series_tol)
+        series_a = bounds_mod.series_bound("additive", phi, x, l_add)
+        series_c = bounds_mod.series_bound("cubic", phi, x, l_cub)
+        series = bounds_mod.merge_series(series_a, series_c, 1.0 / 6.0)
         if series.status == bounds_mod.DIVERGED:
             raise DivergentControlError(
                 "bound series diverges for the chosen directions "
                 f"(additive l={l_add}, cubic l={l_cub})")
         bound_value = series.upper
         orbit = OrbitTable(f, x)
-        trace_a = additive_iterate(orbit, x, l_add, n_max, tol_abs, tol_rel,
-                                   stop_early=stop_early)
-        trace_c = cubic_iterate(orbit, x, l_cub, n_max, tol_abs, tol_rel,
-                                stop_early=stop_early)
+        trace_a = additive_iterate(orbit, x, l_add, n_max, phi)
+        trace_c = cubic_iterate(orbit, x, l_cub, n_max, phi)
         (a_nums, a_den), (c_nums, c_den) = trace_a.steps[-1], trace_c.steps[-1]
         additive = [-n for n in a_nums], 6 * a_den  # A = -final / 6
         cubic = c_nums, 6 * c_den  # C = final / 6
@@ -465,7 +453,9 @@ def recover(f: FuncModel, points: Sequence[Point],
             error=error,
             raw_error=orbit.distance(raw, parts),
             bound=bound_value,
-            within_bound=error <= bound_value,
+            within_bound=(error <= bound_value
+                          and _gaps_within_tails(trace_a, series_a, phi)
+                          and _gaps_within_tails(trace_c, series_c, phi)),
             additive_trace=trace_a,
             cubic_trace=trace_c,
         ))

@@ -258,8 +258,7 @@ def run_recover(config: ExperimentConfig, out_dir: Path) -> RunResult:
         report = recover(model, points, phi,
                          l_additive=config.direction_additive,
                          l_cubic=config.direction_cubic,
-                         n_max=config.n_max, tol_abs=config.tol_abs,
-                         tol_rel=config.tol_rel, series_tol=config.series_tol)
+                         n_max=config.n_max)
     except DivergentControlError as exc:
         doc = {"schema_version": 1, "command": "recover",
                "status": "divergent-series", "detail": str(exc),
@@ -382,7 +381,7 @@ def _sweep_cell(spec: SweepSpec, cell: dict, points: list) -> dict:
     except bounds_mod.ExcludedExponentError:
         status = "diverged"
     series = bounds_mod.series_bound("combined", grid_phi, unit,
-                                     (l_add, l_cub), tol=spec.series_tol)
+                                     (l_add, l_cub))
     if series.status == bounds_mod.DIVERGED:
         status = "diverged"
     else:
@@ -399,8 +398,7 @@ def _sweep_cell(spec: SweepSpec, cell: dict, points: list) -> dict:
         try:
             report = recover(model, points, bounds_mod.certify_phi(model),
                              l_additive=l_add, l_cubic=l_cub,
-                             n_max=spec.n_max, tol_abs=spec.tol_abs,
-                             tol_rel=spec.tol_rel, series_tol=spec.series_tol)
+                             n_max=spec.n_max)
             max_error = report.max_error
             bound_ok = report.all_within_bound
             if not bound_ok:

@@ -92,8 +92,22 @@ def _norm(values, norm_kind):
     return math.sqrt(math.fsum(v * v for v in floats))
 
 
-def dyadic_recovery(f, x, norm_kind, l_additive, l_cubic, n_max,
-                    tol_abs, tol_rel, stop_early, consecutive=3):
+def certified_depth(w, degree, l, bits=20):
+    """First n with 2 rho^n <= 2^-bits, rho = 2^(l (w - degree)), or None.
+
+    Searched step by step on the base-2 logarithm 1 + n l (w - degree) of
+    2 rho^n, in Fractions; ``w`` is 1 (additive) or 3 (cubic).
+    """
+    exponent = l * (w - Fraction(degree))
+    if exponent >= 0:
+        return None
+    n = 0
+    while 1 + n * exponent > -bits:
+        n += 1
+    return n
+
+
+def dyadic_recovery(f, x, norm_kind, l_additive, l_cubic, n_max, degree):
     """Direct-method recovery at one point, every value evaluated afresh.
 
     ``f`` maps a coordinate tuple to a value tuple; ``x`` is a coordinate
@@ -101,7 +115,10 @@ def dyadic_recovery(f, x, norm_kind, l_additive, l_cubic, n_max,
     f(2a), f(-2a), f(a) and f(-a) at a = x (1/2)^(l n), with nothing
     reused, and the arithmetic follows the direct method coordinate by
     coordinate: odd part (f(y) - f(-y)) * 1/2, step value
-    (odd(2a) - c odd(a)) * w^(l n), A = -final / 6, C = final / 6.
+    (odd(2a) - c odd(a)) * w^(l n), A = -final / 6, C = final / 6.  Each
+    iterate runs to :func:`certified_depth` of the control function's
+    diagonal ``degree`` when that is at most ``n_max``, and is then
+    converged; otherwise it runs ``n_max`` steps.
     Returns a dict of the traces and the recovered values and errors.
     """
     exact = not isinstance(x[0], float)
@@ -113,10 +130,11 @@ def dyadic_recovery(f, x, norm_kind, l_additive, l_cubic, n_max,
                      for p, m in zip(plus, minus))
 
     def iterate(l, weight, subtract):
-        trace = {"values": [], "gaps": [], "converged": False,
-                 "converged_at": None}
-        streak = 0
-        for n in range(n_max + 1):
+        depth = certified_depth(weight.bit_length() - 1, degree, l)
+        converged = depth is not None and depth <= n_max
+        trace = {"values": [], "gaps": [], "converged": converged,
+                 "converged_at": depth if converged else None}
+        for n in range((depth if converged else n_max) + 1):
             a = tuple(num(Fraction(1, 2) ** (l * n)) * c for c in x)
             doubled = odd(tuple(num(2) * c for c in a))
             single = odd(a)
@@ -127,17 +145,8 @@ def dyadic_recovery(f, x, norm_kind, l_additive, l_cubic, n_max,
             if n == 0:
                 continue
             previous = trace["values"][-2]
-            gap = _norm([v - p for v, p in zip(value, previous)], norm_kind)
-            trace["gaps"].append(gap)
-            if gap <= max(tol_abs, tol_rel * _norm(value, norm_kind)):
-                streak += 1
-                if streak >= consecutive and not trace["converged"]:
-                    trace["converged"] = True
-                    trace["converged_at"] = n
-                    if stop_early:
-                        break
-            else:
-                streak = 0
+            trace["gaps"].append(
+                _norm([v - p for v, p in zip(value, previous)], norm_kind))
         return trace
 
     trace_a = iterate(l_additive, 2, 8)
@@ -152,6 +161,24 @@ def dyadic_recovery(f, x, norm_kind, l_additive, l_cubic, n_max,
     return {"additive_trace": trace_a, "cubic_trace": trace_c,
             "additive": additive, "cubic": cubic,
             "error": error(odd(x)), "raw_error": error(f(x))}
+
+
+def gajda(x, mu=1):
+    """Gajda's counterexample to stability at p = 1, at the rational x.
+
+    f(x) = sum_{n>=0} 2^-n psi(2^n x) with psi(t) = mu clamp(t, -1, 1).  It
+    is odd and 2 mu for |x| >= 1; for 0 < |x| < 1 it is mu (N |x| + 2^(1-N))
+    with N the least n such that 2^n |x| >= 1 (Gajda 1991).
+    """
+    x = Fraction(x)
+    if x < 0:
+        return -gajda(-x, mu)
+    if x == 0:
+        return Fraction(0)
+    n = 0
+    while x * 2 ** n < 1:
+        n += 1
+    return mu * (n * x + Fraction(2) ** (1 - n))
 
 
 def noise_value(seed, amplitude, exponent, dim_out, x):

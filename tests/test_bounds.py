@@ -12,7 +12,8 @@ from addcubic import (BoundedNoise, CertificationError, Constant,
                       corollary_sum_bound, cubic_1d, even_1d, linear_1d,
                       mixed_residual, model_1d, phi_value, point,
                       random_point, series_bound, uniqueness_tail)
-from addcubic.bounds import CONVERGED, DIVERGED, INCONCLUSIVE
+from addcubic.bounds import (CONVERGED, DIVERGED, INCONCLUSIVE,
+                             certified_depth)
 
 X1 = point([1], mode="float")
 
@@ -256,6 +257,19 @@ def test_certify_fails_fast_only_where_theta_overflows_anyway():
                 assert phi.theta == exact
 
 
+def test_certify_rounds_theta_up_at_fractional_exponents():
+    # theta >= 76 eps 4^(a/b) in rationals: theta^b >= (76 eps)^b 4^a, for
+    # all 367 non-integer a/b with 2 <= b <= 11 and a < 60.
+    exponents = {Fraction(a, b) for b in range(2, 12) for a in range(60)}
+    exponents = sorted(p for p in exponents if p.denominator != 1)
+    assert len(exponents) == 367
+    for eps in (Fraction(1), Fraction(1, 1000)):
+        for p in exponents:
+            theta = certify_phi(model_1d(PowerNoise(1, eps, p))).theta
+            assert theta ** p.denominator \
+                >= (76 * eps) ** p.denominator * 4 ** p.numerator, (eps, p)
+
+
 def test_certified_envelope_is_sound_by_sampling():
     rng = random.Random(99)
     cases = [
@@ -291,6 +305,47 @@ def test_uniqueness_tail_constant_closed_form():
     assert result.upper == pytest.approx(float(brute), rel=1e-9)
     cubic_tail = uniqueness_tail("cubic", Constant(c), X1, -1, 20)
     assert cubic_tail.upper == pytest.approx(float(c) / 7 * 8.0 ** -20, rel=1e-9)
+
+
+# (additive, cubic) depths of the sweep exponents.
+SWEEP_DEPTHS = {Fraction(0): (21, 7), Fraction(1, 2): (42, 9),
+                Fraction(2): (21, 21), Fraction(5, 2): (14, 42),
+                Fraction(4): (7, 21), Fraction(5): (6, 11)}
+
+
+@pytest.mark.parametrize("p", sorted(SWEEP_DEPTHS))
+def test_certified_depth_is_where_the_tail_falls_below_2_to_minus_20(p):
+    # At the depth the package's uniqueness tail is at most 2^-20 of its
+    # series and one step earlier it is above, for every control family
+    # of diagonal degree p, in the direction auto_directions picks.  Where
+    # 21 / |w - p| is an integer the two are equal at the depth, so the
+    # enclosures [partial_sum, upper] are compared: at the depth the tail's
+    # lies not wholly above, one step earlier wholly above.
+    x = point(["5/3"], mode="float")
+    phis = [SumOfPowers(Fraction(3, 7), p),
+            ProductOfPowers(Fraction(3, 7), p / 3, 2 * p / 3)]
+    if p == 0:
+        phis.append(Constant(Fraction(76, 1000)))
+    for phi in phis:
+        depths = []
+        for component, l, w in zip(("additive", "cubic"),
+                                   auto_directions(phi), (1, 3)):
+            depth = certified_depth(component, phi, l)
+            assert depth == oracles.certified_depth(w, p, l)
+            series = series_bound(component, phi, x, l)
+            at = uniqueness_tail(component, phi, x, l, depth)
+            before = uniqueness_tail(component, phi, x, l, depth - 1)
+            assert at.partial_sum <= 2.0 ** -20 * series.upper
+            assert before.partial_sum > 2.0 ** -20 * series.upper
+            # no tail where the series does not shrink
+            assert certified_depth(component, phi, -l) is None
+            assert oracles.certified_depth(w, p, -l) is None
+            depths.append(depth)
+        assert tuple(depths) == SWEEP_DEPTHS[p], phi
+    # A phi that vanishes on the diagonal gets the same depths.
+    zero = SumOfPowers(0, p)
+    assert tuple(certified_depth(c, zero, l) for c, l in zip(
+        ("additive", "cubic"), auto_directions(zero))) == SWEEP_DEPTHS[p]
 
 
 def test_consistency_check_matches_closed_forms():

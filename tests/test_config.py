@@ -78,7 +78,6 @@ def test_experiment_config_parsing(tmp_path):
         "directions": {"additive": -1, "cubic": "auto"},
         "samples": {"points": [["1"], ["1/2"]],
                     "random": {"count": 5, "seed": 3}},
-        "tolerances": {"abs": 1e-10, "rel": 1e-9, "series": 1e-11},
         "n_max": 32,
         "output_stem": "run",
     }
@@ -90,7 +89,7 @@ def test_experiment_config_parsing(tmp_path):
     assert config.phi is None
     assert config.direction_additive == -1
     assert config.direction_cubic == "auto"
-    assert config.tol_abs == 1e-10 and config.n_max == 32
+    assert config.n_max == 32
     points = config.samples.sample_points(1, config.mode, config.norm_kind)
     assert len(points) == 7
     assert points[0].coords == (1.0,)
@@ -204,7 +203,7 @@ COMMAND_KEYS = {
     "check-lemmas": _LEMMA_KEYS | {"chain"},
     "replay-chain": _LEMMA_KEYS,
     "recover": _COMMON_KEYS | {"model", "phi", "directions", "samples",
-                               "tolerances", "n_max"},
+                               "n_max"},
     "bounds": _COMMON_KEYS | {"bounds", "consistency"},
     "sweep": {"schema_version", "form", "p", "rs", "theta", "epsilon",
               "l_mode", "allow_divergent", "base", "output_stem"},
@@ -217,7 +216,7 @@ KEY_VALUES = {
     "model": {"atoms": [{"kind": "linear", "matrix": [["2"]]}]},
     "models": [], "families": {"linear": 1}, "samples": {"points": [["1"]]},
     "chain": False, "catalogue_out": "catalogue.json", "phi": "certify",
-    "directions": {"additive": 1}, "tolerances": {"abs": 1e-9}, "n_max": 8,
+    "directions": {"additive": 1}, "n_max": 8,
     "bounds": [], "consistency": {"p": [2]}, "form": "sum", "p": [2],
     "rs": [[1, 1]], "theta": [1], "epsilon": [0], "l_mode": ["auto"],
     "allow_divergent": True, "base": {"n_max": 8},
@@ -297,9 +296,16 @@ BAD_DOCUMENTS = {
                  "bounds[0].l"),
     "tol-string": ("bounds", lambda d: d["bounds"][0].update(tol="tiny"),
                    "bounds[0].tol"),
+    # The iterates stop at the certified depth; the gap tolerances of the
+    # old stopping rule are gone.
     "tolerances-string": ("recover",
                           lambda d: d.update(tolerances={"abs": "tiny"}),
-                          "tolerances.abs"),
+                          "unknown key 'tolerances'"),
+    "tolerances-in-recover": ("recover",
+                              lambda d: d.update(tolerances={"abs": 1e-12}),
+                              "unknown key 'tolerances'"),
+    "tolerances-in-sweep": ("sweep", lambda d: d["base"].update(
+        tolerances={"series": 1e-12}), "unknown key 'base.tolerances'"),
     "consistency-p-string": ("bounds",
                              lambda d: d["consistency"].update(p=["x"]),
                              "consistency.p[0]"),

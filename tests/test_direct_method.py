@@ -19,7 +19,6 @@ from addcubic import (BoundedNoise, Constant, DivergentControlError, Even,
                       solution_1d, uniqueness_probe)
 from addcubic import direct_method
 from addcubic.bounds import uniqueness_tail
-from addcubic.direct_method import DEFAULT_TOL_ABS, DEFAULT_TOL_REL
 from addcubic.residuals import (ADDITIVE_RULE, CUBIC_RULE, MIXED_RULE,
                                 TermTables)
 from addcubic.scalars import coerce
@@ -113,16 +112,18 @@ def test_table_maps_match_point_arithmetic(data, kinds, mode):
 def test_additive_iterate_constant_on_exact_solutions():
     f = solution_1d(2, 1)
     x = point([1])
-    trace = additive_iterate(f, x, 1, 8, stop_early=False)
+    trace = additive_iterate(f, x, 1, 8)
     assert all(v.coords == (Fraction(-12),) for v in trace.values)
-    assert trace.converged
+    assert not trace.converged  # no phi, no tail, no claim
     assert trace.final.coords == (Fraction(-12),)
     assert all(g == 0.0 for g in trace.cauchy_gaps)
+    # p = 4 gives additive depth ceil(21 / 3) = 7.
+    assert additive_iterate(f, x, 1, 8, SumOfPowers(EPS, 4)).converged_at == 7
 
 
 def test_cubic_iterate_constant_on_exact_solutions():
     f = solution_1d(2, 1)
-    trace = cubic_iterate(f, point([1]), 1, 8, stop_early=False)
+    trace = cubic_iterate(f, point([1]), 1, 8)
     assert all(v.coords == (Fraction(6),) for v in trace.values)
 
 
@@ -131,15 +132,15 @@ def test_iterate_fixed_point_matches_transforms():
     for _ in range(10):
         f = model_1d(random_linear(rng, 1, 1), random_cubic(rng, 1, 1))
         x = random_point(rng, 1)
-        trace_a = additive_iterate(f, x, -1, 6, stop_early=False)
-        trace_c = cubic_iterate(f, x, -1, 6, stop_early=False)
+        trace_a = additive_iterate(f, x, -1, 6)
+        trace_c = cubic_iterate(f, x, -1, 6)
         assert all(v.coords == h_transform(f)(x).coords for v in trace_a.values)
         assert all(v.coords == g_transform(f)(x).coords for v in trace_c.values)
 
 
 def test_iterate_zero_function():
     f = FuncModel(1, 1, ())
-    trace = additive_iterate(f, point([1]), 1, 5, stop_early=False)
+    trace = additive_iterate(f, point([1]), 1, 8, SumOfPowers(EPS, 4))
     assert all(v.is_zero for v in trace.values)
     assert trace.converged
 
@@ -151,8 +152,7 @@ def test_zero_atom_model_through_integer_entry():
     tables = TermTables((MIXED_RULE, ADDITIVE_RULE, CUBIC_RULE))
     assert all(v.is_zero and v.value.dim == 3
                for v in tables.residuals(f, x, y))
-    item = recover(f, [x], SumOfPowers(EPS, 2), 1, -1, n_max=6,
-                   stop_early=False).points[0]
+    item = recover(f, [x], SumOfPowers(EPS, 2), 1, -1).points[0]
     assert item.additive.is_zero and item.cubic.is_zero
     assert item.additive.dim == item.cubic.dim == 3
     assert item.error == item.raw_error == 0.0
@@ -172,9 +172,9 @@ def test_iterate_noisy_limits_within_stability_bound():
     # exact mode, full depth: the limit sits within the bound of the exact part
     fo = odd_part(noisy_solution())
     x = point([1])
-    trace = additive_iterate(fo, x, -1, 40, stop_early=False)
+    trace = additive_iterate(fo, x, -1, 40)
     assert abs(float(trace.final.coords[0]) + 12) <= 76 * float(EPS)
-    trace_c = cubic_iterate(fo, x, -1, 40, stop_early=False)
+    trace_c = cubic_iterate(fo, x, -1, 40)
     assert abs(float(trace_c.final.coords[0]) - 6) <= 76 * float(EPS) / 7
 
 
@@ -182,10 +182,10 @@ def test_iterate_gap_envelopes_constant_noise():
     # gaps fall like 76 eps 2^-n (additive) and 8 * 76 eps 8^-n (cubic)
     fo = odd_part(noisy_solution())
     for x in (point([1]), point([Fraction(5, 2)])):
-        trace = additive_iterate(fo, x, -1, 24, stop_early=False)
+        trace = additive_iterate(fo, x, -1, 24)
         for n, gap in enumerate(trace.cauchy_gaps):
             assert gap <= 76 * float(EPS) * 2.0 ** -n
-        trace_c = cubic_iterate(fo, x, -1, 24, stop_early=False)
+        trace_c = cubic_iterate(fo, x, -1, 24)
         for n, gap in enumerate(trace_c.cauchy_gaps):
             assert gap <= 8 * 76 * float(EPS) * 8.0 ** -n
 
@@ -202,32 +202,40 @@ def test_overflow_guard_trips_on_growing_direction():
     spike = model_1d(PowerNoise(3, Fraction(10) ** 60, Fraction(8)))
     with pytest.raises(OverflowGuardError, match=re.escape(
             "evaluation norm 2.560499765358062e+151 exceeds 2^500")):
-        additive_iterate(spike, point([8], mode="float"), -1, 48,
-                         stop_early=False)
+        additive_iterate(spike, point([8], mode="float"), -1, 48)
+    # p = 1/2 runs the additive iterate 42 steps deep, past k = 35.
     for mode in ("float", "exact"):
         with pytest.raises(OverflowGuardError, match=re.escape(
                 "evaluation norm 1.9517528119657766e+151 exceeds 2^500")):
-            recover(spike, [point([8], mode=mode)], Constant(1), -1, -1,
-                    stop_early=False)
+            recover(spike, [point([8], mode=mode)],
+                    SumOfPowers(1, Fraction(1, 2)), -1, -1)
 
 
 def test_early_stop_truncates_trace():
+    # Given phi an iterate stops at its certified depth, 21 additive and 7
+    # cubic steps for a constant phi, as a prefix of the uncapped run; a
+    # cap below that depth runs to the cap and claims nothing.
     fo = odd_part(noisy_solution())
     x = point([1], mode="float")
-    full = additive_iterate(fo, x, -1, 48, stop_early=False)
-    short = additive_iterate(fo, x, -1, 48, stop_early=True)
-    assert short.converged
-    assert short.n_steps <= full.n_steps
-    assert short.converged_at == short.n_steps
+    phi = Constant(76 * EPS)
+    for iterate, depth in ((additive_iterate, 21), (cubic_iterate, 7)):
+        full = iterate(fo, x, -1, 48)
+        short = iterate(fo, x, -1, 48, phi)
+        assert not full.converged and full.n_steps == 48
+        assert short.converged and short.converged_at == short.n_steps == depth
+        assert short.steps == full.steps[:depth + 1]
+        capped = iterate(fo, x, -1, depth - 1, phi)
+        assert (capped.converged, capped.converged_at, capped.n_steps) \
+            == (False, None, depth - 1)
 
 
 def test_trace_structure_invariants():
     fo = odd_part(noisy_solution())
     x = point([1], mode="float")
-    tol_abs, tol_rel = 1e-12, 1e-10
+    phi = Constant(76 * EPS)  # depth 21 for l = -1, none for l = +1
     for (l, n), final_first in itertools.product(((-1, 30), (1, 12)),
                                                  (True, False)):
-        trace = additive_iterate(fo, x, l, n, tol_abs, tol_rel)
+        trace = additive_iterate(fo, x, l, n, phi)
         # Points are built when read, each once; final is the last value
         # whichever is read first.
         built = []
@@ -239,9 +247,8 @@ def test_trace_structure_invariants():
         assert len(built) == len(trace.steps) == trace.n_steps + 1
         assert len(trace.values) == trace.n_steps + 1
         assert len(trace.cauchy_gaps) == trace.n_steps
-        if trace.converged:
-            threshold = max(tol_abs, tol_rel * norm(trace.final))
-            assert trace.cauchy_gaps[-1] <= threshold
+        assert trace.n_steps == (trace.converged_at or n)
+        assert trace.converged == (l == -1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +344,40 @@ def test_recover_divergent_control_raises():
     xs = [point([1])]
     with pytest.raises(DivergentControlError):
         recover(f, xs)
+
+
+# Gajda's counterexample: f meets the hypothesis with phi = 24 (|x| + |y|)
+# at the excluded exponent p = 1, and no additive map is within K |x|.
+
+def _gajda(p):
+    return point([oracles.gajda(p.coords[0])])
+
+
+def test_gajda_has_no_linear_bound_near_zero():
+    for k in (4, 16, 64, 256):
+        x = Fraction(1, 2 ** k)
+        assert abs(oracles.gajda(x)) / x == k + 2
+        assert oracles.gajda(-x) == -oracles.gajda(x)
+    assert oracles.gajda(1) == oracles.gajda(Fraction(7, 2)) == 2
+
+
+def test_recover_refuses_gajda_at_the_excluded_exponent():
+    phi = SumOfPowers(24, 1)
+    xs = [point([Fraction(1, 3)]), point([Fraction(1, 2 ** 64)])]
+    for directions in (("auto", "auto"), (1, 1), (1, -1), (-1, 1), (-1, -1)):
+        with pytest.raises(DivergentControlError):
+            recover(_gajda, xs, phi, *directions)
+
+
+def test_gajda_additive_trace_never_converges():
+    # Every l = +1 gap is 6 |x|, about 3.3e-19 at x = 2^-64; three gaps
+    # below a fixed 1e-12 once passed for convergence at n = 3.
+    x = point([Fraction(1, 2 ** 64)])
+    for phi in (None, SumOfPowers(24, 1)):
+        trace = additive_iterate(_gajda, x, 1, phi=phi)
+        assert (trace.converged, trace.converged_at, trace.n_steps) \
+            == (False, None, 48)
+        assert set(trace.cauchy_gaps) == {6 * 2.0 ** -64}
 
 
 def test_recover_auto_directions_follow_phi():
@@ -490,8 +531,8 @@ def test_probe_matches_two_runs_with_fewer_evaluations():
                                ("cubic", cubic_iterate)):
         for l, n1, n2 in ((-1, 20, 40), (1, 9, 4)):
             calls.clear()
-            first = iterate(counted, x, l, n_steps=n1, stop_early=False)
-            second = iterate(counted, x, l, n_steps=n2, stop_early=False)
+            first = iterate(counted, x, l, n_steps=n1)
+            second = iterate(counted, x, l, n_steps=n2)
             two_runs = len(calls)
             calls.clear()
             result = uniqueness_probe(counted, x, l, component, n1, n2, phi)
@@ -509,16 +550,14 @@ def _bits(values):
     return [v.hex() if isinstance(v, float) else v for v in values]
 
 
-def _assert_recover_matches_oracle(f, x, l_additive, l_cubic, phi, n_max,
-                                   stop_early):
+def _assert_recover_matches_oracle(f, x, l_additive, l_cubic, phi, n_max):
     # The oracle runs exactly at the value x holds; a float recovery equals
     # it with each value rounded once.
-    item = recover(f, [x], phi, l_additive, l_cubic, n_max=n_max,
-                   stop_early=stop_early).points[0]
+    item = recover(f, [x], phi, l_additive, l_cubic, n_max=n_max).points[0]
     expected = oracles.dyadic_recovery(
         lambda c: tuple(f.evaluate_coords(c, "exact")),
         x.to_mode("exact").coords, x.norm_kind, l_additive, l_cubic, n_max,
-        DEFAULT_TOL_ABS, DEFAULT_TOL_REL, stop_early)
+        phi.power)
 
     def rounded(values):
         return _bits([coerce(v, x.mode) for v in values])
@@ -572,11 +611,10 @@ def test_recover_matches_uncached_oracle(data, kinds):
     directions = data.draw(st.sampled_from(sorted(DIRECTION_PHI)),
                            label="directions")
     n_max = data.draw(st.integers(1, 10), label="n_max")
-    stop_early = data.draw(st.booleans(), label="stop_early")
     for mode in ("exact", "float"):
         _assert_recover_matches_oracle(
             f, point(coords, mode, norm_kind), *directions,
-            DIRECTION_PHI[directions], n_max, stop_early)
+            DIRECTION_PHI[directions], n_max)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -585,16 +623,16 @@ def test_recover_float_orbit_through_subnormals_matches_oracle(d):
     f = FuncModel(d, d, (random_linear(rng, d, d), random_cubic(rng, d, d)))
     x = point([3.0000000000000004e-300, -7.000000000000001e-301][:d],
               mode="float")
-    n_max = 48
+    # p = 7/2 runs the cubic iterate ceil(21 / (1/2)) = 42 steps deep.
+    phi, depth = SumOfPowers(EPS, Fraction(7, 2)), 42
     # Halving a double rounds away low bits once x * 2^-n is subnormal, so
     # there the double of one argument is not the argument of the step
     # before; the orbit is read in integers and stays exact.
-    arguments = [x.scale(Fraction(1, 2) ** n) for n in range(n_max + 1)]
+    arguments = [x.scale(Fraction(1, 2) ** n) for n in range(depth + 1)]
     assert min(abs(c) for c in arguments[-1].coords) < 2.0 ** -1022
     assert any(later.scale(2) != earlier
                for earlier, later in zip(arguments, arguments[1:]))
-    _assert_recover_matches_oracle(f, x, 1, 1, DIRECTION_PHI[(1, 1)], n_max,
-                                   stop_early=False)
+    _assert_recover_matches_oracle(f, x, 1, 1, phi, 48)
 
 
 def _orbit_model(d):
@@ -604,12 +642,14 @@ def _orbit_model(d):
 
 
 def _assert_each_orbit_argument_once(f, calls, x, calls_per_argument):
-    # N + 2 orbit arguments when both directions agree, 2N + 2 when not.
-    n = 12
-    for directions, arguments in (((-1, -1), n + 2), ((1, -1), 2 * n + 2)):
+    # Iterates of depths N and M read max(N, M) + 2 orbit arguments when
+    # both directions agree and N + M + 2 when not.  For p = 1/2 the depths
+    # are 42 and 9, for p = 2 both are 21; n_max = 12 caps them.
+    for directions, n_max, arguments in (((-1, -1), 12, 14),
+                                         ((-1, -1), 48, 44),
+                                         ((1, -1), 12, 26)):
         calls.clear()
-        recover(f, [x], DIRECTION_PHI[directions], *directions, n_max=n,
-                stop_early=False)
+        recover(f, [x], DIRECTION_PHI[directions], *directions, n_max=n_max)
         assert len(calls) == calls_per_argument * arguments == len(set(calls))
 
 
@@ -656,7 +696,7 @@ def test_recover_zero_point_evaluates_its_one_argument_once(mode):
     # Every x * 2^k of x = 0 is the argument 0: f(0) and f(-0), once.
     f = _Counted(noisy_solution())
     item = recover(f, [point([0], mode)], DIRECTION_PHI[(1, -1)], 1, -1,
-                   n_max=6, stop_early=False).points[0]
+                   n_max=6).points[0]
     assert len(f.calls) == 2
     assert item.additive_trace.n_steps == item.cubic_trace.n_steps == 6
 

@@ -372,6 +372,28 @@ def test_run_recover_divergent_series_status(tmp_path):
     assert doc["status"] == "divergent-series"
 
 
+def test_cli_recover_gap_above_its_tail_fails(tmp_path, capsys):
+    # Constant phi does not bound power noise of exponent 1/2, yet every
+    # error is within the constant bound: only the Cauchy gaps, some above
+    # the certified tail 2 rho^(n-1) S, show that phi is no envelope.
+    doc = recover_config(
+        mode="exact",
+        model={"dim_in": 1, "dim_out": 1, "atoms": [
+            {"kind": "linear", "matrix": [["2"]]}, CUBIC_ATOM,
+            {"kind": "power_noise", "seed": 3, "amplitude": "1/1000",
+             "exponent": "1/2"}]},
+        phi={"variant": "constant", "value": "76/1000"},
+        samples={"points": [["1/3"], ["5/4"]]})
+    config_path = write_config(tmp_path, "vacuous.json", doc)
+    assert cli_main(["recover", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    assert "bound-violation" in capsys.readouterr().out
+    report = json.loads((tmp_path / "out" / "rec.json").read_text())
+    assert not report["ok"] and not report["summary"]["all_within_bound"]
+    for item in report["points"]:
+        assert item["error"] <= item["bound"] and not item["within_bound"]
+
+
 def huge_noise_config(exponent: str) -> dict:
     # phi is given, so certify_phi never sees the exponent.
     return recover_config(
@@ -738,28 +760,28 @@ SWEEP_DIRECTIONS_DOC = sweep_doc(
 # these bytes.
 COMMAND_GOLDENS = {
     "recover-float": ("recover", recover_config(), {
-        "rec.json": "c0565cff55afc8aa5e9378450aae46f9"
-                    "61409d8d548e4a1cb9f7c0f269a9f8ad",
-        "rec.csv": "bf45c88654a7b106ab2798e90d4aec30"
-                   "36b752dc732563e81ce30004ec7e0eaf",
+        "rec.json": "46a4dfd5d84f7cc9ab184bf09960a170"
+                    "79db652719dbe4d034c21458245bf87e",
+        "rec.csv": "635a6a350f065d3d64700edb09910031"
+                   "e67f8289470b5171321750f1bd86d563",
     }),
     "recover-float-sevenths": ("recover", RECOVER_SEVENTHS_DOC, {
-        "rec7.json": "641b6a8ee7b2bc93e07bb8ad77db06f1"
-                     "d1011a6d4d55e5e947856155c5341e7a",
-        "rec7.csv": "517bf3dc08a0097f6da8affe8e0b644e"
-                    "ab197d567f7f2ebaf7629064e2255b9a",
+        "rec7.json": "53e5fbe2ecfe908f0a875961c4dbe2e6"
+                     "a9a83acad50e90eaad50a27a25e90aed",
+        "rec7.csv": "ad2a853b6877097b1c45392f41c26c7e"
+                    "3e1be0d32e5069476831a7efd4d38205",
     }),
     "recover-exact": ("recover", RECOVER_EXACT_DOC, {
-        "recx.json": "8774b9babd41c6d4163acaff5701ae78"
-                     "089a9897c13f302afd28e4c2a3131e01",
-        "recx.csv": "6202e99c3944c3ebc7118f465f2dcd41"
-                    "d0ef46a64ebd1868fbfe1ae98eb1fd32",
+        "recx.json": "f1c9ec35bfffde60278a5ea410be70d9"
+                     "e382d4e7f408ebc7a2e5d0bc7a3c40ca",
+        "recx.csv": "85fdc6ed3411de48dda6dee28871a649"
+                    "0b26223beab5b660e8efad4a728a7f75",
     }),
     "recover-exact-blend": ("recover", RECOVER_BLEND_DOC, {
-        "blend.json": "cf71375a7752e13f93c3e623566c67ef"
-                      "0f48f10a4d819b5235176bd53961b524",
-        "blend.csv": "0ba6b01ccc9186bfe2f016f4112afc66"
-                     "29efa0229620dfb2f05223d15c026d25",
+        "blend.json": "e69fd0b39e908309709cf8dfdc4a1071"
+                      "c84612a725d0689ab5d547b9aabe5d55",
+        "blend.csv": "187f55cde4ee613555304e88e749e317"
+                     "8dd575d32c827e1fc5bb3029b5f27030",
     }),
     "replay-chain": ("replay-chain", REPLAY_DOC, {
         "rep.json": "d113c44a492bbda8cc0c9056935edb22"
@@ -772,22 +794,22 @@ COMMAND_GOLDENS = {
                     "f641ffa098bf98fd34036b268040335e",
     }),
     "sweep-sum": ("sweep", sweep_doc(), {
-        "sw.csv": "9028785c74d24d9903f0e5a7556c3ae8"
-                  "93ec08b41bd564be0c02b66b9fd22efc",
-        "sw.json": "6a8a2cbdeb505082d2f669a16f87ea52"
-                   "c8b4a89e78a98901b8f16e5c2d023c0c",
+        "sw.csv": "22c5430328e01d27baef9dfde8eceeee"
+                  "20cdeadfa2f21af5454fd560481f9ce3",
+        "sw.json": "9b58a3b548964869aada08642f748562"
+                   "b1de490e023781c79afc0653c3d5e286",
     }),
     "sweep-product": ("sweep", SWEEP_PRODUCT_DOC, {
-        "sw.csv": "d20b4f6fa6bf65ab8b652b6d0eba1f89"
-                  "a60155dd448ad0167c311742e362109b",
-        "sw.json": "f0c7877356acedea16ec3e5846fb3f5f"
-                   "fd7b30cc3e8f0f8119036c9a92438e6a",
+        "sw.csv": "6797182d498d8081bd80d596d7d20f09"
+                  "34e8ab92f7f6c30603a9f46a65c89a6e",
+        "sw.json": "0efa4ccc89b092ab9bb70be9a9b98c06"
+                   "49aae326c06e0212927fe016b3f053fd",
     }),
     "sweep-fractional-directions": ("sweep", SWEEP_DIRECTIONS_DOC, {
-        "sw.csv": "404dbeddb98be9cdb273514aab94687c"
-                  "71024ed8a62d6b92b02e7369872c087c",
-        "sw.json": "cc58ac573a9ea2c1ae81e51eafd659c3"
-                   "df58dfed1fc516171d5fbf8eb4d50fbe",
+        "sw.csv": "7f60a5f28c85f4b3f62d71814a0dbde5"
+                  "354bbefd59305b7bf74ff7f1baa129bc",
+        "sw.json": "d37afa52e0b95b51c360d21334235b20"
+                   "4f47d3a2c8ceff92b6c02f4153734ed4",
     }),
 }
 
