@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .models import (Constant, ControlFunction, FuncModel, Linear,
@@ -77,6 +78,7 @@ def require_direction(l: int) -> int:
     return l
 
 
+@lru_cache(maxsize=256)  # recovery asks once per point and component
 def term_ratio(weight: int, phi: ControlFunction, l: int) -> float:
     """rho = w^l * 2^(-l*p), the term ratio of one component's series."""
     return 2.0 ** (l * (weight.bit_length() - 1 - float(phi_degree(phi))))
@@ -87,9 +89,8 @@ def _component_series(weight: int, phi: ControlFunction, x: Point, l: int,
                       extra_offset: int = 0) -> SeriesResult:
     """Certified truncation of prefactor * sum w^(il) phi(x/2^(l(i+l)), same).
 
-    ``extra_offset`` shifts the start index (used by the uniqueness tails).
-    The term ratio is exact for all three control-function families:
-    rho = w^l * 2^(-l*p) with p the diagonal homogeneity degree of phi.
+    ``extra_offset`` shifts the start index (used by the uniqueness tails);
+    the term ratio is :func:`term_ratio`, exact for all three families.
     The first term is evaluated at its actual argument; later terms follow
     the exact geometric recurrence, which keeps deep tails free of float
     overflow and underflow artifacts.
@@ -109,21 +110,17 @@ def _component_series(weight: int, phi: ControlFunction, x: Point, l: int,
         return SeriesResult(0.0, 0.0, 1, CONVERGED)
 
     partial = 0.0
-    flat_run = 0
-    terms = 0
-    while terms < MAX_TERMS:
+    flat = ratio >= 1.0 - DIVERGENCE_EPS  # a ratio that does not shrink
+    remainder = 1.0 - ratio
+    for terms in range(1, MAX_TERMS + 1):
         partial += term
-        terms += 1
-        if ratio >= 1.0 - DIVERGENCE_EPS:
-            flat_run += 1
-            if flat_run >= DIVERGENCE_RUN:
+        if flat:
+            if terms >= DIVERGENCE_RUN:
                 return SeriesResult(partial, math.inf, terms, DIVERGED)
-            term *= ratio
-            continue
-        flat_run = 0
-        tail = term * ratio / (1.0 - ratio)
-        if tail <= tol * max(1.0, partial):
-            return SeriesResult(partial, tail, terms, CONVERGED)
+        else:
+            tail = term * ratio / remainder
+            if tail <= tol * (partial if partial > 1.0 else 1.0):
+                return SeriesResult(partial, tail, terms, CONVERGED)
         term *= ratio
     # Term cap reached; `term` already holds the next, not yet added, term.
     tail = term / (1.0 - ratio) if ratio < 1.0 else math.inf
@@ -175,6 +172,7 @@ def uniqueness_tail(component: str, phi: ControlFunction, x: Point, l: int,
                              extra_offset=n)
 
 
+@lru_cache(maxsize=256)
 def certified_depth(component: str, phi: ControlFunction,
                     l: int) -> int | None:
     """First n with uniqueness_tail(n) <= 2^-TAIL_BITS * series_bound.

@@ -13,32 +13,16 @@ iterates
 converge (direction l in {-1, +1}, arguments shrink for +1 and grow for
 -1) to the unique additive and cubic limits A_0, C_0, and the recovered
 decomposition is A = -A_0 / 6, C = C_0 / 6.  The distance from f to A + C
-is certified by the bound series in :mod:`addcubic.bounds`.
-
-Given phi, an iterate stops where the series tail, which bounds its
-distance from the limit, is at most 2^-20 of the series
+is certified by the bound series in :mod:`addcubic.bounds`.  Given phi,
+an iterate stops where the series tail is at most 2^-20 of the series
 (:func:`bounds.certified_depth`); a Cauchy gap above the tail fails.
 
-Both iterates and the residual of one point read f on the same dyadic
-orbit x * 2^k.  :func:`recover` gives each point one :class:`OrbitTable`
-over one orbit reader (``models.orbit``): a model is expanded once at x
-and read at each argument y by shifts, giving the odd part
-(f(y) - f(-y)) / 2, and f(y) at k = 0, and each value is guarded once.
-A point costs depth + 2 reads, the deeper depth when both directions
-agree and the sum of both when they differ; a callable that is not a
-model is called twice per argument.  :func:`odd_part`,
-:func:`h_transform` and :func:`g_transform` read the same table at x.
-
-Both modes run in integers: x is u over one denominator L (a double at
-its exact binary value), the argument x * 2^k is (u << k, L) or
-(u, L << -k), and each value is integer numerators over one denominator,
-so a step w^(l n) * (hi - s * lo) is a shift and at most one gcd, formed
-with its magnitude and Cauchy gap in :func:`_iterate` itself.  Norms
-divide int by int, which rounds as ``float(Fraction)`` does, and a trace
-builds a step's point only when it is read.  :func:`recover` forms A, C
-and both residuals on those vectors too, so a float-mode result is the
-exact-mode result at the same double with each value rounded once: no
-float cancellation can hide a Cauchy gap.
+One :class:`OrbitTable` per point reads f on the dyadic orbit x * 2^k: a
+model's polynomial part once, at x, which H and G take to one constant
+per step, and the rest (the noise atoms, or a plain callable) once per
+argument, over one denominator times powers of two, so steps, Cauchy gaps,
+A and C align by shifts.  A float-mode result is the exact one at the same
+double, rounded once.
 
 Iterations at distinct points are independent; every structure here is
 either immutable or built single-threaded per point, so points may be
@@ -58,8 +42,11 @@ from .scalars import (EXACT, add_ratios, format_number, integer_ratio,
                       ratio_values)
 
 OVERFLOW_GUARD_BITS = 500  # abort when any evaluation norm exceeds 2^500
+_NEAR = OVERFLOW_GUARD_BITS - 64  # 2^(_NEAR + 1) sqrt(m) < 2^500, m < 2^126
 
 DEFAULT_N_MAX = 48
+
+_STEPS = {"additive": (1, 8), "cubic": (3, 2)}  # w, s of f(2a) - s f(a)
 
 
 class OverflowGuardError(ArithmeticError):
@@ -71,8 +58,6 @@ class DivergentControlError(ValueError):
 
 
 def _vector_point(mode: str, norm_kind: str, vector) -> Point:
-    """The vector as a point: ``Fraction``s in exact mode, each coordinate
-    rounded once in float mode."""
     return Point(tuple(ratio_values(vector, mode)), norm_kind)
 
 
@@ -83,59 +68,78 @@ def _norm(vector, norm_kind: str) -> float:
     return coords_norm([n / den for n in nums], norm_kind)
 
 
-class OrbitTable:
-    """Memoized values of f along the dyadic orbit x * 2^k of one point.
+def _bits(vector) -> int:
+    """b with every |n / den| below 2^(b + 1)."""
+    nums, den = vector
+    return max(map(abs, nums), default=0).bit_length() - den.bit_length()
 
-    x is read as integer numerators u over one denominator L, a double at
-    its exact binary value, so in both modes the argument x * 2^k is
-    (u << k, L) or (u, L << -k), and f is read through one
-    :func:`models.orbit` reader made for x.  With ``odd`` a value is the
-    odd part (f(y) - f(-y)) / 2, otherwise f(y); each is guarded once,
-    when it is formed.  Entries are keyed by k and hold (numerators,
-    denominator) vectors.  The methods work on those vectors, and
-    ``point`` turns one into a point of x's mode; it holds the mode and
-    norm kind only, so a trace that keeps it does not keep the table's
-    entries alive.
-    """
+
+def _step(hi, lo, e: int, s: int, offset=None):
+    """2^e (hi - s lo) + offset."""
+    nums, den = add_ratios(hi, lo, -s)
+    value = ([n << e for n in nums], den) if e >= 0 else (nums, den << -e)
+    return value if offset is None else add_ratios(value, offset)
+
+
+class OrbitTable:
+    """Memoized values of f on the dyadic orbit x * 2^k, through one
+    :func:`models.orbit`: with ``odd`` (f(y) - f(-y)) / 2, else f(y).
+    ``point`` makes a vector a point of x's mode and holds no table."""
 
     def __init__(self, func: Callable[[Point], Point], x: Point,
                  odd: bool = True):
-        self.x = x
+        self.x, self._odd = x, odd
         u, den = integer_ratio(x.coords)
         self._moves = any(u)  # at x = 0 every k is the one argument 0
-        self._read = orbit(func, tuple(u), den, x.norm_kind, odd)
-        self._entries: dict = {}
+        den, parts, self._read = orbit(func, tuple(u), den, x.norm_kind, odd)
+        self._parts = {r: (column, den) for r, column in parts}
+        # Degree r adds (2^r - s) 2^(l n (w - r)) times its part to step
+        # n: r = w the same each step, r = 2 through R, other odd r none.
+        self._offsets = {component: self._parts.get(w) and (
+            [((1 << w) - s) * c for c in self._parts[w][0]], den)
+            for component, (w, s) in _STEPS.items()}
+        # An odd part at x * 2^k is below 2^(top + k r + 1), r = 1 or 3.
+        self._top = max([_bits(self._parts[r]) for r in (1, 3)
+                         if r in self._parts], default=-math.inf)
+        self._rest: dict = {}
         self.point = partial(_vector_point, x.mode, x.norm_kind)
 
-    def entry(self, k: int) -> tuple:
-        """(f(y), table value) at y = x * 2^k; f(y) is None at k != 0 of
-        an odd table."""
-        entry = self._entries.get(k)
+    def _whole(self, k: int, rest, degrees=(1, 3)):
+        """``rest`` at y = x * 2^k plus the parts of the given degrees."""
+        for r, (column, den) in self._parts.items():
+            if r in degrees:  # the part at x times 2^(k r)
+                rest = add_ratios(rest, ([c << k * r for c in column], den)
+                                  if k >= 0 else (column, den << -k * r))
+        return rest
+
+    def rest(self, k: int) -> tuple:
+        """(f(y) or None, R(y), b), |R_j| < 2^(b + 1), at y = x * 2^k: the
+        rest, read once and guarded whole by a bit-length bound."""
+        k = k if self._moves else 0
+        entry = self._rest.get(k)
         if entry is None:
             try:
-                entry = self._read(k)
+                plain, value = self._read(k)
             except OverflowError as exc:
                 raise OverflowGuardError(
                     f"evaluation overflowed float range: {exc}") from exc
-            nums, den = entry[1]
-            # |n / den| < 2^(bits + 1) and the norm is at most sqrt(m) times
-            # that, so within 498 - ceil(log2(m) / 2) bits it is below 2^499.
-            bits = max(map(abs, nums), default=0).bit_length() - den.bit_length()
-            if bits > (OVERFLOW_GUARD_BITS - 2
-                       - ((len(nums) - 1).bit_length() + 1) // 2):
-                self.magnitude(entry[1])
-            self._entries[k] = entry
+            if not self._odd:
+                plain = value = self._whole(k, value, (2,))
+            bits = _bits(value)  # two parts and R add two bits
+            if max(bits, self._top + k * (3 if k >= 0 else 1)) + 2 > _NEAR:
+                self.guard(self._whole(k, value))
+            entry = self._rest[k] = plain, value, bits
         return entry
 
-    def pair(self, k: int) -> tuple:
-        """The table values at x * 2^(k+1) and at x * 2^k."""
-        hi, lo = (k + 1, k) if self._moves else (0, 0)
-        entries = self._entries
-        return ((entries.get(hi) or self.entry(hi))[1],
-                (entries.get(lo) or self.entry(lo))[1])
+    def entry(self, k: int) -> tuple:
+        """(f(y), or None at k != 0 if odd, table value) at x * 2^k."""
+        plain, rest, _ = self.rest(k)
+        value = self._whole(k, rest)
+        return (plain and self._whole(k, plain, (1, 2, 3)) if self._odd
+                else value), value
 
-    def magnitude(self, vector) -> float:
-        """The vector's norm; the overflow guard."""
+    def guard(self, vector) -> None:
+        """The overflow guard on the vector's norm."""
         try:
             magnitude = _norm(vector, self.x.norm_kind)
         except OverflowError as exc:
@@ -145,10 +149,6 @@ class OrbitTable:
                 or magnitude > 2.0 ** OVERFLOW_GUARD_BITS:
             raise OverflowGuardError(
                 f"evaluation norm {magnitude!r} exceeds 2^{OVERFLOW_GUARD_BITS}")
-        return magnitude
-
-    def distance(self, a, b) -> float:
-        return _norm(add_ratios(a, b, -1), self.x.norm_kind)
 
 
 def odd_part(f) -> Callable[[Point], Point]:
@@ -159,43 +159,51 @@ def odd_part(f) -> Callable[[Point], Point]:
     return odd
 
 
-def _transform(f, subtract: int) -> Callable[[Point], Point]:
-    """x -> f(2x) - subtract * f(x), the orbit table's step at k = 0."""
+def _transform(f, component: str) -> Callable[[Point], Point]:
+    """x -> f(2x) - s f(x), the component's step at n = 0."""
     def transform(x: Point) -> Point:
         table = OrbitTable(f, x, odd=False)
-        return table.point(add_ratios(*table.pair(0), -subtract))
+        return table.point(_step(table.rest(1)[1], table.rest(0)[1], 0,
+                                 _STEPS[component][1],
+                                 table._offsets[component]))
     return transform
 
 
 def h_transform(f) -> Callable[[Point], Point]:
     """x -> f(2x) - 8 f(x); kills cubic content, -6 times the additive part."""
-    return _transform(f, 8)
+    return _transform(f, "additive")
 
 
 def g_transform(f) -> Callable[[Point], Point]:
     """x -> f(2x) - 2 f(x); kills additive content, 6 times the cubic part."""
-    return _transform(f, 2)
+    return _transform(f, "cubic")
 
 
 class IterationTrace:
-    """One rescaled-iterate run: values, Cauchy gaps and convergence flags."""
+    """One rescaled-iterate run: values, Cauchy gaps and convergence flags;
+    ``steps`` hold each step less ``offset``, the same at every step."""
 
     def __init__(self, direction: int, weight: int,
-                 to_point: Callable[[object], Point]):
+                 to_point: Callable[[object], Point], offset=None):
         self.direction, self.weight = direction, weight
-        self.to_point = to_point
-        self.steps: list = []  # orbit vectors, turned into points on read
+        self.to_point, self.offset = to_point, offset
+        self.steps: list = []
         self.cauchy_gaps: list[float] = []
         self.converged = False
         self.converged_at: int | None = None
 
+    def vector(self, n: int):
+        step = self.steps[n]
+        return step if self.offset is None else add_ratios(step, self.offset)
+
     @cached_property
     def final(self) -> Point:
-        return self.to_point(self.steps[-1])
+        return self.to_point(self.vector(-1))
 
     @cached_property
     def values(self) -> list[Point]:
-        return [*map(self.to_point, self.steps[:-1]), self.final]
+        return [*[self.to_point(self.vector(n))
+                  for n in range(self.n_steps)], self.final]
 
     @property
     def n_steps(self) -> int:
@@ -211,30 +219,29 @@ def _iterate(f, x: Point, l: int, component: str, n_steps: int,
         f = OrbitTable(f, x, odd=False)
     elif f.x != x:
         raise ValueError("orbit table belongs to another point")
-    weight = bounds_mod.COMPONENT_WEIGHTS[component]
-    subtract = 8 if weight == 2 else 2
-    bits = weight.bit_length() - 1
-    trace = IterationTrace(direction=l, weight=weight, to_point=f.point)
+    offset = f._offsets[component]
+    trace = IterationTrace(l, bounds_mod.COMPONENT_WEIGHTS[component],
+                           f.point, offset)
     depth = None if phi is None else bounds_mod.certified_depth(component,
                                                                  phi, l)
     if depth is not None and depth <= n_steps:
         trace.converged, trace.converged_at = True, depth
         n_steps = depth
-    steps = trace.steps
+    w, s = _STEPS[component]
+    near = offset is not None and _bits(offset) + 1 > _NEAR  # offset alone
+    steps, gaps = trace.steps, trace.cauchy_gaps
     for n in range(n_steps + 1):
-        # 2^(l n bits) * (value(2a) - subtract * value(a)) at a = x / 2^(l n),
-        # formed on the numerators over the pair's common denominator.
-        (h, h_den), (g, g_den) = f.pair(-l * n)
-        common = math.gcd(h_den, g_den)
-        h_scale, g_scale = g_den // common, subtract * (h_den // common)
-        den, e = h_den * h_scale, l * n * bits
-        if e < 0:
-            den, e = den << -e, 0
-        value = [(p * h_scale - q * g_scale) << e for p, q in zip(h, g)], den
-        f.magnitude(value)  # the overflow guard on the step
-        steps.append(value)
+        # 2^e (R(k + 1) - s R(k)), k = -l n, e = l n w; R's bits bound it.
+        hi, lo = (1 - l * n, -l * n) if f._moves else (0, 0)
+        _, hi_value, hi_bits = f._rest.get(hi) or f.rest(hi)
+        _, lo_value, lo_bits = f._rest.get(lo) or f.rest(lo)
+        e = l * n * w
+        value = _step(hi_value, lo_value, e, s)
+        if near or max(hi_bits, lo_bits + 3) + 2 + e > _NEAR:
+            f.guard(value if offset is None else add_ratios(value, offset))
         if n:
-            trace.cauchy_gaps.append(f.distance(value, steps[-2]))
+            gaps.append(_norm(add_ratios(value, steps[-1], -1), x.norm_kind))
+        steps.append(value)
     return trace
 
 
@@ -269,19 +276,18 @@ class ProbeResult(NamedTuple):
 def uniqueness_probe(f, x: Point, l: int, component: str, n1: int, n2: int,
                      phi: ControlFunction | None = None,
                      tol: float = 1e-12) -> ProbeResult:
-    """||final(n1) - final(n2)|| for one component's iteration.
+    """||final(n1) - final(n2)|| for one component's iteration, one run.
 
     Any two candidate limits agree up to the tail series at min(n1, n2);
     when ``phi`` is given the certified tail bound is attached so callers
-    can assert gap <= tail.  One run to max(n1, n2) holds both depths.
+    can assert gap <= tail.
     """
     if n1 == n2:
         raise ValueError("probe depths must differ")
     if min(n1, n2) < 1:
         raise ValueError("iteration count must be at least 1")
-    table = f if isinstance(f, OrbitTable) else OrbitTable(f, x, odd=False)
-    trace = _iterate(table, x, l, component, max(n1, n2), None)
-    gap = table.distance(trace.steps[n1], trace.steps[n2])
+    trace = _iterate(f, x, l, component, max(n1, n2), None)
+    gap = _norm(add_ratios(trace.steps[n1], trace.steps[n2], -1), x.norm_kind)
     tail = None
     if phi is not None:
         tail = bounds_mod.uniqueness_tail(component, phi, x, l,
@@ -410,14 +416,12 @@ def recover(f: FuncModel, points: Sequence[Point],
             n_max: int = DEFAULT_N_MAX) -> RecoveryReport:
     """Recover the additive and cubic parts of f at the given points.
 
-    f is odd-symmetrized first, through one :class:`OrbitTable` per point
-    that both iterates and the residuals read; the perturbation envelope
-    phi is either supplied or certified from the model's noise atoms.  Per
-    point, the report carries A(x), C(x), the odd-part and raw errors, the
-    certified combined bound, and both iteration traces.  A point is within
-    its bound when its error is, and each Cauchy gap at step n is at most
-    the uniqueness tail at n - 1.  A control function whose series diverges
-    for the chosen direction raises :class:`DivergentControlError`.
+    f is odd-symmetrized, through one :class:`OrbitTable` per point; phi
+    is supplied or certified from the model's noise atoms.  Per point, the
+    report carries A(x), C(x), the odd-part and raw errors, the certified
+    combined bound, and both traces.  A point is within its bound when its
+    error is, and each Cauchy gap at step n is at most the uniqueness tail
+    at n - 1.  A series that diverges raises :class:`DivergentControlError`.
     """
     if phi is None:
         phi = bounds_mod.certify_phi(f)
@@ -440,18 +444,21 @@ def recover(f: FuncModel, points: Sequence[Point],
         orbit = OrbitTable(f, x)
         trace_a = additive_iterate(orbit, x, l_add, n_max, phi)
         trace_c = cubic_iterate(orbit, x, l_cub, n_max, phi)
-        (a_nums, a_den), (c_nums, c_den) = trace_a.steps[-1], trace_c.steps[-1]
-        additive = [-n for n in a_nums], 6 * a_den  # A = -final / 6
-        cubic = c_nums, 6 * c_den  # C = final / 6
-        parts = add_ratios(additive, cubic)
-        raw, odd = orbit.entry(0)
-        error = orbit.distance(odd, parts)
+        (a_nums, a_den), (c_nums, c_den) = final_a, final_c = (
+            trace_a.vector(-1), trace_c.vector(-1))
+        # A = -final / 6 and C = final / 6: ||v - A - C|| is
+        # ||6 v - (C_final - A_final)|| / 6, aligned by shifts.
+        six = add_ratios(final_c, final_a, -1)
+        raw_error, error = [
+            _norm((nums, 6 * den), norm_kind) for nums, den in (
+                add_ratios(([6 * n for n in vector[0]], vector[1]), six, -1)
+                for vector in orbit.entry(0))]
         report.points.append(PointRecovery(
             x=x,
-            additive=orbit.point(additive),
-            cubic=orbit.point(cubic),
+            additive=orbit.point(([-n for n in a_nums], 6 * a_den)),
+            cubic=orbit.point((c_nums, 6 * c_den)),
             error=error,
-            raw_error=orbit.distance(raw, parts),
+            raw_error=raw_error,
             bound=bound_value,
             within_bound=(error <= bound_value
                           and _gaps_within_tails(trace_a, series_a, phi)

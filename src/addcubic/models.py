@@ -13,18 +13,13 @@ the Euclidean or the max norm.  A function model is a sum of atoms:
 
 All coefficients are stored as exact rationals, and evaluation in both
 modes is one integer kernel: a model folds its polynomial atoms into one
-integer table, reads it at integer numerators over one denominator and
-adds the noise atoms' numerators.  Float coordinates are read at their
-exact binary values, and each float result is the exact value rounded
-once.  The direct method reads a model along the dyadic orbit x * 2^k of
-one point (:meth:`FuncModel.orbit`): the table is summed by degree once,
-at x, each degree-r part at x * 2^k is a shift of it, and the odd part
-(f(y) - f(-y)) / 2 adds the noise atoms' from their per-point readers.
-Residual tables read the same table expanded in (a, b) at the arguments
-(a u + b v) / den of a pair (:meth:`FuncModel.moments`).  Callers holding
-integers pass ``den`` and get integers back; others get one ``Fraction``
-(exact mode) or float (float mode) per output coordinate.  Every value is
-immutable and evaluation is pure, so it is thread-safe.
+integer table, reads it at integer numerators over one denominator (a
+float at its exact binary value) and adds the noise atoms' numerators; a
+float result is the exact value rounded once.  The direct method sums the
+table once per point (:meth:`FuncModel.orbit`), and residual tables
+expand it in (a, b) at the arguments (a u + b v) / den of a pair
+(:meth:`FuncModel.moments`).  Every value is immutable and evaluation is
+pure, so it is thread-safe.
 """
 
 from __future__ import annotations
@@ -32,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import partial, reduce
 from typing import Callable, Sequence, Union
 
 from . import noise as noise_mod
@@ -391,32 +387,22 @@ class FuncModel(_Value):
                          else FuncModel(dim_in, dim_out, noise)))
 
     def evaluate_coords(self, coords, mode: str, *, den: int | None = None):
-        """Atom-sum evaluation on raw coordinates; see :func:`evaluate`.
-
-        Reads the folded table and the noise atoms' integer numerators at
-        k = 0 of :meth:`orbit`.  With ``den`` the coordinates are integer
-        numerators over ``den`` and the result is (integer numerators,
-        denominator), unreduced.  Without it they are rationals or floats,
-        read at their exact values, and each output coordinate is one
-        normalized ``Fraction`` in exact mode and that value rounded once
-        in float mode.
-        """
-        if den is not None:
-            return self.orbit(coords, den, odd=False)(0)[0]
-        u, den = integer_ratio(coords)
-        return ratio_values(self.orbit(u, den, odd=False)(0)[0], mode)
+        """Atom-sum evaluation on raw coordinates, :meth:`orbit` at k = 0:
+        integer numerators over ``den`` give (numerators, denominator),
+        unreduced; otherwise each output is one exact ``Fraction`` in
+        exact mode, and that value rounded once in float mode."""
+        u, d = (coords, den) if den is not None else integer_ratio(coords)
+        orbit_den, parts, read = self.orbit(u, d, odd=False)
+        value = reduce(add_ratios, [(column, orbit_den) for _, column in parts],
+                       read(0)[0])
+        return value if den is not None else ratio_values(value, mode)
 
     def orbit(self, u, den: int, odd: bool = True):
-        """Reader of f along the dyadic orbit y = x * 2^k of x = u / den.
-
-        ``read(k)`` is (f(y), value) as integer ratios at y = (u << k, den)
-        or (u, den << -k).  With ``odd`` the value is (f(y) - f(-y)) / 2
-        and f(y) is formed at k = 0 only (None elsewhere); without it both
-        are f(y).  The table is summed by degree once, at x: its degree-r
-        part at y is that at x shifted left k r bits (-k (t - r) bits for
-        k < 0, the den pads).  Each noise atom has a :func:`noise.orbit`
-        reader.
-        """
+        """f on the dyadic orbit y = x * 2^k of x = u / den, as (one orbit
+        denominator, parts, read): ``parts`` are (r, numerators) of the
+        table's degree-r part at x, 2^(k r) times that at y, and ``read(k)``
+        reads the noise atoms at y as (f(y), value); with ``odd`` the value
+        is (f(y) - f(-y)) / 2 and f(y) is read at k = 0 only."""
         if len(u) != self.dim_in:
             raise DimensionMismatchError(
                 f"got {len(u)} coordinates, model domain is {self.dim_in}")
@@ -424,29 +410,25 @@ class FuncModel(_Value):
         v, table_den = (*u, den, 1), table_den * den ** top
         sums = [[sum([c * v[i] * v[j] * v[k] for c, (i, j, k) in terms])
                  for terms in parts] for parts in table]
-        parts = [(r, column) for r, column in enumerate(zip(*sums), 1)
-                 if any(column)]  # the degree-r part at x, per output
-        odd_parts = [(r, column) for r, column in parts if r % 2]
         noise = [noise_mod.orbit(atom.seed, u, den, atom._amplitude,
                                  atom._exponent, self.dim_out)
                  for atom in self._noise]
+        orbit_den = math.lcm(table_den, *[noise_den for noise_den, _ in noise])
+        parts = tuple((r, [c * (orbit_den // table_den) for c in column])
+                      for r, column in enumerate(zip(*sums), 1)
+                      if any(column))  # the degree-r part at x, per output
+        reads = [partial(noise_read, orbit_den // noise_den)
+                 for noise_den, noise_read in noise]
 
         def at(k, odd_part):
-            nums = [0] * self.dim_out
-            for r, column in odd_parts if odd_part else parts:
-                e = k * r if k >= 0 else -k * (top - r)
-                nums = [n + (c << e) for n, c in zip(nums, column)]
-            value = nums, table_den if k >= 0 else table_den << -k * top
-            for noise_at in noise:
-                value = add_ratios(value, noise_at(k, odd_part))
-            return value
+            return reduce(add_ratios, [read(k, odd_part) for read in reads]
+                          or [([0] * self.dim_out, orbit_den)])
+        at = reads[0] if len(reads) == 1 else at
 
         def read(k):
             value = at(k, odd)
-            if not odd:
-                return value, value
-            return (at(k, False) if k == 0 else None), value
-        return read
+            return (at(k, False) if k == 0 else None) if odd else value, value
+        return orbit_den, parts, read
 
     def moments(self, u, v, den: int) -> tuple[list[list[int]], int]:
         """The folded table at (a u + b v) / den, expanded in (a, b).
@@ -540,12 +522,8 @@ def evaluate(f: Callable[[Point], Point], coords, mode: str, norm_kind: str,
 
 def orbit(f: Callable[[Point], Point], u, den: int, norm_kind: str,
           odd: bool = True):
-    """Reader of f along the dyadic orbit x * 2^k of x = u / den.
-
-    A :class:`FuncModel` reads through :meth:`FuncModel.orbit`; any other
-    callable is called through :func:`evaluate` at y, and with ``odd`` at
-    -y too, so ``read(k)`` is (f(y), value) as that method gives it.
-    """
+    """:meth:`FuncModel.orbit`, or for any other callable no parts and a
+    ``read`` that calls it at y, and with ``odd`` at -y too."""
     if isinstance(f, FuncModel):
         return f.orbit(u, den, odd)
 
@@ -557,7 +535,7 @@ def orbit(f: Callable[[Point], Point], u, den: int, norm_kind: str,
         minus = evaluate(f, [-c for c in coords], EXACT, norm_kind, d)
         nums, out_den = add_ratios(plus, minus, -1)
         return plus, (nums, out_den << 1)
-    return read
+    return 1, (), read
 
 
 # Convenience constructors for the 1-D catalogue used throughout the tests.

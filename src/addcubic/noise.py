@@ -15,13 +15,9 @@ Euclidean and the max norm.  The result:
 
 The dyadic snap makes queries at halved/doubled arguments stable, which is
 what the direct-method iterations feed this with.  Hashed components are
-cached per process, since the cells of a sweep share seed and points.
-
-The value is computed in integers.  The input is integer numerators u
-over one denominator L (a model reads float coordinates at their exact
-binary values), snapped as floor(u * 2^40 / L), and the output is the
-numerator scale * direction over scale denominator * m * 2^20, read
-along the dyadic orbit of a point by :func:`orbit`.
+cached per process, since the cells of a sweep share seed and points.  The
+value is computed in integers: u over one denominator L is snapped as
+floor(u * 2^40 / L), and :func:`orbit` reads it along a dyadic orbit.
 """
 
 from __future__ import annotations
@@ -88,40 +84,53 @@ def _scale(ints, den: int, amplitude: tuple[int, int],
 
 def sample(seed: int, coords, amplitude: tuple[int, int],
            exponent: tuple[int, int], dim_out: int, den: int = 1):
-    """Noise output coordinates at the given input coordinates.
-
-    ``amplitude`` and ``exponent`` are integer ratios in lowest terms.
-    Takes integer numerators ``coords`` over ``den`` and returns
-    ``(numerators, denominator)``.  The envelope
-    ||output|| <= amplitude * (max_i |x_i|)^exponent
-    <= amplitude * ||x||^exponent is guaranteed exactly.
-    """
-    return orbit(seed, coords, den, amplitude, exponent, dim_out)(0, False)
+    """Noise (numerators, denominator) at ``coords`` over ``den``; its norm
+    is at most amplitude * (max_i |x_i|)^exponent, so at most amplitude *
+    ||x||^exponent, exactly."""
+    read = orbit(seed, coords, den, amplitude, exponent, dim_out)[1]
+    return read(1, 0, False)
 
 
 def orbit(seed: int, coords, den: int, amplitude: tuple[int, int],
           exponent: tuple[int, int], dim_out: int):
-    """Reader of :func:`sample` along the orbit y = x * 2^k of x = coords
-    / den, read at (coords << k, den) or (coords, den << -k).
+    """:func:`sample` on the orbit y = x * 2^k of x = coords / den, as
+    (B, read): ``read(cofactor, k, odd)`` is N(y), or with ``odd``
+    (N(y) - N(-y)) / 2, over cofactor * B times 2^j.  The scale at y is
+    that at x times 2^(k p) for an integer p (den^p is in B once), and a
+    fractional p's float b^p has a power-of-two denominator."""
+    (a_num, a_den), (p_num, p_den) = amplitude, exponent
+    base = max(map(abs, coords))
+    if a_num == 0 or (p_num and not base):  # zero everywhere
+        return 1, lambda cofactor, k, odd: ([0] * dim_out, cofactor)
+    # _scale's power check passes at y = x * 2^k iff k_low <= k <= k_high.
+    room = MAX_POWER_BITS // p_num if p_num and p_den == 1 else math.inf
+    k_low, k_high = den.bit_length() - room, room - base.bit_length()
+    k_low, k_high = (k_low, k_high) if k_low <= 0 <= k_high else (1, 0)
+    fixed, scale_den = (  # over a_den 2^(30 + j) at y for a fractional p
+        (None, a_den * _POWER_SAFETY[1]) if p_den != 1
+        else _scale(coords, den, amplitude, exponent) if k_low <= 0 <= k_high
+        else (0, 1))  # too wide at x, so at every y: each read raises
+    orbit_den = scale_den * dim_out << (VALUE_BITS + 1)  # 1/m, 2^-20, 1/2
 
-    ``read(k, odd)`` is N(y), or with ``odd`` (N(y) - N(-y)) / 2 from one
-    scale, as a model's odd part needs.
-    """
-    def read(k: int, odd: bool):
-        y, d = (([u << k for u in coords], den) if k >= 0
-                else (coords, den << -k))
-        scale_num, scale_den = _scale(y, d, amplitude, exponent)
-        if scale_num == 0:
-            return [0] * dim_out, 1
-        plus = tuple([(u << QUANT_BITS) // d for u in y])
-        if odd:  # D(y) - D(-y)
-            minus = tuple([(-u << QUANT_BITS) // d for u in y])
-            nums = [scale_num * (_direction_component(seed, plus, j)
-                                 - _direction_component(seed, minus, j))
-                    for j in range(dim_out)]
+    def read(cofactor: int, k: int, odd: bool):
+        shift, d, b = ((QUANT_BITS + k, den, base << k) if k >= 0
+                       else (QUANT_BITS, den << -k, base))
+        if fixed is not None:
+            if not k_low <= k <= k_high:
+                _scale((b,), d, amplitude, exponent)  # raises as at y
+            scale, e = fixed * cofactor, 1 - odd + k * p_num
         else:
-            nums = [scale_num * _direction_component(seed, plus, j)
-                    for j in range(dim_out)]
-        # damping 1/m, grid 2^-20, and the odd part's 1/2
-        return nums, scale_den * dim_out << (VALUE_BITS + odd)
-    return read
+            scale, at_y = _scale((b,), d, amplitude, exponent)
+            scale *= cofactor
+            e = 1 - odd + scale_den.bit_length() - at_y.bit_length()
+        scale, out_den = ((scale << e, orbit_den * cofactor) if e >= 0
+                          else (scale, orbit_den * cofactor << -e))
+        plus = tuple([(u << shift) // d for u in coords])
+        if not odd:
+            return [scale * _direction_component(seed, plus, i)
+                    for i in range(dim_out)], out_den
+        minus = tuple([(-u << shift) // d for u in coords])
+        return [scale * (_direction_component(seed, plus, i)
+                         - _direction_component(seed, minus, i))
+                for i in range(dim_out)], out_den
+    return orbit_den, read

@@ -181,6 +181,40 @@ def gajda(x, mu=1):
     return mu * (n * x + Fraction(2) ** (1 - n))
 
 
+def gajda_cubic(x, mu=1):
+    """The cubic analogue of :func:`gajda`, excluded exponent p = 3.
+
+    f(x) = sum_{n>=0} 8^-n psi3(2^n x) with psi3(t) = mu t^3 for |t| < 1
+    and mu sign(t) otherwise.  It is odd and (8/7) mu for |x| >= 1; for
+    0 < |x| < 1 it is mu (N |x|^3 + (8/7) 8^-N) with N the least n such
+    that 2^n |x| >= 1.
+    """
+    x = Fraction(x)
+    if x < 0:
+        return -gajda_cubic(-x, mu)
+    if x == 0:
+        return Fraction(0)
+    n = 0
+    while x * 2 ** n < 1:
+        n += 1
+    return mu * (n * x ** 3 + Fraction(8, 7) * Fraction(1, 8) ** n)
+
+
+def plain_iterate(f, x, norm_kind, l, weight, subtract, n_steps):
+    """values[n] = w^(l n) (f(2a) - s f(a)) at a = x (1/2)^(l n), with f
+    read whole (not its odd part), and the Cauchy gaps, in Fractions."""
+    values, gaps = [], []
+    for n in range(n_steps + 1):
+        a = tuple(Fraction(1, 2) ** (l * n) * c for c in x)
+        doubled, single = f(tuple(2 * c for c in a)), f(a)
+        values.append(tuple(Fraction(weight) ** (l * n) * (d - subtract * s)
+                            for d, s in zip(doubled, single)))
+        if n:
+            gaps.append(_norm([v - p for v, p in zip(values[-1], values[-2])],
+                              norm_kind))
+    return values, gaps
+
+
 def noise_value(seed, amplitude, exponent, dim_out, x):
     """Seeded noise at the rational point x, built from its specification.
 

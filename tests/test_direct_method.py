@@ -211,6 +211,75 @@ def test_overflow_guard_trips_on_growing_direction():
                     SumOfPowers(1, Fraction(1, 2)), -1, -1)
 
 
+def _first_trip(run):
+    # The first n_max at which run(n_max) trips the overflow guard, with
+    # the guard's message.
+    for n in range(1, 49):
+        try:
+            run(n)
+        except OverflowGuardError as exc:
+            return n, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("atoms", [
+    # 2^398 (1 +- 2^-40) x^3 at x = 2^k: the cubic part dominates, and at
+    # k = 34 its norm is just above 2^500, or just below it.
+    (linear_1d(5), cubic_1d(Fraction(2 ** 398) * (1 + Fraction(1, 2 ** 40)))),
+    (linear_1d(5), cubic_1d(Fraction(2 ** 398) * (1 - Fraction(1, 2 ** 40)))),
+    # 2^350 |x|^5 noise with l = -1 dominates the linear part.
+    (linear_1d(5), PowerNoise(5, 2 ** 350, 5))])
+def test_guard_trips_at_the_same_step_for_model_and_callable(mode, atoms):
+    # The guard raises where the whole value (polynomial part plus noise)
+    # first exceeds 2^500, by bit-length bounds on the parts a model reads
+    # apart; a plain callable is read whole.  Both trip at the same step,
+    # with the same norm, and neither one step shallower.
+    f, x = model_1d(*atoms), point([1], mode)
+    phi = SumOfPowers(1, Fraction(1, 2))  # additive depth 42 for l = -1
+    for run in (lambda g: lambda n: additive_iterate(g, x, -1, n),
+                lambda g: lambda n: recover(g, [x], phi, -1, -1, n_max=n)):
+        trip = _first_trip(run(f))
+        assert trip is not None and trip[0] > 1
+        assert _first_trip(run(lambda p: f(p))) == trip
+        run(f)(trip[0] - 1)
+        run(lambda p: f(p))(trip[0] - 1)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_guard_trips_on_a_step_whose_reads_stay_below_it(mode):
+    # Noise bounded by 2^420 keeps every read below 2^500, but the l = +1
+    # cubic step 8^n (f(2a) - 2 f(a)) passes it: only the step guard,
+    # which bounds a step by the bits of its reads, can trip.
+    f, x = model_1d(BoundedNoise(5, 2 ** 420)), point([1], mode)
+    trip = _first_trip(lambda n: cubic_iterate(f, x, 1, n))
+    assert trip is not None and 20 < trip[0] < 48
+    assert _first_trip(lambda n: cubic_iterate(lambda p: f(p), x, 1, n)) \
+        == trip
+    cubic_iterate(f, x, 1, trip[0] - 1)
+
+
+@pytest.mark.parametrize("l", [-1, 1])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_plain_iterate_with_even_atom_matches_oracle(l, mode):
+    # Without the odd part the even part stays in every step, as
+    # (4 - s) 2^(l n (w - 2)) Q(x): the iterate is checked against f read
+    # whole at each argument, in Fractions.
+    rng = random.Random(5)
+    f = FuncModel(2, 2, (random_linear(rng, 2, 2), random_cubic(rng, 2, 2),
+                         _atom("even", rng, 2), BoundedNoise(3, EPS)))
+    x = point(["5/4", "-1/3"], mode)
+    for iterate, weight, subtract in ((additive_iterate, 2, 8),
+                                      (cubic_iterate, 8, 2)):
+        trace = iterate(f, x, l, 12)
+        values, gaps = oracles.plain_iterate(
+            lambda c: tuple(f.evaluate_coords(c, "exact")),
+            x.to_mode("exact").coords, x.norm_kind, l, weight, subtract, 12)
+        assert [_bits(v.coords) for v in trace.values] \
+            == [_bits([coerce(c, mode) for c in v]) for v in values]
+        assert _bits(trace.cauchy_gaps) == _bits(gaps)
+
+
 def test_early_stop_truncates_trace():
     # Given phi an iterate stops at its certified depth, 21 additive and 7
     # cubic steps for a constant phi, as a prefix of the uncapped run; a
@@ -378,6 +447,25 @@ def test_gajda_additive_trace_never_converges():
         assert (trace.converged, trace.converged_at, trace.n_steps) \
             == (False, None, 48)
         assert set(trace.cauchy_gaps) == {6 * 2.0 ** -64}
+
+
+def test_gajda_cubic_has_no_cubic_bound_near_zero():
+    for k in (4, 16, 64):
+        x = Fraction(1, 2 ** k)
+        assert abs(oracles.gajda_cubic(x)) / x ** 3 == k + Fraction(8, 7)
+        assert oracles.gajda_cubic(-x) == -oracles.gajda_cubic(x)
+    assert oracles.gajda_cubic(1) == oracles.gajda_cubic(3) == Fraction(8, 7)
+
+
+def test_recover_refuses_gajda_cubic_at_the_excluded_exponent():
+    def f(p):
+        return point([oracles.gajda_cubic(p.coords[0])])
+
+    phi = SumOfPowers(85, 3)
+    xs = [point([Fraction(1, 3)]), point([Fraction(1, 2 ** 64)])]
+    for directions in (("auto", "auto"), (1, 1), (1, -1), (-1, 1), (-1, -1)):
+        with pytest.raises(DivergentControlError):
+            recover(f, xs, phi, *directions)
 
 
 def test_recover_auto_directions_follow_phi():
@@ -550,10 +638,12 @@ def _bits(values):
     return [v.hex() if isinstance(v, float) else v for v in values]
 
 
-def _assert_recover_matches_oracle(f, x, l_additive, l_cubic, phi, n_max):
+def _assert_recover_matches_oracle(f, x, l_additive, l_cubic, phi, n_max,
+                                   callable_too=False):
     # The oracle runs exactly at the value x holds; a float recovery equals
-    # it with each value rounded once.
-    item = recover(f, [x], phi, l_additive, l_cubic, n_max=n_max).points[0]
+    # it with each value rounded once.  With ``callable_too`` the model is
+    # also recovered as a plain callable, which has no polynomial part and
+    # is read whole at every argument, and must agree bit for bit.
     expected = oracles.dyadic_recovery(
         lambda c: tuple(f.evaluate_coords(c, "exact")),
         x.to_mode("exact").coords, x.norm_kind, l_additive, l_cubic, n_max,
@@ -562,17 +652,20 @@ def _assert_recover_matches_oracle(f, x, l_additive, l_cubic, phi, n_max):
     def rounded(values):
         return _bits([coerce(v, x.mode) for v in values])
 
-    for trace, want in ((item.additive_trace, expected["additive_trace"]),
-                        (item.cubic_trace, expected["cubic_trace"])):
-        assert [_bits(v.coords) for v in trace.values] \
-            == [rounded(v) for v in want["values"]]
-        assert _bits(trace.cauchy_gaps) == _bits(want["gaps"])
-        assert trace.converged == want["converged"]
-        assert trace.converged_at == want["converged_at"]
-    assert _bits(item.additive.coords) == rounded(expected["additive"])
-    assert _bits(item.cubic.coords) == rounded(expected["cubic"])
-    assert _bits([item.error, item.raw_error]) \
-        == _bits([expected["error"], expected["raw_error"]])
+    for g in (f, lambda p: f(p)) if callable_too else (f,):
+        item = recover(g, [x], phi, l_additive, l_cubic,
+                       n_max=n_max).points[0]
+        for trace, want in ((item.additive_trace, expected["additive_trace"]),
+                            (item.cubic_trace, expected["cubic_trace"])):
+            assert [_bits(v.coords) for v in trace.values] \
+                == [rounded(v) for v in want["values"]]
+            assert _bits(trace.cauchy_gaps) == _bits(want["gaps"])
+            assert trace.converged == want["converged"]
+            assert trace.converged_at == want["converged_at"]
+        assert _bits(item.additive.coords) == rounded(expected["additive"])
+        assert _bits(item.cubic.coords) == rounded(expected["cubic"])
+        assert _bits([item.error, item.raw_error]) \
+            == _bits([expected["error"], expected["raw_error"]])
 
 
 # Control functions whose combined series converges for each direction pair.
@@ -610,11 +703,12 @@ def test_recover_matches_uncached_oracle(data, kinds):
     norm_kind = data.draw(st.sampled_from(("euclidean", "max")), label="norm")
     directions = data.draw(st.sampled_from(sorted(DIRECTION_PHI)),
                            label="directions")
-    n_max = data.draw(st.integers(1, 10), label="n_max")
+    # Up to 48, so the certified depths 21 and 42 are reached.
+    n_max = data.draw(st.integers(1, 48), label="n_max")
     for mode in ("exact", "float"):
         _assert_recover_matches_oracle(
             f, point(coords, mode, norm_kind), *directions,
-            DIRECTION_PHI[directions], n_max)
+            DIRECTION_PHI[directions], n_max, callable_too=True)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -673,12 +767,12 @@ def test_recover_counts_hold_at_the_model_entry(monkeypatch, mode, coords):
 
     def counted_orbit(model, u, den, odd=True):
         assert odd
-        read = orbit(model, u, den, odd)
+        orbit_den, parts, read = orbit(model, u, den, odd)
 
         def counted(k):
             calls.append((u, den, k))
             return read(k)
-        return counted
+        return orbit_den, parts, counted
 
     def counted_entry(model, *args, **kwargs):
         entry_calls.append(args)

@@ -418,6 +418,29 @@ def test_integer_scale_matches_the_fraction_formula(amplitude, exponent,
     assert Fraction(*scale) == expected
 
 
+@pytest.mark.parametrize("coords, den", [
+    ((5 << 520,), 1),  # the base is too wide for p = 4096 at x already
+    ((3,), 1 << 515),  # so is the denominator
+    ((7, -(1 << 500)), 3)],  # wide enough from k = 12 on
+    ids=["wide-base", "wide-den", "wide-from-k-12"])
+def test_noise_orbit_raises_where_the_scale_does(coords, den):
+    # Along the orbit an integer-p scale is a shift of the scale at x, so
+    # the reader repeats _scale's power check at each argument: it raises
+    # exactly where _scale at y does, with its message.
+    amplitude, exponent = (1, 1000), (4096, 1)
+    read = noise.orbit(9, coords, den, amplitude, exponent, 2)[1]
+    for k in range(-20, 21):
+        y, d = ([u << k for u in coords], den) if k >= 0 \
+            else (coords, den << -k)
+        try:
+            noise._scale(y, d, amplitude, exponent)
+        except OverflowError as exc:
+            with pytest.raises(OverflowError, match=re.escape(str(exc))):
+                read(1, k, True)
+        else:
+            read(1, k, True)
+
+
 def test_noise_atoms_in_models():
     f = model_1d(linear_1d(1), BoundedNoise(3, Fraction(1, 100)))
     x = point([Fraction(2)])
@@ -577,18 +600,30 @@ def test_odd_entry_matches_two_calls(data):
     def at(nums, out_den):
         return [Fraction(n, out_den) for n in nums]
 
-    odd_read, plain_read = f.orbit(u, den), f.orbit(u, den, odd=False)
+    def whole(orbit, k, rest, degrees):
+        # The read plus each part of the given degrees times 2^(k r).
+        orbit_den, parts, _ = orbit
+        values = at(*rest)
+        for r, column in parts:
+            if r in degrees:
+                values = [v + Fraction(c, orbit_den) * Fraction(2) ** (k * r)
+                          for v, c in zip(values, column)]
+        return values
+
+    odd_orbit, plain_orbit = f.orbit(u, den), f.orbit(u, den, odd=False)
     for k in [0, *ks]:
         y, y_den = ([c << k for c in u], den) if k >= 0 else (u, den << -k)
         plus = at(*f.evaluate_coords(y, "exact", den=y_den))
         minus = at(*f.evaluate_coords([-c for c in y], "exact", den=y_den))
-        total, value = odd_read(k)
-        assert at(*value) == [(p - q) / 2 for p, q in zip(plus, minus)]
+        total, value = odd_orbit[2](k)
+        assert whole(odd_orbit, k, value, (1, 3)) \
+            == [(p - q) / 2 for p, q in zip(plus, minus)]
         assert (total is None) == (k != 0)
         if k == 0:
-            assert at(*total) == plus
-        total, value = plain_read(k)
-        assert at(*total) == at(*value) == plus
+            assert whole(odd_orbit, k, total, (1, 2, 3)) == plus
+        total, value = plain_orbit[2](k)
+        assert total is value
+        assert whole(plain_orbit, k, value, (1, 2, 3)) == plus
 
 
 @pytest.mark.parametrize("norm_kind", NORM_KINDS)
@@ -600,7 +635,9 @@ def test_odd_entry_calls_a_plain_callable_twice(norm_kind):
         calls.append(p)
         return model(p)
 
-    value, odd = orbit(f, (3,), 4, norm_kind)(0)
+    orbit_den, parts, read = orbit(f, (3,), 4, norm_kind)
+    assert parts == ()
+    value, odd = read(0)
     assert [p.coords for p in calls] == [(Fraction(3, 4),), (Fraction(-3, 4),)]
     assert all(p.norm_kind == norm_kind for p in calls)
     plus, minus = (model(point([c])).coords for c in ("3/4", "-3/4"))
@@ -640,7 +677,7 @@ def test_noise_directions_are_cached_without_changing_values():
 
     def values(x):  # a float point's odd part is read at its integer ratio
         ints, den = integer_ratio(x.coords)
-        return f(x).coords, f(-x).coords, f.orbit(tuple(ints), den)(0)
+        return f(x).coords, f(-x).coords, f.orbit(tuple(ints), den)[2](0)
 
     cold = [values(x) for x in xs]
     assert noise._direction_component.cache_info().currsize > 0
