@@ -24,9 +24,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .models import (Constant, ControlFunction, FuncModel, Linear,
-                     CubicHomogeneous, BoundedNoise, PowerNoise, Point,
-                     ProductOfPowers, SumOfPowers, norm, phi_degree,
-                     phi_diagonal)
+                     CubicHomogeneous, PowerNoise, Point, ProductOfPowers,
+                     SumOfPowers, norm, phi_degree, phi_diagonal)
 from .noise import _POWER_SAFETY
 from .residuals import ABS_COEFFICIENT_SUM
 
@@ -78,7 +77,6 @@ def require_direction(l: int) -> int:
     return l
 
 
-@lru_cache(maxsize=256)  # recovery asks once per point and component
 def term_ratio(weight: int, phi: ControlFunction, l: int) -> float:
     """rho = w^l * 2^(-l*p), the term ratio of one component's series."""
     return 2.0 ** (l * (weight.bit_length() - 1 - float(phi_degree(phi))))
@@ -271,24 +269,23 @@ def certify_phi(f: FuncModel) -> ControlFunction:
     operator terms applies f to a x + b y with |a| + |b| <= 4, and the
     absolute coefficients sum to 76, which gives:
 
-    * bounded noise of amplitude eps:  phi = Constant(76 * eps)
-    * power noise (eps, p):            phi = SumOfPowers(76 * 4^p * eps, p),
-      using ||a x + b y||^p <= 4^p (||x||^p + ||y||^p).
+    * power noise (eps, p), p > 0:     phi = SumOfPowers(76 * 4^p * eps, p),
+      using ||a x + b y||^p <= 4^p (||x||^p + ||y||^p);
+    * power noise (eps, 0), which includes bounded noise of amplitude eps:
+      phi = Constant(76 * eps).
 
-    Several noise atoms of the same class add up.  Mixing bounded with
-    power noise of positive exponent, or several distinct exponents, has no
-    representation in the three control-function variants and is rejected,
-    as is any atom without an envelope (Even).
+    Noise atoms of one exponent add up.  Mixing exponent 0 with a positive
+    exponent, or several distinct positive exponents, has no representation
+    in the three control-function variants and is rejected, as is any atom
+    without an envelope (Even).
     """
     bounded_total = Fraction(0)
     power_total: dict[Fraction, Fraction] = {}
     for atom in f.atoms:
         if isinstance(atom, (Linear, CubicHomogeneous)):
             continue
-        if isinstance(atom, BoundedNoise):
-            bounded_total += atom.amplitude
-        elif isinstance(atom, PowerNoise):
-            if atom.exponent == 0:
+        if isinstance(atom, PowerNoise):
+            if atom.exponent == 0:  # bounded noise
                 bounded_total += atom.amplitude
             else:
                 power_total[atom.exponent] = \

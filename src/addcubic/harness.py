@@ -20,8 +20,8 @@ from . import residuals
 from .config import (ConfigError, ExperimentConfig, SweepSpec, model_to_json,
                      phi_to_json)
 from .direct_method import DivergentControlError, OverflowGuardError, recover
-from .models import (BoundedNoise, FuncModel, PowerNoise, ProductOfPowers,
-                     SumOfPowers, coords_norm, cubic_1d, linear_1d, point)
+from .models import (FuncModel, PowerNoise, ProductOfPowers, SumOfPowers,
+                     coords_norm, cubic_1d, linear_1d, point)
 from .scalars import EXACT, format_number
 
 SWEEP_CSV_HEADER = ("p", "r", "s", "theta", "epsilon", "l_additive", "l_cubic",
@@ -164,8 +164,7 @@ def run_check_lemmas(config: ExperimentConfig, out_dir: Path) -> RunResult:
     is kept in schema 1 and reads 0.0.
     """
     sampled = _sampled_models(config)
-    catalogue = (residuals.CHAIN_CATALOGUE
-                 if config.chain and config.mode == EXACT else ())
+    catalogue = residuals.CHAIN_CATALOGUE if config.chain else ()
     tables = residuals.TermTables(
         tuple(_RULE_TABLES.values())
         + tuple(ident.moved_terms for ident in catalogue))
@@ -210,9 +209,7 @@ def run_check_lemmas(config: ExperimentConfig, out_dir: Path) -> RunResult:
 
 
 def run_replay_chain(config: ExperimentConfig, out_dir: Path) -> RunResult:
-    """Chain replay only; rejects float mode (replay is an exactness tool)."""
-    if config.mode != EXACT:
-        raise ConfigError("chain replay requires \"mode\": \"exact\"")
+    """Chain replay only, exact in both modes like :func:`run_check_lemmas`."""
     sampled = _sampled_models(config)
     tables = residuals.chain_tables()
     ok = True
@@ -390,10 +387,7 @@ def _sweep_cell(spec: SweepSpec, cell: dict, points: list) -> dict:
     if status == "ok":
         atoms = [linear_1d(spec.solution_linear), cubic_1d(spec.solution_cubic)]
         if eps > 0:
-            if p == 0:
-                atoms.append(BoundedNoise(spec.noise_seed, eps))
-            else:
-                atoms.append(PowerNoise(spec.noise_seed, eps, p))
+            atoms.append(PowerNoise(spec.noise_seed, eps, p))
         model = FuncModel(1, 1, tuple(atoms))
         try:
             report = recover(model, points, bounds_mod.certify_phi(model),

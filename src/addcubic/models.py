@@ -6,8 +6,8 @@ the Euclidean or the max norm.  A function model is a sum of atoms:
 * ``Linear``            -- f(x) = M x, exactly additive;
 * ``CubicHomogeneous``  -- per-output homogeneous degree-3 polynomials,
                            satisfying f(2x) = 8 f(x) and f(-x) = -f(x);
-* ``BoundedNoise``      -- deterministic perturbation, ||f(x)|| <= eps;
 * ``PowerNoise``        -- deterministic perturbation, ||f(x)|| <= eps ||x||^p;
+* ``BoundedNoise``      -- power noise of exponent 0, ||f(x)|| <= eps;
 * ``Even``              -- quadratic forms, a deliberate non-solution used in
                            negative tests.
 
@@ -17,9 +17,9 @@ integer table, reads it at integer numerators over one denominator (a
 float at its exact binary value) and adds the noise atoms' numerators; a
 float result is the exact value rounded once.  The direct method sums the
 table once per point (:meth:`FuncModel.orbit`), and residual tables
-expand it in (a, b) at the arguments (a u + b v) / den of a pair
-(:meth:`FuncModel.moments`).  Every value is immutable and evaluation is
-pure, so it is thread-safe.
+expand a noise-free model's table in (a, b) at the arguments
+(a u + b v) / den of a pair (:meth:`FuncModel.moments`).  Every value is
+immutable and evaluation is pure, so it is thread-safe.
 """
 
 from __future__ import annotations
@@ -286,25 +286,6 @@ class Even(_Value):
     evaluate = _evaluate_alone
 
 
-class BoundedNoise(_Value):
-    """Deterministic seeded perturbation with ||f(x)|| <= amplitude."""
-
-    _fields = ("seed", "amplitude")
-
-    def __init__(self, seed: int, amplitude: Fraction):
-        amplitude = Fraction(amplitude)
-        if amplitude < 0:
-            raise ValueError("noise amplitude must be nonnegative")
-        self.__dict__.update(seed=seed, amplitude=amplitude,
-                             _amplitude=amplitude.as_integer_ratio())
-
-    _exponent = (0, 1)
-
-    def evaluate(self, coords, dim_out: int, den: int = 1):
-        return noise_mod.sample(self.seed, coords, self._amplitude,
-                                self._exponent, dim_out, den)
-
-
 class PowerNoise(_Value):
     """Deterministic seeded perturbation with ||f(x)|| <= amplitude * ||x||^p."""
 
@@ -320,11 +301,25 @@ class PowerNoise(_Value):
                              _amplitude=amplitude.as_integer_ratio(),
                              _exponent=exponent.as_integer_ratio())
 
-    evaluate = BoundedNoise.evaluate
+    def evaluate(self, coords, dim_out: int, den: int = 1):
+        return noise_mod.sample(self.seed, coords, self._amplitude,
+                                self._exponent, dim_out, den)
 
 
-Atom = Union[Linear, CubicHomogeneous, Even, BoundedNoise, PowerNoise]
-NOISE_ATOMS = (BoundedNoise, PowerNoise)
+class BoundedNoise(PowerNoise):
+    """Power noise of exponent 0, ||f(x)|| <= amplitude, shown and compared
+    by (seed, amplitude) alone."""
+
+    _fields = ("seed", "amplitude")
+
+    def __init__(self, seed: int, amplitude: Fraction):
+        super().__init__(seed, amplitude, 0)
+
+    # Its own attribute: wrapping one class's evaluate leaves the other's.
+    evaluate = PowerNoise.evaluate
+
+
+Atom = Union[Linear, CubicHomogeneous, Even, PowerNoise]
 
 
 def _fold(atoms, dim_in: int, dim_out: int):
@@ -375,16 +370,12 @@ class FuncModel(_Value):
                     f"atom {type(atom).__name__} is {d}->{m}, "
                     f"model is {dim_in}->{dim_out}")
         table, den, top, degrees = _fold(atoms, dim_in, dim_out)
-        noise = tuple(a for a in atoms if isinstance(a, NOISE_ATOMS))
-        # ``moment_keys`` are the (r, q) of :meth:`moments`; ``noise_model``
-        # is what the table does not hold, the noise atoms, or None.
+        noise = tuple(a for a in atoms if isinstance(a, PowerNoise))
+        # ``moment_keys`` are the (r, q) of :meth:`moments`.
         self.__dict__.update(
             dim_in=dim_in, dim_out=dim_out, atoms=atoms,
             _folded=(table, den, top), _noise=noise,
-            moment_keys=tuple((r, q) for r in degrees for q in range(r + 1)),
-            noise_model=(None if not noise
-                         else self if len(noise) == len(atoms)
-                         else FuncModel(dim_in, dim_out, noise)))
+            moment_keys=tuple((r, q) for r in degrees for q in range(r + 1)))
 
     def evaluate_coords(self, coords, mode: str, *, den: int | None = None):
         """Atom-sum evaluation on raw coordinates, :meth:`orbit` at k = 0:
@@ -438,8 +429,8 @@ class FuncModel(_Value):
         every integer a and b the table's part of output j is
         sum a^q b^(r-q) A_{r,q} over the denominator.  Each term is the
         product of its three slots, a u_i + b v_i per coordinate and den
-        or 1 per pad; the noise atoms are not in the table
-        (:attr:`noise_model`).
+        or 1 per pad.  The noise atoms are not in the table, so residual
+        tables read a model with noise whole, argument by argument.
         """
         d = self.dim_in
         if len(u) != d or len(v) != d:

@@ -23,10 +23,10 @@ so a table's sum is sum M_{r,q} A_{r,q} with the table's integer moments
 M_{r,q} = sum c a^q b^(r-q).  :class:`TermTables` holds the moments of
 its tables and reads a model's folded table once per pair (x, y), as its
 expansion A_{r,q} (:meth:`~addcubic.models.FuncModel.moments`); a model
-without noise atoms is never evaluated at a point.  What the expansion
-cannot express, a model's noise atoms or all of a plain callable, is
-evaluated once at each distinct argument of the tables: the three rules
-share 8 arguments, and with the 21 chain identities the union is 19.
+without noise atoms is never evaluated at a point.  A model with noise
+atoms, or a plain callable, is evaluated whole once at each distinct
+argument of the tables: the three rules share 8 arguments, and with the
+21 chain identities the union is 19.
 Both modes run in integers: the pair is numerators over one denominator
 (float coordinates at their exact binary values), and every sum is an
 integer dot product over one denominator.  A vector a caller asks for is
@@ -43,8 +43,7 @@ from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .models import DimensionMismatchError, FuncModel, Point, evaluate, norm
-from .scalars import (EXACT, ModeMismatchError, add_ratios, integer_ratio,
-                      ratio_values)
+from .scalars import EXACT, ModeMismatchError, integer_ratio, ratio_values
 
 # One term of a rule: coefficient * f(a*x + b*y).
 Term = tuple[Fraction, int, int]
@@ -97,24 +96,6 @@ class ResidualVector(NamedTuple):
         return self.value.is_zero
 
 
-def _lattice_coords(u: Sequence, v: Sequence,
-                    arguments: Sequence[tuple[int, int]]) -> list[tuple]:
-    """Coordinates of a u + b v for each (a, b) in ``arguments``."""
-    out = []
-    for a, b in arguments:
-        if (a, b) == (1, 0):
-            out.append(u)
-        elif (a, b) == (0, 1):
-            out.append(v)
-        elif b == 0:
-            out.append(tuple(a * ui for ui in u))
-        elif a == 0:
-            out.append(tuple(b * vi for vi in v))
-        else:
-            out.append(tuple(a * ui + b * vi for ui, vi in zip(u, v)))
-    return out
-
-
 def _integer_row(terms: tuple[Term, ...],
                  index: Mapping[tuple[int, int], int]
                  ) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -127,13 +108,12 @@ class TermTables:
     """Term tables sharing one list of distinct lattice arguments (a, b).
 
     Each table is a sum of c * f(a x + b y), with integer coefficients k
-    over one table denominator.  For a :class:`FuncModel` the folded
-    polynomial atoms enter through their expansion in (a, b)
-    (:meth:`FuncModel.moments`): the table's sum is then M . A with the
-    table's integer moments M_{r,q} = sum k a^q b^(r-q), computed once per
-    set of model degrees.  What the fold does not hold, a model's noise
-    atoms or all of a plain callable, is evaluated once at each distinct
-    argument of the pair and summed by integer dot products.
+    over one table denominator.  A noise-free :class:`FuncModel` enters
+    through its expansion in (a, b) (:meth:`FuncModel.moments`): the
+    table's sum is then M . A with the table's integer moments
+    M_{r,q} = sum k a^q b^(r-q), computed once per set of model degrees.
+    A model with noise atoms, or a plain callable, is evaluated once at
+    each distinct argument of the pair and summed by integer dot products.
     :meth:`integer_sums` returns the exact sums; :meth:`residuals` builds
     one ``Fraction`` (exact mode) or one rounded float (float mode) per
     output coordinate.
@@ -165,7 +145,7 @@ class TermTables:
 
     def live(self, f) -> tuple[int, ...]:
         """Indexes of the tables that can sum to nonzero at some pair."""
-        if isinstance(f, FuncModel) and f.noise_model is None:
+        if isinstance(f, FuncModel) and not f.has_noise:
             return tuple(i for i, (row, _) in enumerate(
                 self._moment_rows(f.moment_keys)) if row)
         return tuple(range(len(self._integer_rows)))
@@ -181,27 +161,21 @@ class TermTables:
             raise ModeMismatchError("x and y carry different scalar modes")
         ints, den = integer_ratio(x.coords + y.coords)
         u, v = tuple(ints[:x.dim]), tuple(ints[x.dim:])
-        totals = None
-        if isinstance(f, FuncModel):
+        if isinstance(f, FuncModel) and not f.has_noise:
             columns, out_den = f.moments(u, v, den)
-            totals = [([sum(map(mul, row, column)) for column in columns]
-                       if row else [0] * f.dim_out, out_den * table_den)
-                      for row, table_den in self._moment_rows(f.moment_keys)]
-            f = f.noise_model
-            if f is None:
-                return totals
-        values = [evaluate(f, coords, EXACT, x.norm_kind, den)
-                  for coords in _lattice_coords(u, v, self.arguments)]
+            return [([sum(map(mul, row, column)) for column in columns]
+                     if row else [0] * f.dim_out, out_den * table_den)
+                    for row, table_den in self._moment_rows(f.moment_keys)]
+        values = [evaluate(f, [a * ui + b * vi for ui, vi in zip(u, v)],
+                           EXACT, x.norm_kind, den)
+                  for a, b in self.arguments]
         common = math.lcm(*{d for _, d in values})
         columns = list(zip(*(nums if d == common
                              else [n * (common // d) for n in nums]
                              for nums, d in values)))
-        sampled = [([sum(k * column[i] for k, i in row) for column in columns],
-                    common * table_den)
-                   for row, table_den in self._integer_rows]
-        if totals is None:
-            return sampled
-        return [add_ratios(total, part) for total, part in zip(totals, sampled)]
+        return [([sum(k * column[i] for k, i in row) for column in columns],
+                 common * table_den)
+                for row, table_den in self._integer_rows]
 
     def residuals(self, f: Callable[[Point], Point], x: Point,
                   y: Point) -> list[ResidualVector]:
@@ -271,9 +245,6 @@ class ChainIdentity(NamedTuple):
     def moved_terms(self) -> tuple[Term, ...]:
         """LHS - RHS folded into one term table."""
         return self.lhs + tuple((-c, a, b) for c, a, b in self.rhs)
-
-    def residual(self, f, x: Point, y: Point) -> ResidualVector:
-        return combine(f, x, y, self.moved_terms)
 
 
 # Rows: (label, LHS terms, RHS terms); each term is (coefficient, a, b)
@@ -350,14 +321,12 @@ def catalogue_from_json_dict(doc: dict) -> tuple[ChainIdentity, ...]:
 
 def chain_replay(f, x: Point, y: Point,
                  catalogue=CHAIN_CATALOGUE) -> dict[str, ResidualVector]:
-    """Exact residual of every catalogued identity at (x, y).
-
-    Replay is an exactness tool: float-mode points are rejected.  f must be
-    evaluable on all integer combinations of x and y appearing in the table
-    (coefficients reach 4 on x and 3 on y).
+    """Residual of every catalogued identity at (x, y), exact in both modes:
+    float points are read at their exact binary values, and each float
+    residual is its exact value rounded once.  f must be evaluable on all
+    integer combinations of x and y appearing in the table (coefficients
+    reach 4 on x and 3 on y).
     """
-    if x.mode != EXACT or y.mode != EXACT:
-        raise ModeMismatchError("chain replay requires exact-mode points")
     vectors = chain_tables(catalogue).residuals(f, x, y)
     return {ident.label: vector for ident, vector in zip(catalogue, vectors)}
 

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from addcubic import (CHAIN_CATALOGUE, ModeMismatchError,
-                      catalogue_as_json_dict, catalogue_from_json_dict,
-                      chain_replay, cubic_1d, even_1d, linear_1d, model_1d,
-                      point, random_linear, random_point, FuncModel)
+from addcubic import (CHAIN_CATALOGUE, catalogue_as_json_dict,
+                      catalogue_from_json_dict, chain_replay, cubic_1d,
+                      even_1d, linear_1d, model_1d, point, random_linear,
+                      random_point, FuncModel)
 
 EXPECTED_LABELS = ("2.5", "2.8", "2.9", "2.10", "2.11", "2.12", "2.13",
                    "2.14", "2.15", "2.16", "2.17", "2.18", "2.19", "2.20",
@@ -73,10 +73,30 @@ def test_replay_even_model_nonzero_on_many_identities():
     assert len(nonzero) >= 5
 
 
-def test_replay_rejects_float_mode():
-    f = model_1d(linear_1d(1))
-    with pytest.raises(ModeMismatchError):
-        chain_replay(f, point([1.0], mode="float"), point([1.0], mode="float"))
+def test_replay_at_float_points_equals_exact_replay():
+    # A float point is read at its exact binary value: the float replay is
+    # the exact replay at the same doubles, each value rounded once.
+    rng = random.Random(29)
+    linear = model_1d(random_linear(rng, 1, 1))
+    cubic = model_1d(linear_1d(2), cubic_1d(Fraction(3, 7)))
+    nonzero = set()
+    for _ in range(10):
+        x, y = rng.uniform(-8, 8), rng.uniform(-8, 8) / 3
+        for f in (linear, cubic):
+            replay = chain_replay(f, point([x], "float"), point([y], "float"))
+            exact = chain_replay(f, point([Fraction(x)]), point([Fraction(y)]))
+            assert len(replay) == 21
+            assert {label: v.value.coords for label, v in replay.items()} \
+                == {label: tuple(map(float, v.value.coords))
+                    for label, v in exact.items()}
+            assert [v.is_zero for v in replay.values()] \
+                == [v.is_zero for v in exact.values()]
+            if f is linear:
+                assert all(v.is_zero for v in replay.values())
+            else:
+                nonzero |= {label for label, v in replay.items()
+                            if not v.is_zero}
+    assert nonzero and len(nonzero) < 21
 
 
 def test_catalogue_json_round_trip():

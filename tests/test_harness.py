@@ -3,11 +3,10 @@ import hashlib
 import json
 import math
 import time
-from fractions import Fraction
 
 import pytest
 
-from addcubic import BoundedNoise, FuncModel, harness, residuals
+from addcubic import FuncModel, harness, residuals
 from addcubic.cli import main as cli_main
 from addcubic.config import (ConfigError, ExperimentConfig, SampleSpec,
                              SweepSpec)
@@ -190,8 +189,13 @@ def test_check_lemmas_evaluates_each_argument_once(tmp_path, monkeypatch):
     pairs = 1 + 25  # one explicit pair, 25 random ones, per model
     noisy = [{**entry, "atoms": [*entry["atoms"], NOISE_ATOM]}
              for entry in lemma_config()["models"]]
+    noisy_models = {model for _, model in ExperimentConfig.from_json_dict(
+        lemma_config(models=noisy), "check-lemmas").family_models()}
+    assert len(noisy_models) == 2
+    assert all(model.has_noise for model in noisy_models)
     for overrides, per_pair in (({}, 19), ({"chain": False}, 8),
-                                ({"mode": "float"}, 8)):
+                                ({"mode": "float"}, 19),
+                                ({"mode": "float", "chain": False}, 8)):
         calls.clear()
         config = ExperimentConfig.from_json_dict(lemma_config(**overrides),
                                                  "check-lemmas")
@@ -200,10 +204,9 @@ def test_check_lemmas_evaluates_each_argument_once(tmp_path, monkeypatch):
         config = ExperimentConfig.from_json_dict(
             lemma_config(models=noisy, **overrides), "check-lemmas")
         assert run_check_lemmas(config, tmp_path).ok
-        # Once per distinct argument of each pair, on the noise atoms alone.
+        # Once per distinct argument of each pair, the noisy model whole.
         assert len(calls) == 2 * pairs * per_pair
-        assert {model.atoms for model in calls} == {(BoundedNoise(
-            7, Fraction(1, 1000)),)}
+        assert set(calls) == noisy_models
 
 
 def test_exact_check_lemmas_builds_points_only_for_explicit_pairs(
@@ -306,10 +309,25 @@ def test_replay_chain_runner(tmp_path):
     assert len(catalogue["identities"]) == 21
 
 
-def test_replay_chain_rejects_float_mode(tmp_path):
-    config = ExperimentConfig.from_json_dict({"mode": "float"}, "replay-chain")
-    with pytest.raises(ConfigError):
-        run_replay_chain(config, tmp_path)
+def test_replay_chain_float_mode_zero_for_linear_models(tmp_path):
+    # Float pairs off the dyadic grid are replayed at their exact binary
+    # values, so every identity is exactly zero for additive models.
+    config = ExperimentConfig.from_json_dict({
+        "mode": "float",
+        "families": {"linear": 4, "seed": 2, "dims": [[1, 1], [2, 3]]},
+        "samples": {"pairs": [[["1/3"], ["-2/7"]]],
+                    "random": {"count": 10, "seed": 1, "max_denominator": 7}},
+        "output_stem": "rep",
+    }, "replay-chain")
+    result = run_replay_chain(config, tmp_path)
+    assert result.exit_code == 0
+    models = result.report["models"]
+    assert len(models) == 4 and {m["model"]["dim_in"] for m in models} == {1, 2}
+    for entry in models:
+        assert entry["expect_zero"] and entry["ok"]
+        assert len(entry["identities"]) == 21
+        assert all(row == {"max_abs": 0.0, "nonzero_count": 0}
+                   for row in entry["identities"].values())
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +701,8 @@ GOLDEN_SHA256 = {
                           "10e20f9c6793cd7f49433d61b78c10be",
     },
     "float": {
-        "golden.json": "cde16209632eab8ff1c50ba9a709b691"
-                       "be8553b0e08c2faec9ecffa305897875",
+        "golden.json": "9f42be714a5f7e0bab9e74a67afe26e0"
+                       "e70dbdb2b0caff14a37b5b8c898f0390",
     },
 }
 

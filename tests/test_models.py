@@ -11,12 +11,12 @@ import oracles
 from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
                       DimensionMismatchError, Even, FuncModel, Linear,
                       ModeMismatchError, OverflowGuardError,
-                      PowerNoise, ProductOfPowers, SumOfPowers, cubic_1d,
-                      even_1d, linear_1d, model_1d, noise, norm, odd_part,
-                      phi_value, point, random_cubic, random_linear,
+                      PowerNoise, ProductOfPowers, SumOfPowers, certify_phi,
+                      cubic_1d, even_1d, linear_1d, model_1d, noise, norm,
+                      odd_part, phi_value, point, random_cubic, random_linear,
                       random_point, random_rational)
-from addcubic.config import (model_from_json, model_to_json, phi_from_json,
-                             phi_to_json)
+from addcubic.config import (atom_to_json, model_from_json, model_to_json,
+                             phi_from_json, phi_to_json)
 from addcubic.direct_method import OrbitTable
 from addcubic.models import (NORM_KINDS, Point, coords_norm, orbit,
                              phi_degree)
@@ -534,7 +534,7 @@ def test_moments_expand_the_table_at_every_lattice_argument(data):
         if kinds else ((), ())
     f = FuncModel(d, m, atoms)
     polynomial = [spec for spec in specs if spec[0] != "noise"]
-    assert (f.noise_model is None) == (len(polynomial) == len(specs))
+    assert f.has_noise == (len(polynomial) < len(specs))
     # Integers over an unreduced denominator, as a pair of points reads.
     ints = st.lists(st.integers(-40, 40), min_size=d, max_size=d)
     u, v = data.draw(ints, label="u"), data.draw(ints, label="v")
@@ -686,6 +686,33 @@ def test_noise_directions_are_cached_without_changing_values():
     assert noise._direction_component.cache_info().hits > 0
     maxsize = noise._direction_component.cache_info().maxsize
     assert maxsize is not None and 0 < maxsize == noise.DIRECTION_CACHE_SIZE
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_bounded_noise_is_power_noise_of_exponent_zero(mode):
+    amplitude = Fraction(3, 1000)
+    bounded, power = BoundedNoise(11, amplitude), PowerNoise(11, amplitude, 0)
+    # Two kinds in configs and reports, and unequal, yet one noise.
+    assert bounded != power and power != bounded
+    assert atom_to_json(bounded) == {"kind": "bounded_noise", "seed": 11,
+                                     "amplitude": "3/1000"}
+    assert atom_to_json(power) == {"kind": "power_noise", "seed": 11,
+                                   "amplitude": "3/1000", "exponent": "0"}
+    assert repr(bounded) == "BoundedNoise(seed=11, amplitude=Fraction(3, 1000))"
+    models = [FuncModel(2, 3, (Linear(((1, 2),) * 3), atom))
+              for atom in (bounded, power)]
+    assert certify_phi(models[0]) == certify_phi(models[1]) \
+        == Constant(76 * amplitude)
+    for values in (["5/7", "-1/3"], ["2", "0"], [0.3, -1e-5]):
+        x = point(values, mode)
+        u, den = integer_ratio(x.coords)
+        assert bounded.evaluate(u, 3, den) == power.evaluate(u, 3, den)
+        assert models[0](x) == models[1](x)
+        for odd in (True, False):
+            orbits = [f.orbit(u, den, odd) for f in models]
+            assert orbits[0][:2] == orbits[1][:2]
+            for k in (-6, -1, 0, 1, 5, 40):
+                assert orbits[0][2](k) == orbits[1][2](k)
 
 
 # ---------------------------------------------------------------------------
