@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .models import (Constant, ControlFunction, FuncModel, Linear,
@@ -170,7 +169,6 @@ def uniqueness_tail(component: str, phi: ControlFunction, x: Point, l: int,
                              extra_offset=n)
 
 
-@lru_cache(maxsize=256)
 def certified_depth(component: str, phi: ControlFunction,
                     l: int) -> int | None:
     """First n with uniqueness_tail(n) <= 2^-TAIL_BITS * series_bound.

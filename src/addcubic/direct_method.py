@@ -1,45 +1,35 @@
 """Direct-method recovery of additive and cubic parts from a perturbed map.
 
-Two transforms isolate the parts of an odd function f:
+For an odd f, H(x) = f(2x) - 8 f(x) and G(x) = f(2x) - 2 f(x) are -6 and
+6 times the additive and cubic parts of an exact solution.  For a
+perturbed f the rescaled iterates A_n(x) = 2^(l n) H(x / 2^(l n)) and
+C_n(x) = 8^(l n) G(x / 2^(l n)) converge (arguments shrink for l = +1 and
+grow for l = -1) to the unique additive and cubic limits A_0, C_0, and
+A = -A_0 / 6, C = C_0 / 6, within the bound series of
+:mod:`addcubic.bounds`.  Given phi, an iterate stops where the series
+tail is at most 2^-20 of the series (:func:`bounds.certified_depth`); a
+Cauchy gap above the tail fails.
 
-    H(x) = f(2x) - 8 f(x)   (equals -6 * additive part on exact solutions)
-    G(x) = f(2x) - 2 f(x)   (equals +6 * cubic part on exact solutions)
-
-and G(x) - H(x) = 6 f(x) identically.  For a perturbed f the rescaled
-iterates
-
-    A_n(x) = 2^(l n) * H(x / 2^(l n)),   C_n(x) = 8^(l n) * G(x / 2^(l n))
-
-converge (direction l in {-1, +1}, arguments shrink for +1 and grow for
--1) to the unique additive and cubic limits A_0, C_0, and the recovered
-decomposition is A = -A_0 / 6, C = C_0 / 6.  The distance from f to A + C
-is certified by the bound series in :mod:`addcubic.bounds`.  Given phi,
-an iterate stops where the series tail is at most 2^-20 of the series
-(:func:`bounds.certified_depth`); a Cauchy gap above the tail fails.
-
-One :class:`OrbitTable` per point reads f on the dyadic orbit x * 2^k: a
-model's polynomial part once, at x, which H and G take to one constant
-per step, and the rest (the noise atoms, or a plain callable) once per
-argument, over one denominator times powers of two, so steps, Cauchy gaps,
-A and C align by shifts.  A float-mode result is the exact one at the same
-double, rounded once.
-
-Iterations at distinct points are independent; every structure here is
-either immutable or built single-threaded per point, so points may be
-processed concurrently while report assembly preserves input order.
+One :class:`OrbitTable` per point holds f on the dyadic orbit x * 2^k: a
+model's polynomial part, summed once at x, which H and G take to one
+constant per step, and the rest (noise atoms, or a plain callable), read
+once per argument and in one batch per iterate, as integer columns over
+one denominator.  An iterate is integer loops over them, each gap an
+int/int division, so a float result is the exact one rounded once.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, partial
+from itertools import chain, repeat, takewhile
 from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import require_direction
 from .models import ControlFunction, FuncModel, Point, coords_norm, orbit
 from .scalars import (EXACT, add_ratios, format_number, integer_ratio,
-                      ratio_values)
+                      over_lcm, ratio_values)
 
 OVERFLOW_GUARD_BITS = 500  # abort when any evaluation norm exceeds 2^500
 _NEAR = OVERFLOW_GUARD_BITS - 64  # 2^(_NEAR + 1) sqrt(m) < 2^500, m < 2^126
@@ -63,27 +53,19 @@ def _vector_point(mode: str, norm_kind: str, vector) -> Point:
 
 def _norm(vector, norm_kind: str) -> float:
     nums, den = vector  # n / den rounds as float(Fraction) does
-    if len(nums) == 1:
-        return abs(nums[0] / den)
     return coords_norm([n / den for n in nums], norm_kind)
 
 
 def _bits(vector) -> int:
     """b with every |n / den| below 2^(b + 1)."""
     nums, den = vector
-    return max(map(abs, nums), default=0).bit_length() - den.bit_length()
-
-
-def _step(hi, lo, e: int, s: int, offset=None):
-    """2^e (hi - s lo) + offset."""
-    nums, den = add_ratios(hi, lo, -s)
-    value = ([n << e for n in nums], den) if e >= 0 else (nums, den << -e)
-    return value if offset is None else add_ratios(value, offset)
+    return max(max(nums, default=0), -min(nums, default=0)).bit_length() \
+        - den.bit_length()
 
 
 class OrbitTable:
-    """Memoized values of f on the dyadic orbit x * 2^k, through one
-    :func:`models.orbit`: with ``odd`` (f(y) - f(-y)) / 2, else f(y).
+    """f on the dyadic orbit x * 2^k, through one :func:`models.orbit`:
+    with ``odd`` (f(y) - f(-y)) / 2, else f(y), each argument read once.
     ``point`` makes a vector a point of x's mode and holds no table."""
 
     def __init__(self, func: Callable[[Point], Point], x: Point,
@@ -93,15 +75,11 @@ class OrbitTable:
         self._moves = any(u)  # at x = 0 every k is the one argument 0
         den, parts, self._read = orbit(func, tuple(u), den, x.norm_kind, odd)
         self._parts = {r: (column, den) for r, column in parts}
-        # Degree r adds (2^r - s) 2^(l n (w - r)) times its part to step
-        # n: r = w the same each step, r = 2 through R, other odd r none.
-        self._offsets = {component: self._parts.get(w) and (
-            [((1 << w) - s) * c for c in self._parts[w][0]], den)
-            for component, (w, s) in _STEPS.items()}
         # An odd part at x * 2^k is below 2^(top + k r + 1), r = 1 or 3.
         self._top = max([_bits(self._parts[r]) for r in (1, 3)
                          if r in self._parts], default=-math.inf)
-        self._rest: dict = {}
+        self._rest: dict = {}  # k -> the rest R(y), (numerators, den)
+        self._plain = None  # with odd, f(x)'s rest
         self.point = partial(_vector_point, x.mode, x.norm_kind)
 
     def _whole(self, k: int, rest, degrees=(1, 3)):
@@ -112,31 +90,53 @@ class OrbitTable:
                                   if k >= 0 else (column, den << -k * r))
         return rest
 
-    def rest(self, k: int) -> tuple:
-        """(f(y) or None, R(y), b), |R_j| < 2^(b + 1), at y = x * 2^k: the
-        rest, read once and guarded whole by a bit-length bound."""
-        k = k if self._moves else 0
-        entry = self._rest.get(k)
-        if entry is None:
-            try:
-                plain, value = self._read(k)
-            except OverflowError as exc:
-                raise OverflowGuardError(
-                    f"evaluation overflowed float range: {exc}") from exc
-            if not self._odd:
-                plain = value = self._whole(k, value, (2,))
-            bits = _bits(value)  # two parts and R add two bits
-            if max(bits, self._top + k * (3 if k >= 0 else 1)) + 2 > _NEAR:
-                self.guard(self._whole(k, value))
-            entry = self._rest[k] = plain, value, bits
-        return entry
+    def column(self, ks) -> tuple:
+        """(columns, den, error): per output, R at y = x * 2^k for the ks
+        in order, over one den.  New ks are read in one batch, or if that
+        raises one at a time; the columns stop at the first k whose read
+        raises or whose whole value trips the guard, with its ``error``."""
+        ks = ks if self._moves else [0] * len(ks)
+        new, error = [k for k in dict.fromkeys(ks) if k not in self._rest], None
+        try:  # what any read raises is raised at its step, so it waits
+            batches = [(new, self._read(new))] if new else []
+        except Exception:
+            batches = []
+            for k in new:
+                try:
+                    batches.append(([k], self._read([k])))
+                except Exception as exc:
+                    error = exc
+                    break
+        if isinstance(error, OverflowError):  # the guard's, caused by it
+            error, error.__cause__ = OverflowGuardError(
+                f"evaluation overflowed float range: {error}"), error
+        for read, (den, rows, plain) in batches:  # or f(y) less odd parts
+            self._rest.update(zip(read, zip(rows, repeat(den))) if self._odd
+                              else [(k, self._whole(k, (row, den), (2,)))
+                                    for k, row in zip(read, rows)])
+            self._plain = self._plain or plain and (plain, den)
+        den, rows = over_lcm(list(takewhile(bool, map(self._rest.get, ks))))
+        if max(_bits((tuple(chain.from_iterable(rows)), den)),
+               self._top + 3 * max([1, *ks])) + 2 > _NEAR:  # 2 parts, 2 bits
+            for at, (k, row) in enumerate(zip(ks, rows)):
+                try:
+                    self.guard(self._whole(k, (row, den)))
+                except OverflowGuardError as exc:
+                    rows, error = rows[:at], exc
+                    break
+        return list(zip(*rows)), den, error  # no columns if no rows
 
-    def entry(self, k: int) -> tuple:
-        """(f(y), or None at k != 0 if odd, table value) at x * 2^k."""
-        plain, rest, _ = self.rest(k)
-        value = self._whole(k, rest)
-        return (plain and self._whole(k, plain, (1, 2, 3)) if self._odd
-                else value), value
+    def read(self, ks) -> list:
+        """f's table values at y = x * 2^k for the ks, or what one raised."""
+        columns, den, error = self.column(ks)
+        if error is not None:
+            raise error
+        return [self._whole(k, (row, den)) for k, row in zip(ks, zip(*columns))]
+
+    def entry(self) -> tuple:
+        """(f(x), odd part) at x, on an odd table."""
+        value, = self.read([0])
+        return self._whole(0, self._plain, (1, 2, 3)), value
 
     def guard(self, vector) -> None:
         """The overflow guard on the vector's norm."""
@@ -155,28 +155,26 @@ def odd_part(f) -> Callable[[Point], Point]:
     """x -> (f(x) - f(-x)) / 2, the odd value of x's orbit table."""
     def odd(x: Point) -> Point:
         table = OrbitTable(f, x)
-        return table.point(table.entry(0)[1])
+        return table.point(table.entry()[1])
     return odd
 
 
-def _transform(f, component: str) -> Callable[[Point], Point]:
-    """x -> f(2x) - s f(x), the component's step at n = 0."""
+def _transform(f, s: int) -> Callable[[Point], Point]:
+    """x -> f(2x) - s f(x), read from x's orbit table."""
     def transform(x: Point) -> Point:
         table = OrbitTable(f, x, odd=False)
-        return table.point(_step(table.rest(1)[1], table.rest(0)[1], 0,
-                                 _STEPS[component][1],
-                                 table._offsets[component]))
+        return table.point(add_ratios(*table.read([1, 0]), -s))
     return transform
 
 
 def h_transform(f) -> Callable[[Point], Point]:
     """x -> f(2x) - 8 f(x); kills cubic content, -6 times the additive part."""
-    return _transform(f, "additive")
+    return _transform(f, 8)
 
 
 def g_transform(f) -> Callable[[Point], Point]:
     """x -> f(2x) - 2 f(x); kills additive content, 6 times the cubic part."""
-    return _transform(f, "cubic")
+    return _transform(f, 2)
 
 
 class IterationTrace:
@@ -184,13 +182,12 @@ class IterationTrace:
     ``steps`` hold each step less ``offset``, the same at every step."""
 
     def __init__(self, direction: int, weight: int,
-                 to_point: Callable[[object], Point], offset=None):
+                 to_point: Callable[[object], Point], offset, steps: list,
+                 cauchy_gaps: list[float], converged_at: int | None):
         self.direction, self.weight = direction, weight
         self.to_point, self.offset = to_point, offset
-        self.steps: list = []
-        self.cauchy_gaps: list[float] = []
-        self.converged = False
-        self.converged_at: int | None = None
+        self.steps, self.cauchy_gaps = steps, cauchy_gaps
+        self.converged, self.converged_at = converged_at is not None, converged_at
 
     def vector(self, n: int):
         step = self.steps[n]
@@ -211,7 +208,7 @@ class IterationTrace:
 
 
 def _iterate(f, x: Point, l: int, component: str, n_steps: int,
-             phi: ControlFunction | None) -> IterationTrace:
+             phi: ControlFunction | None, depth: int | None) -> IterationTrace:
     require_direction(l)
     if n_steps < 1:
         raise ValueError("iteration count must be at least 1")
@@ -219,51 +216,65 @@ def _iterate(f, x: Point, l: int, component: str, n_steps: int,
         f = OrbitTable(f, x, odd=False)
     elif f.x != x:
         raise ValueError("orbit table belongs to another point")
-    offset = f._offsets[component]
-    trace = IterationTrace(l, bounds_mod.COMPONENT_WEIGHTS[component],
-                           f.point, offset)
-    depth = None if phi is None else bounds_mod.certified_depth(component,
-                                                                 phi, l)
-    if depth is not None and depth <= n_steps:
-        trace.converged, trace.converged_at = True, depth
-        n_steps = depth
     w, s = _STEPS[component]
-    near = offset is not None and _bits(offset) + 1 > _NEAR  # offset alone
-    steps, gaps = trace.steps, trace.cauchy_gaps
-    for n in range(n_steps + 1):
-        # 2^e (R(k + 1) - s R(k)), k = -l n, e = l n w; R's bits bound it.
-        hi, lo = (1 - l * n, -l * n) if f._moves else (0, 0)
-        _, hi_value, hi_bits = f._rest.get(hi) or f.rest(hi)
-        _, lo_value, lo_bits = f._rest.get(lo) or f.rest(lo)
-        e = l * n * w
-        value = _step(hi_value, lo_value, e, s)
-        if near or max(hi_bits, lo_bits + 3) + 2 + e > _NEAR:
-            f.guard(value if offset is None else add_ratios(value, offset))
-        if n:
-            gaps.append(_norm(add_ratios(value, steps[-1], -1), x.norm_kind))
-        steps.append(value)
-    return trace
+    # Degree r adds (2^r - s) 2^(l n (w - r)) times its part to step n:
+    # r = w the same each step, r = 2 through R, other odd r none.
+    column, part_den = f._parts.get(w, (None, 1))
+    offset = column and ([((1 << w) - s) * c for c in column], part_den)
+    if depth is None and phi is not None:
+        depth = bounds_mod.certified_depth(component, phi, l)
+    depth = depth if depth is not None and depth <= n_steps else None
+    n_steps = depth or n_steps
+    # Step n reads k = 1 - l n and -l n: 1 and 0, then one new k per step.
+    columns, den, error = f.column(
+        range(1, -n_steps - 1, -1) if l > 0 else [1, 0, *range(2, n_steps + 2)])
+    run = min(n_steps + 1, len(columns[0] if columns else ()) - 1)
+    if l < 0:  # in k order 0, 1, 2, ...: step n reads n + 1 and n
+        columns = [c[1::-1] + c[2:] for c in columns]
+    # Step n, (R(k + 1) - s R(k)) at c[n + (l < 0)] and c[n + (l > 0)],
+    # shifted by l n w less the lowest, which goes into the one den.
+    last = 0 if l > 0 else n_steps * w
+    den <<= last
+    columns = [[(a - s * b) << e for a, b, e in zip(
+        c[l < 0:], c[l > 0:], range(last, last + l * run * w, l * w))]
+        for c in columns]
+    steps = list(zip(zip(*columns), repeat(den)))
+    # A step and an offset each below 2^_NEAR stay below the guard.
+    if max(_bits((tuple(chain.from_iterable(columns)), den)),
+           _bits(offset or ((), 1))) >= _NEAR:
+        for step in steps:
+            f.guard(step if offset is None else add_ratios(step, offset))
+    if run <= n_steps:  # a read of step run raised
+        raise error
+    gaps = [[b - a for a, b in zip(c, c[1:])] for c in columns]
+    gaps = [abs(gap) / den for gap in gaps[0]] if len(gaps) == 1 \
+        else [_norm((gap, den), x.norm_kind) for gap in zip(*gaps)]
+    return IterationTrace(l, bounds_mod.COMPONENT_WEIGHTS[component],
+                          f.point, offset, steps, gaps, depth)
 
 
 def additive_iterate(f, x: Point, l: int, n_steps: int = DEFAULT_N_MAX,
-                     phi: ControlFunction | None = None) -> IterationTrace:
+                     phi: ControlFunction | None = None, *,
+                     depth: int | None = None) -> IterationTrace:
     """values[n] = 2^(ln) [f(x / 2^(l(n-l))) - 8 f(x / 2^(ln))].
 
     On exact solutions every value equals H(x).  Given the envelope
-    ``phi`` the run stops at the certified depth, converged, when that is
-    at most ``n_steps``; otherwise it runs ``n_steps``, not converged.
-    Only the growth guard (direction -1 with fast-growing f) raises.
+    ``phi``, or its certified ``depth``, the run stops at that depth,
+    converged, when it is at most ``n_steps``; otherwise it runs
+    ``n_steps``, not converged.  Only the growth guard (direction -1 with
+    fast-growing f) raises.
     """
-    return _iterate(f, x, l, "additive", n_steps, phi)
+    return _iterate(f, x, l, "additive", n_steps, phi, depth)
 
 
 def cubic_iterate(f, x: Point, l: int, n_steps: int = DEFAULT_N_MAX,
-                  phi: ControlFunction | None = None) -> IterationTrace:
+                  phi: ControlFunction | None = None, *,
+                  depth: int | None = None) -> IterationTrace:
     """values[n] = 8^(ln) [f(x / 2^(l(n-l))) - 2 f(x / 2^(ln))].
 
     Same stopping behavior as :func:`additive_iterate`.
     """
-    return _iterate(f, x, l, "cubic", n_steps, phi)
+    return _iterate(f, x, l, "cubic", n_steps, phi, depth)
 
 
 class ProbeResult(NamedTuple):
@@ -286,7 +297,7 @@ def uniqueness_probe(f, x: Point, l: int, component: str, n1: int, n2: int,
         raise ValueError("probe depths must differ")
     if min(n1, n2) < 1:
         raise ValueError("iteration count must be at least 1")
-    trace = _iterate(f, x, l, component, max(n1, n2), None)
+    trace = _iterate(f, x, l, component, max(n1, n2), None, None)
     gap = _norm(add_ratios(trace.steps[n1], trace.steps[n2], -1), x.norm_kind)
     tail = None
     if phi is not None:
@@ -391,14 +402,6 @@ class RecoveryReport:
         }
 
 
-def resolve_directions(phi: ControlFunction, l_additive="auto",
-                       l_cubic="auto") -> tuple[int, int]:
-    auto_add, auto_cub = bounds_mod.auto_directions(phi)
-    l_a = auto_add if l_additive == "auto" else require_direction(l_additive)
-    l_c = auto_cub if l_cubic == "auto" else require_direction(l_cubic)
-    return l_a, l_c
-
-
 def _gaps_within_tails(trace: IterationTrace, series, phi) -> bool:
     """Each gap at step n at most the tail at n - 1, 2 rho^(n-1) series."""
     ratio = bounds_mod.term_ratio(trace.weight, phi, trace.direction)
@@ -425,13 +428,17 @@ def recover(f: FuncModel, points: Sequence[Point],
     """
     if phi is None:
         phi = bounds_mod.certify_phi(f)
-    l_add, l_cub = resolve_directions(phi, l_additive, l_cubic)
+    l_add, l_cub = bounds_mod.auto_directions(phi)
+    l_add = l_add if l_additive == "auto" else require_direction(l_additive)
+    l_cub = l_cub if l_cubic == "auto" else require_direction(l_cubic)
 
     mode = points[0].mode if points else EXACT
     norm_kind = points[0].norm_kind if points else "euclidean"
     report = RecoveryReport(direction_additive=l_add, direction_cubic=l_cub,
                             phi=phi, mode=mode, norm_kind=norm_kind,
                             n_max=n_max)
+    depth_a = bounds_mod.certified_depth("additive", phi, l_add)
+    depth_c = bounds_mod.certified_depth("cubic", phi, l_cub)
     for x in points:
         series_a = bounds_mod.series_bound("additive", phi, x, l_add)
         series_c = bounds_mod.series_bound("cubic", phi, x, l_cub)
@@ -442,17 +449,16 @@ def recover(f: FuncModel, points: Sequence[Point],
                 f"(additive l={l_add}, cubic l={l_cub})")
         bound_value = series.upper
         orbit = OrbitTable(f, x)
-        trace_a = additive_iterate(orbit, x, l_add, n_max, phi)
-        trace_c = cubic_iterate(orbit, x, l_cub, n_max, phi)
+        trace_a = additive_iterate(orbit, x, l_add, n_max, depth=depth_a)
+        trace_c = cubic_iterate(orbit, x, l_cub, n_max, depth=depth_c)
         (a_nums, a_den), (c_nums, c_den) = final_a, final_c = (
             trace_a.vector(-1), trace_c.vector(-1))
-        # A = -final / 6 and C = final / 6: ||v - A - C|| is
-        # ||6 v - (C_final - A_final)|| / 6, aligned by shifts.
+        # ||v - A - C|| = ||6 v - (C_final - A_final)|| / 6.
         six = add_ratios(final_c, final_a, -1)
         raw_error, error = [
             _norm((nums, 6 * den), norm_kind) for nums, den in (
                 add_ratios(([6 * n for n in vector[0]], vector[1]), six, -1)
-                for vector in orbit.entry(0))]
+                for vector in orbit.entry())]
         report.points.append(PointRecovery(
             x=x,
             additive=orbit.point(([-n for n in a_nums], 6 * a_den)),

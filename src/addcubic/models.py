@@ -32,7 +32,8 @@ from typing import Callable, Sequence, Union
 
 from . import noise as noise_mod
 from .scalars import (EXACT, FLOAT, ModeMismatchError, Number, add_ratios,
-                      coerce, integer_ratio, ratio_values, require_mode)
+                      coerce, integer_ratio, over_lcm, ratio_values,
+                      require_mode)
 
 EUCLIDEAN = "euclidean"
 MAX = "max"
@@ -298,12 +299,12 @@ class PowerNoise(_Value):
         if exponent < 0:
             raise ValueError("noise exponent must be nonnegative")
         self.__dict__.update(seed=seed, amplitude=amplitude, exponent=exponent,
-                             _amplitude=amplitude.as_integer_ratio(),
-                             _exponent=exponent.as_integer_ratio())
+                             _noise=(seed, amplitude.as_integer_ratio(),
+                                     exponent.as_integer_ratio()))
 
     def evaluate(self, coords, dim_out: int, den: int = 1):
-        return noise_mod.sample(self.seed, coords, self._amplitude,
-                                self._exponent, dim_out, den)
+        seed, amplitude, exponent = self._noise
+        return noise_mod.sample(seed, coords, amplitude, exponent, dim_out, den)
 
 
 class BoundedNoise(PowerNoise):
@@ -370,7 +371,7 @@ class FuncModel(_Value):
                     f"atom {type(atom).__name__} is {d}->{m}, "
                     f"model is {dim_in}->{dim_out}")
         table, den, top, degrees = _fold(atoms, dim_in, dim_out)
-        noise = tuple(a for a in atoms if isinstance(a, PowerNoise))
+        noise = tuple(a._noise for a in atoms if isinstance(a, PowerNoise))
         # ``moment_keys`` are the (r, q) of :meth:`moments`.
         self.__dict__.update(
             dim_in=dim_in, dim_out=dim_out, atoms=atoms,
@@ -383,43 +384,30 @@ class FuncModel(_Value):
         unreduced; otherwise each output is one exact ``Fraction`` in
         exact mode, and that value rounded once in float mode."""
         u, d = (coords, den) if den is not None else integer_ratio(coords)
-        orbit_den, parts, read = self.orbit(u, d, odd=False)
-        value = reduce(add_ratios, [(column, orbit_den) for _, column in parts],
-                       read(0)[0])
+        table_den, parts, read = self.orbit(u, d, odd=False)
+        rest_den, (row,), _ = read((0,)) if self._noise else (
+            table_den, [[0] * self.dim_out], None)
+        value = reduce(add_ratios, [(c, table_den) for _, c in parts],
+                       (row, rest_den))
         return value if den is not None else ratio_values(value, mode)
 
     def orbit(self, u, den: int, odd: bool = True):
-        """f on the dyadic orbit y = x * 2^k of x = u / den, as (one orbit
-        denominator, parts, read): ``parts`` are (r, numerators) of the
-        table's degree-r part at x, 2^(k r) times that at y, and ``read(k)``
-        reads the noise atoms at y as (f(y), value); with ``odd`` the value
-        is (f(y) - f(-y)) / 2 and f(y) is read at k = 0 only."""
+        """f on the dyadic orbit y = x * 2^k of x = u / den, as (D, parts,
+        read): (r, numerators over D) of the table's degree-r part at x,
+        2^(k r) times that at y, and ``read(ks)``, the noise atoms g at each
+        y as (D', rows over D', g(x) with ``odd`` if 0 is in ks, or None),
+        with ``odd`` (g(y) - g(-y)) / 2."""
         if len(u) != self.dim_in:
             raise DimensionMismatchError(
                 f"got {len(u)} coordinates, model domain is {self.dim_in}")
         table, table_den, top = self._folded
-        v, table_den = (*u, den, 1), table_den * den ** top
+        v = (*u, den, 1)
         sums = [[sum([c * v[i] * v[j] * v[k] for c, (i, j, k) in terms])
                  for terms in parts] for parts in table]
-        noise = [noise_mod.orbit(atom.seed, u, den, atom._amplitude,
-                                 atom._exponent, self.dim_out)
-                 for atom in self._noise]
-        orbit_den = math.lcm(table_den, *[noise_den for noise_den, _ in noise])
-        parts = tuple((r, [c * (orbit_den // table_den) for c in column])
-                      for r, column in enumerate(zip(*sums), 1)
-                      if any(column))  # the degree-r part at x, per output
-        reads = [partial(noise_read, orbit_den // noise_den)
-                 for noise_den, noise_read in noise]
-
-        def at(k, odd_part):
-            return reduce(add_ratios, [read(k, odd_part) for read in reads]
-                          or [([0] * self.dim_out, orbit_den)])
-        at = reads[0] if len(reads) == 1 else at
-
-        def read(k):
-            value = at(k, odd)
-            return (at(k, False) if k == 0 else None) if odd else value, value
-        return orbit_den, parts, read
+        return table_den * den ** top, tuple(
+            (r, column) for r, column in enumerate(zip(*sums), 1)
+            if any(column)), partial(noise_mod.orbit, self._noise, u, den,
+                                     self.dim_out, odd)
 
     def moments(self, u, v, den: int) -> tuple[list[list[int]], int]:
         """The folded table at (a u + b v) / den, expanded in (a, b).
@@ -514,18 +502,21 @@ def evaluate(f: Callable[[Point], Point], coords, mode: str, norm_kind: str,
 def orbit(f: Callable[[Point], Point], u, den: int, norm_kind: str,
           odd: bool = True):
     """:meth:`FuncModel.orbit`, or for any other callable no parts and a
-    ``read`` that calls it at y, and with ``odd`` at -y too."""
+    ``read`` that calls it at each y, and with ``odd`` at -y too, over the
+    values' least common denominator."""
     if isinstance(f, FuncModel):
         return f.orbit(u, den, odd)
 
-    def read(k):
-        coords, d = ([c << k for c in u], den) if k >= 0 else (u, den << -k)
-        plus = evaluate(f, coords, EXACT, norm_kind, d)
-        if not odd:
-            return plus, plus
-        minus = evaluate(f, [-c for c in coords], EXACT, norm_kind, d)
-        nums, out_den = add_ratios(plus, minus, -1)
-        return plus, (nums, out_den << 1)
+    def read(ks):
+        ys = [([c << max(k, 0) for c in u], den << max(-k, 0)) for k in ks]
+        values = [evaluate(f, y, EXACT, norm_kind, d) for y, d in ys]
+        at_x = [values[ks.index(0)]] if odd and 0 in ks else []  # f(x)
+        if odd:  # (f(y) - f(-y)) / 2
+            values = [(nums, d << 1) for nums, d in [add_ratios(
+                value, evaluate(f, [-c for c in y], EXACT, norm_kind, d), -1)
+                for value, (y, d) in zip(values, ys)]]
+        out_den, rows = over_lcm(values + at_x)  # f(x), last
+        return out_den, rows[:len(ks)], rows[-1] if at_x else None
     return 1, (), read
 
 

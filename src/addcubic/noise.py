@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import add
 
 try:  # on CPython, hashlib.blake2b is this same function
     from _blake2 import blake2b
@@ -87,50 +88,57 @@ def sample(seed: int, coords, amplitude: tuple[int, int],
     """Noise (numerators, denominator) at ``coords`` over ``den``; its norm
     is at most amplitude * (max_i |x_i|)^exponent, so at most amplitude *
     ||x||^exponent, exactly."""
-    read = orbit(seed, coords, den, amplitude, exponent, dim_out)[1]
-    return read(1, 0, False)
+    out_den, (row,), _ = orbit([(seed, amplitude, exponent)], coords, den,
+                               dim_out, False, (0,))
+    return row, out_den
 
 
-def orbit(seed: int, coords, den: int, amplitude: tuple[int, int],
-          exponent: tuple[int, int], dim_out: int):
-    """:func:`sample` on the orbit y = x * 2^k of x = coords / den, as
-    (B, read): ``read(cofactor, k, odd)`` is N(y), or with ``odd``
-    (N(y) - N(-y)) / 2, over cofactor * B times 2^j.  The scale at y is
-    that at x times 2^(k p) for an integer p (den^p is in B once), and a
-    fractional p's float b^p has a power-of-two denominator."""
-    (a_num, a_den), (p_num, p_den) = amplitude, exponent
-    base = max(map(abs, coords))
-    if a_num == 0 or (p_num and not base):  # zero everywhere
-        return 1, lambda cofactor, k, odd: ([0] * dim_out, cofactor)
-    # _scale's power check passes at y = x * 2^k iff k_low <= k <= k_high.
-    room = MAX_POWER_BITS // p_num if p_num and p_den == 1 else math.inf
-    k_low, k_high = den.bit_length() - room, room - base.bit_length()
-    k_low, k_high = (k_low, k_high) if k_low <= 0 <= k_high else (1, 0)
-    fixed, scale_den = (  # over a_den 2^(30 + j) at y for a fractional p
-        (None, a_den * _POWER_SAFETY[1]) if p_den != 1
-        else _scale(coords, den, amplitude, exponent) if k_low <= 0 <= k_high
-        else (0, 1))  # too wide at x, so at every y: each read raises
-    orbit_den = scale_den * dim_out << (VALUE_BITS + 1)  # 1/m, 2^-20, 1/2
-
-    def read(cofactor: int, k: int, odd: bool):
-        shift, d, b = ((QUANT_BITS + k, den, base << k) if k >= 0
-                       else (QUANT_BITS, den << -k, base))
-        if fixed is not None:
-            if not k_low <= k <= k_high:
-                _scale((b,), d, amplitude, exponent)  # raises as at y
-            scale, e = fixed * cofactor, 1 - odd + k * p_num
-        else:
-            scale, at_y = _scale((b,), d, amplitude, exponent)
-            scale *= cofactor
-            e = 1 - odd + scale_den.bit_length() - at_y.bit_length()
-        scale, out_den = ((scale << e, orbit_den * cofactor) if e >= 0
-                          else (scale, orbit_den * cofactor << -e))
-        plus = tuple([(u << shift) // d for u in coords])
-        if not odd:
-            return [scale * _direction_component(seed, plus, i)
-                    for i in range(dim_out)], out_den
-        minus = tuple([(-u << shift) // d for u in coords])
-        return [scale * (_direction_component(seed, plus, i)
-                         - _direction_component(seed, minus, i))
-                for i in range(dim_out)], out_den
-    return orbit_den, read
+def orbit(atoms, coords, den: int, dim_out: int, odd: bool, ks):
+    """The sum N of :func:`sample` over the (seed, amplitude, exponent)
+    ``atoms`` at each y = x * 2^k, k in ``ks``, of x = coords / den: (D,
+    rows over D, N(x) with ``odd`` if 0 is in ks, or None), rows[i] N(y),
+    or with ``odd`` (N(y) - N(-y)) / 2, at ks[i].  An integer p's scale at
+    y is that at x shifted by k p; a fractional p's has a dyadic den part."""
+    base, low, high, terms = max(map(abs, coords)), min([0, *ks]), max(ks), []
+    for seed, amplitude, (p_num, p_den) in atoms:
+        # _scale's power check passes at y = x * 2^k iff k_low <= k <= k_high.
+        room = MAX_POWER_BITS // p_num if p_num and p_den == 1 else math.inf
+        k_low, k_high = den.bit_length() - room, room - base.bit_length()
+        fixed, scale_den = (  # over a_den 2^(30 + j) at y for a fractional p
+            (None, amplitude[1] * _POWER_SAFETY[1]) if p_den != 1
+            else _scale(coords, den, amplitude, (p_num, p_den))
+            if k_low <= 0 <= k_high else (None, 1))  # else _scale raises
+        if fixed is not None and k_low <= low and high <= k_high:
+            top, scales = -low * p_num, [fixed << (k - low) * p_num
+                                         for k in ks]
+        else:  # a fractional p; or _scale raises as at the widest y
+            scales = [_scale((base << max(k, 0),), den << max(-k, 0),
+                             amplitude, (p_num, p_den))
+                      for k in (ks if fixed is None else (high, low))]
+            bits = [y_den.bit_length() - scale_den.bit_length()
+                    for _, y_den in scales]
+            top = max([0, *bits])
+            scales = [scale << top - j for (scale, _), j in zip(scales, bits)]
+        terms.append((seed, scales, scale_den << top))  # over that 2^top
+    total = math.lcm(*[d for _, _, d in terms])
+    # floor(s u 2^(40 + k) / den) per k, s = 1, -1 (without odd, just 1).
+    plus, minus = ([list(zip(*[iter([
+        (v << QUANT_BITS + k) // den if k >= 0 else at_x >> -k
+        for k in ks for v, at_x in signed])] * len(coords)))
+        for signed in [[(s * u, (s * u << QUANT_BITS) // den) for u in coords]
+                       for s in (1, -1)[:1 + odd]]] * 2)[-2:]
+    at = ks.index(0) if odd and 0 in ks else None  # N(x): D is halved
+    values, plain = [0] * (len(ks) * dim_out), [0] * dim_out
+    for seed, scales, scale_den in terms:  # each by its cofactor to total
+        cofactor = total // scale_den
+        scales = scales if cofactor == 1 else [s * cofactor for s in scales]
+        values = list(map(add, values, [scale * (_direction_component(
+            seed, a, i) - (odd and _direction_component(seed, b, i)))
+            for scale, a, b in zip(scales, plus, minus)
+            for i in range(dim_out)]))
+        if at is not None:
+            plain = [t + (scales[at] * _direction_component(
+                seed, plus[at], i) << 1) for i, t in enumerate(plain)]
+    return (total * dim_out << VALUE_BITS + odd if terms else 1,
+            list(zip(*[iter(values)] * dim_out)),
+            None if at is None else tuple(plain))

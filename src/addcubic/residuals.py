@@ -36,14 +36,14 @@ rounded once in float mode, so no float cancellation can pass for a zero.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .models import DimensionMismatchError, FuncModel, Point, evaluate, norm
-from .scalars import EXACT, ModeMismatchError, integer_ratio, ratio_values
+from .scalars import (EXACT, ModeMismatchError, integer_ratio, over_lcm,
+                      ratio_values)
 
 # One term of a rule: coefficient * f(a*x + b*y).
 Term = tuple[Fraction, int, int]
@@ -169,10 +169,8 @@ class TermTables:
         values = [evaluate(f, [a * ui + b * vi for ui, vi in zip(u, v)],
                            EXACT, x.norm_kind, den)
                   for a, b in self.arguments]
-        common = math.lcm(*{d for _, d in values})
-        columns = list(zip(*(nums if d == common
-                             else [n * (common // d) for n in nums]
-                             for nums, d in values)))
+        common, rows = over_lcm(values)
+        columns = list(zip(*rows))
         return [([sum(k * column[i] for k, i in row) for column in columns],
                  common * table_den)
                 for row, table_den in self._integer_rows]

@@ -74,22 +74,21 @@ def ratio_values(vector: tuple[list[int], int], mode: str) -> list:
 
 def add_ratios(a: tuple[list[int], int], b: tuple[list[int], int],
                factor: int = 1) -> tuple[list[int], int]:
-    """a + factor * b for (numerators, denominator) vectors, unreduced; a
-    denominator that is the other's times 2^j is aligned by a shift."""
+    """a + factor * b for (numerators, denominator) vectors, unreduced."""
     (a_nums, a_den), (b_nums, b_den) = a, b
     if a_den == b_den:
         return [p + factor * q for p, q in zip(a_nums, b_nums)], a_den
-    shift = a_den.bit_length() - b_den.bit_length()
-    if shift > 0 and b_den << shift == a_den:
-        return [p + (factor * q << shift)
-                for p, q in zip(a_nums, b_nums)], a_den
-    if shift < 0 and a_den << -shift == b_den:
-        return [(p << -shift) + factor * q
-                for p, q in zip(a_nums, b_nums)], b_den
     g = math.gcd(a_den, b_den)
     a_scale, b_scale = b_den // g, a_den // g
     return ([p * a_scale + factor * q * b_scale
              for p, q in zip(a_nums, b_nums)], a_den * a_scale)
+
+
+def over_lcm(vectors) -> tuple[int, list[list[int]]]:
+    """(D, numerators over D) of the vectors, D their least common den."""
+    den = math.lcm(*{d for _, d in vectors})
+    return den, [nums if d == den else [n * (den // d) for n in nums]
+                 for nums, d in vectors]
 
 
 def parse_rational(text) -> Fraction:

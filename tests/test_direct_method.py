@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from addcubic import (BoundedNoise, Constant, DivergentControlError, Even,
-                      FuncModel, OverflowGuardError, PowerNoise, SumOfPowers,
+from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
+                      DivergentControlError, Even, FuncModel, Linear,
+                      OverflowGuardError, PowerNoise, SumOfPowers,
                       additive_iterate, additive_residual, certify_phi,
                       cubic_1d, cubic_iterate, cubic_residual, even_1d,
                       format_number, g_transform, h_transform, linear_1d,
                       model_1d, norm, odd_part, point, random_cubic,
                       random_linear, random_point, random_rational, recover,
                       solution_1d, uniqueness_probe)
-from addcubic import direct_method
+from addcubic import direct_method, noise
 from addcubic.bounds import uniqueness_tail
 from addcubic.residuals import (ADDITIVE_RULE, CUBIC_RULE, MIXED_RULE,
                                 TermTables)
@@ -246,6 +247,31 @@ def test_guard_trips_at_the_same_step_for_model_and_callable(mode, atoms):
         run(lambda p: f(p))(trip[0] - 1)
 
 
+def test_norm_guard_before_the_power_width_check_wins():
+    # Power noise of exponent 512 at x = 5 * 2^4066: _scale's power-width
+    # check (MAX_POWER_BITS) refuses every x * 2^k from k = 28 on, which
+    # an l = -1 run of 48 steps reads (up to k = 49).  The tiny amplitude
+    # keeps the noise below 2^500 up to k = 6; the norm guard trips at
+    # k = 7, step 6, and that first error is the one raised.
+    p, b = 512, 5 << 4066
+    amplitude = Fraction(1, 1 << (p * 4075 - 700))
+    f, x = model_1d(PowerNoise(3, amplitude, p)), point([b])
+    width = re.escape("evaluation overflowed float range: noise scale "
+                      f"overflow: exponent {p} would form a power of more "
+                      f"than {noise.MAX_POWER_BITS} bits")
+    rest = 1, amplitude.as_integer_ratio(), (p, 1)
+    noise._scale((b << 27,), *rest)
+    with pytest.raises(OverflowError):
+        noise._scale((b << 28,), *rest)
+    with pytest.raises(OverflowGuardError, match=width):
+        additive_iterate(f, point([b << 28]), -1, 1)
+    message = "evaluation norm 4.043239354927012e+258 exceeds 2^500"
+    for iterate in (additive_iterate, cubic_iterate):
+        assert _first_trip(lambda n: iterate(f, x, -1, n)) == (6, message)
+        with pytest.raises(OverflowGuardError, match=re.escape(message)):
+            iterate(f, x, -1, 48)
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_guard_trips_on_a_step_whose_reads_stay_below_it(mode):
     # Noise bounded by 2^420 keeps every read below 2^500, but the l = +1
@@ -292,10 +318,15 @@ def test_early_stop_truncates_trace():
         short = iterate(fo, x, -1, 48, phi)
         assert not full.converged and full.n_steps == 48
         assert short.converged and short.converged_at == short.n_steps == depth
-        assert short.steps == full.steps[:depth + 1]
+        assert _rationals(short.steps) == _rationals(full.steps[:depth + 1])
         capped = iterate(fo, x, -1, depth - 1, phi)
         assert (capped.converged, capped.converged_at, capped.n_steps) \
             == (False, None, depth - 1)
+
+
+def _rationals(steps):
+    # Steps as values: each trace puts its steps over its own denominator.
+    return [[Fraction(n, den) for n in nums] for nums, den in steps]
 
 
 def test_trace_structure_invariants():
@@ -349,6 +380,23 @@ def test_recover_keeps_no_orbit_table_alive(monkeypatch):
     trace = report.points[0].additive_trace
     assert trace.values[-1] is trace.final
     assert len(trace.values) == trace.n_steps + 1
+
+
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_recover_computes_each_certified_depth_once(monkeypatch, count):
+    # phi and the directions are fixed per call, so each component's depth
+    # is computed once per recover, whatever the point count, uncached.
+    calls = []
+    depth = direct_method.bounds_mod.certified_depth
+    monkeypatch.setattr(direct_method.bounds_mod, "certified_depth",
+                        lambda *args: calls.append(args) or depth(*args))
+    phi = SumOfPowers(EPS, 2)
+    points = [point([Fraction(n, 7)]) for n in range(1, count + 1)]
+    report = recover(noisy_solution(), points, phi, 1, -1)
+    assert calls == [("additive", phi, 1), ("cubic", phi, -1)]
+    assert [(p.additive_trace.converged_at, p.cubic_trace.converged_at)
+            for p in report.points] == [(21, 21)] * count
+    assert not hasattr(depth, "cache_info")
 
 
 def test_recover_exact_solution():
@@ -638,14 +686,27 @@ def _bits(values):
     return [v.hex() if isinstance(v, float) else v for v in values]
 
 
+def _spec(atom):
+    """An atom as the (kind, data) pair of ``oracles.atom_sum``."""
+    if isinstance(atom, Linear):
+        return "linear", atom.matrix
+    if isinstance(atom, CubicHomogeneous):
+        return "cubic", atom.terms
+    if isinstance(atom, Even):
+        return "even", atom.matrices
+    return "noise", (atom.seed, atom.amplitude, atom.exponent)
+
+
 def _assert_recover_matches_oracle(f, x, l_additive, l_cubic, phi, n_max,
                                    callable_too=False):
-    # The oracle runs exactly at the value x holds; a float recovery equals
-    # it with each value rounded once.  With ``callable_too`` the model is
-    # also recovered as a plain callable, which has no polynomial part and
-    # is read whole at every argument, and must agree bit for bit.
+    # The oracle runs exactly at the value x holds, on the model summed
+    # term by term (oracles.atom_sum); a float recovery equals it with
+    # each value rounded once.  With ``callable_too`` the model is also
+    # recovered as a plain callable, which has no polynomial part and is
+    # read whole at every argument, and must agree bit for bit.
+    specs = [_spec(atom) for atom in f.atoms]
     expected = oracles.dyadic_recovery(
-        lambda c: tuple(f.evaluate_coords(c, "exact")),
+        lambda c: tuple(oracles.atom_sum(specs, c, f.dim_out)),
         x.to_mode("exact").coords, x.norm_kind, l_additive, l_cubic, n_max,
         phi.power)
 
@@ -674,15 +735,16 @@ DIRECTION_PHI = {(-1, -1): SumOfPowers(EPS, Fraction(1, 2)),
                  (1, 1): SumOfPowers(EPS, 4)}
 
 
-def _atom(kind, rng, d):
+def _atom(kind, rng, d, m=None):
+    m = d if m is None else m
     if kind == "linear":
-        return random_linear(rng, d, d)
+        return random_linear(rng, d, m)
     if kind == "cubic":
-        return random_cubic(rng, d, d)
+        return random_cubic(rng, d, m)
     if kind == "even":
         return Even(tuple(tuple(tuple(random_rational(rng, 9)
                                       for _ in range(d)) for _ in range(d))
-                          for _ in range(d)))
+                          for _ in range(m)))
     if kind == "bounded_noise":
         return BoundedNoise(rng.randint(0, 99), EPS)
     return PowerNoise(rng.randint(0, 99), EPS,
@@ -694,9 +756,20 @@ def _atom(kind, rng, d):
                                            "bounded_noise", "power_noise")),
                           min_size=1))
 def test_recover_matches_uncached_oracle(data, kinds):
-    d = data.draw(st.integers(1, 2), label="dim")
+    # Inputs and outputs of one or two dimensions, so each output is its
+    # own column; a second power noise of another exponent gives a model
+    # two noise atoms, each on the orbit denominator by its own cofactor.
+    d, m = data.draw(st.sampled_from([(1, 1), (2, 2), (1, 2), (2, 1)]),
+                     label="dims")
     rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
-    f = FuncModel(d, d, tuple(_atom(kind, rng, d) for kind in sorted(kinds)))
+    atoms = [_atom(kind, rng, d, m) for kind in sorted(kinds)]
+    exponents = {a.exponent for a in atoms if isinstance(a, PowerNoise)}
+    if data.draw(st.booleans(), label="second power noise"):
+        atoms.append(PowerNoise(rng.randint(0, 99), EPS, data.draw(
+            st.sampled_from(sorted({Fraction(1, 2), Fraction(1), Fraction(2),
+                                    Fraction(5, 2), Fraction(5)} - exponents
+                                   - {0})), label="second exponent")))
+    f = FuncModel(d, m, tuple(atoms))
     coords = data.draw(st.lists(
         st.fractions(min_value=-10, max_value=10, max_denominator=8),
         min_size=d, max_size=d), label="x")
@@ -769,9 +842,9 @@ def test_recover_counts_hold_at_the_model_entry(monkeypatch, mode, coords):
         assert odd
         orbit_den, parts, read = orbit(model, u, den, odd)
 
-        def counted(k):
-            calls.append((u, den, k))
-            return read(k)
+        def counted(ks):
+            calls.extend((u, den, k) for k in ks)
+            return read(ks)
         return orbit_den, parts, counted
 
     def counted_entry(model, *args, **kwargs):

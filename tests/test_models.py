@@ -427,18 +427,23 @@ def test_noise_orbit_raises_where_the_scale_does(coords, den):
     # Along the orbit an integer-p scale is a shift of the scale at x, so
     # the reader repeats _scale's power check at each argument: it raises
     # exactly where _scale at y does, with its message.
+    # A batch raises the message of its first such k.
     amplitude, exponent = (1, 1000), (4096, 1)
-    read = noise.orbit(9, coords, den, amplitude, exponent, 2)[1]
-    for k in range(-20, 21):
+    ks, first = range(-20, 21), None
+    for k in ks:
         y, d = ([u << k for u in coords], den) if k >= 0 \
             else (coords, den << -k)
         try:
             noise._scale(y, d, amplitude, exponent)
         except OverflowError as exc:
+            first = first or str(exc)
             with pytest.raises(OverflowError, match=re.escape(str(exc))):
-                read(1, k, True)
+                noise.orbit([(9, amplitude, exponent)], coords, den, 2, True, [k])
         else:
-            read(1, k, True)
+            noise.orbit([(9, amplitude, exponent)], coords, den, 2, True, [k])
+    assert first is not None
+    with pytest.raises(OverflowError, match=re.escape(first)):
+        noise.orbit([(9, amplitude, exponent)], coords, den, 2, True, ks)
 
 
 def test_noise_atoms_in_models():
@@ -610,20 +615,28 @@ def test_odd_entry_matches_two_calls(data):
                           for v, c in zip(values, column)]
         return values
 
+    # Each k is read alone and in one batch of all of them.
     odd_orbit, plain_orbit = f.orbit(u, den), f.orbit(u, den, odd=False)
-    for k in [0, *ks]:
+    odd_den, odd_columns, _ = odd_orbit[2]([0, *ks])
+    plain_den, plain_columns, batch_plain = plain_orbit[2]([0, *ks])
+    assert batch_plain is None
+    for k, odd_column, plain_column in zip([0, *ks], odd_columns,
+                                           plain_columns):
         y, y_den = ([c << k for c in u], den) if k >= 0 else (u, den << -k)
         plus = at(*f.evaluate_coords(y, "exact", den=y_den))
         minus = at(*f.evaluate_coords([-c for c in y], "exact", den=y_den))
-        total, value = odd_orbit[2](k)
-        assert whole(odd_orbit, k, value, (1, 3)) \
+        out_den, (value,), total = odd_orbit[2]([k])
+        assert whole(odd_orbit, k, (value, out_den), (1, 3)) \
+            == whole(odd_orbit, k, (odd_column, odd_den), (1, 3)) \
             == [(p - q) / 2 for p, q in zip(plus, minus)]
         assert (total is None) == (k != 0)
         if k == 0:
-            assert whole(odd_orbit, k, total, (1, 2, 3)) == plus
-        total, value = plain_orbit[2](k)
-        assert total is value
-        assert whole(plain_orbit, k, value, (1, 2, 3)) == plus
+            assert whole(odd_orbit, k, (total, out_den), (1, 2, 3)) == plus
+        out_den, (value,), total = plain_orbit[2]([k])
+        assert total is None
+        assert whole(plain_orbit, k, (value, out_den), (1, 2, 3)) \
+            == whole(plain_orbit, k, (plain_column, plain_den), (1, 2, 3)) \
+            == plus
 
 
 @pytest.mark.parametrize("norm_kind", NORM_KINDS)
@@ -637,12 +650,12 @@ def test_odd_entry_calls_a_plain_callable_twice(norm_kind):
 
     orbit_den, parts, read = orbit(f, (3,), 4, norm_kind)
     assert parts == ()
-    value, odd = read(0)
+    den, (odd,), value = read([0])
     assert [p.coords for p in calls] == [(Fraction(3, 4),), (Fraction(-3, 4),)]
     assert all(p.norm_kind == norm_kind for p in calls)
     plus, minus = (model(point([c])).coords for c in ("3/4", "-3/4"))
-    assert [Fraction(n, value[1]) for n in value[0]] == list(plus)
-    assert [Fraction(n, odd[1]) for n in odd[0]] == [(plus[0] - minus[0]) / 2]
+    assert [Fraction(n, den) for n in value] == list(plus)
+    assert [Fraction(n, den) for n in odd] == [(plus[0] - minus[0]) / 2]
 
 
 @pytest.mark.parametrize("norm_kind", NORM_KINDS)
@@ -660,12 +673,12 @@ def test_orbit_guard_trips_where_the_plain_norm_does(norm_kind, m):
             x = point([Fraction(1, 3)], norm_kind=norm_kind)
             magnitude = coords_norm([Fraction(c, 3)] * m, norm_kind)
             if magnitude <= 2.0 ** 500:
-                OrbitTable(f, x).entry(0)
+                OrbitTable(f, x).entry()
                 continue
             tripped += 1
             with pytest.raises(OverflowGuardError, match=re.escape(
                     f"evaluation norm {magnitude!r} exceeds 2^500")):
-                OrbitTable(f, x).entry(0)
+                OrbitTable(f, x).entry()
     assert 0 < tripped < 40
 
 
@@ -677,7 +690,7 @@ def test_noise_directions_are_cached_without_changing_values():
 
     def values(x):  # a float point's odd part is read at its integer ratio
         ints, den = integer_ratio(x.coords)
-        return f(x).coords, f(-x).coords, f.orbit(tuple(ints), den)[2](0)
+        return f(x).coords, f(-x).coords, f.orbit(tuple(ints), den)[2]([0])
 
     cold = [values(x) for x in xs]
     assert noise._direction_component.cache_info().currsize > 0
@@ -711,8 +724,10 @@ def test_bounded_noise_is_power_noise_of_exponent_zero(mode):
         for odd in (True, False):
             orbits = [f.orbit(u, den, odd) for f in models]
             assert orbits[0][:2] == orbits[1][:2]
-            for k in (-6, -1, 0, 1, 5, 40):
-                assert orbits[0][2](k) == orbits[1][2](k)
+            ks = (-6, -1, 0, 1, 5, 40)
+            assert orbits[0][2](ks) == orbits[1][2](ks)
+            for k in ks:
+                assert orbits[0][2]([k]) == orbits[1][2]([k])
 
 
 # ---------------------------------------------------------------------------
