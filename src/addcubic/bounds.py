@@ -7,13 +7,14 @@ The recovery error bounds are geometric-type series
     combined:  (1/12) * sum_{i=i0}^inf (2^(i*l) + 8^(i*l)) * phi(...)
 
 with i0 = |l-1|/2, i.e. terms start at i = 0 for l = +1 and i = 1 for
-l = -1.  Truncation is certified: for every supported control function the
-term ratio is an exact geometric constant, so a partial sum always comes
-with a tail bound and the true value lies in [partial, partial + tail].
-Divergence (term ratio >= 1) is reported as a status, never as a silently
-huge number; for power control functions this happens exactly at exponent
-1 (additive part) and 3 (cubic part).  The ratio also fixes the depth of
-the direct-method iterates, :func:`certified_depth`.
+l = -1.  Every supported control function is homogeneous on the diagonal,
+so each component series is one geometric sum, its first term over 1 - rho
+with rho = 2^e (:func:`series_exponent`), summed in closed form and rounded
+outward (Moore, *Interval Analysis*, 1966): the true value lies in
+[partial_sum, upper].  Divergence (e >= 0) is reported as a status, never
+as a silently huge number; for power control functions this happens
+exactly at exponent 1 (additive part) and 3 (cubic part).  The exponent
+also fixes the depth of the direct-method iterates, :func:`certified_depth`.
 """
 
 from __future__ import annotations
@@ -24,17 +25,12 @@ from typing import NamedTuple
 
 from .models import (Constant, ControlFunction, FuncModel, Linear,
                      CubicHomogeneous, PowerNoise, Point, ProductOfPowers,
-                     SumOfPowers, norm, phi_degree, phi_diagonal)
+                     SumOfPowers, norm, phi_degree, phi_value)
 from .noise import _POWER_SAFETY
 from .residuals import ABS_COEFFICIENT_SUM
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
-INCONCLUSIVE = "inconclusive"
-
-MAX_TERMS = 512
-DIVERGENCE_EPS = 1e-12   # ratios at least 1 - this are treated as non-shrinking
-DIVERGENCE_RUN = 8       # consecutive non-shrinking terms before giving up
 
 COMPONENT_WEIGHTS = {"additive": 2, "cubic": 8}
 TAIL_BITS = 20  # an iterate stops once its tail is at most 2^-20 of its bound
@@ -52,7 +48,7 @@ class CertificationError(ValueError):
 
 
 class SeriesResult(NamedTuple):
-    """A certified truncation: true value in [partial_sum, partial_sum + tail_bound]."""
+    """A closed form rounded outward: true value in [partial_sum, upper]."""
 
     partial_sum: float
     tail_bound: float
@@ -65,81 +61,77 @@ class SeriesResult(NamedTuple):
         return self.partial_sum + self.tail_bound
 
 
-def start_index(l: int) -> int:
-    """First summation index: 0 for l = +1, 1 for l = -1 (that is |l-1|/2)."""
-    return abs(l - 1) // 2
-
-
 def require_direction(l: int) -> int:
     if l not in (-1, 1):
         raise ValueError(f"direction must be -1 or +1, got {l!r}")
     return l
 
 
+def series_exponent(weight: int, phi: ControlFunction, l: int) -> Fraction:
+    """e = l * (log2 w - deg phi), exact; the series converges iff e < 0."""
+    require_direction(l)
+    degree = phi_degree(phi)  # in integers: Fraction arithmetic takes 2.5x
+    return Fraction(l * ((weight.bit_length() - 1) * degree.denominator
+                         - degree.numerator), degree.denominator)
+
+
 def term_ratio(weight: int, phi: ControlFunction, l: int) -> float:
-    """rho = w^l * 2^(-l*p), the term ratio of one component's series."""
-    return 2.0 ** (l * (weight.bit_length() - 1 - float(phi_degree(phi))))
+    """rho = 2^e = w^l * 2^(-l*p), the term ratio of one component's series."""
+    return 2.0 ** float(series_exponent(weight, phi, l))
+
+
+def _pad(phi: ControlFunction, argument: Point) -> float:
+    """Relative half-width (12 + d (2 + |ln ||z|||/2)) 2^-52 of an enclosure.
+
+    d = deg phi, z is the first argument, u = 2^-53.  First-order relative
+    errors: ||z|| 3u (a rounding per coordinate; Euclidean: square, fsum,
+    sqrt); each pow ||z||^q 3q u, 2u (1 ulp) and q |ln ||z||| u (q rounded
+    to a float); so phi(z, z), with theta and two products, 7u + 3d u +
+    d |ln ||z||| u.  1 - rho = -expm1(e ln 2): 5u (3u in e ln 2, damped by
+    |y| e^y / (1 - e^y) < 1 at y < 0; 2u in expm1).  The division u, the
+    rounding by 1 -+ pad 2u, :func:`merge_series` 4u.  Like the theta pad
+    of certify_phi, the pad exceeds the total, by 5u + d u for
+    second-order terms, while every value stays in the normal float range.
+    """
+    degree = float(phi_degree(phi))
+    spread = 2.0 + abs(math.log(norm(argument))) / 2.0 if degree else 0.0
+    return (12.0 + degree * spread) * 2.0 ** -52
 
 
 def _component_series(weight: int, phi: ControlFunction, x: Point, l: int,
-                      tol: float, prefactor: float = 0.5,
+                      prefactor: float = 0.5,
                       extra_offset: int = 0) -> SeriesResult:
-    """Certified truncation of prefactor * sum w^(il) phi(x/2^(l(i+l)), same).
+    """prefactor * sum w^(il) phi(x/2^(l(i+l)), same) in closed form.
 
-    ``extra_offset`` shifts the start index (used by the uniqueness tails);
-    the term ratio is :func:`term_ratio`, exact for all three families.
-    The first term is evaluated at its actual argument; later terms follow
-    the exact geometric recurrence, which keeps deep tails free of float
-    overflow and underflow artifacts.
+    ``extra_offset`` shifts the start index (used by the uniqueness tails).
+    The first term is evaluated at its actual argument; the sum is that
+    term over 1 - rho, rounded outward by :func:`_pad`.
     """
-    require_direction(l)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    w_bits = weight.bit_length() - 1  # 2 -> 1, 8 -> 3
-    ratio = term_ratio(weight, phi, l)
-
-    i0 = start_index(l) + extra_offset
-    first_argument = x.scale(Fraction(1, 2) ** (l * (i0 + l)))
-    term = prefactor * 2.0 ** (l * i0 * w_bits) * phi_diagonal(phi, first_argument)
-    if term == 0.0:
-        # The diagonal is identically zero (zero phi, or homogeneous phi at
-        # the origin), so the whole series is exactly zero.
+    exponent = series_exponent(weight, phi, l)
+    i0 = abs(l - 1) // 2 + extra_offset  # 0 for l = +1, 1 for l = -1
+    argument = x.scale(Fraction(1, 2) ** (l * (i0 + l)))
+    first = (prefactor * 2.0 ** (l * i0 * (weight.bit_length() - 1))
+             * phi_value(phi, argument, argument))
+    if first == 0.0:
+        # zero phi, or homogeneous phi at the origin: every term is zero
         return SeriesResult(0.0, 0.0, 1, CONVERGED)
-
-    partial = 0.0
-    flat = ratio >= 1.0 - DIVERGENCE_EPS  # a ratio that does not shrink
-    remainder = 1.0 - ratio
-    for terms in range(1, MAX_TERMS + 1):
-        partial += term
-        if flat:
-            if terms >= DIVERGENCE_RUN:
-                return SeriesResult(partial, math.inf, terms, DIVERGED)
-        else:
-            tail = term * ratio / remainder
-            if tail <= tol * (partial if partial > 1.0 else 1.0):
-                return SeriesResult(partial, tail, terms, CONVERGED)
-        term *= ratio
-    # Term cap reached; `term` already holds the next, not yet added, term.
-    tail = term / (1.0 - ratio) if ratio < 1.0 else math.inf
-    status = INCONCLUSIVE if math.isfinite(tail) else DIVERGED
-    return SeriesResult(partial, tail, terms, status)
+    if exponent >= 0:
+        return SeriesResult(first, math.inf, 1, DIVERGED)
+    value = first / -math.expm1(float(exponent) * math.log(2.0))
+    pad = _pad(phi, argument)
+    low, high = value * (1.0 - pad), value * (1.0 + pad)
+    # high - low is exact (Sterbenz); for an overflowed inf it is taken as 0
+    return SeriesResult(low, high - low if low < high else 0.0, 1, CONVERGED)
 
 
 def merge_series(a, b, scale: float) -> SeriesResult:
-    statuses = {a.status, b.status}
-    if DIVERGED in statuses:
-        status = DIVERGED
-    elif INCONCLUSIVE in statuses:
-        status = INCONCLUSIVE
-    else:
-        status = CONVERGED
+    status = DIVERGED if DIVERGED in (a.status, b.status) else CONVERGED
     return SeriesResult(scale * (a.partial_sum + b.partial_sum),
                         scale * (a.tail_bound + b.tail_bound),
                         max(a.terms_used, b.terms_used), status)
 
 
-def series_bound(kind: str, phi: ControlFunction, x: Point, l,
-                 tol: float = 1e-12) -> SeriesResult:
+def series_bound(kind: str, phi: ControlFunction, x: Point, l) -> SeriesResult:
     """Bound series of the requested kind at x.
 
     ``kind`` is "additive", "cubic" or "combined".  For "combined", ``l``
@@ -148,24 +140,24 @@ def series_bound(kind: str, phi: ControlFunction, x: Point, l,
     the (1/12) * sum (2^(il) + 8^(il)) phi form when both directions agree.
     """
     if kind in COMPONENT_WEIGHTS:
-        return _component_series(COMPONENT_WEIGHTS[kind], phi, x, l, tol)
+        return _component_series(COMPONENT_WEIGHTS[kind], phi, x, l)
     if kind != "combined":
         raise ValueError(f"unknown series kind {kind!r}")
     l_add, l_cub = (l, l) if isinstance(l, int) else tuple(l)
-    s_add = _component_series(2, phi, x, l_add, tol)
-    s_cub = _component_series(8, phi, x, l_cub, tol)
+    s_add = _component_series(2, phi, x, l_add)
+    s_cub = _component_series(8, phi, x, l_cub)
     return merge_series(s_add, s_cub, 1.0 / 6.0)
 
 
 def uniqueness_tail(component: str, phi: ControlFunction, x: Point, l: int,
-                    n: int, tol: float = 1e-12) -> SeriesResult:
+                    n: int) -> SeriesResult:
     """Tail series sum_{i=n+i0}^inf w^(il) phi(...) bounding limit ambiguity.
 
     Two runs of the same iteration truncated at N1 < N2 can differ by at
     most this tail evaluated at n = N1: 2 rho^n times the series.
     """
     weight = COMPONENT_WEIGHTS[component]
-    return _component_series(weight, phi, x, l, tol, prefactor=1.0,
+    return _component_series(weight, phi, x, l, prefactor=1.0,
                              extra_offset=n)
 
 
@@ -175,9 +167,7 @@ def certified_depth(component: str, phi: ControlFunction,
 
     ceil((TAIL_BITS + 1) / |w - deg phi|), w = 1 (additive) or 3 (cubic),
     whatever x and theta; None where l (w - deg phi) >= 0: no tail."""
-    require_direction(l)
-    w_bits = COMPONENT_WEIGHTS[component].bit_length() - 1
-    exponent = l * (w_bits - phi_degree(phi))
+    exponent = series_exponent(COMPONENT_WEIGHTS[component], phi, l)
     if exponent >= 0:
         return None
     return math.ceil((TAIL_BITS + 1) / -exponent)
@@ -243,12 +233,10 @@ def auto_directions(phi: ControlFunction) -> tuple[int, int]:
 
     Power families with diagonal degree p: the additive series converges
     for l = +1 iff p > 1 and for l = -1 iff p < 1; the cubic series swaps 1
-    for 3.  Constant control functions converge only for l = -1.  At the
+    for 3.  Constant control functions, of degree 0, take l = -1.  At the
     excluded exponents no direction converges; the returned choice then
     yields a diverged series status downstream rather than an error here.
     """
-    if isinstance(phi, Constant):
-        return (-1, -1)
     p = phi_degree(phi)
     l_add = 1 if p > EXCLUDED_ADDITIVE_EXPONENT else -1
     l_cub = 1 if p > EXCLUDED_CUBIC_EXPONENT else -1
@@ -317,7 +305,7 @@ def certify_phi(f: FuncModel) -> ControlFunction:
 
 
 # ---------------------------------------------------------------------------
-# Closed form vs. truncated series consistency
+# Corollary closed forms vs. series consistency
 # ---------------------------------------------------------------------------
 
 class ConsistencyReport(NamedTuple):
@@ -337,7 +325,7 @@ class ConsistencyReport(NamedTuple):
 
 def consistency_check(theta, p, x: Point, tol: float = 1e-9,
                       r=None, s=None) -> ConsistencyReport:
-    """Compare the truncated combined series against both closed forms.
+    """Compare the combined series' upper end against both closed forms.
 
     The sum-of-powers form is checked at exponent p; the product form at
     (r, s), defaulting to the even split r = s = p/2.  A mismatch is a

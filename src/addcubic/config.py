@@ -23,7 +23,7 @@ import random
 from fractions import Fraction
 
 from .bounds import (CONVERGED, DIVERGED, EXCLUDED_ADDITIVE_EXPONENT,
-                     EXCLUDED_CUBIC_EXPONENT, INCONCLUSIVE, auto_directions)
+                     EXCLUDED_CUBIC_EXPONENT, auto_directions)
 from .models import (BoundedNoise, Constant, ControlFunction, CubicHomogeneous,
                      DimensionMismatchError, Even, FuncModel, Linear, Point,
                      PowerNoise, ProductOfPowers, SumOfPowers, EUCLIDEAN,
@@ -91,15 +91,9 @@ def rational(minimum=None, decimal: bool = False, maximum=None):
     return _reader(convert, "a finite rational number", minimum, maximum)
 
 
-def real(positive: bool = False):
-    """Nonnegative floats such as a ``tol``; ``positive`` also rejects 0."""
-    def convert(value) -> float:
-        number = float(parse_rational(value))
-        if number < 0 or positive and number == 0:
-            raise ValueError(value)
-        return number
-    return _reader(convert, "a positive number" if positive
-                   else "a nonnegative number")
+# Nonnegative floats such as a ``tol``.
+real = _reader(lambda value: float(parse_rational(value)), "a number",
+               minimum=0)
 
 
 flag = _reader(_exactly(bool), "true or false")
@@ -430,8 +424,7 @@ _BOUNDS_ITEM = section({
     "phi": phi_from_json,
     "x": (_COORDINATES, ["1"]),
     "l": (_series_direction, "auto"),
-    "tol": (real(positive=True), 1e-12),
-    "expect": (choice(CONVERGED, DIVERGED, INCONCLUSIVE), CONVERGED),
+    "expect": (choice(CONVERGED, DIVERGED), CONVERGED),
 })
 
 
@@ -446,7 +439,7 @@ def _bounds_item(doc, where: str) -> dict:
 
 _CONSISTENCY = section({
     "theta": (rational(minimum=0), 1),
-    "tol": (real(), 1e-9),
+    "tol": (real, 1e-9),
     "x": (_COORDINATES, ["1"]),
     "p": (list_of(rational(minimum=0)), []),
     "rs": (list_of(_RS_PAIR), []),

@@ -285,8 +285,7 @@ class ProbeResult(NamedTuple):
 
 
 def uniqueness_probe(f, x: Point, l: int, component: str, n1: int, n2: int,
-                     phi: ControlFunction | None = None,
-                     tol: float = 1e-12) -> ProbeResult:
+                     phi: ControlFunction | None = None) -> ProbeResult:
     """||final(n1) - final(n2)|| for one component's iteration, one run.
 
     Any two candidate limits agree up to the tail series at min(n1, n2);
@@ -302,7 +301,7 @@ def uniqueness_probe(f, x: Point, l: int, component: str, n1: int, n2: int,
     tail = None
     if phi is not None:
         tail = bounds_mod.uniqueness_tail(component, phi, x, l,
-                                          min(n1, n2), tol).upper
+                                          min(n1, n2)).upper
     return ProbeResult(gap, tail)
 
 

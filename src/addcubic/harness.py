@@ -301,8 +301,7 @@ def run_bounds(config: ExperimentConfig, out_dir: Path) -> RunResult:
     for item in config.bounds_items:
         x = point(item["x"], config.mode, config.norm_kind)
         l = item["l"]
-        result = bounds_mod.series_bound(item["kind"], item["phi"], x, l,
-                                         tol=item["tol"])
+        result = bounds_mod.series_bound(item["kind"], item["phi"], x, l)
         item_ok = result.status == item["expect"]
         ok = ok and item_ok
         items_report.append({

@@ -596,11 +596,6 @@ def phi_value(phi: ControlFunction, x: Point, y: Point) -> float:
     raise TypeError(f"not a control function: {phi!r}")
 
 
-def phi_diagonal(phi: ControlFunction, x: Point) -> float:
-    """phi(x, x), the quantity the stability series sums over."""
-    return phi_value(phi, x, x)
-
-
 def phi_degree(phi: ControlFunction) -> Fraction:
     """Homogeneity degree of phi on the diagonal: phi(tx, tx) = t^deg phi(x, x)."""
     if isinstance(phi, Constant):

@@ -5,6 +5,7 @@ dependence on the package's models, term tables or series machinery, so a
 bug there cannot hide in here.
 """
 
+import decimal
 import hashlib
 import math
 from fractions import Fraction
@@ -46,6 +47,63 @@ def series_sum(weight, phi_of_scale, l, n_terms, prefactor=Fraction(1, 2),
         scale = Fraction(1, 2) ** (l * (i + l))
         total += prefactor * Fraction(weight) ** (l * i) * phi_of_scale(scale)
     return total
+
+
+def series_closed_form(weight, phi, coords, norm_kind, l,
+                       prefactor=Fraction(1, 2), start_offset=0):
+    """prefactor * sum_{i>=i0} w^(il) phi(x / 2^(l(i+l)), same), summed.
+
+    ``phi`` is ("constant", c), ("sum", theta, p) for theta (||x||^p +
+    ||y||^p) or ("product", theta, r, s) for theta ||x||^r ||y||^s, and
+    ``coords`` are rationals.  The diagonal is homogeneous of degree d =
+    p or r + s (0 for a constant), so term i is phi(x, x) 2^-d 2^(i e)
+    with e = l (log2 w - d), and the sum from i0 = |l - 1|/2 + offset is
+    phi(x, x) 2^-d 2^(i0 e) / (1 - 2^e); ``math.inf`` where e >= 0 and
+    phi(x, x) > 0.  The value is a Fraction, exact, where it is rational:
+    an integer d under the max norm or in one dimension, or an even
+    integer d under the Euclidean norm.  Elsewhere it is a Decimal of 60
+    significant digits.
+    """
+    kind, theta, *exponents = phi
+    theta, exponents = Fraction(theta), [Fraction(q) for q in exponents]
+    degree = sum(exponents, Fraction(0))
+    count = 2 if kind == "sum" else 1
+    e = l * (Fraction(weight.bit_length() - 1) - degree)
+    start = abs(l - 1) // 2 + start_offset
+    coords = [abs(Fraction(c)) for c in coords]
+    squares = sum(c * c for c in coords)
+    single = norm_kind == "max" or len(coords) == 1
+    if degree.denominator == 1 and (single or degree.numerator % 2 == 0):
+        if single:
+            power = max(coords) ** degree.numerator
+        else:
+            power = squares ** (degree.numerator // 2)
+        diagonal = count * theta * power * Fraction(1, 2) ** degree.numerator
+        if diagonal == 0:
+            return Fraction(0)
+        if e >= 0:
+            return math.inf
+        ratio = Fraction(2) ** e.numerator
+        return prefactor * diagonal * ratio ** start / (1 - ratio)
+    with decimal.localcontext() as context:
+        context.prec = 60
+
+        def real(q):
+            return decimal.Decimal(q.numerator) / q.denominator
+
+        def power_of(base, exponent):  # base^exponent with 0^0 = 1
+            return base ** real(exponent) if exponent else decimal.Decimal(1)
+
+        norm = real(max(coords)) if single else real(squares).sqrt()
+        two = decimal.Decimal(2)
+        diagonal = (count * real(theta) * power_of(norm, degree)
+                    / power_of(two, degree))
+        if diagonal == 0:
+            return decimal.Decimal(0)
+        if e >= 0:
+            return math.inf
+        ratio = power_of(two, e)
+        return real(prefactor) * diagonal * ratio ** start / (1 - ratio)
 
 
 def power_diag(theta, p_num, norm_x, pair_count=2):

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 
+import decimal
 import itertools
 import json
 import math
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from addcubic import (BoundedNoise, Constant, FuncModel, PowerNoise,
                       SumOfPowers, additive_iterate, additive_residual,
                       chain_replay, cubic_1d, cubic_iterate, cubic_residual,
@@ -197,12 +199,12 @@ def test_criterion_8_divergence_exclusions():
     for p, l in ((Fraction(999999, 1000000), -1),
                  (Fraction(1000001, 1000000), 1)):
         result = series_bound("additive", SumOfPowers(1, p), x, l)
-        assert result.status != DIVERGED
-        assert math.isfinite(result.upper)
-        closed = 1.0 / abs(2.0 ** float(p) - 2.0)
-        assert result.partial_sum <= closed <= result.upper * (1 + 1e-9)
+        assert result.status == CONVERGED
+        exact = oracles.series_closed_form(2, ("sum", 1, p), [1], "max", l)
+        assert result.partial_sum <= exact <= result.upper
+        assert result.upper <= exact * (1 + decimal.Decimal(1e-9))
     _report("criterion 8: p=1 (additive) and p=3 (cubic) diverge for both "
-            "directions; p = 1 +- 1e-6 certified finite enclosures")
+            "directions; p = 1 +- 1e-6 converge, enclosing the exact sum")
 
 
 def test_criterion_9_uniqueness_probe():

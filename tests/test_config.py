@@ -294,8 +294,14 @@ BAD_DOCUMENTS = {
                                 "bounds[0].phi"),
     "l-string": ("bounds", lambda d: d["bounds"][0].update(l="up"),
                  "bounds[0].l"),
+    # Each series is one closed form: no truncation tolerance, and no
+    # inconclusive status to expect.
     "tol-string": ("bounds", lambda d: d["bounds"][0].update(tol="tiny"),
-                   "bounds[0].tol"),
+                   "unknown key 'bounds[0].tol'"),
+    "expect-inconclusive": ("bounds",
+                            lambda d: d["bounds"][0].update(
+                                expect="inconclusive"),
+                            "bounds[0].expect"),
     # The iterates stop at the certified depth; the gap tolerances of the
     # old stopping rule are gone.
     "tolerances-string": ("recover",

@@ -778,28 +778,28 @@ SWEEP_DIRECTIONS_DOC = sweep_doc(
 # these bytes.
 COMMAND_GOLDENS = {
     "recover-float": ("recover", recover_config(), {
-        "rec.json": "46a4dfd5d84f7cc9ab184bf09960a170"
-                    "79db652719dbe4d034c21458245bf87e",
-        "rec.csv": "635a6a350f065d3d64700edb09910031"
-                   "e67f8289470b5171321750f1bd86d563",
+        "rec.json": "b7feadf76a57a9f797215f8f3147536f"
+                    "1de9ec8a2903608d8e87348363d6469e",
+        "rec.csv": "1865b7824478dfea0eb9b9cf46a15df1"
+                   "4a3526e6d044906f4080bdb2f6d9c1f1",
     }),
     "recover-float-sevenths": ("recover", RECOVER_SEVENTHS_DOC, {
-        "rec7.json": "53e5fbe2ecfe908f0a875961c4dbe2e6"
-                     "a9a83acad50e90eaad50a27a25e90aed",
-        "rec7.csv": "ad2a853b6877097b1c45392f41c26c7e"
-                    "3e1be0d32e5069476831a7efd4d38205",
+        "rec7.json": "5110f9ebfa4d57858a7fba42d38f1d29"
+                     "d7368e1c2c2721b055ca2627a246d272",
+        "rec7.csv": "4b246c588c3fa03127a9aa1737e2ea61"
+                    "d949a10f259886c8af09efbbeabbceaf",
     }),
     "recover-exact": ("recover", RECOVER_EXACT_DOC, {
-        "recx.json": "f1c9ec35bfffde60278a5ea410be70d9"
-                     "e382d4e7f408ebc7a2e5d0bc7a3c40ca",
-        "recx.csv": "85fdc6ed3411de48dda6dee28871a649"
-                    "0b26223beab5b660e8efad4a728a7f75",
+        "recx.json": "e2c80791c2201a6c74128eff21f6cc5c"
+                     "6d4721c2be23be7311dcb0f635a8b7b5",
+        "recx.csv": "ed9306adb50eeb29570df3f38c5d4bc8"
+                    "00be2aed4276887c189689ba6dd10d97",
     }),
     "recover-exact-blend": ("recover", RECOVER_BLEND_DOC, {
-        "blend.json": "e69fd0b39e908309709cf8dfdc4a1071"
-                      "c84612a725d0689ab5d547b9aabe5d55",
-        "blend.csv": "187f55cde4ee613555304e88e749e317"
-                     "8dd575d32c827e1fc5bb3029b5f27030",
+        "blend.json": "d38eaf9e35faf561b5a918fa0557fde1"
+                      "90f6f27f53d353560f0162900b2304d7",
+        "blend.csv": "933f1781979ca3f3cd2a0ff4e1459fa5"
+                     "b0ce1bb976e88091bd4dc34d30c8f723",
     }),
     "replay-chain": ("replay-chain", REPLAY_DOC, {
         "rep.json": "d113c44a492bbda8cc0c9056935edb22"
@@ -808,26 +808,26 @@ COMMAND_GOLDENS = {
                           "10e20f9c6793cd7f49433d61b78c10be",
     }),
     "bounds": ("bounds", BOUNDS_DOC, {
-        "bnd.json": "66f11dfb17582db161e48f41d79c909e"
-                    "f641ffa098bf98fd34036b268040335e",
+        "bnd.json": "3df669076c6d89992d48301d36f15c79"
+                    "bbb46058a9f23920a9d467adf965130c",
     }),
     "sweep-sum": ("sweep", sweep_doc(), {
-        "sw.csv": "22c5430328e01d27baef9dfde8eceeee"
-                  "20cdeadfa2f21af5454fd560481f9ce3",
-        "sw.json": "9b58a3b548964869aada08642f748562"
-                   "b1de490e023781c79afc0653c3d5e286",
+        "sw.csv": "57b5ef119ef41f563ef2c2f8a75bd3a7"
+                  "8076899785f6815282b94cc1c420584b",
+        "sw.json": "6f2dd9a9611b9fde4e6917789c1816da"
+                   "fe792ceee107bb3718cafcc9d195b1ed",
     }),
     "sweep-product": ("sweep", SWEEP_PRODUCT_DOC, {
-        "sw.csv": "6797182d498d8081bd80d596d7d20f09"
-                  "34e8ab92f7f6c30603a9f46a65c89a6e",
-        "sw.json": "0efa4ccc89b092ab9bb70be9a9b98c06"
-                   "49aae326c06e0212927fe016b3f053fd",
+        "sw.csv": "3dcafef606fffcadc78a71257dc33554"
+                  "cde7b6c859222875c8a764dd131711c5",
+        "sw.json": "160723edd4cc53a58b9100f5439b5cc6"
+                   "0f6bc054fdeecea59d5f66fed802c793",
     }),
     "sweep-fractional-directions": ("sweep", SWEEP_DIRECTIONS_DOC, {
-        "sw.csv": "7f60a5f28c85f4b3f62d71814a0dbde5"
-                  "354bbefd59305b7bf74ff7f1baa129bc",
-        "sw.json": "d37afa52e0b95b51c360d21334235b20"
-                   "4f47d3a2c8ceff92b6c02f4153734ed4",
+        "sw.csv": "c3ebc5756e482978ee2a1c466b078197"
+                  "9e220ce775a742e1cc200ab3b1b3dd04",
+        "sw.json": "c407a3285592ca92f5acbf0bc92f2177"
+                   "8faf6f23465bcd244c4ed9ad942c04e3",
     }),
 }
 
