@@ -80,21 +80,20 @@ def term_ratio(weight: int, phi: ControlFunction, l: int) -> float:
     return 2.0 ** float(series_exponent(weight, phi, l))
 
 
-def _pad(phi: ControlFunction, argument: Point) -> float:
+def _pad(degree: float, size: float) -> float:
     """Relative half-width (12 + d (2 + |ln ||z|||/2)) 2^-52 of an enclosure.
 
-    d = deg phi, z is the first argument, u = 2^-53.  First-order relative
-    errors: ||z|| 3u (a rounding per coordinate; Euclidean: square, fsum,
-    sqrt); each pow ||z||^q 3q u, 2u (1 ulp) and q |ln ||z||| u (q rounded
-    to a float); so phi(z, z), with theta and two products, 7u + 3d u +
-    d |ln ||z||| u.  1 - rho = -expm1(e ln 2): 5u (3u in e ln 2, damped by
-    |y| e^y / (1 - e^y) < 1 at y < 0; 2u in expm1).  The division u, the
-    rounding by 1 -+ pad 2u, :func:`merge_series` 4u.  Like the theta pad
-    of certify_phi, the pad exceeds the total, by 5u + d u for
-    second-order terms, while every value stays in the normal float range.
+    d = deg phi, ``size`` = ||z||, z the first argument, u = 2^-53.  First-
+    order relative errors: ||z|| 3u (a rounding per coordinate; Euclidean:
+    square, fsum, sqrt); each pow ||z||^q 3q u, 2u (1 ulp) and q |ln ||z|||
+    u (q rounded to a float); so phi(z, z), with theta and two products, 7u
+    + 3d u + d |ln ||z||| u.  1 - rho = -expm1(e ln 2): 5u (3u in e ln 2,
+    damped by |y| e^y / (1 - e^y) < 1 at y < 0; 2u in expm1).  The
+    division u, the rounding by 1 -+ pad 2u, :func:`merge_series` 4u.  Like
+    the theta pad of certify_phi, the pad exceeds the total, by 5u + d u
+    for second-order terms, while every value stays in the normal range.
     """
-    degree = float(phi_degree(phi))
-    spread = 2.0 + abs(math.log(norm(argument))) / 2.0 if degree else 0.0
+    spread = 2.0 + abs(math.log(size)) / 2.0 if degree else 0.0
     return (12.0 + degree * spread) * 2.0 ** -52
 
 
@@ -107,18 +106,23 @@ def _component_series(weight: int, phi: ControlFunction, x: Point, l: int,
     The first term is evaluated at its actual argument; the sum is that
     term over 1 - rho, rounded outward by :func:`_pad`.
     """
-    exponent = series_exponent(weight, phi, l)
+    require_direction(l)
+    degree = phi_degree(phi)  # e = rate / den, as series_exponent, in ints
+    rate = l * ((weight.bit_length() - 1) * degree.denominator
+                - degree.numerator)
     i0 = abs(l - 1) // 2 + extra_offset  # 0 for l = +1, 1 for l = -1
-    argument = x.scale(Fraction(1, 2) ** (l * (i0 + l)))
+    k = l * (i0 + l)  # ||z|| of the first argument z = x / 2^k, if read
+    size = 0.0 if isinstance(phi, Constant) else norm(x if k == 0 else x.scale(
+        Fraction(1, 1 << k) if k > 0 else Fraction(1 << -k)))
     first = (prefactor * 2.0 ** (l * i0 * (weight.bit_length() - 1))
-             * phi_value(phi, argument, argument))
+             * phi_value(phi, size, size))
     if first == 0.0:
         # zero phi, or homogeneous phi at the origin: every term is zero
         return SeriesResult(0.0, 0.0, 1, CONVERGED)
-    if exponent >= 0:
+    if rate >= 0:
         return SeriesResult(first, math.inf, 1, DIVERGED)
-    value = first / -math.expm1(float(exponent) * math.log(2.0))
-    pad = _pad(phi, argument)
+    value = first / -math.expm1(rate / degree.denominator * math.log(2.0))
+    pad = _pad(float(degree), size)
     low, high = value * (1.0 - pad), value * (1.0 + pad)
     # high - low is exact (Sterbenz); for an overflowed inf it is taken as 0
     return SeriesResult(low, high - low if low < high else 0.0, 1, CONVERGED)
@@ -328,8 +332,9 @@ def consistency_check(theta, p, x: Point, tol: float = 1e-9,
     """Compare the combined series' upper end against both closed forms.
 
     The sum-of-powers form is checked at exponent p; the product form at
-    (r, s), defaulting to the even split r = s = p/2.  A mismatch is a
-    failed report, not an exception.
+    (r, s), defaulting to the even split r = s = p/2.  Each matches when
+    |series - closed| <= tol * max(1, |closed|): absolute up to 1, relative
+    above.  A mismatch is a failed report, not an exception.
     """
     p_frac = Fraction(p)
     r_frac = Fraction(r) if r is not None else p_frac / 2
@@ -344,10 +349,11 @@ def consistency_check(theta, p, x: Point, tol: float = 1e-9,
         "combined", ProductOfPowers(Fraction(theta), r_frac, s_frac),
         x, directions)
 
-    sum_ok = (sum_series.status == CONVERGED
-              and abs(sum_series.upper - sum_closed) <= tol)
-    product_ok = (product_series.status == CONVERGED
-                  and abs(product_series.upper - product_closed) <= tol)
+    sum_ok, product_ok = [
+        series.status == CONVERGED
+        and abs(series.upper - closed) <= tol * max(1.0, abs(closed))
+        for series, closed in ((sum_series, sum_closed),
+                               (product_series, product_closed))]
     return ConsistencyReport(float(p_frac), float(theta), sum_closed,
                              sum_series.upper, sum_ok, product_closed,
                              product_series.upper, product_ok)

@@ -13,16 +13,17 @@ Cauchy gap above the tail fails.
 One :class:`OrbitTable` per point holds f on the dyadic orbit x * 2^k: a
 model's polynomial part, summed once at x, which H and G take to one
 constant per step, and the rest (noise atoms, or a plain callable), read
-once per argument and in one batch per iterate, as integer columns over
-one denominator.  An iterate is integer loops over them, each gap an
-int/int division, so a float result is the exact one rounded once.
+in one batch for every k both iterates need, as per-output integer
+columns over one denominator.  An iterate is integer loops over slices of
+them, each gap an int/int division: a float is the exact value rounded.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property, partial
-from itertools import chain, repeat, takewhile
+from itertools import accumulate, chain, repeat
+from operator import gt, mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
@@ -63,24 +64,76 @@ def _bits(vector) -> int:
         - den.bit_length()
 
 
+def _prefix(check, order) -> tuple:
+    """(n, error): ``check`` passes order[:n], and raises error at order[n]."""
+    for n, k in enumerate(order):
+        try:
+            check(k)
+        except Exception as exc:
+            if isinstance(exc, OverflowError):  # the guard's, caused by it
+                exc, exc.__cause__ = OverflowGuardError(
+                    f"evaluation overflowed float range: {exc}"), exc
+            return n, exc
+    return len(order), None
+
+
 class OrbitTable:
-    """f on the dyadic orbit x * 2^k, through one :func:`models.orbit`:
-    with ``odd`` (f(y) - f(-y)) / 2, else f(y), each argument read once.
-    ``point`` makes a vector a point of x's mode and holds no table."""
+    """f on the dyadic orbit x * 2^k, ``low`` <= k <= ``high``, read through
+    one :func:`models.orbit` in one batch on first use: per output one
+    integer column over one denominator, with ``odd`` (f(y) - f(-y)) / 2,
+    else f(y).  An iterate reads 1, 0, then away from x; the first k whose
+    read raises, or whose whole value trips the guard, ends it with that
+    error (raised on reading if 1 or 0; a batch that raises is read k by
+    k).  ``point`` makes a vector a point of x's mode and holds no table."""
 
     def __init__(self, func: Callable[[Point], Point], x: Point,
-                 odd: bool = True):
-        self.x, self._odd = x, odd
+                 odd: bool = True, low: int = 0, high: int = 0):
+        self.x, self._odd, self._ks = x, odd, range(low, high + 1)
         u, den = integer_ratio(x.coords)
-        self._moves = any(u)  # at x = 0 every k is the one argument 0
         den, parts, self._read = orbit(func, tuple(u), den, x.norm_kind, odd)
         self._parts = {r: (column, den) for r, column in parts}
-        # An odd part at x * 2^k is below 2^(top + k r + 1), r = 1 or 3.
-        self._top = max([_bits(self._parts[r]) for r in (1, 3)
-                         if r in self._parts], default=-math.inf)
-        self._rest: dict = {}  # k -> the rest R(y), (numerators, den)
-        self._plain = None  # with odd, f(x)'s rest
         self.point = partial(_vector_point, x.mode, x.norm_kind)
+        self._moves = any(u)  # at x = 0 every k is the one argument 0
+
+    @cached_property
+    def _columns(self) -> list:
+        """The columns, read on first use, with the read's ``_cuts``."""
+        odd, ks, read = self._odd, self._ks, self._read
+        # Each direction's order of ks: 1, 0, then away from x.
+        orders = [range(min(1, ks[-1]), ks[0] - 1, -1),
+                  [*(1, 0)[ks[-1] < 1:], *range(2, ks[-1] + 1)]]
+        self._cuts = [(len(order), None) for order in orders]
+        try:
+            den, columns, plain = read(ks if self._moves else [0])
+        except Exception:
+            self._cuts = [_prefix(lambda k: read([k]), order)
+                          for order in orders]
+            held = [k for order, (n, _) in zip(orders, self._cuts)
+                    for k in order[:n]] or [0]
+            ks = range(min(held), max(held) + 1)
+            den, columns, plain = read(ks) if self._cuts[1][0] else (
+                1, (), None)
+        if not self._moves:
+            columns = [list(column) * len(ks) for column in columns]
+        if not odd and 2 in self._parts:  # f(y) less its odd parts
+            den, rows = over_lcm([self._whole(k, (row, den), (2,))
+                                  for k, row in zip(ks, zip(*columns))])
+            columns = list(zip(*rows))
+        self._low, self._den, self._columns, self._plain = (ks[0], den,
+                                                            columns, plain)
+        self._bits = _bits((list(chain(*columns)), den))
+        # An odd part at x * 2^k is below 2^(top + k r + 1), r = 1 or 3.
+        top = max([_bits(self._parts[r]) for r in (1, 3)
+                   if r in self._parts], default=-math.inf)
+        if max(self._bits, top + 3 * max(1, ks[-1])) + 2 > _NEAR:  # 2 parts
+            for i, (n, error) in enumerate(self._cuts):
+                n, trip = _prefix(lambda k: self.guard(self.value(k)),
+                                  orders[i][:n])
+                self._cuts[i] = n, trip or error
+        if self._cuts[1][0] < min(2, len(orders[1])):  # ended at 1 or 0
+            del self._columns  # so that each use raises it again
+            raise self._cuts[1][1]
+        return columns
 
     def _whole(self, k: int, rest, degrees=(1, 3)):
         """``rest`` at y = x * 2^k plus the parts of the given degrees."""
@@ -90,53 +143,15 @@ class OrbitTable:
                                   if k >= 0 else (column, den << -k * r))
         return rest
 
-    def column(self, ks) -> tuple:
-        """(columns, den, error): per output, R at y = x * 2^k for the ks
-        in order, over one den.  New ks are read in one batch, or if that
-        raises one at a time; the columns stop at the first k whose read
-        raises or whose whole value trips the guard, with its ``error``."""
-        ks = ks if self._moves else [0] * len(ks)
-        new, error = [k for k in dict.fromkeys(ks) if k not in self._rest], None
-        try:  # what any read raises is raised at its step, so it waits
-            batches = [(new, self._read(new))] if new else []
-        except Exception:
-            batches = []
-            for k in new:
-                try:
-                    batches.append(([k], self._read([k])))
-                except Exception as exc:
-                    error = exc
-                    break
-        if isinstance(error, OverflowError):  # the guard's, caused by it
-            error, error.__cause__ = OverflowGuardError(
-                f"evaluation overflowed float range: {error}"), error
-        for read, (den, rows, plain) in batches:  # or f(y) less odd parts
-            self._rest.update(zip(read, zip(rows, repeat(den))) if self._odd
-                              else [(k, self._whole(k, (row, den), (2,)))
-                                    for k, row in zip(read, rows)])
-            self._plain = self._plain or plain and (plain, den)
-        den, rows = over_lcm(list(takewhile(bool, map(self._rest.get, ks))))
-        if max(_bits((tuple(chain.from_iterable(rows)), den)),
-               self._top + 3 * max([1, *ks])) + 2 > _NEAR:  # 2 parts, 2 bits
-            for at, (k, row) in enumerate(zip(ks, rows)):
-                try:
-                    self.guard(self._whole(k, (row, den)))
-                except OverflowGuardError as exc:
-                    rows, error = rows[:at], exc
-                    break
-        return list(zip(*rows)), den, error  # no columns if no rows
-
-    def read(self, ks) -> list:
-        """f's table values at y = x * 2^k for the ks, or what one raised."""
-        columns, den, error = self.column(ks)
-        if error is not None:
-            raise error
-        return [self._whole(k, (row, den)) for k, row in zip(ks, zip(*columns))]
+    def value(self, k: int):
+        """f's table value at y = x * 2^k, from the columns as read."""
+        return self._whole(k, ([c[k - self._low] for c in self._columns],
+                               self._den))
 
     def entry(self) -> tuple:
         """(f(x), odd part) at x, on an odd table."""
-        value, = self.read([0])
-        return self._whole(0, self._plain, (1, 2, 3)), value
+        value = self.value(0)  # reads the table, and with it plain
+        return self._whole(0, (self._plain, self._den), (1, 2, 3)), value
 
     def guard(self, vector) -> None:
         """The overflow guard on the vector's norm."""
@@ -162,8 +177,8 @@ def odd_part(f) -> Callable[[Point], Point]:
 def _transform(f, s: int) -> Callable[[Point], Point]:
     """x -> f(2x) - s f(x), read from x's orbit table."""
     def transform(x: Point) -> Point:
-        table = OrbitTable(f, x, odd=False)
-        return table.point(add_ratios(*table.read([1, 0]), -s))
+        table = OrbitTable(f, x, False, 0, 1)
+        return table.point(add_ratios(table.value(1), table.value(0), -s))
     return transform
 
 
@@ -181,12 +196,11 @@ class IterationTrace:
     """One rescaled-iterate run: values, Cauchy gaps and convergence flags;
     ``steps`` hold each step less ``offset``, the same at every step."""
 
-    def __init__(self, direction: int, weight: int,
-                 to_point: Callable[[object], Point], offset, steps: list,
-                 cauchy_gaps: list[float], converged_at: int | None):
-        self.direction, self.weight = direction, weight
-        self.to_point, self.offset = to_point, offset
-        self.steps, self.cauchy_gaps = steps, cauchy_gaps
+    def __init__(self, direction: int, to_point: Callable[[object], Point],
+                 offset, steps: list, cauchy_gaps: list[float],
+                 converged_at: int | None):
+        self.direction, self.to_point = direction, to_point
+        self.offset, self.steps, self.cauchy_gaps = offset, steps, cauchy_gaps
         self.converged, self.converged_at = converged_at is not None, converged_at
 
     def vector(self, n: int):
@@ -212,8 +226,12 @@ def _iterate(f, x: Point, l: int, component: str, n_steps: int,
     require_direction(l)
     if n_steps < 1:
         raise ValueError("iteration count must be at least 1")
+    if depth is None and phi is not None:
+        depth = bounds_mod.certified_depth(component, phi, l)
+    depth = depth if depth is not None and depth <= n_steps else None
+    n_steps = depth or n_steps
     if not isinstance(f, OrbitTable):
-        f = OrbitTable(f, x, odd=False)
+        f = OrbitTable(f, x, False, -n_steps * (l > 0), 1 + n_steps * (l < 0))
     elif f.x != x:
         raise ValueError("orbit table belongs to another point")
     w, s = _STEPS[component]
@@ -221,36 +239,34 @@ def _iterate(f, x: Point, l: int, component: str, n_steps: int,
     # r = w the same each step, r = 2 through R, other odd r none.
     column, part_den = f._parts.get(w, (None, 1))
     offset = column and ([((1 << w) - s) * c for c in column], part_den)
-    if depth is None and phi is not None:
-        depth = bounds_mod.certified_depth(component, phi, l)
-    depth = depth if depth is not None and depth <= n_steps else None
-    n_steps = depth or n_steps
-    # Step n reads k = 1 - l n and -l n: 1 and 0, then one new k per step.
-    columns, den, error = f.column(
-        range(1, -n_steps - 1, -1) if l > 0 else [1, 0, *range(2, n_steps + 2)])
-    run = min(n_steps + 1, len(columns[0] if columns else ()) - 1)
-    if l < 0:  # in k order 0, 1, 2, ...: step n reads n + 1 and n
-        columns = [c[1::-1] + c[2:] for c in columns]
-    # Step n, (R(k + 1) - s R(k)) at c[n + (l < 0)] and c[n + (l > 0)],
-    # shifted by l n w less the lowest, which goes into the one den.
-    last = 0 if l > 0 else n_steps * w
-    den <<= last
+    # The iterate reads n_steps + 2 ks, fewer where the orbit ends, in the
+    # order 1, 0, -1, ... (l = +1) or 0, 1, 2, ... (l = -1).  There step n,
+    # R(k + 1) - s R(k), is c[n + (l < 0)] - s c[n + (l > 0)], shifted by
+    # l n w less the lowest shift, which goes into the den.
+    columns, (n, error) = f._columns, f._cuts[l < 0]  # reading sets cuts
+    if n < n_steps + 2 and error is None:
+        raise ValueError("orbit table does not reach the iterate's ks")
+    run, last = min(n - 1, n_steps + 1), (l < 0) * n_steps * w
+    low, high = (1 - run, 1) if l > 0 else (0, run)
+    den = f._den << last
     columns = [[(a - s * b) << e for a, b, e in zip(
         c[l < 0:], c[l > 0:], range(last, last + l * run * w, l * w))]
-        for c in columns]
-    steps = list(zip(zip(*columns), repeat(den)))
-    # A step and an offset each below 2^_NEAR stay below the guard.
-    if max(_bits((tuple(chain.from_iterable(columns)), den)),
+        for c in [c[low - f._low:high - f._low + 1][::-l] for c in columns]]
+    rows = list(zip(*columns))
+    steps = list(zip(rows, repeat(den)))
+    # A step is below 9 times its reads times 2^(n w) for l = +1; a step
+    # and an offset each below 2^_NEAR stay below the guard.
+    if max(f._bits + 4 + (l > 0) * (run - 1) * w,
            _bits(offset or ((), 1))) >= _NEAR:
         for step in steps:
             f.guard(step if offset is None else add_ratios(step, offset))
     if run <= n_steps:  # a read of step run raised
         raise error
-    gaps = [[b - a for a, b in zip(c, c[1:])] for c in columns]
-    gaps = [abs(gap) / den for gap in gaps[0]] if len(gaps) == 1 \
-        else [_norm((gap, den), x.norm_kind) for gap in zip(*gaps)]
-    return IterationTrace(l, bounds_mod.COMPONENT_WEIGHTS[component],
-                          f.point, offset, steps, gaps, depth)
+    c = columns[0]
+    gaps = [abs(b - a) / den for a, b in zip(c, c[1:])] if len(columns) == 1 \
+        else [_norm(([q - p for p, q in zip(a, b)], den), x.norm_kind)
+              for a, b in zip(rows, rows[1:])]
+    return IterationTrace(l, f.point, offset, steps, gaps, depth)
 
 
 def additive_iterate(f, x: Point, l: int, n_steps: int = DEFAULT_N_MAX,
@@ -349,9 +365,7 @@ class RecoveryReport:
         return all(p.additive_trace.converged and p.cubic_trace.converged
                    for p in self.points)
 
-    @property
-    def ok(self) -> bool:
-        return self.all_within_bound
+    ok = all_within_bound
 
     CSV_HEADER = ("index", "x", "additive", "cubic", "error", "raw_error",
                   "bound", "within_bound", "additive_converged",
@@ -401,29 +415,19 @@ class RecoveryReport:
         }
 
 
-def _gaps_within_tails(trace: IterationTrace, series, phi) -> bool:
-    """Each gap at step n at most the tail at n - 1, 2 rho^(n-1) series."""
-    ratio = bounds_mod.term_ratio(trace.weight, phi, trace.direction)
-    tail = 2.0 * series.upper
-    for gap in trace.cauchy_gaps:
-        if gap > tail:
-            return False
-        tail *= ratio
-    return True
-
-
 def recover(f: FuncModel, points: Sequence[Point],
             phi: ControlFunction | None = None,
             l_additive="auto", l_cubic="auto",
             n_max: int = DEFAULT_N_MAX) -> RecoveryReport:
     """Recover the additive and cubic parts of f at the given points.
 
-    f is odd-symmetrized, through one :class:`OrbitTable` per point; phi
-    is supplied or certified from the model's noise atoms.  Per point, the
-    report carries A(x), C(x), the odd-part and raw errors, the certified
-    combined bound, and both traces.  A point is within its bound when its
-    error is, and each Cauchy gap at step n is at most the uniqueness tail
-    at n - 1.  A series that diverges raises :class:`DivergentControlError`.
+    f is odd-symmetrized, through one :class:`OrbitTable` per point, read
+    once for both iterates; phi is supplied or certified from the model's
+    noise atoms.  Per point, the report carries A(x), C(x), the odd-part
+    and raw errors, the certified combined bound, and both traces.  A
+    point is within its bound when its error is, and each Cauchy gap at
+    step n is at most the uniqueness tail at n - 1, 2 rho^(n-1) times its
+    series.  A series that diverges raises :class:`DivergentControlError`.
     """
     if phi is None:
         phi = bounds_mod.certify_phi(f)
@@ -438,6 +442,15 @@ def recover(f: FuncModel, points: Sequence[Point],
                             n_max=n_max)
     depth_a = bounds_mod.certified_depth("additive", phi, l_add)
     depth_c = bounds_mod.certified_depth("cubic", phi, l_cub)
+    # One read per point, of k = 1 down to -n (l = +1) or 0 up to n + 1 for
+    # an iterate of n steps, for both.
+    n_a, n_c = [max(1, n_max if depth is None or depth > n_max else depth)
+                for depth in (depth_a, depth_c)]
+    reach = (-max(n_a * (l_add > 0), n_c * (l_cub > 0)),
+             1 + max(n_a * (l_add < 0), n_c * (l_cub < 0)))
+    # rho per part; a series of e >= 0 that converges is 0, its tails too.
+    ratios = [bounds_mod.term_ratio(w, phi, l) if depth is not None else 1.0
+              for w, l, depth in ((2, l_add, depth_a), (8, l_cub, depth_c))]
     for x in points:
         series_a = bounds_mod.series_bound("additive", phi, x, l_add)
         series_c = bounds_mod.series_bound("cubic", phi, x, l_cub)
@@ -446,8 +459,7 @@ def recover(f: FuncModel, points: Sequence[Point],
             raise DivergentControlError(
                 "bound series diverges for the chosen directions "
                 f"(additive l={l_add}, cubic l={l_cub})")
-        bound_value = series.upper
-        orbit = OrbitTable(f, x)
+        orbit = OrbitTable(f, x, True, *reach)
         trace_a = additive_iterate(orbit, x, l_add, n_max, depth=depth_a)
         trace_c = cubic_iterate(orbit, x, l_cub, n_max, depth=depth_c)
         (a_nums, a_den), (c_nums, c_den) = final_a, final_c = (
@@ -464,10 +476,12 @@ def recover(f: FuncModel, points: Sequence[Point],
             cubic=orbit.point((c_nums, 6 * c_den)),
             error=error,
             raw_error=raw_error,
-            bound=bound_value,
-            within_bound=(error <= bound_value
-                          and _gaps_within_tails(trace_a, series_a, phi)
-                          and _gaps_within_tails(trace_c, series_c, phi)),
+            bound=series.upper,
+            within_bound=error <= series.upper and not any(
+                any(map(gt, trace.cauchy_gaps, accumulate(
+                    repeat(rho), mul, initial=2.0 * part.upper)))
+                for trace, part, rho in zip((trace_a, trace_c),
+                                            (series_a, series_c), ratios)),
             additive_trace=trace_a,
             cubic_trace=trace_c,
         ))

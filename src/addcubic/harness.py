@@ -20,8 +20,9 @@ from . import residuals
 from .config import (ConfigError, ExperimentConfig, SweepSpec, model_to_json,
                      phi_to_json)
 from .direct_method import DivergentControlError, OverflowGuardError, recover
-from .models import (FuncModel, PowerNoise, ProductOfPowers, SumOfPowers,
-                     coords_norm, cubic_1d, linear_1d, point)
+from .models import (CubicHomogeneous, FuncModel, Linear, PowerNoise,
+                     ProductOfPowers, SumOfPowers, coords_norm, cubic_1d,
+                     linear_1d, point)
 from .scalars import EXACT, format_number
 
 SWEEP_CSV_HEADER = ("p", "r", "s", "theta", "epsilon", "l_additive", "l_cubic",
@@ -79,16 +80,13 @@ _RULE_TABLES = {
 
 
 def _expectations(model: FuncModel) -> dict[str, bool]:
-    """Which residuals must vanish identically, derived from the atom mix."""
-    if model.has_noise or model.has_even:
-        return {"mixed": False, "additive": False, "cubic": False,
-                "chain": False}
-    return {
-        "mixed": model.is_solution_exact,
-        "additive": model.is_additive_exact,
-        "cubic": model.is_cubic_exact,
-        "chain": model.is_additive_exact,
-    }
+    """Which residuals must vanish identically, derived from the atom mix:
+    the mixed rule for linear and cubic atoms, the additive rule and the
+    chain for linear atoms alone, the cubic rule for cubic atoms alone."""
+    kinds = {type(atom) for atom in model.atoms}
+    additive = kinds <= {Linear}
+    return {"mixed": kinds <= {Linear, CubicHomogeneous}, "additive": additive,
+            "cubic": kinds <= {CubicHomogeneous}, "chain": additive}
 
 
 # Checked when a config names no model and no family.
@@ -256,17 +254,14 @@ def run_recover(config: ExperimentConfig, out_dir: Path) -> RunResult:
                          l_additive=config.direction_additive,
                          l_cubic=config.direction_cubic,
                          n_max=config.n_max)
-    except DivergentControlError as exc:
-        doc = {"schema_version": 1, "command": "recover",
-               "status": "divergent-series", "detail": str(exc),
-               "phi": phi_to_json(phi), "ok": False}
+    except (DivergentControlError, OverflowGuardError) as exc:
+        diverged = isinstance(exc, DivergentControlError)
+        status = "divergent-series" if diverged else "overflow-guard"
+        doc = {"schema_version": 1, "command": "recover", "status": status,
+               "detail": str(exc), "ok": False,
+               **({"phi": phi_to_json(phi)} if diverged else {})}
         files = [write_json(out_dir / f"{config.output_stem}.json", doc)]
-        return RunResult(False, "divergent-series", doc, files)
-    except OverflowGuardError as exc:
-        doc = {"schema_version": 1, "command": "recover",
-               "status": "overflow-guard", "detail": str(exc), "ok": False}
-        files = [write_json(out_dir / f"{config.output_stem}.json", doc)]
-        return RunResult(False, "overflow-guard", doc, files)
+        return RunResult(False, status, doc, files)
 
     doc = report.to_json_dict()
     doc["command"] = "recover"

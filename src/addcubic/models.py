@@ -209,14 +209,7 @@ class Linear(_Value):
         widths = {len(row) for row in self.matrix}
         if len(widths) != 1:
             raise DimensionMismatchError("ragged matrix")
-
-    @property
-    def dim_in(self) -> int:
-        return len(self.matrix[0])
-
-    @property
-    def dim_out(self) -> int:
-        return len(self.matrix)
+        self.__dict__.update(dim_in=widths.pop(), dim_out=len(self.matrix))
 
     evaluate = _evaluate_alone
 
@@ -250,15 +243,8 @@ class CubicHomogeneous(_Value):
             normalized.append(tuple(rows))
         if len(normalized) != m:
             raise DimensionMismatchError("one term table per output coordinate")
-        self.__dict__.update(terms=tuple(normalized), dims=dims)
-
-    @property
-    def dim_in(self) -> int:
-        return self.dims[0]
-
-    @property
-    def dim_out(self) -> int:
-        return self.dims[1]
+        self.__dict__.update(terms=tuple(normalized), dims=dims, dim_in=d,
+                             dim_out=m)
 
     evaluate = _evaluate_alone
 
@@ -275,14 +261,7 @@ class Even(_Value):
                for q in self.matrices):
             raise DimensionMismatchError(
                 "quadratic forms must be square and of one size")
-
-    @property
-    def dim_in(self) -> int:
-        return len(self.matrices[0])
-
-    @property
-    def dim_out(self) -> int:
-        return len(self.matrices)
+        self.__dict__.update(dim_in=d, dim_out=len(self.matrices))
 
     evaluate = _evaluate_alone
 
@@ -385,18 +364,18 @@ class FuncModel(_Value):
         exact mode, and that value rounded once in float mode."""
         u, d = (coords, den) if den is not None else integer_ratio(coords)
         table_den, parts, read = self.orbit(u, d, odd=False)
-        rest_den, (row,), _ = read((0,)) if self._noise else (
-            table_den, [[0] * self.dim_out], None)
+        rest_den, columns, _ = read((0,)) if self._noise else (
+            table_den, [[0]] * self.dim_out, None)
         value = reduce(add_ratios, [(c, table_den) for _, c in parts],
-                       (row, rest_den))
+                       ([c for c, in columns], rest_den))
         return value if den is not None else ratio_values(value, mode)
 
     def orbit(self, u, den: int, odd: bool = True):
         """f on the dyadic orbit y = x * 2^k of x = u / den, as (D, parts,
         read): (r, numerators over D) of the table's degree-r part at x,
         2^(k r) times that at y, and ``read(ks)``, the noise atoms g at each
-        y as (D', rows over D', g(x) with ``odd`` if 0 is in ks, or None),
-        with ``odd`` (g(y) - g(-y)) / 2."""
+        y as (D', per output a column over D', g(x) with ``odd`` if 0 is in
+        ks, or None), with ``odd`` (g(y) - g(-y)) / 2."""
         if len(u) != self.dim_in:
             raise DimensionMismatchError(
                 f"got {len(u)} coordinates, model domain is {self.dim_in}")
@@ -463,24 +442,6 @@ class FuncModel(_Value):
     def has_noise(self) -> bool:
         return bool(self._noise)
 
-    @property
-    def has_even(self) -> bool:
-        return any(isinstance(a, Even) for a in self.atoms)
-
-    @property
-    def is_additive_exact(self) -> bool:
-        """True when every atom is exactly additive (Linear only)."""
-        return all(isinstance(a, Linear) for a in self.atoms)
-
-    @property
-    def is_cubic_exact(self) -> bool:
-        return all(isinstance(a, CubicHomogeneous) for a in self.atoms)
-
-    @property
-    def is_solution_exact(self) -> bool:
-        """True when the model solves the mixed rule exactly (Linear + cubic)."""
-        return all(isinstance(a, (Linear, CubicHomogeneous)) for a in self.atoms)
-
 
 def evaluate(f: Callable[[Point], Point], coords, mode: str, norm_kind: str,
              den: int | None = None):
@@ -516,7 +477,7 @@ def orbit(f: Callable[[Point], Point], u, den: int, norm_kind: str,
                 value, evaluate(f, [-c for c in y], EXACT, norm_kind, d), -1)
                 for value, (y, d) in zip(values, ys)]]
         out_den, rows = over_lcm(values + at_x)  # f(x), last
-        return out_den, rows[:len(ks)], rows[-1] if at_x else None
+        return out_den, list(zip(*rows[:len(ks)])), rows[-1] if at_x else None
     return 1, (), read
 
 
@@ -585,14 +546,15 @@ ControlFunction = Union[Constant, SumOfPowers, ProductOfPowers]
 
 
 def phi_value(phi: ControlFunction, x: Point, y: Point) -> float:
-    """phi(x, y) as a float."""
+    """phi(x, y) as a float; x and y are points, or their norms."""
     if isinstance(phi, Constant):
         return float(phi.value)
+    x, y = [v if isinstance(v, float) else norm(v) for v in (x, y)]
     if isinstance(phi, SumOfPowers):
         p = float(phi.power)
-        return float(phi.theta) * (norm(x) ** p + norm(y) ** p)
+        return float(phi.theta) * (x ** p + y ** p)
     if isinstance(phi, ProductOfPowers):
-        return float(phi.theta) * norm(x) ** float(phi.r) * norm(y) ** float(phi.s)
+        return float(phi.theta) * x ** float(phi.r) * y ** float(phi.s)
     raise TypeError(f"not a control function: {phi!r}")
 
 

@@ -88,17 +88,38 @@ def sample(seed: int, coords, amplitude: tuple[int, int],
     """Noise (numerators, denominator) at ``coords`` over ``den``; its norm
     is at most amplitude * (max_i |x_i|)^exponent, so at most amplitude *
     ||x||^exponent, exactly."""
-    out_den, (row,), _ = orbit([(seed, amplitude, exponent)], coords, den,
-                               dim_out, False, (0,))
-    return row, out_den
+    out_den, columns, _ = orbit([(seed, amplitude, exponent)], coords, den,
+                                dim_out, False, (0,))
+    return tuple([column[0] for column in columns]), out_den
+
+
+def _scales(base: int, den: int, amplitude: tuple[int, int],
+            exponent: tuple[int, int], ks) -> list:
+    """:func:`_scale` at each y = x * 2^k, b = base / den; for a fractional
+    p, float pow at b's float times 2^k, which is the float of b 2^k while
+    both lie well inside the normal range."""
+    (a_num, a_den), (p_num, p_den) = amplitude, exponent
+    t = base.bit_length() - den.bit_length()  # 2^(t - 1) < b < 2^(t + 1)
+    b = base / den if a_num and p_den != 1 and -1019 <= t <= 1021 else 0.0
+    scales, q = [], p_num / p_den
+    for k in ks:
+        if b and -1019 <= t + k <= 1021:
+            f_num, f_den = (math.ldexp(b, k) ** q).as_integer_ratio()
+            scales.append((a_num * f_num * _POWER_SAFETY[0],
+                           a_den * f_den * _POWER_SAFETY[1]))
+        else:
+            scales.append(_scale((base << max(k, 0),), den << max(-k, 0),
+                                 amplitude, exponent))
+    return scales
 
 
 def orbit(atoms, coords, den: int, dim_out: int, odd: bool, ks):
     """The sum N of :func:`sample` over the (seed, amplitude, exponent)
     ``atoms`` at each y = x * 2^k, k in ``ks``, of x = coords / den: (D,
-    rows over D, N(x) with ``odd`` if 0 is in ks, or None), rows[i] N(y),
-    or with ``odd`` (N(y) - N(-y)) / 2, at ks[i].  An integer p's scale at
-    y is that at x shifted by k p; a fractional p's has a dyadic den part."""
+    columns over D, N(x) with ``odd`` if 0 is in ks, or None), columns[j]
+    output j of N(y), or with ``odd`` (N(y) - N(-y)) / 2, at each k in
+    order.  An integer p's scale at y is that at x shifted by k p; a
+    fractional p's has a dyadic den part (:func:`_scales`)."""
     base, low, high, terms = max(map(abs, coords)), min([0, *ks]), max(ks), []
     for seed, amplitude, (p_num, p_den) in atoms:
         # _scale's power check passes at y = x * 2^k iff k_low <= k <= k_high.
@@ -108,13 +129,13 @@ def orbit(atoms, coords, den: int, dim_out: int, odd: bool, ks):
             (None, amplitude[1] * _POWER_SAFETY[1]) if p_den != 1
             else _scale(coords, den, amplitude, (p_num, p_den))
             if k_low <= 0 <= k_high else (None, 1))  # else _scale raises
-        if fixed is not None and k_low <= low and high <= k_high:
+        if fixed is not None and (k_low <= low and high <= k_high
+                                  or not fixed):  # 0 passes at every y
             top, scales = -low * p_num, [fixed << (k - low) * p_num
                                          for k in ks]
         else:  # a fractional p; or _scale raises as at the widest y
-            scales = [_scale((base << max(k, 0),), den << max(-k, 0),
-                             amplitude, (p_num, p_den))
-                      for k in (ks if fixed is None else (high, low))]
+            scales = _scales(base, den, amplitude, (p_num, p_den),
+                             ks if fixed is None else (high, low))
             bits = [y_den.bit_length() - scale_den.bit_length()
                     for _, y_den in scales]
             top = max([0, *bits])
@@ -140,5 +161,5 @@ def orbit(atoms, coords, den: int, dim_out: int, odd: bool, ks):
             plain = [t + (scales[at] * _direction_component(
                 seed, plus[at], i) << 1) for i, t in enumerate(plain)]
     return (total * dim_out << VALUE_BITS + odd if terms else 1,
-            list(zip(*[iter(values)] * dim_out)),
+            [values[j::dim_out] for j in range(dim_out)],
             None if at is None else tuple(plain))

@@ -442,6 +442,34 @@ def test_consistency_check_matches_closed_forms():
         assert report.ok, (p, report)
 
 
+@pytest.mark.parametrize("x", [1000, 12345])
+@pytest.mark.parametrize("p", [2, 5, 6])
+def test_consistency_check_tolerance_is_relative_above_one(x, p):
+    # At x = 1000 and p = 5 the bound is 1.25e13, where one ulp is about
+    # 0.002, so an absolute 1e-9 failed correct code; the rule is
+    # |series - closed| <= tol * max(1, |closed|).
+    report = consistency_check(1, p, point([x], mode="float"), tol=1e-9)
+    assert report.ok, report
+    assert min(report.sum_closed, report.product_closed) > 1e4
+
+
+@pytest.mark.parametrize("x", [1, 1000, 12345])
+@pytest.mark.parametrize("form", ["sum", "product"])
+def test_consistency_check_fails_a_closed_form_off_by_a_millionth(
+        monkeypatch, x, form):
+    # A closed form off by a relative 1e-6 is a thousand times the
+    # tolerance, at a bound below 1 and above it.
+    from addcubic import bounds
+    name = f"corollary_{form}_bound"
+    exact = getattr(bounds, name)
+    monkeypatch.setattr(bounds, name,
+                        lambda *args: exact(*args) * (1 + 1e-6))
+    report = consistency_check(1, 2, point([x], mode="float"), tol=1e-9)
+    assert (report.sum_ok, report.product_ok) \
+        == ((False, True) if form == "sum" else (True, False))
+    assert not report.ok
+
+
 def test_consistency_check_flags_nothing_at_tol_zero():
     report = consistency_check(1, 2, X1, tol=0.0)
     # upper is rounded outward from the closed form: tol 0 fails, not raises

@@ -859,6 +859,42 @@ def test_recover_counts_hold_at_the_model_entry(monkeypatch, mode, coords):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("directions", sorted(DIRECTION_PHI))
+def test_recover_reads_each_point_in_one_noise_batch(monkeypatch, mode,
+                                                     directions):
+    # N points, N calls of noise.orbit: one batch per point holds every k
+    # both iterates read, each once, and entry() reads nothing.  With the
+    # directions apart (l = +1 additive, -1 cubic) the batch is the union
+    # of both iterates' ks.
+    batches = []
+    read = noise.orbit
+
+    def counted(atoms, coords, den, dim_out, odd, ks):
+        batches.append(list(ks))
+        return read(atoms, coords, den, dim_out, odd, ks)
+
+    monkeypatch.setattr(noise, "orbit", counted)
+    points = [point([Fraction(n, 7)], mode) for n in range(1, 6)]
+    phi = DIRECTION_PHI[directions]
+    recover(_orbit_model(1), points, phi, *directions, n_max=12)
+    assert len(batches) == len(points)
+    assert all(len(ks) == len(set(ks)) for ks in batches)
+    low = -12 if 1 in directions else 0
+    high = 13 if -1 in directions else 1
+    assert all(sorted(ks) == list(range(low, high + 1)) for ks in batches)
+    # The table reads on first use, once: the iterates and entry() after
+    # them read nothing more.
+    batches.clear()
+    table = direct_method.OrbitTable(_orbit_model(1), points[0], True,
+                                     low, high)
+    assert batches == []
+    additive_iterate(table, points[0], directions[0], 12, phi)
+    cubic_iterate(table, points[0], directions[1], 12, phi)
+    table.entry()
+    assert len(batches) == 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
 def test_recover_zero_point_evaluates_its_one_argument_once(mode):
     # Every x * 2^k of x = 0 is the argument 0: f(0) and f(-0), once.
     f = _Counted(noisy_solution())

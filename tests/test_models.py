@@ -17,7 +17,7 @@ from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
                       random_point, random_rational)
 from addcubic.config import (atom_to_json, model_from_json, model_to_json,
                              phi_from_json, phi_to_json)
-from addcubic.direct_method import OrbitTable
+from addcubic.direct_method import OrbitTable, recover
 from addcubic.models import (NORM_KINDS, Point, coords_norm, orbit,
                              phi_degree)
 from addcubic.scalars import integer_ratio
@@ -446,6 +446,89 @@ def test_noise_orbit_raises_where_the_scale_does(coords, den):
         noise.orbit([(9, amplitude, exponent)], coords, den, 2, True, ks)
 
 
+def test_noise_orbit_of_a_zero_scale_reads_every_k():
+    # _scale returns 0 for a zero amplitude or at x = 0 before its power
+    # check, so such an atom reads 0 at every k, even where the check
+    # would refuse the power: the batch once stopped at two ks there.
+    for amplitude, coords in (((0, 1), (3,)), ((1, 1000), (0,))):
+        den, columns, _ = noise.orbit([(1, amplitude, (1 << 20, 1))],
+                                      coords, 1, 1, True, [1, 0, -1])
+        assert columns == [[0, 0, 0]]
+    f = model_1d(linear_1d(2), PowerNoise(1, 0, 1 << 20))
+    item = recover(f, [point(["3"])], SumOfPowers(1, 2), 1, -1,
+                   n_max=3).points[0]
+    assert item.additive.coords == (6,) and item.error == 0.0
+
+
+# Integer exponents, and fractional ones (float pow).  Under a power
+# width of 2^12 bits, set below, the check refuses p = 60 from a base or
+# denominator of 69 bits on, and p = 7 from 586.
+_ORBIT_EXPONENTS = [(0, 1), (1, 1), (7, 1), (60, 1), (1, 2), (7, 3),
+                    (5, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_noise_orbit_batch_equals_one_argument_samples(data):
+    # One batch over the ks against noise.sample at each y = x * 2^k alone
+    # (and at -y, with odd): the same value at every k, for 1-3 outputs;
+    # x lies near 2^0, 2^990 or 2^-990 (fractional p reads the float base
+    # near the ends of the normal range) or 2^1060 or 2^-1060 (outside it).
+    # Where a sample raises, the read of that k raises its message, and
+    # the batch that of the first atom to raise, at its first such k.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(noise, "MAX_POWER_BITS", 1 << 12)
+        _check_orbit_batch(data)
+
+
+def _check_orbit_batch(data):
+    m = data.draw(st.integers(1, 3), label="dim_out")
+    odd = data.draw(st.booleans(), label="odd")
+    atoms = data.draw(st.lists(st.tuples(
+        st.integers(0, 99), st.sampled_from([(1, 1000), (3, 7), (0, 1)]),
+        st.sampled_from(_ORBIT_EXPONENTS)), min_size=1, max_size=2),
+        label="atoms")
+    shift = data.draw(st.sampled_from([0, 990, -990, 1060, -1060]),
+                      label="bits of x")
+    coords = tuple(c << max(shift, 0) for c in data.draw(st.lists(
+        st.integers(-999, 999), min_size=1, max_size=2), label="u"))
+    den = data.draw(st.sampled_from([1, 3, 97, 1024]), label="den") \
+        << max(-shift, 0)
+    ks = data.draw(st.lists(st.one_of(  # and near p = 60's refusals
+        st.integers(-80, 80), st.integers(55, 70), st.integers(-70, -55)),
+        min_size=1, max_size=5, unique=True), label="ks")
+    errors, values = [{} for _ in atoms], []  # per atom, k -> message
+    for k in ks:
+        y, y_den = ([c << k for c in coords], den) if k >= 0 \
+            else (coords, den << -k)
+        expected = [Fraction(0)] * m
+        for atom, (seed, amplitude, exponent) in enumerate(atoms):
+            try:
+                for sign in (1, -1)[:1 + odd]:
+                    row, d = noise.sample(seed, [sign * c for c in y],
+                                          amplitude, exponent, m, y_den)
+                    expected = [e + Fraction(sign * n, d * (1 + odd))
+                                for e, n in zip(expected, row)]
+            except OverflowError as exc:
+                errors[atom][k] = str(exc)
+        first = next((e[k] for e in errors if k in e), None)
+        if first is not None:
+            with pytest.raises(OverflowError, match=re.escape(first)):
+                noise.orbit(atoms, coords, den, m, odd, [k])
+            continue
+        out_den, columns, _ = noise.orbit(atoms, coords, den, m, odd, [k])
+        assert [Fraction(c[0], out_den) for c in columns] == expected
+        values.append(expected)
+    first = next((e[k] for e in errors for k in ks if k in e), None)
+    if first is not None:
+        with pytest.raises(OverflowError, match=re.escape(first)):
+            noise.orbit(atoms, coords, den, m, odd, ks)
+    else:
+        out_den, columns, _ = noise.orbit(atoms, coords, den, m, odd, ks)
+        assert [[Fraction(c, out_den) for c in row]
+                for row in zip(*columns)] == values
+
+
 def test_noise_atoms_in_models():
     f = model_1d(linear_1d(1), BoundedNoise(3, Fraction(1, 100)))
     x = point([Fraction(2)])
@@ -615,24 +698,28 @@ def test_odd_entry_matches_two_calls(data):
                           for v, c in zip(values, column)]
         return values
 
-    # Each k is read alone and in one batch of all of them.
+    # Each k is read alone and in one batch of all of them; a read gives
+    # one column per output, one value per k.
     odd_orbit, plain_orbit = f.orbit(u, den), f.orbit(u, den, odd=False)
     odd_den, odd_columns, _ = odd_orbit[2]([0, *ks])
     plain_den, plain_columns, batch_plain = plain_orbit[2]([0, *ks])
     assert batch_plain is None
-    for k, odd_column, plain_column in zip([0, *ks], odd_columns,
-                                           plain_columns):
+    assert len(odd_columns) == len(plain_columns) == m
+    for k, odd_column, plain_column in zip([0, *ks], zip(*odd_columns),
+                                           zip(*plain_columns)):
         y, y_den = ([c << k for c in u], den) if k >= 0 else (u, den << -k)
         plus = at(*f.evaluate_coords(y, "exact", den=y_den))
         minus = at(*f.evaluate_coords([-c for c in y], "exact", den=y_den))
-        out_den, (value,), total = odd_orbit[2]([k])
+        out_den, columns, total = odd_orbit[2]([k])
+        value = [c for c, in columns]
         assert whole(odd_orbit, k, (value, out_den), (1, 3)) \
             == whole(odd_orbit, k, (odd_column, odd_den), (1, 3)) \
             == [(p - q) / 2 for p, q in zip(plus, minus)]
         assert (total is None) == (k != 0)
         if k == 0:
             assert whole(odd_orbit, k, (total, out_den), (1, 2, 3)) == plus
-        out_den, (value,), total = plain_orbit[2]([k])
+        out_den, columns, total = plain_orbit[2]([k])
+        value = [c for c, in columns]
         assert total is None
         assert whole(plain_orbit, k, (value, out_den), (1, 2, 3)) \
             == whole(plain_orbit, k, (plain_column, plain_den), (1, 2, 3)) \
