@@ -13,7 +13,7 @@ direct-method iteration, and certifies the recovered errors against
 geometric bound series and their closed-form constants.
 """
 
-from .scalars import EXACT, FLOAT, ModeMismatchError, format_number, parse_rational
+from .scalars import EXACT, FLOAT, format_number, parse_rational
 from .models import (
     EUCLIDEAN, MAX, BoundedNoise, Constant, ControlFunction, CubicHomogeneous,
     DimensionMismatchError, Even, FuncModel, Linear, Point, PowerNoise,

@@ -48,8 +48,8 @@ class DivergentControlError(ValueError):
     """The control function's bound series diverges for the chosen direction."""
 
 
-def _vector_point(mode: str, norm_kind: str, vector) -> Point:
-    return Point(tuple(ratio_values(vector, mode)), norm_kind)
+def _vector_point(norm_kind: str, vector) -> Point:
+    return Point(tuple(ratio_values(vector)), norm_kind)
 
 
 def _norm(vector, norm_kind: str) -> float:
@@ -84,7 +84,7 @@ class OrbitTable:
     else f(y).  An iterate reads 1, 0, then away from x; the first k whose
     read raises, or whose whole value trips the guard, ends it with that
     error (raised on reading if 1 or 0; a batch that raises is read k by
-    k).  ``point`` makes a vector a point of x's mode and holds no table."""
+    k).  ``point`` makes a vector a point of x's norm and holds no table."""
 
     def __init__(self, func: Callable[[Point], Point], x: Point,
                  odd: bool = True, low: int = 0, high: int = 0):
@@ -92,7 +92,7 @@ class OrbitTable:
         u, den = integer_ratio(x.coords)
         den, parts, self._read = orbit(func, tuple(u), den, x.norm_kind, odd)
         self._parts = {r: (column, den) for r, column in parts}
-        self.point = partial(_vector_point, x.mode, x.norm_kind)
+        self.point = partial(_vector_point, x.norm_kind)
         self._moves = any(u)  # at x = 0 every k is the one argument 0
 
     @cached_property
@@ -341,10 +341,10 @@ class RecoveryReport:
     """Deterministic record of a recovery run over a list of points."""
 
     def __init__(self, direction_additive: int, direction_cubic: int,
-                 phi: ControlFunction, mode: str, norm_kind: str, n_max: int):
+                 phi: ControlFunction, norm_kind: str, n_max: int):
         self.direction_additive = direction_additive
         self.direction_cubic = direction_cubic
-        self.phi, self.mode, self.norm_kind = phi, mode, norm_kind
+        self.phi, self.norm_kind = phi, norm_kind
         self.n_max = n_max
         self.points: list[PointRecovery] = []
 
@@ -371,7 +371,8 @@ class RecoveryReport:
                   "bound", "within_bound", "additive_converged",
                   "cubic_converged")
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, mode: str = EXACT) -> dict:
+        """The report, each point and value printed in ``mode``."""
         from .config import phi_to_json  # late import: config sits above this module
 
         def trace_dict(trace: IterationTrace) -> dict:
@@ -379,13 +380,13 @@ class RecoveryReport:
                 "n_steps": trace.n_steps,
                 "converged": trace.converged,
                 "converged_at": trace.converged_at,
-                "final": [format_number(c) for c in trace.final.coords],
+                "final": [format_number(c, mode) for c in trace.final.coords],
                 "cauchy_gaps": list(trace.cauchy_gaps),
             }
 
         return {
             "schema_version": 1,
-            "mode": self.mode,
+            "mode": mode,
             "norm": self.norm_kind,
             "direction_additive": self.direction_additive,
             "direction_cubic": self.direction_cubic,
@@ -400,9 +401,10 @@ class RecoveryReport:
             },
             "points": [
                 {
-                    "x": [format_number(c) for c in item.x.coords],
-                    "additive": [format_number(c) for c in item.additive.coords],
-                    "cubic": [format_number(c) for c in item.cubic.coords],
+                    "x": [format_number(c, mode) for c in item.x.coords],
+                    "additive": [format_number(c, mode)
+                                 for c in item.additive.coords],
+                    "cubic": [format_number(c, mode) for c in item.cubic.coords],
                     "error": item.error,
                     "raw_error": item.raw_error,
                     "bound": item.bound,
@@ -435,11 +437,9 @@ def recover(f: FuncModel, points: Sequence[Point],
     l_add = l_add if l_additive == "auto" else require_direction(l_additive)
     l_cub = l_cub if l_cubic == "auto" else require_direction(l_cubic)
 
-    mode = points[0].mode if points else EXACT
     norm_kind = points[0].norm_kind if points else "euclidean"
     report = RecoveryReport(direction_additive=l_add, direction_cubic=l_cub,
-                            phi=phi, mode=mode, norm_kind=norm_kind,
-                            n_max=n_max)
+                            phi=phi, norm_kind=norm_kind, n_max=n_max)
     depth_a = bounds_mod.certified_depth("additive", phi, l_add)
     depth_c = bounds_mod.certified_depth("cubic", phi, l_cub)
     # One read per point, of k = 1 down to -n (l = +1) or 0 up to n + 1 for

@@ -5,7 +5,8 @@ Every runner consumes an :class:`~addcubic.config.ExperimentConfig` (or
 into an output directory and returns a :class:`RunResult` whose ``ok`` flag
 feeds the process exit status: 0 iff every asserted inequality/identity in
 the run holds.  Model values, residuals and recovered parts are exact in
-both modes; a float report holds each exact value rounded once.
+both modes: a mode only decides how the config's points are read and how
+the report prints.  A float report holds each exact value rounded once.
 """
 
 from __future__ import annotations
@@ -184,10 +185,11 @@ def run_check_lemmas(config: ExperimentConfig, out_dir: Path) -> RunResult:
                            for name, stats in rule_stats.items())
         if explicit_pairs:
             entry["explicit_pairs"] = [{
-                "x": [format_number(c) for c in x.coords],
-                "y": [format_number(c) for c in y.coords],
+                "x": [format_number(c, config.mode) for c in x.coords],
+                "y": [format_number(c, config.mode) for c in y.coords],
                 "residuals": {
-                    name: [format_number(c) for c in vector.value.coords]
+                    name: [format_number(c, config.mode)
+                           for c in vector.value.coords]
                     for name, vector in zip(_RULE_TABLES, vectors)},
             } for (x, y), vectors in zip(explicit_pairs, kept)]
         if catalogue:
@@ -263,7 +265,7 @@ def run_recover(config: ExperimentConfig, out_dir: Path) -> RunResult:
         files = [write_json(out_dir / f"{config.output_stem}.json", doc)]
         return RunResult(False, status, doc, files)
 
-    doc = report.to_json_dict()
+    doc = report.to_json_dict(config.mode)
     doc["command"] = "recover"
     doc["ok"] = report.ok
     rows = [[_csv_text(value) for value in (

@@ -11,11 +11,12 @@ the Euclidean or the max norm.  A function model is a sum of atoms:
 * ``Even``              -- quadratic forms, a deliberate non-solution used in
                            negative tests.
 
-All coefficients are stored as exact rationals, and evaluation in both
-modes is one integer kernel: a model folds its polynomial atoms into one
-integer table, reads it at integer numerators over one denominator (a
-float at its exact binary value) and adds the noise atoms' numerators; a
-float result is the exact value rounded once.  The direct method sums the
+Points hold exact rationals; in float mode :func:`point` and
+:func:`random_point` round each input once to a double and keep its exact
+value.  All coefficients are exact rationals too, and evaluation is one
+integer kernel: a model folds its polynomial atoms into one integer table,
+reads it at integer numerators over one denominator and adds the noise
+atoms' numerators.  A model never sees a mode.  The direct method sums the
 table once per point (:meth:`FuncModel.orbit`), and residual tables
 expand a noise-free model's table in (a, b) at the arguments
 (a u + b v) / den of a pair (:meth:`FuncModel.moments`).  Every value is
@@ -31,9 +32,8 @@ from functools import partial, reduce
 from typing import Callable, Sequence, Union
 
 from . import noise as noise_mod
-from .scalars import (EXACT, FLOAT, ModeMismatchError, Number, add_ratios,
-                      coerce, integer_ratio, over_lcm, ratio_values,
-                      require_mode)
+from .scalars import (EXACT, FLOAT, MODES, add_ratios, integer_ratio,
+                      over_lcm, parse_rational, ratio_values)
 
 EUCLIDEAN = "euclidean"
 MAX = "max"
@@ -74,22 +74,14 @@ class _Value:
 # Points and norms
 # ---------------------------------------------------------------------------
 
-def _coord_mode(coords) -> str:
-    modes = {FLOAT if isinstance(c, float) else EXACT for c in coords}
-    if len(modes) != 1:
-        raise ModeMismatchError("point mixes exact and float coordinates")
-    return modes.pop()
-
-
 class Point(_Value):
-    """An element of R^d: ordered coordinates plus the active norm kind.
-
-    The scalar mode is derived from the coordinates and is not compared.
-    """
+    """An element of R^d: exact rational coordinates (ints or
+    ``Fraction``s) plus the active norm kind."""
 
     _fields = ("coords", "norm_kind")
 
-    def __init__(self, coords: tuple[Number, ...], norm_kind: str = EUCLIDEAN):
+    def __init__(self, coords: tuple[Fraction, ...],
+                 norm_kind: str = EUCLIDEAN):
         self.__dict__.update(coords=coords, norm_kind=norm_kind)
         self.__post_init__()
 
@@ -100,7 +92,6 @@ class Point(_Value):
             raise DimensionMismatchError("points need at least one coordinate")
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
-        self.__dict__["mode"] = _coord_mode(self.coords)
 
     @property
     def dim(self) -> int:
@@ -115,8 +106,6 @@ class Point(_Value):
             raise DimensionMismatchError(f"dimension {self.dim} vs {other.dim}")
         if self.norm_kind != other.norm_kind:
             raise ValueError("points carry different norm kinds")
-        if self.mode != other.mode:
-            raise ModeMismatchError("points carry different scalar modes")
 
     def __add__(self, other: "Point") -> "Point":
         self._check_compatible(other)
@@ -132,22 +121,22 @@ class Point(_Value):
         return Point(tuple(-c for c in self.coords), self.norm_kind)
 
     def scale(self, factor) -> "Point":
-        f = coerce(factor, self.mode)
+        f = parse_rational(factor)
         return Point(tuple(f * c for c in self.coords), self.norm_kind)
 
     def __rmul__(self, factor) -> "Point":
         return self.scale(factor)
 
-    def to_mode(self, mode: str) -> "Point":
-        require_mode(mode)
-        if mode == self.mode:
-            return self
-        return Point(tuple(coerce(c, mode) for c in self.coords), self.norm_kind)
-
 
 def point(values: Sequence, mode: str = EXACT, norm_kind: str = EUCLIDEAN) -> Point:
-    """Build a point, coercing each value into the requested mode."""
-    return Point(tuple(coerce(v, mode) for v in values), norm_kind)
+    """Parse a point (:func:`parse_rational` per value); float mode rounds
+    each value once to a double and keeps that double's exact value."""
+    coords = [parse_rational(v) for v in values]
+    if mode == FLOAT:
+        coords = [Fraction(float(c)) for c in coords]
+    elif mode != EXACT:
+        raise ValueError(f"unknown scalar mode {mode!r}; expected one of {MODES}")
+    return Point(tuple(coords), norm_kind)
 
 
 def norm(p: Point) -> float:
@@ -185,7 +174,7 @@ def coords_norm(coords: Sequence, norm_kind: str) -> float:
 
 # ---------------------------------------------------------------------------
 # Model atoms.  A model reads its polynomial atoms from its folded table; a
-# polynomial atom's ``evaluate(coords)`` is the one-atom model's float
+# polynomial atom's ``evaluate(coords)`` is the one-atom model's exact
 # value.  Noise atoms take ``(coords, dim_out, den=1)``, integers over den.
 # ---------------------------------------------------------------------------
 
@@ -194,9 +183,8 @@ def _rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _evaluate_alone(atom, coords):
-    """The atom at ``coords`` in floats, read through a one-atom fold."""
-    return FuncModel(atom.dim_in, atom.dim_out, (atom,)).evaluate_coords(
-        coords, FLOAT)
+    """The atom at ``coords``, read through a one-atom fold."""
+    return FuncModel(atom.dim_in, atom.dim_out, (atom,)).evaluate_coords(coords)
 
 
 class Linear(_Value):
@@ -357,18 +345,17 @@ class FuncModel(_Value):
             _folded=(table, den, top), _noise=noise,
             moment_keys=tuple((r, q) for r in degrees for q in range(r + 1)))
 
-    def evaluate_coords(self, coords, mode: str, *, den: int | None = None):
+    def evaluate_coords(self, coords, *, den: int | None = None):
         """Atom-sum evaluation on raw coordinates, :meth:`orbit` at k = 0:
         integer numerators over ``den`` give (numerators, denominator),
-        unreduced; otherwise each output is one exact ``Fraction`` in
-        exact mode, and that value rounded once in float mode."""
+        unreduced; otherwise each output is one exact ``Fraction``."""
         u, d = (coords, den) if den is not None else integer_ratio(coords)
         table_den, parts, read = self.orbit(u, d, odd=False)
         rest_den, columns, _ = read((0,)) if self._noise else (
             table_den, [[0]] * self.dim_out, None)
         value = reduce(add_ratios, [(c, table_den) for _, c in parts],
                        ([c for c, in columns], rest_den))
-        return value if den is not None else ratio_values(value, mode)
+        return value if den is not None else ratio_values(value)
 
     def orbit(self, u, den: int, odd: bool = True):
         """f on the dyadic orbit y = x * 2^k of x = u / den, as (D, parts,
@@ -436,14 +423,14 @@ class FuncModel(_Value):
         if x.dim != self.dim_in:
             raise DimensionMismatchError(
                 f"point has dimension {x.dim}, model domain is {self.dim_in}")
-        return Point(tuple(self.evaluate_coords(x.coords, x.mode)), x.norm_kind)
+        return Point(tuple(self.evaluate_coords(x.coords)), x.norm_kind)
 
     @property
     def has_noise(self) -> bool:
         return bool(self._noise)
 
 
-def evaluate(f: Callable[[Point], Point], coords, mode: str, norm_kind: str,
+def evaluate(f: Callable[[Point], Point], coords, norm_kind: str,
              den: int | None = None):
     """f at ``coords``: the one place that knows how to evaluate a function.
 
@@ -453,7 +440,7 @@ def evaluate(f: Callable[[Point], Point], coords, mode: str, norm_kind: str,
     denominator); without it the result is one value per output coordinate.
     """
     if isinstance(f, FuncModel):
-        return f.evaluate_coords(coords, mode, den=den)
+        return f.evaluate_coords(coords, den=den)
     if den is not None:
         coords = [Fraction(c, den) for c in coords]
     values = f(Point(tuple(coords), norm_kind)).coords
@@ -470,11 +457,11 @@ def orbit(f: Callable[[Point], Point], u, den: int, norm_kind: str,
 
     def read(ks):
         ys = [([c << max(k, 0) for c in u], den << max(-k, 0)) for k in ks]
-        values = [evaluate(f, y, EXACT, norm_kind, d) for y, d in ys]
+        values = [evaluate(f, y, norm_kind, d) for y, d in ys]
         at_x = [values[ks.index(0)]] if odd and 0 in ks else []  # f(x)
         if odd:  # (f(y) - f(-y)) / 2
             values = [(nums, d << 1) for nums, d in [add_ratios(
-                value, evaluate(f, [-c for c in y], EXACT, norm_kind, d), -1)
+                value, evaluate(f, [-c for c in y], norm_kind, d), -1)
                 for value, (y, d) in zip(values, ys)]]
         out_den, rows = over_lcm(values + at_x)  # f(x), last
         return out_den, list(zip(*rows[:len(ks)])), rows[-1] if at_x else None
@@ -584,7 +571,8 @@ def random_rational(rng: random.Random, max_numerator: int = 16,
 def random_point(rng: random.Random, dim: int, mode: str = EXACT,
                  norm_kind: str = EUCLIDEAN, low: int = -8, high: int = 8,
                  max_denominator: int = 1024) -> Point:
-    """Coordinates n/q with q = max_denominator and n uniform in [low*q, high*q]."""
+    """Coordinates n/q with q = max_denominator and n uniform in [low*q,
+    high*q], read by :func:`point` in ``mode``."""
     coords = [Fraction(rng.randint(low * max_denominator, high * max_denominator),
                        max_denominator) for _ in range(dim)]
     return point(coords, mode, norm_kind)

@@ -27,11 +27,10 @@ without noise atoms is never evaluated at a point.  A model with noise
 atoms, or a plain callable, is evaluated whole once at each distinct
 argument of the tables: the three rules share 8 arguments, and with the
 21 chain identities the union is 19.
-Both modes run in integers: the pair is numerators over one denominator
-(float coordinates at their exact binary values), and every sum is an
-integer dot product over one denominator.  A vector a caller asks for is
-built from those sums: ``Fraction``s in exact mode, each coordinate
-rounded once in float mode, so no float cancellation can pass for a zero.
+Every sum is exact: the pair is numerators over one denominator, and each
+sum an integer dot product over one denominator, so no float cancellation
+can pass for a zero.  A vector a caller asks for holds ``Fraction``s built
+from those sums; a float report rounds each once when it prints.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .models import DimensionMismatchError, FuncModel, Point, evaluate, norm
-from .scalars import (EXACT, ModeMismatchError, integer_ratio, over_lcm,
-                      ratio_values)
+from .scalars import integer_ratio, over_lcm, ratio_values
 
 # One term of a rule: coefficient * f(a*x + b*y).
 Term = tuple[Fraction, int, int]
@@ -115,8 +113,7 @@ class TermTables:
     A model with noise atoms, or a plain callable, is evaluated once at
     each distinct argument of the pair and summed by integer dot products.
     :meth:`integer_sums` returns the exact sums; :meth:`residuals` builds
-    one ``Fraction`` (exact mode) or one rounded float (float mode) per
-    output coordinate.
+    one ``Fraction`` per output coordinate.
     """
 
     def __init__(self, tables: Sequence[tuple[Term, ...]]):
@@ -157,8 +154,6 @@ class TermTables:
         if x.dim != y.dim:
             raise DimensionMismatchError(
                 f"x has dimension {x.dim}, y has {y.dim}")
-        if x.mode != y.mode:
-            raise ModeMismatchError("x and y carry different scalar modes")
         ints, den = integer_ratio(x.coords + y.coords)
         u, v = tuple(ints[:x.dim]), tuple(ints[x.dim:])
         if isinstance(f, FuncModel) and not f.has_noise:
@@ -167,7 +162,7 @@ class TermTables:
                      if row else [0] * f.dim_out, out_den * table_den)
                     for row, table_den in self._moment_rows(f.moment_keys)]
         values = [evaluate(f, [a * ui + b * vi for ui, vi in zip(u, v)],
-                           EXACT, x.norm_kind, den)
+                           x.norm_kind, den)
                   for a, b in self.arguments]
         common, rows = over_lcm(values)
         columns = list(zip(*rows))
@@ -182,10 +177,9 @@ class TermTables:
 
 
 def residual_vectors(totals, x: Point) -> list[ResidualVector]:
-    """:meth:`TermTables.integer_sums` as vectors: ``Fraction``s in exact
-    mode, each exact value rounded once in float mode."""
-    return [ResidualVector(Point(tuple(ratio_values(total, x.mode)),
-                                 x.norm_kind)) for total in totals]
+    """:meth:`TermTables.integer_sums` as vectors of ``Fraction``s."""
+    return [ResidualVector(Point(tuple(ratio_values(total)), x.norm_kind))
+            for total in totals]
 
 
 @lru_cache(maxsize=64)
@@ -319,11 +313,9 @@ def catalogue_from_json_dict(doc: dict) -> tuple[ChainIdentity, ...]:
 
 def chain_replay(f, x: Point, y: Point,
                  catalogue=CHAIN_CATALOGUE) -> dict[str, ResidualVector]:
-    """Residual of every catalogued identity at (x, y), exact in both modes:
-    float points are read at their exact binary values, and each float
-    residual is its exact value rounded once.  f must be evaluable on all
-    integer combinations of x and y appearing in the table (coefficients
-    reach 4 on x and 3 on y).
+    """Residual of every catalogued identity at (x, y), exact.  f must be
+    evaluable on all integer combinations of x and y appearing in the table
+    (coefficients reach 4 on x and 3 on y).
     """
     vectors = chain_tables(catalogue).residuals(f, x, y)
     return {ident.label: vector for ident, vector in zip(catalogue, vectors)}

@@ -1,58 +1,23 @@
-"""Scalar values in two arithmetic modes: exact rationals and 64-bit floats.
+"""Exact scalars, and the two modes in which they are read and written.
 
-Exact mode uses arbitrary-precision ``fractions.Fraction``, which is closed
-and lossless under +, -, *, / (nonzero divisor).  Float mode is ordinary
-IEEE-754 binary64.  A mode is fixed per evaluation context; helpers here
-classify, coerce, parse and format scalars so the rest of the package never
-mixes the two silently.  Model arithmetic runs in integers in both modes:
-kernels hold rational vectors as ``(integer numerators, denominator)``
-pairs, read a float at its exact binary value (:func:`integer_ratio`), and
-a float result is the exact value rounded once.
+Every value the package computes is exact: model values, residuals,
+iterate steps and recovered parts are integers over one denominator, or
+``fractions.Fraction``.  A mode is a format at the edges only.  In
+``exact`` mode inputs are read as the rationals they spell and outputs
+print as "p/q"; in ``float`` mode each input is rounded once to a 64-bit
+double and kept at that double's exact value, and each output prints as
+its exact value rounded once (:func:`format_number`).  Kernels hold
+rational vectors as ``(integer numerators, denominator)`` pairs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
-
-Number = Union[Fraction, float]
 
 EXACT = "exact"
 FLOAT = "float"
 MODES = (EXACT, FLOAT)
-
-
-class ModeMismatchError(TypeError):
-    """Raised when exact and float scalars meet in one computation."""
-
-
-def require_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"unknown scalar mode {mode!r}; expected one of {MODES}")
-    return mode
-
-
-def coerce(value, mode: str) -> Number:
-    """Coerce ints, Fractions, floats or numeric strings into the given mode.
-
-    Float-to-exact conversion uses the float's exact binary value, which is
-    lossless.  Exact-to-float may round; that is the point of float mode.
-    """
-    require_mode(mode)
-    if mode == EXACT:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, (int, float, str)):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {value!r} to exact mode")
-    if isinstance(value, float):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return float(value)
-    if isinstance(value, str):
-        return float(Fraction(value))
-    raise TypeError(f"cannot coerce {value!r} to float mode")
 
 
 def integer_ratio(values) -> tuple[list[int], int]:
@@ -63,13 +28,10 @@ def integer_ratio(values) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def ratio_values(vector: tuple[list[int], int], mode: str) -> list:
-    """A (numerators, denominator) vector's values: ``Fraction``s in exact
-    mode, each exact value rounded once in float mode."""
+def ratio_values(vector: tuple[list[int], int]) -> list[Fraction]:
+    """A (numerators, denominator) vector's values, as ``Fraction``s."""
     nums, den = vector
-    if mode == EXACT:
-        return [Fraction(n, den) for n in nums]
-    return [n / den for n in nums]
+    return [Fraction(n, den) for n in nums]
 
 
 def add_ratios(a: tuple[list[int], int], b: tuple[list[int], int],
@@ -108,12 +70,11 @@ def parse_rational(text) -> Fraction:
     raise TypeError(f"cannot parse scalar from {text!r}")
 
 
-def format_number(value: Number) -> str:
-    """Render a scalar losslessly: rationals as "p/q", floats via repr."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+def format_number(value, mode: str = EXACT) -> str:
+    """An exact scalar's text: "p/q", an integer as itself; in float mode
+    its value rounded once to a double, as ``repr`` prints it."""
+    if mode == FLOAT:
+        return repr(float(value))
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"

@@ -49,7 +49,8 @@ def test_criterion_1_exact_kernel():
             x = random_point(rng, f.dim_in, max_denominator=8)
             y = random_point(rng, f.dim_in, max_denominator=8)
             assert mixed_residual(f, x, y).is_zero
-            xf, yf = x.to_mode("float"), y.to_mode("float")
+            xf = point(x.coords, mode="float")
+            yf = point(y.coords, mode="float")
             assert mixed_residual(f, xf, yf).is_zero
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
@@ -144,7 +145,7 @@ def test_criterion_6_perturbed_recovery():
     f = model_1d(linear_1d(2), cubic_1d(1), BoundedNoise(7, EPS))
     phi = Constant(76 * EPS)
     rng = random.Random(606)
-    xs = [random_point(rng, 1).to_mode("float") for _ in range(200)]
+    xs = [random_point(rng, 1, mode="float") for _ in range(200)]
     report = recover(f, xs, phi)
     combined_bound = 152 * float(EPS) / 21
     assert report.max_error <= combined_bound

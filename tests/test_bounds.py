@@ -368,8 +368,8 @@ def test_certified_envelope_is_sound_by_sampling():
         phi = certify_phi(f)
         worst = 0.0
         for _ in range(10_000):
-            x = random_point(rng, 1).to_mode("float")
-            y = random_point(rng, 1).to_mode("float")
+            x = random_point(rng, 1, mode="float")
+            y = random_point(rng, 1, mode="float")
             bound = phi_value(phi, x, y)
             value = mixed_residual(f, x, y).magnitude
             if bound > 0:

@@ -74,8 +74,8 @@ def test_replay_even_model_nonzero_on_many_identities():
 
 
 def test_replay_at_float_points_equals_exact_replay():
-    # A float point is read at its exact binary value: the float replay is
-    # the exact replay at the same doubles, each value rounded once.
+    # A float point holds its doubles' exact values: the float replay is
+    # the exact replay at the same doubles.
     rng = random.Random(29)
     linear = model_1d(random_linear(rng, 1, 1))
     cubic = model_1d(linear_1d(2), cubic_1d(Fraction(3, 7)))
@@ -87,8 +87,7 @@ def test_replay_at_float_points_equals_exact_replay():
             exact = chain_replay(f, point([Fraction(x)]), point([Fraction(y)]))
             assert len(replay) == 21
             assert {label: v.value.coords for label, v in replay.items()} \
-                == {label: tuple(map(float, v.value.coords))
-                    for label, v in exact.items()}
+                == {label: v.value.coords for label, v in exact.items()}
             assert [v.is_zero for v in replay.values()] \
                 == [v.is_zero for v in exact.values()]
             if f is linear:

@@ -14,15 +14,15 @@ from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
                       OverflowGuardError, PowerNoise, SumOfPowers,
                       additive_iterate, additive_residual, certify_phi,
                       cubic_1d, cubic_iterate, cubic_residual, even_1d,
-                      format_number, g_transform, h_transform, linear_1d,
+                      g_transform, h_transform, linear_1d,
                       model_1d, norm, odd_part, point, random_cubic,
                       random_linear, random_point, random_rational, recover,
                       solution_1d, uniqueness_probe)
 from addcubic import direct_method, noise
 from addcubic.bounds import uniqueness_tail
+from addcubic.models import Point
 from addcubic.residuals import (ADDITIVE_RULE, CUBIC_RULE, MIXED_RULE,
                                 TermTables)
-from addcubic.scalars import coerce
 
 EPS = Fraction(1, 1000)
 
@@ -78,10 +78,6 @@ def test_transform_difference_identity():
         assert (G(x) - H(x)).coords == f(x).scale(6).coords
 
 
-def _exact_text(p):
-    return [format_number(c) for c in p.coords]  # tells -0.0 from 0.0
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.sets(st.sampled_from(("linear", "cubic", "even",
                                            "bounded_noise", "power_noise")),
@@ -90,7 +86,7 @@ def _exact_text(p):
 def test_table_maps_match_point_arithmetic(data, kinds, mode):
     # odd_part, h_transform and g_transform read the orbit table; the
     # references are their formulas in exact Point arithmetic at the value
-    # x holds, each coordinate rounded once to x's mode, bit for bit.
+    # x holds, read in either mode.
     d = data.draw(st.integers(1, 3), label="dim")
     rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
     f = FuncModel(d, d, tuple(_atom(kind, rng, d) for kind in sorted(kinds)))
@@ -98,12 +94,9 @@ def test_table_maps_match_point_arithmetic(data, kinds, mode):
     x = point(data.draw(st.lists(values, min_size=d, max_size=d), label="x"),
               mode, data.draw(st.sampled_from(("euclidean", "max")),
                               label="norm"))
-    q = x.to_mode("exact")
-    assert _exact_text(odd_part(f)(x)) \
-        == _exact_text((f(q) - f(-q)).scale(Fraction(1, 2)).to_mode(mode))
+    assert odd_part(f)(x) == (f(x) - f(-x)).scale(Fraction(1, 2))
     for transform, subtract in ((h_transform, 8), (g_transform, 2)):
-        assert _exact_text(transform(f)(x)) \
-            == _exact_text((f(q.scale(2)) - f(q).scale(subtract)).to_mode(mode))
+        assert transform(f)(x) == f(x.scale(2)) - f(x).scale(subtract)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +141,7 @@ def test_iterate_zero_function():
 
 def test_zero_atom_model_through_integer_entry():
     f = FuncModel(2, 3, ())
-    assert f.evaluate_coords((3, -4), "exact", den=7) == ([0, 0, 0], 7)
+    assert f.evaluate_coords((3, -4), den=7) == ([0, 0, 0], 7)
     x, y = point(["3/4", "-1/2"]), point(["5", "1/3"])
     tables = TermTables((MIXED_RULE, ADDITIVE_RULE, CUBIC_RULE))
     assert all(v.is_zero and v.value.dim == 3
@@ -299,10 +292,9 @@ def test_plain_iterate_with_even_atom_matches_oracle(l, mode):
                                       (cubic_iterate, 8, 2)):
         trace = iterate(f, x, l, 12)
         values, gaps = oracles.plain_iterate(
-            lambda c: tuple(f.evaluate_coords(c, "exact")),
-            x.to_mode("exact").coords, x.norm_kind, l, weight, subtract, 12)
-        assert [_bits(v.coords) for v in trace.values] \
-            == [_bits([coerce(c, mode) for c in v]) for v in values]
+            lambda c: tuple(f.evaluate_coords(c)),
+            x.coords, x.norm_kind, l, weight, subtract, 12)
+        assert [v.coords for v in trace.values] == values
         assert _bits(trace.cauchy_gaps) == _bits(gaps)
 
 
@@ -557,25 +549,20 @@ def test_recover_multidimensional_solution():
     lin = random_linear(rng, 2, 2)
     cub = random_cubic(rng, 2, 2)
     f = FuncModel(2, 2, (lin, cub))
-    xs = [random_point(rng, 2).to_mode("float") for _ in range(5)]
+    xs = [random_point(rng, 2, mode="float") for _ in range(5)]
     report = recover(f, xs, phi=Constant(0))
     lin_only = FuncModel(2, 2, (lin,))
     cub_only = FuncModel(2, 2, (cub,))
     for item, x in zip(report.points, xs):
-        assert item.error <= 1e-9
-        expected_a = lin_only(x)
-        expected_c = cub_only(x)
-        for got, want in zip(item.additive.coords, expected_a.coords):
-            assert got == pytest.approx(want, abs=1e-9)
-        for got, want in zip(item.cubic.coords, expected_c.coords):
-            assert got == pytest.approx(want, abs=1e-9)
+        assert item.error == 0.0
+        assert item.additive == lin_only(x)
+        assert item.cubic == cub_only(x)
 
 
 def test_recover_with_max_norm_points():
     f = model_1d(linear_1d(2), cubic_1d(1), BoundedNoise(7, EPS))
     rng = random.Random(13)
-    xs = [random_point(rng, 1, norm_kind="max").to_mode("float")
-          for _ in range(20)]
+    xs = [random_point(rng, 1, "float", norm_kind="max") for _ in range(20)]
     report = recover(f, xs)
     assert report.norm_kind == "max"
     assert report.ok
@@ -595,32 +582,31 @@ _FLOAT_X = st.one_of(
 def test_float_recover_is_exact_recover_rounded_once(data):
     # The stability theorem holds for L + C + bounded noise at every point,
     # so a float recovery stays within the bound; it is the exact recovery
-    # at the double x holds, each value rounded once, so no trace converges
-    # on a rounding artefact.
+    # at the double x holds, and its report prints each value rounded
+    # once, so no trace converges on a rounding artefact.
     d = data.draw(st.integers(1, 2), label="dim")
     rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
     f = FuncModel(d, d, (random_linear(rng, d, d), random_cubic(rng, d, d),
                          BoundedNoise(rng.randint(0, 99), EPS)))
-    x = point(data.draw(st.lists(_FLOAT_X, min_size=d, max_size=d),
-                        label="x"), "float",
-              data.draw(st.sampled_from(("euclidean", "max")), label="norm"))
-    got = recover(f, [x]).points[0]
-    want = recover(f, [x.to_mode("exact")]).points[0]
+    doubles = data.draw(st.lists(_FLOAT_X, min_size=d, max_size=d), label="x")
+    norm_kind = data.draw(st.sampled_from(("euclidean", "max")), label="norm")
+    exact_x = Point(tuple(map(Fraction, doubles)), norm_kind)
+    x = point(doubles, "float", norm_kind)
+    assert x == exact_x
+    report = recover(f, [x])
+    got, want = report.points[0], recover(f, [exact_x]).points[0]
     assert got.within_bound
-
-    def rounded(p):
-        return _bits(p.to_mode("float").coords)
-
     for trace, exact in ((got.additive_trace, want.additive_trace),
                          (got.cubic_trace, want.cubic_trace)):
-        assert [_bits(v.coords) for v in trace.values] \
-            == [rounded(v) for v in exact.values]
+        assert trace.values == exact.values
         assert _bits(trace.cauchy_gaps) == _bits(exact.cauchy_gaps)
         assert (trace.converged, trace.converged_at) \
             == (exact.converged, exact.converged_at)
-    assert _bits(got.additive.coords) == rounded(want.additive)
-    assert _bits(got.cubic.coords) == rounded(want.cubic)
-    assert _bits([got.error, got.raw_error]) \
+    doc = report.to_json_dict("float")["points"][0]
+    assert doc["x"] == [repr(v + 0.0) for v in doubles]
+    assert doc["additive"] == [repr(float(c)) for c in want.additive.coords]
+    assert doc["cubic"] == [repr(float(c)) for c in want.cubic.coords]
+    assert _bits([doc["error"], doc["raw_error"]]) \
         == _bits([want.error, want.raw_error])
 
 
@@ -700,31 +686,26 @@ def _spec(atom):
 def _assert_recover_matches_oracle(f, x, l_additive, l_cubic, phi, n_max,
                                    callable_too=False):
     # The oracle runs exactly at the value x holds, on the model summed
-    # term by term (oracles.atom_sum); a float recovery equals it with
-    # each value rounded once.  With ``callable_too`` the model is also
-    # recovered as a plain callable, which has no polynomial part and is
-    # read whole at every argument, and must agree bit for bit.
+    # term by term (oracles.atom_sum), and a recovery equals it in either
+    # mode.  With ``callable_too`` the model is also recovered as a plain
+    # callable, which has no polynomial part and is read whole at every
+    # argument, and must agree bit for bit.
     specs = [_spec(atom) for atom in f.atoms]
     expected = oracles.dyadic_recovery(
         lambda c: tuple(oracles.atom_sum(specs, c, f.dim_out)),
-        x.to_mode("exact").coords, x.norm_kind, l_additive, l_cubic, n_max,
-        phi.power)
-
-    def rounded(values):
-        return _bits([coerce(v, x.mode) for v in values])
-
+        x.coords, x.norm_kind, l_additive, l_cubic, n_max, phi.power)
     for g in (f, lambda p: f(p)) if callable_too else (f,):
         item = recover(g, [x], phi, l_additive, l_cubic,
                        n_max=n_max).points[0]
         for trace, want in ((item.additive_trace, expected["additive_trace"]),
                             (item.cubic_trace, expected["cubic_trace"])):
-            assert [_bits(v.coords) for v in trace.values] \
-                == [rounded(v) for v in want["values"]]
+            assert [list(v.coords) for v in trace.values] \
+                == [list(v) for v in want["values"]]
             assert _bits(trace.cauchy_gaps) == _bits(want["gaps"])
             assert trace.converged == want["converged"]
             assert trace.converged_at == want["converged_at"]
-        assert _bits(item.additive.coords) == rounded(expected["additive"])
-        assert _bits(item.cubic.coords) == rounded(expected["cubic"])
+        assert list(item.additive.coords) == list(expected["additive"])
+        assert list(item.cubic.coords) == list(expected["cubic"])
         assert _bits([item.error, item.raw_error]) \
             == _bits([expected["error"], expected["raw_error"]])
 
@@ -793,12 +774,11 @@ def test_recover_float_orbit_through_subnormals_matches_oracle(d):
     # p = 7/2 runs the cubic iterate ceil(21 / (1/2)) = 42 steps deep.
     phi, depth = SumOfPowers(EPS, Fraction(7, 2)), 42
     # Halving a double rounds away low bits once x * 2^-n is subnormal, so
-    # there the double of one argument is not the argument of the step
-    # before; the orbit is read in integers and stays exact.
+    # there an argument is no double; the orbit is read in integers and
+    # stays exact.
     arguments = [x.scale(Fraction(1, 2) ** n) for n in range(depth + 1)]
     assert min(abs(c) for c in arguments[-1].coords) < 2.0 ** -1022
-    assert any(later.scale(2) != earlier
-               for earlier, later in zip(arguments, arguments[1:]))
+    assert any(Fraction(float(c)) != c for p in arguments for c in p.coords)
     _assert_recover_matches_oracle(f, x, 1, 1, phi, 48)
 
 

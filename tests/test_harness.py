@@ -181,9 +181,9 @@ def test_check_lemmas_evaluates_each_argument_once(tmp_path, monkeypatch):
     calls = []
     evaluate = FuncModel.evaluate_coords
 
-    def counted(model, coords, mode, **kwargs):
+    def counted(model, coords, **kwargs):
         calls.append(model)
-        return evaluate(model, coords, mode, **kwargs)
+        return evaluate(model, coords, **kwargs)
 
     monkeypatch.setattr(FuncModel, "evaluate_coords", counted)
     pairs = 1 + 25  # one explicit pair, 25 random ones, per model

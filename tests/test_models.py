@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
                       DimensionMismatchError, Even, FuncModel, Linear,
-                      ModeMismatchError, OverflowGuardError,
+                      OverflowGuardError,
                       PowerNoise, ProductOfPowers, SumOfPowers, certify_phi,
                       cubic_1d, even_1d, linear_1d, model_1d, noise, norm,
                       odd_part, phi_value, point, random_cubic, random_linear,
@@ -36,22 +36,16 @@ def test_point_modes_and_ops():
     assert (x - y).coords == (Fraction(-1, 2), Fraction(5))
     assert (-x).coords == (Fraction(-1, 2), Fraction(-3))
     assert (2 * x).coords == (Fraction(1), Fraction(6))
-    assert x.mode == "exact"
-    assert x.to_mode("float").coords == (0.5, 3.0)
-
-
-def test_point_rejects_mixed_modes():
-    with pytest.raises(ModeMismatchError):
-        point([0.5, Fraction(1, 2)], mode="float") + point([1, 1])
-    from addcubic.models import Point
-    with pytest.raises(ModeMismatchError):
-        Point((0.5, Fraction(1, 2)))
+    # A float-mode point holds its doubles' exact values, here x's own.
+    assert point([0.5, 3.0], mode="float") == x
+    assert (point([0.5], mode="float") + point([1])).coords == (Fraction(3, 2),)
 
 
 def test_point_mode_is_stored_but_not_compared():
-    from addcubic.models import Point
-    exact, floating = Point((Fraction(1), Fraction(2))), Point((1.0, 2.0))
-    assert (exact.mode, floating.mode) == ("exact", "float")
+    # Mode is how a point was read, not part of it: none is stored.
+    exact, floating = Point((Fraction(1), Fraction(2))), point([1.0, 2.0],
+                                                               mode="float")
+    assert not hasattr(exact, "mode") and not hasattr(floating, "mode")
     assert exact == floating and hash(exact) == hash(floating)
     assert "mode" not in repr(exact)
     with pytest.raises(TypeError):
@@ -283,10 +277,11 @@ def test_model_float_mode_matches_exact():
     rng = random.Random(4)
     f = FuncModel(2, 2, (random_linear(rng, 2, 2), random_cubic(rng, 2, 2)))
     x = random_point(rng, 2)
-    exact = f(x)
-    floated = f(x.to_mode("float"))
-    for e, g in zip(exact.coords, floated.coords):
-        assert math.isclose(float(e), g, rel_tol=1e-12, abs_tol=1e-12)
+    # Float mode reads the doubles nearest x, and f is exact there: on the
+    # grid 2^-10 they are x itself.
+    assert f(point(x.coords, mode="float")) == f(x)
+    assert f(point(["1/3", "-2/7"], mode="float")) \
+        == f(point([Fraction(1 / 3), Fraction(-2 / 7)]))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +338,7 @@ def test_noise_envelope_sampled():
     eps = 1e-3
     worst = 0.0
     for _ in range(1000):
-        x = random_point(rng, 1).to_mode("float")
+        x = random_point(rng, 1, mode="float")
         worst = max(worst, norm(noise_eval(5, x, Fraction(1, 1000), 0)))
     assert worst <= eps
 
@@ -545,11 +540,6 @@ def test_noise_atoms_in_models():
 ATOM_KINDS = ("linear", "cubic", "even", "bounded_noise", "power_noise")
 
 
-def _hex(floats) -> list[str]:
-    """Floats compared bit for bit, signed zeros included."""
-    return [v.hex() for v in floats]
-
-
 def _kernel_atom(kind, rng, d, m):
     """An atom of the given kind and its (kind, data) form for the oracle."""
     if kind == "linear":
@@ -586,13 +576,13 @@ def test_exact_kernel_matches_term_by_term_oracle(data):
     x = data.draw(st.one_of(st.just([Fraction(0)] * d),
                             st.lists(coordinate, min_size=d, max_size=d)),
                   label="x")
-    values = FuncModel(d, m, atoms).evaluate_coords(tuple(x), "exact")
+    values = FuncModel(d, m, atoms).evaluate_coords(tuple(x))
     assert all(type(v) is Fraction for v in values)
     assert values == oracles.atom_sum(specs, x, m)
-    # Float mode is the exact value at the doubles, each rounded once.
+    # Doubles are read at their exact values.
     floats = [float(c) for c in x]
-    assert _hex(FuncModel(d, m, atoms).evaluate_coords(floats, "float")) \
-        == _hex(map(float, oracles.atom_sum(specs, floats, m)))
+    assert FuncModel(d, m, atoms).evaluate_coords(floats) \
+        == oracles.atom_sum(specs, floats, m)
     # Each atom, as a one-atom model, on unreduced integers:
     # x = (g L x) / (g L).
     den = math.lcm(*(c.denominator for c in x)) \
@@ -600,14 +590,13 @@ def test_exact_kernel_matches_term_by_term_oracle(data):
     ints = [int(c * den) for c in x]
     for atom, spec in zip(atoms, specs):
         nums, out_den = FuncModel(d, m, (atom,)).evaluate_coords(
-            ints, "exact", den=den)
+            ints, den=den)
         assert [Fraction(n, out_den) for n in nums] \
             == oracles.atom_sum([spec], x, m)
-        expected = _hex(map(float, oracles.atom_sum([spec], floats, m)))
-        assert _hex(FuncModel(d, m, (atom,)).evaluate_coords(
-            floats, "float")) == expected
+        expected = oracles.atom_sum([spec], floats, m)
+        assert FuncModel(d, m, (atom,)).evaluate_coords(floats) == expected
         if spec[0] != "noise":
-            assert _hex(atom.evaluate(floats)) == expected
+            assert atom.evaluate(floats) == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -648,7 +637,7 @@ def test_atoms_read_unreduced_integer_arguments(ints, den):
     for kind in ATOM_KINDS:
         atom, spec = _kernel_atom(kind, rng, d, 2)
         nums, out_den = FuncModel(d, 2, (atom,)).evaluate_coords(
-            ints, "exact", den=den)
+            ints, den=den)
         assert [Fraction(n, out_den) for n in nums] \
             == oracles.atom_sum([spec], x, 2)
 
@@ -708,8 +697,8 @@ def test_odd_entry_matches_two_calls(data):
     for k, odd_column, plain_column in zip([0, *ks], zip(*odd_columns),
                                            zip(*plain_columns)):
         y, y_den = ([c << k for c in u], den) if k >= 0 else (u, den << -k)
-        plus = at(*f.evaluate_coords(y, "exact", den=y_den))
-        minus = at(*f.evaluate_coords([-c for c in y], "exact", den=y_den))
+        plus = at(*f.evaluate_coords(y, den=y_den))
+        minus = at(*f.evaluate_coords([-c for c in y], den=y_den))
         out_den, columns, total = odd_orbit[2]([k])
         value = [c for c, in columns]
         assert whole(odd_orbit, k, (value, out_den), (1, 3)) \

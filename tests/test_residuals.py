@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from addcubic import (ABS_COEFFICIENT_SUM, CHAIN_CATALOGUE, BoundedNoise,
-                      DimensionMismatchError, Even, ModeMismatchError,
+                      DimensionMismatchError, Even,
                       PowerNoise, additive_residual, chain_replay,
                       cubic_residual, double_arg_residual, mixed_residual,
                       model_1d, cubic_1d, even_1d, linear_1d,
@@ -66,8 +66,6 @@ def test_mixed_residual_magnitude_and_dim_check():
     assert r.magnitude == 16.0
     with pytest.raises(DimensionMismatchError):
         mixed_residual(f, point([1, 2]), point([1, 2]))
-    with pytest.raises(ModeMismatchError):
-        mixed_residual(f, point([1]), point([1.0], mode="float"))
 
 
 def test_abs_coefficient_sum():
@@ -186,9 +184,12 @@ def test_float_mode_residuals_small_on_solutions():
     rng = random.Random(8)
     for _ in range(50):
         f = FuncModel(2, 2, (random_linear(rng, 2, 2), random_cubic(rng, 2, 2)))
-        x = random_point(rng, 2).to_mode("float")
-        y = random_point(rng, 2).to_mode("float")
-        assert mixed_residual(f, x, y).magnitude <= 1e-9
+        x = random_point(rng, 2, mode="float")
+        y = random_point(rng, 2, mode="float")
+        assert mixed_residual(f, x, y).is_zero
+    x, y = point(["1/3", "2/7"], mode="float"), point(["-5/9", "0.1"],
+                                                       mode="float")
+    assert mixed_residual(f, x, y).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +245,12 @@ def test_term_tables_match_term_by_term_oracle(data, kinds, plain):
         assert vector.value.coords == oracles.lattice_sum(
             at, x.coords, y.coords, terms)
 
-    # Float sums are the exact sums at the doubles, each rounded once.
-    xf, yf = x.to_mode("float"), y.to_mode("float")
+    # Float-mode points are the doubles, and the sums exact there.
+    xf, yf = point(x.coords, mode="float"), point(y.coords, mode="float")
     floats = tables.residuals(f, xf, yf)
     for terms, vector in zip(tables_drawn, floats):
-        expected = oracles.lattice_sum(at, tuple(map(Fraction, xf.coords)),
-                                       tuple(map(Fraction, yf.coords)), terms)
-        assert [v.hex() for v in vector.value.coords] \
-            == [float(v).hex() for v in expected]
+        assert vector.value.coords == oracles.lattice_sum(
+            at, xf.coords, yf.coords, terms)
 
 
 # Coefficients of sparse models: zeros are common, so an atom, an output or
@@ -357,9 +356,8 @@ def test_integer_entry_matches_fraction_entry(data, kinds):
     den = math.lcm(*(c.denominator for c in x.coords)) \
         * data.draw(st.integers(1, 12), label="unreduced")
     nums, out_den = f.evaluate_coords(tuple(int(c * den) for c in x.coords),
-                                      "exact", den=den)
-    assert [Fraction(n, out_den) for n in nums] \
-        == f.evaluate_coords(x.coords, "exact")
+                                      den=den)
+    assert [Fraction(n, out_den) for n in nums] == f.evaluate_coords(x.coords)
 
     # The tally's integer totals against the Fraction path, bit for bit.
     tables = TermTables(ALL_TABLES)
@@ -381,7 +379,7 @@ def test_plain_callable_values_take_the_lcm_branch():
     x, y = point(["1/2"]), point(["1/3"])
     tables = TermTables(ALL_TABLES)
     (u, v), den = integer_ratio(x.coords + y.coords)
-    assert len({evaluate(g, (a * u + b * v,), "exact", "euclidean", den)[1]
+    assert len({evaluate(g, (a * u + b * v,), "euclidean", den)[1]
                 for a, b in tables.arguments}) > 1
     assert [[Fraction(n, den) for n in nums]
             for nums, den in tables.integer_sums(g, x, y)] \

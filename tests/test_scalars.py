@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from addcubic.scalars import (EXACT, FLOAT, coerce, format_number,
-                              parse_rational, require_mode)
+from addcubic.models import point
+from addcubic.scalars import FLOAT, format_number, parse_rational
 
 
 def test_parse_rational_forms():
@@ -24,32 +24,28 @@ def test_parse_rational_rejects_junk():
         parse_rational("not a number")
 
 
-def test_coerce_exact_is_lossless():
-    assert coerce(0.5, EXACT) == Fraction(1, 2)
-    assert coerce("2/3", EXACT) == Fraction(2, 3)
-    assert coerce(7, EXACT) == Fraction(7)
+def test_point_reads_exact_or_rounds_once():
+    # Exact mode reads each value as the rational it spells, losslessly.
+    x = point(["1/3", 0.5, 7])
+    assert x.coords == (Fraction(1, 3), Fraction(1, 2), 7)
+    a, b = x.coords[:2]
     # exact arithmetic is closed for the four operations
-    a, b = coerce("1/3", EXACT), coerce("1/6", EXACT)
-    assert a + b == Fraction(1, 2)
-    assert a - b == Fraction(1, 6)
-    assert a * b == Fraction(1, 18)
-    assert a / b == 2
-
-
-def test_coerce_float():
-    assert coerce(Fraction(1, 2), FLOAT) == 0.5
-    assert isinstance(coerce(3, FLOAT), float)
-
-
-def test_require_mode():
-    assert require_mode(EXACT) == EXACT
+    assert (a + b, a - b, a * b, a / b) == (Fraction(5, 6), Fraction(-1, 6),
+                                            Fraction(1, 6), Fraction(2, 3))
+    # Float mode rounds each value once to a double and keeps its exact value.
+    x = point(["1/3", 3, Fraction(1, 2)], FLOAT)
+    assert x.coords == (Fraction(1 / 3), 3, Fraction(1, 2))
+    assert all(type(c) is Fraction for c in x.coords)
     with pytest.raises(ValueError):
-        require_mode("decimal")
+        point([1], "decimal")
 
 
 def test_format_number_round_trips():
     assert format_number(Fraction(3, 4)) == "3/4"
     assert format_number(Fraction(-5)) == "-5"
+    assert format_number(7) == "7"
+    # Float mode prints the exact value rounded once: a double by its repr.
     value = 0.1 + 0.2
-    assert float(format_number(value)) == value
-    assert format_number(value) == repr(value)
+    assert float(format_number(Fraction(value), FLOAT)) == value
+    assert format_number(Fraction(value), FLOAT) == repr(value)
+    assert format_number(Fraction(1, 3), FLOAT) == repr(1 / 3)
