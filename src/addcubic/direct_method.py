@@ -21,6 +21,7 @@ them, each gap an int/int division: a float is the exact value rounded.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
 from operator import gt, mul
@@ -30,7 +31,7 @@ from . import bounds as bounds_mod
 from .bounds import require_direction
 from .models import ControlFunction, FuncModel, Point, coords_norm, orbit
 from .scalars import (EXACT, add_ratios, format_number, integer_ratio,
-                      over_lcm, ratio_values)
+                      over_lcm)
 
 OVERFLOW_GUARD_BITS = 500  # abort when any evaluation norm exceeds 2^500
 _NEAR = OVERFLOW_GUARD_BITS - 64  # 2^(_NEAR + 1) sqrt(m) < 2^500, m < 2^126
@@ -49,7 +50,8 @@ class DivergentControlError(ValueError):
 
 
 def _vector_point(norm_kind: str, vector) -> Point:
-    return Point(tuple(ratio_values(vector)), norm_kind)
+    nums, den = vector
+    return Point(tuple([Fraction(n, den) for n in nums]), norm_kind)
 
 
 def _norm(vector, norm_kind: str) -> float:
@@ -64,17 +66,30 @@ def _bits(vector) -> int:
         - den.bit_length()
 
 
-def _prefix(check, order) -> tuple:
-    """(n, error): ``check`` passes order[:n], and raises error at order[n]."""
+def _prefix(check, order, seen: dict | None = None) -> tuple:
+    """(n, error): ``check`` passes order[:n], and raises error at order[n].
+    ``seen`` keeps each k's result, or its error, for a later order."""
+    seen = {} if seen is None else seen
     for n, k in enumerate(order):
-        try:
-            check(k)
-        except Exception as exc:
-            if isinstance(exc, OverflowError):  # the guard's, caused by it
-                exc, exc.__cause__ = OverflowGuardError(
-                    f"evaluation overflowed float range: {exc}"), exc
-            return n, exc
+        if k not in seen:
+            try:
+                seen[k] = check(k)
+            except Exception as exc:
+                if isinstance(exc, OverflowError):  # the guard's, caused by it
+                    exc, exc.__cause__ = OverflowGuardError(
+                        f"evaluation overflowed float range: {exc}"), exc
+                seen[k] = exc
+        if isinstance(seen[k], Exception):
+            return n, seen[k]
     return len(order), None
+
+
+def _joined(reads: list) -> tuple:
+    """Reads of one k each, in order, as the one read of all those ks."""
+    plain = [(p, d) for d, _, p in reads if p is not None]
+    den, rows = over_lcm([([c for c, in columns], d) for d, columns, _ in reads]
+                         + plain)
+    return den, list(zip(*rows[:len(reads)])), rows[-1] if plain else None
 
 
 class OrbitTable:
@@ -84,7 +99,8 @@ class OrbitTable:
     else f(y).  An iterate reads 1, 0, then away from x; the first k whose
     read raises, or whose whole value trips the guard, ends it with that
     error (raised on reading if 1 or 0; a batch that raises is read k by
-    k).  ``point`` makes a vector a point of x's norm and holds no table."""
+    k, each k once, and those reads are kept).  ``point`` makes a vector a
+    point of x's norm and holds no table."""
 
     def __init__(self, func: Callable[[Point], Point], x: Point,
                  odd: bool = True, low: int = 0, high: int = 0):
@@ -106,13 +122,14 @@ class OrbitTable:
         try:
             den, columns, plain = read(ks if self._moves else [0])
         except Exception:
-            self._cuts = [_prefix(lambda k: read([k]), order)
+            reads: dict = {}  # each k read alone once: its read, or error
+            self._cuts = [_prefix(lambda k: read([k]), order, reads)
                           for order in orders]
-            held = [k for order, (n, _) in zip(orders, self._cuts)
-                    for k in order[:n]] or [0]
-            ks = range(min(held), max(held) + 1)
-            den, columns, plain = read(ks) if self._cuts[1][0] else (
-                1, (), None)
+            # The ks the orders passed: one range, as each runs from 1 and 0.
+            ks = sorted(k for k, r in reads.items()
+                        if not isinstance(r, Exception))
+            den, columns, plain = _joined([reads[k] for k in ks])
+            ks = ks or [0]
         if not self._moves:
             columns = [list(column) * len(ks) for column in columns]
         if not odd and 2 in self._parts:  # f(y) less its odd parts

@@ -33,7 +33,7 @@ from typing import Callable, Sequence, Union
 
 from . import noise as noise_mod
 from .scalars import (EXACT, FLOAT, MODES, add_ratios, integer_ratio,
-                      over_lcm, parse_rational, ratio_values)
+                      over_lcm, parse_rational)
 
 EUCLIDEAN = "euclidean"
 MAX = "max"
@@ -355,7 +355,7 @@ class FuncModel(_Value):
             table_den, [[0]] * self.dim_out, None)
         value = reduce(add_ratios, [(c, table_den) for _, c in parts],
                        ([c for c, in columns], rest_den))
-        return value if den is not None else ratio_values(value)
+        return value if den else [Fraction(n, value[1]) for n in value[0]]
 
     def orbit(self, u, den: int, odd: bool = True):
         """f on the dyadic orbit y = x * 2^k of x = u / den, as (D, parts,

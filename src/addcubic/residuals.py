@@ -41,7 +41,7 @@ from operator import mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .models import DimensionMismatchError, FuncModel, Point, evaluate, norm
-from .scalars import integer_ratio, over_lcm, ratio_values
+from .scalars import integer_ratio, over_lcm
 
 # One term of a rule: coefficient * f(a*x + b*y).
 Term = tuple[Fraction, int, int]
@@ -178,8 +178,8 @@ class TermTables:
 
 def residual_vectors(totals, x: Point) -> list[ResidualVector]:
     """:meth:`TermTables.integer_sums` as vectors of ``Fraction``s."""
-    return [ResidualVector(Point(tuple(ratio_values(total)), x.norm_kind))
-            for total in totals]
+    return [ResidualVector(Point(tuple([Fraction(n, den) for n in nums]),
+                                 x.norm_kind)) for nums, den in totals]
 
 
 @lru_cache(maxsize=64)

@@ -28,12 +28,6 @@ def integer_ratio(values) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in ratios], den
 
 
-def ratio_values(vector: tuple[list[int], int]) -> list[Fraction]:
-    """A (numerators, denominator) vector's values, as ``Fraction``s."""
-    nums, den = vector
-    return [Fraction(n, den) for n in nums]
-
-
 def add_ratios(a: tuple[list[int], int], b: tuple[list[int], int],
                factor: int = 1) -> tuple[list[int], int]:
     """a + factor * b for (numerators, denominator) vectors, unreduced."""
@@ -73,8 +67,4 @@ def parse_rational(text) -> Fraction:
 def format_number(value, mode: str = EXACT) -> str:
     """An exact scalar's text: "p/q", an integer as itself; in float mode
     its value rounded once to a double, as ``repr`` prints it."""
-    if mode == FLOAT:
-        return repr(float(value))
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return repr(float(value)) if mode == FLOAT else str(value)

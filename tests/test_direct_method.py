@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,40 @@ def test_guard_trips_at_the_same_step_for_model_and_callable(mode, atoms):
         assert _first_trip(run(lambda p: f(p))) == trip
         run(f)(trip[0] - 1)
         run(lambda p: f(p))(trip[0] - 1)
+
+
+def test_a_batch_that_raises_reads_each_argument_at_most_twice():
+    # A callable that raises beyond |x| = 2^10 ends the l = -1 orbit of
+    # x = 3 at k = 9 (3 * 2^9 = 1536), inside the batch read.  Each k is
+    # then read alone once, and that read is kept for both iterate orders
+    # and the held window: every argument is called by the batch and by
+    # its own read at most, and the error is the same at the same step.
+    model = noisy_solution()
+    calls = []
+
+    def f(p):
+        calls.append(p.coords)
+        if max(abs(c) for c in p.coords) > 2 ** 10:
+            raise ValueError(f"argument {p.coords[0]} beyond 2^10")
+        return model(p)
+
+    x, message = point([3]), re.escape("argument 1536 beyond 2^10")
+    with pytest.raises(ValueError, match=message):
+        recover(f, [x], DIRECTION_PHI[(-1, -1)], -1, -1, n_max=12)
+    assert len(set(calls)) == 19 and max(Counter(calls).values()) <= 2
+    for iterate in (additive_iterate, cubic_iterate):
+        assert iterate(f, x, -1, 7).values == iterate(model, x, -1, 7).values
+        calls.clear()
+        with pytest.raises(ValueError, match=message):
+            iterate(f, x, -1, 8)
+        assert max(Counter(calls).values()) <= 2
+    # The held window, read k by k, serves the other direction whole.
+    calls.clear()
+    table = direct_method.OrbitTable(f, x, True, -6, 13)
+    assert cubic_iterate(table, x, 1, 6).values \
+        == cubic_iterate(odd_part(model), x, 1, 6).values
+    assert table.entry() == direct_method.OrbitTable(model, x).entry()
+    assert max(Counter(calls).values()) <= 2
 
 
 def test_norm_guard_before_the_power_width_check_wins():
