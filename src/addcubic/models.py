@@ -12,8 +12,8 @@ the Euclidean or the max norm.  A function model is a sum of atoms:
                            negative tests.
 
 Points hold exact rationals; in float mode :func:`point` and
-:func:`random_point` round each input once to a double and keep its exact
-value.  All coefficients are exact rationals too, and evaluation is one
+:func:`random_point` round each input once to a double and keep the
+double's exact value.  All coefficients are exact rationals too, and evaluation is one
 integer kernel: a model folds its polynomial atoms into one integer table,
 reads it at integer numerators over one denominator and adds the noise
 atoms' numerators.  A model never sees a mode.  The direct method sums the
