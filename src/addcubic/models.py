@@ -13,14 +13,14 @@ the Euclidean or the max norm.  A function model is a sum of atoms:
 
 Points hold exact rationals; in float mode :func:`point` and
 :func:`random_point` round each input once to a double and keep the
-double's exact value.  All coefficients are exact rationals too, and evaluation is one
-integer kernel: a model folds its polynomial atoms into one integer table,
-reads it at integer numerators over one denominator and adds the noise
-atoms' numerators.  A model never sees a mode.  The direct method sums the
-table once per point (:meth:`FuncModel.orbit`), and residual tables
-expand a noise-free model's table in (a, b) at the arguments
-(a u + b v) / den of a pair (:meth:`FuncModel.moments`).  Every value is
-immutable and evaluation is pure, so it is thread-safe.
+double's exact value.  All coefficients are exact rationals too, and
+evaluation is one integer kernel: a model folds its polynomial atoms into
+one integer table, reads it at integer numerators over one denominator and
+adds the noise atoms' numerators.  A model never sees a mode.  The direct
+method sums the table once per point (:meth:`FuncModel.orbit`), and
+residual tables expand a noise-free model's table in (a, b) at the
+arguments (a u + b v) / den of a pair (:meth:`FuncModel.moments`).  Every
+value is immutable and evaluation is pure, so it is thread-safe.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ class Point(_Value):
 
     _fields = ("coords", "norm_kind")
 
-    def __init__(self, coords: tuple[Fraction, ...],
-                 norm_kind: str = EUCLIDEAN):
+    def __init__(self, coords: tuple[Fraction, ...], norm_kind: str = EUCLIDEAN):
         self.__dict__.update(coords=coords, norm_kind=norm_kind)
         self.__post_init__()
 
