@@ -773,6 +773,40 @@ SWEEP_DIRECTIONS_DOC = sweep_doc(
     l_mode=["auto", "pos", "neg"], allow_divergent=True,
     base={"solution": {"linear": "2", "cubic": "1"}, "noise_seed": 1548140966,
           "samples": {"random": {"count": 6, "seed": 912610027}}})
+# Every control-function variant at off-unit, non-dyadic points, where no
+# power of the norm is 1.0: these bytes see the order of phi's float
+# operations, which the items of BOUNDS_DOC at x = 1 cannot.
+OFF_UNIT_X = ["13/5", "1/9"]
+BOUNDS_OFF_UNIT_DOC = {
+    "bounds": [
+        {"kind": "additive", "phi": {"variant": "constant", "value": "3/7"},
+         "x": OFF_UNIT_X, "l": -1},
+        {"kind": "combined",
+         "phi": {"variant": "sum_of_powers", "theta": "2/3", "power": "0"},
+         "x": OFF_UNIT_X},
+        {"kind": "combined",
+         "phi": {"variant": "sum_of_powers", "theta": "5/11", "power": "5/2"},
+         "x": ["-7/3", "5/6"]},
+        {"kind": "cubic", "phi": {"variant": "product_of_powers",
+                                  "theta": "3/7", "r": "2/3", "s": "7/5"},
+         "x": OFF_UNIT_X},
+        {"kind": "combined", "phi": {"variant": "product_of_powers",
+                                     "theta": "7/3", "r": "2", "s": "3/2"},
+         "x": ["-7/3", "5/6"]},
+    ],
+    "output_stem": "off",
+}
+# A user product_of_powers phi over power noise of exponent 2, at the
+# non-dyadic points n/7: each point's bound reads phi off the unit norm.
+RECOVER_PRODUCT_DOC = recover_config(
+    model={"dim_in": 1, "dim_out": 1, "atoms": [
+        {"kind": "linear", "matrix": [["2"]]}, CUBIC_ATOM,
+        {"kind": "power_noise", "seed": 5, "amplitude": "1/1000",
+         "exponent": "2"}]},
+    phi={"variant": "product_of_powers", "theta": "5/2", "r": "2/3",
+         "s": "4/3"},
+    samples={"random": {"count": 20, "seed": 3, "max_denominator": 7}},
+    output_stem="recp")
 # sha256 of each file the other subcommands write for pinned configs.  A
 # change to a runner, to the config readers or to a report layout changes
 # these bytes.
@@ -810,6 +844,20 @@ COMMAND_GOLDENS = {
     "bounds": ("bounds", BOUNDS_DOC, {
         "bnd.json": "3df669076c6d89992d48301d36f15c79"
                     "bbb46058a9f23920a9d467adf965130c",
+    }),
+    "bounds-off-unit": ("bounds", BOUNDS_OFF_UNIT_DOC, {
+        "off.json": "d721f7e30c127d2514c23dd938e1d7ad"
+                    "2715a5fef5d095f4bca4baa2a2aced45",
+    }),
+    "bounds-off-unit-max": ("bounds", BOUNDS_OFF_UNIT_DOC | {"norm": "max"}, {
+        "off.json": "8b936aa2d0b05042469ddc0520bc9081"
+                    "b39cf8597a1b158277190fda01a1f2fb",
+    }),
+    "recover-float-product-sevenths": ("recover", RECOVER_PRODUCT_DOC, {
+        "recp.json": "68ec67fafd8d0cd1361ff83f9143f6f9"
+                     "35ac351f21cfee5608634ddf1387e897",
+        "recp.csv": "2d1eca66abac42b6b8f723653cdcde31"
+                    "2d35f93d916bf45856188c10ee27a1b9",
     }),
     "sweep-sum": ("sweep", sweep_doc(), {
         "sw.csv": "57b5ef119ef41f563ef2c2f8a75bd3a7"
