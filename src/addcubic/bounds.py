@@ -7,9 +7,11 @@ The recovery error bounds are geometric-type series
     combined:  (1/12) * sum_{i=i0}^inf (2^(i*l) + 8^(i*l)) * phi(...)
 
 with i0 = |l-1|/2, i.e. terms start at i = 0 for l = +1 and i = 1 for
-l = -1.  Every supported control function is homogeneous on the diagonal,
-so each component series is one geometric sum, its first term over 1 - rho
-with rho = 2^e (:func:`series_exponent`), summed in closed form and rounded
+l = -1.  A control function is theta times a sum of norm monomials of one
+diagonal degree (:class:`~addcubic.models.ControlFunction`), so it is
+homogeneous on the diagonal and each component series is one geometric
+sum, its first term over 1 - rho with rho = 2^e (:func:`series_exponent`),
+e read from the degree alone, summed in closed form and rounded
 outward (Moore, *Interval Analysis*, 1966): the true value lies in
 [partial_sum, upper].  Divergence (e >= 0) is reported as a status, never
 as a silently huge number; for power control functions this happens
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 from .models import (Constant, ControlFunction, FuncModel, Linear,
                      CubicHomogeneous, PowerNoise, Point, ProductOfPowers,
-                     SumOfPowers, norm, phi_degree, phi_value)
+                     SumOfPowers, norm, phi_value)
 from .noise import _POWER_SAFETY
 from .residuals import ABS_COEFFICIENT_SUM
 
@@ -70,7 +72,7 @@ def require_direction(l: int) -> int:
 def series_exponent(weight: int, phi: ControlFunction, l: int) -> Fraction:
     """e = l * (log2 w - deg phi), exact; the series converges iff e < 0."""
     require_direction(l)
-    degree = phi_degree(phi)  # in integers: Fraction arithmetic takes 2.5x
+    degree = phi.degree  # in integers: Fraction arithmetic takes 2.5x
     return Fraction(l * ((weight.bit_length() - 1) * degree.denominator
                          - degree.numerator), degree.denominator)
 
@@ -107,12 +109,12 @@ def _component_series(weight: int, phi: ControlFunction, x: Point, l: int,
     term over 1 - rho, rounded outward by :func:`_pad`.
     """
     require_direction(l)
-    degree = phi_degree(phi)  # e = rate / den, as series_exponent, in ints
+    degree = phi.degree  # e = rate / den, as series_exponent, in ints
     rate = l * ((weight.bit_length() - 1) * degree.denominator
                 - degree.numerator)
     i0 = abs(l - 1) // 2 + extra_offset  # 0 for l = +1, 1 for l = -1
     k = l * (i0 + l)  # ||z|| of the first argument z = x / 2^k, if read
-    size = 0.0 if isinstance(phi, Constant) else norm(x if k == 0 else x.scale(
+    size = 0.0 if degree == 0 else norm(x if k == 0 else x.scale(
         Fraction(1, 1 << k) if k > 0 else Fraction(1 << -k)))
     first = (prefactor * 2.0 ** (l * i0 * (weight.bit_length() - 1))
              * phi_value(phi, size, size))
@@ -241,7 +243,7 @@ def auto_directions(phi: ControlFunction) -> tuple[int, int]:
     excluded exponents no direction converges; the returned choice then
     yields a diverged series status downstream rather than an error here.
     """
-    p = phi_degree(phi)
+    p = phi.degree
     l_add = 1 if p > EXCLUDED_ADDITIVE_EXPONENT else -1
     l_cub = 1 if p > EXCLUDED_CUBIC_EXPONENT else -1
     return (l_add, l_cub)
@@ -264,48 +266,38 @@ def certify_phi(f: FuncModel) -> ControlFunction:
     * power noise (eps, 0), which includes bounded noise of amplitude eps:
       phi = Constant(76 * eps).
 
-    Noise atoms of one exponent add up.  Mixing exponent 0 with a positive
-    exponent, or several distinct positive exponents, has no representation
-    in the three control-function variants and is rejected, as is any atom
-    without an envelope (Even).
+    Noise atoms of one exponent add up.  Noise atoms of several exponents,
+    0 among them or not, have no envelope of one diagonal degree and are
+    rejected, as is any atom without an envelope (Even).
     """
-    bounded_total = Fraction(0)
-    power_total: dict[Fraction, Fraction] = {}
+    totals: dict[Fraction, Fraction] = {}  # amplitude by noise exponent
     for atom in f.atoms:
         if isinstance(atom, (Linear, CubicHomogeneous)):
             continue
-        if isinstance(atom, PowerNoise):
-            if atom.exponent == 0:  # bounded noise
-                bounded_total += atom.amplitude
-            else:
-                power_total[atom.exponent] = \
-                    power_total.get(atom.exponent, Fraction(0)) + atom.amplitude
-        else:
+        if not isinstance(atom, PowerNoise):
             raise CertificationError(
                 f"no certified envelope for atom {type(atom).__name__}")
+        totals[atom.exponent] = totals.get(atom.exponent, 0) + atom.amplitude
+    if len(totals) > 1:
+        raise CertificationError(
+            f"noise atoms of exponents {', '.join(map(str, sorted(totals)))} "
+            "have no envelope of one diagonal degree")
+    p, eps = next(iter(totals.items()), (0, 0))
     coeff = Fraction(ABS_COEFFICIENT_SUM)
-    if power_total and bounded_total:
-        raise CertificationError(
-            "mixed bounded and power noise envelopes are not representable "
-            "by a single control function")
-    if len(power_total) > 1:
-        raise CertificationError(
-            "power noise atoms with distinct exponents have no single envelope")
-    if power_total:
-        p, eps = next(iter(power_total.items()))
-        if p.denominator == 1:
-            # theta above 2^1024 overflows at first float use: fail before 4^p.
-            scaled = coeff * eps
-            if scaled and 2 * p.numerator + scaled.numerator.bit_length() \
-                    - scaled.denominator.bit_length() > 1024:
-                raise OverflowError(f"theta = 76 * 4^{p} * eps exceeds 2^1024")
-            theta = scaled * Fraction(4) ** p.numerator
-        else:
-            # float pow errs by ~1 ulp: pad up by the noise scale's 2^-30
-            pad = 2 - Fraction(*_POWER_SAFETY)
-            theta = Fraction(float(coeff) * 4.0 ** float(p)) * pad * eps
-        return SumOfPowers(theta, p)
-    return Constant(coeff * bounded_total)
+    if p == 0:
+        return Constant(coeff * eps)
+    if p.denominator == 1:
+        # theta above 2^1024 overflows at first float use: fail before 4^p.
+        scaled = coeff * eps
+        if scaled and 2 * p.numerator + scaled.numerator.bit_length() \
+                - scaled.denominator.bit_length() > 1024:
+            raise OverflowError(f"theta = 76 * 4^{p} * eps exceeds 2^1024")
+        theta = scaled * Fraction(4) ** p.numerator
+    else:
+        # float pow errs by ~1 ulp: pad up by the noise scale's 2^-30
+        pad = 2 - Fraction(*_POWER_SAFETY)
+        theta = Fraction(float(coeff) * 4.0 ** float(p)) * pad * eps
+    return SumOfPowers(theta, p)
 
 
 # ---------------------------------------------------------------------------

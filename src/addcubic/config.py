@@ -245,7 +245,7 @@ def _build(cls, values: dict, where: str):
 
 
 def _from_variant(doc, where: str, tag: str, variants: dict):
-    """The object of the class ``doc[tag]`` names, with that class's keys."""
+    """The value the constructor ``doc[tag]`` names makes of its keys."""
     name = doc.get(tag) if type(doc) is dict else None
     cls, schema = variants.get(name if type(name) is str else None, (None, {}))
     values = section({tag: choice(*variants), **schema})(doc, where)
@@ -253,16 +253,12 @@ def _from_variant(doc, where: str, tag: str, variants: dict):
     return _build(cls, values, where)
 
 
-def _to_variant(obj, tag: str, variants: dict) -> dict:
-    for name, (cls, schema) in variants.items():
-        if type(obj) is cls:
-            return {tag: name, **{key: _to_json(getattr(obj, key))
-                                  for key in schema}}
-    raise ConfigError(f"no {tag} for {type(obj).__name__}")
-
-
 def atom_to_json(atom) -> dict:
-    return _to_variant(atom, "kind", _ATOMS)
+    for name, (cls, schema) in _ATOMS.items():
+        if type(atom) is cls:
+            return {"kind": name, **{key: _to_json(getattr(atom, key))
+                                     for key in schema}}
+    raise ConfigError(f"no kind for {type(atom).__name__}")
 
 
 def atom_from_json(doc: dict, where: str = "atom"):
@@ -270,7 +266,19 @@ def atom_from_json(doc: dict, where: str = "atom"):
 
 
 def phi_to_json(phi: ControlFunction) -> dict:
-    return _to_variant(phi, "variant", _PHIS)
+    """The variant a control function reads as, told by its monomials: one
+    (0, 0) is a constant, the pair (p, 0), (0, p) a sum of powers."""
+    theta, p, monomials = _to_json(phi.theta), phi.degree, phi.monomials
+    if monomials == ((0, 0),):
+        return {"variant": "constant", "value": theta}
+    if monomials == ((p, 0), (0, p)):
+        return {"variant": "sum_of_powers", "theta": theta,
+                "power": _to_json(p)}
+    if len(monomials) != 1:
+        raise ConfigError(f"no variant for {phi!r}")
+    (r, s), = monomials
+    return {"variant": "product_of_powers", "theta": theta, "r": _to_json(r),
+            "s": _to_json(s)}
 
 
 def phi_from_json(doc: dict, where: str = "phi") -> ControlFunction:
@@ -609,6 +617,11 @@ class SweepSpec:
                 exponents += [float(r) + float(s) for r, s in spec.rs_pairs]
             _reject_excluded(exponents, axis, "; set allow_divergent to "
                              "demonstrate the divergence instead")
+        unread, values = (("p", spec.exponents) if spec.form == "product"
+                          else ("rs", spec.rs_pairs))
+        if values:
+            raise ConfigError(f"{unread} is not read under form "
+                              f"{spec.form!r}, whose exponents are {axis}")
         if not cells:
             raise ConfigError(f"the sweep grid is empty: {axis}, theta, "
                               "epsilon and l_mode each need a value")

@@ -429,21 +429,16 @@ class FuncModel(_Value):
         return bool(self._noise)
 
 
-def evaluate(f: Callable[[Point], Point], coords, norm_kind: str,
-             den: int | None = None):
-    """f at ``coords``: the one place that knows how to evaluate a function.
-
-    A :class:`FuncModel` sums its atoms on the raw coordinates; any other
-    callable gets a :class:`Point`.  With ``den`` the coordinates are
-    integer numerators over ``den`` and the result is (integer numerators,
-    denominator); without it the result is one value per output coordinate.
+def evaluate(f: Callable[[Point], Point], coords, norm_kind: str, den: int):
+    """f at integer numerators ``coords`` over ``den``, as (integer
+    numerators, denominator): the one place that knows how to evaluate a
+    function.  A :class:`FuncModel` sums its atoms on the raw coordinates;
+    any other callable gets a :class:`Point`.
     """
     if isinstance(f, FuncModel):
         return f.evaluate_coords(coords, den=den)
-    if den is not None:
-        coords = [Fraction(c, den) for c in coords]
-    values = f(Point(tuple(coords), norm_kind)).coords
-    return values if den is None else integer_ratio(values)
+    return integer_ratio(f(Point(tuple(Fraction(c, den) for c in coords),
+                                 norm_kind)).coords)
 
 
 def orbit(f: Callable[[Point], Point], u, den: int, norm_kind: str,
@@ -494,65 +489,55 @@ def solution_1d(slope, cubic_coefficient) -> FuncModel:
 # Control functions
 # ---------------------------------------------------------------------------
 
-class Constant(_Value):
+class ControlFunction(_Value):
+    """phi(x, y) = theta * sum ||x||^r ||y||^s over ``monomials``, pairs
+    (r, s) that share one diagonal degree r + s, so that phi(tx, tx) =
+    t^degree phi(x, x)."""
+
+    _fields = ("theta", "monomials")
+
+    def __init__(self, theta: Fraction, monomials):
+        theta = Fraction(theta)
+        monomials = tuple((Fraction(r), Fraction(s)) for r, s in monomials)
+        if theta < 0 or any(r < 0 or s < 0 for r, s in monomials):
+            raise ValueError("theta and the exponents must be nonnegative")
+        degrees = {r + s for r, s in monomials}
+        if len(degrees) != 1:
+            raise ValueError("control-function monomials need one diagonal "
+                             f"degree, got {sorted(degrees)}")
+        self.__dict__.update(theta=theta, monomials=monomials,
+                             degree=degrees.pop(),
+                             _floats=(float(theta), tuple(
+                                 (float(r), float(s)) for r, s in monomials)))
+
+
+def Constant(value: Fraction) -> ControlFunction:
     """phi(x, y) = c."""
-
-    _fields = ("value",)
-
-    def __init__(self, value: Fraction):
-        self.__dict__["value"] = Fraction(value)
-        if self.value < 0:
-            raise ValueError("control functions are nonnegative")
+    return ControlFunction(value, ((0, 0),))
 
 
-class SumOfPowers(_Value):
+def SumOfPowers(theta: Fraction, power: Fraction) -> ControlFunction:
     """phi(x, y) = theta * (||x||^p + ||y||^p)."""
-
-    _fields = ("theta", "power")
-
-    def __init__(self, theta: Fraction, power: Fraction):
-        self.__dict__.update(theta=Fraction(theta), power=Fraction(power))
-        if self.theta < 0 or self.power < 0:
-            raise ValueError("theta and p must be nonnegative")
+    return ControlFunction(theta, ((power, 0), (0, power)))
 
 
-class ProductOfPowers(_Value):
+def ProductOfPowers(theta: Fraction, r: Fraction,
+                    s: Fraction) -> ControlFunction:
     """phi(x, y) = theta * ||x||^r * ||y||^s."""
-
-    _fields = ("theta", "r", "s")
-
-    def __init__(self, theta: Fraction, r: Fraction, s: Fraction):
-        self.__dict__.update(theta=Fraction(theta), r=Fraction(r),
-                             s=Fraction(s))
-        if self.theta < 0 or self.r < 0 or self.s < 0:
-            raise ValueError("theta, r, s must be nonnegative")
-
-
-ControlFunction = Union[Constant, SumOfPowers, ProductOfPowers]
+    return ControlFunction(theta, ((r, s),))
 
 
 def phi_value(phi: ControlFunction, x: Point, y: Point) -> float:
-    """phi(x, y) as a float; x and y are points, or their norms."""
-    if isinstance(phi, Constant):
-        return float(phi.value)
-    x, y = [v if isinstance(v, float) else norm(v) for v in (x, y)]
-    if isinstance(phi, SumOfPowers):
-        p = float(phi.power)
-        return float(phi.theta) * (x ** p + y ** p)
-    if isinstance(phi, ProductOfPowers):
-        return float(phi.theta) * x ** float(phi.r) * y ** float(phi.s)
-    raise TypeError(f"not a control function: {phi!r}")
-
-
-def phi_degree(phi: ControlFunction) -> Fraction:
-    """Homogeneity degree of phi on the diagonal: phi(tx, tx) = t^deg phi(x, x)."""
-    if isinstance(phi, Constant):
-        return Fraction(0)
-    if isinstance(phi, SumOfPowers):
-        return phi.power
-    if isinstance(phi, ProductOfPowers):
-        return phi.r + phi.s
-    raise TypeError(f"not a control function: {phi!r}")
+    """phi(x, y) as a float; x and y are points, or their norms.  Each
+    monomial is theta * x^r * y^s, left to right, added in order; a
+    degree-0 phi reads no norm."""
+    x, y = [v if isinstance(v, float) else norm(v) if phi.degree else 1.0
+            for v in (x, y)]
+    theta, powers = phi._floats
+    value = 0.0
+    for r, s in powers:
+        value += theta * x ** r * y ** s
+    return value
 
 
 # ---------------------------------------------------------------------------

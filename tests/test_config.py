@@ -346,6 +346,11 @@ BAD_DOCUMENTS = {
         form="product", epsilon=["0"], rs=[[
             "377789318629571784867839/1208925819614629174706176",
             "831136500985057624719359/1208925819614629174706176"]]), "rs"),
+    # Each form reads one exponent axis; a value on the other is not run.
+    "sweep-p-under-product": ("sweep", lambda d: d.update(
+        form="product", rs=[[1, 1]]), "p is not read"),
+    "sweep-rs-under-sum": ("sweep", lambda d: d.update(rs=[[1, 1]]),
+                           "rs is not read"),
     # A key of another subcommand is unknown.
     "chain-in-recover": ("recover", lambda d: d.update(chain=True), "chain"),
     "tolerances-in-check-lemmas": ("check-lemmas", lambda d: d.update(

@@ -728,7 +728,7 @@ def _assert_recover_matches_oracle(f, x, l_additive, l_cubic, phi, n_max,
     specs = [_spec(atom) for atom in f.atoms]
     expected = oracles.dyadic_recovery(
         lambda c: tuple(oracles.atom_sum(specs, c, f.dim_out)),
-        x.coords, x.norm_kind, l_additive, l_cubic, n_max, phi.power)
+        x.coords, x.norm_kind, l_additive, l_cubic, n_max, phi.degree)
     for g in (f, lambda p: f(p)) if callable_too else (f,):
         item = recover(g, [x], phi, l_additive, l_cubic,
                        n_max=n_max).points[0]

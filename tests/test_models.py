@@ -8,18 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
-                      DimensionMismatchError, Even, FuncModel, Linear,
+from addcubic import (BoundedNoise, Constant, ControlFunction,
+                      CubicHomogeneous, DimensionMismatchError, Even, FuncModel, Linear,
                       OverflowGuardError,
                       PowerNoise, ProductOfPowers, SumOfPowers, certify_phi,
                       cubic_1d, even_1d, linear_1d, model_1d, noise, norm,
                       odd_part, phi_value, point, random_cubic, random_linear,
                       random_point, random_rational)
-from addcubic.config import (atom_to_json, model_from_json, model_to_json,
-                             phi_from_json, phi_to_json)
+from addcubic.config import (ConfigError, atom_to_json, model_from_json,
+                             model_to_json, phi_from_json, phi_to_json)
 from addcubic.direct_method import OrbitTable, recover
-from addcubic.models import (NORM_KINDS, Point, coords_norm, orbit,
-                             phi_degree)
+from addcubic.models import NORM_KINDS, Point, coords_norm, orbit
 from addcubic.scalars import integer_ratio
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
@@ -176,7 +175,7 @@ def _build(spec):
     """The value a spec describes, built from new objects on every call."""
     if isinstance(spec, Fraction):
         return Fraction(spec.numerator, spec.denominator)
-    if isinstance(spec, tuple) and spec and isinstance(spec[0], type):
+    if isinstance(spec, tuple) and spec and callable(spec[0]):
         cls, args = spec
         return cls(*map(_build, args))
     if isinstance(spec, (tuple, list)):
@@ -192,7 +191,7 @@ def test_values_compare_and_hash_by_value(spec):
     assert value == twin and not value != twin and hash(value) == hash(twin)
     with pytest.raises(AttributeError):
         value.extra = 1
-    if isinstance(value, (Constant, SumOfPowers, ProductOfPowers)):
+    if isinstance(value, ControlFunction):
         assert phi_from_json(phi_to_json(value)) == value
     if isinstance(value, FuncModel):
         text = json.dumps(model_to_json(value))
@@ -822,9 +821,24 @@ def test_control_function_values():
 
 
 def test_control_function_degree():
-    assert phi_degree(Constant(1)) == 0
-    assert phi_degree(SumOfPowers(1, Fraction(5, 2))) == Fraction(5, 2)
-    assert phi_degree(ProductOfPowers(1, 1, 2)) == 3
+    assert Constant(1).degree == 0
+    assert SumOfPowers(1, Fraction(5, 2)).degree == Fraction(5, 2)
+    assert ProductOfPowers(1, 1, 2).degree == 3
+
+
+def test_control_function_variants_are_shapes_of_one_value():
+    assert ProductOfPowers(3, 0, 0) == Constant(3)
+    assert phi_to_json(ProductOfPowers(3, 0, 0)) \
+        == {"variant": "constant", "value": "3"}
+    assert phi_to_json(SumOfPowers(2, 0)) \
+        == {"variant": "sum_of_powers", "theta": "2", "power": "0"}
+    assert phi_value(SumOfPowers(2, 0), point([2]), point([3])) == 4.0
+    with pytest.raises(ValueError):  # monomials of two diagonal degrees
+        ControlFunction(1, ((1, 1), (2, 1)))
+    with pytest.raises(ValueError):
+        ControlFunction(1, ())
+    with pytest.raises(ConfigError):  # one degree, but no JSON variant
+        phi_to_json(ControlFunction(1, ((1, 1), (2, 0))))
 
 
 def test_control_function_rejects_negative():

@@ -1,4 +1,5 @@
-"""README's map of the paper's statements, and the two direct-method lemmas.
+"""README's map of the paper's statements, its library quick tour, and the
+two direct-method lemmas.
 
 The map names, per statement, the functions that compute it, the tests
 and CI steps that check it and the report fields that show it.  A name
@@ -9,13 +10,14 @@ import ast
 import importlib
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from addcubic import (FuncModel, additive_residual, cubic_residual,
-                      g_transform, h_transform, random_cubic, random_linear,
-                      random_point)
+from addcubic import (Constant, FuncModel, additive_residual, certify_phi,
+                      cubic_residual, g_transform, h_transform, random_cubic,
+                      random_linear, random_point)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,6 +69,18 @@ def test_every_name_in_the_map_exists(row):
     for name in _names(fields):
         for key in re.findall(r"\w+", name):
             assert f'"{key}"' in source, (name, key)
+
+
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour\n")[1]
+    code = re.search(r"^```python\n(.*?)^```", tour,
+                     re.MULTILINE | re.DOTALL).group(1)
+    scope: dict = {}
+    exec(compile(code, "README.md quick tour", "exec"), scope)
+    assert scope["report"].ok
+    phi, f = scope["phi"], scope["f"]
+    assert phi == certify_phi(f) == Constant(Fraction(76, 1000))
 
 
 def test_direct_method_lemmas_hold_on_solutions():
