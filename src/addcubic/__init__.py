@@ -27,14 +27,13 @@ from .residuals import (
     chain_replay, cubic_residual, double_arg_residual, mixed_residual,
 )
 from .bounds import (
-    CertificationError, ConsistencyReport, ExcludedExponentError, SeriesResult,
-    auto_directions, certify_phi, consistency_check, corollary_product_bound,
-    corollary_sum_bound, series_bound, uniqueness_tail,
+    CertificationError, ExcludedExponentError, FormCheck, SeriesResult,
+    auto_directions, certify_phi, corollary_product_bound, corollary_sum_bound,
+    product_form_check, series_bound, sum_form_check,
 )
 from .direct_method import (
-    DivergentControlError, IterationTrace, OverflowGuardError, ProbeResult,
-    RecoveryReport, additive_iterate, cubic_iterate, g_transform, h_transform,
-    odd_part, recover, uniqueness_probe,
+    DivergentControlError, IterationTrace, OverflowGuardError, RecoveryReport,
+    additive_iterate, cubic_iterate, recover,
 )
 
 __version__ = "0.1.0"

@@ -99,12 +99,10 @@ def _pad(degree: float, size: float) -> float:
     return (12.0 + degree * spread) * 2.0 ** -52
 
 
-def _component_series(weight: int, phi: ControlFunction, x: Point, l: int,
-                      prefactor: float = 0.5,
-                      extra_offset: int = 0) -> SeriesResult:
-    """prefactor * sum w^(il) phi(x/2^(l(i+l)), same) in closed form.
+def _component_series(weight: int, phi: ControlFunction, x: Point,
+                      l: int) -> SeriesResult:
+    """(1/2) sum w^(il) phi(x/2^(l(i+l)), same) in closed form.
 
-    ``extra_offset`` shifts the start index (used by the uniqueness tails).
     The first term is evaluated at its actual argument; the sum is that
     term over 1 - rho, rounded outward by :func:`_pad`.
     """
@@ -112,11 +110,11 @@ def _component_series(weight: int, phi: ControlFunction, x: Point, l: int,
     degree = phi.degree  # e = rate / den, as series_exponent, in ints
     rate = l * ((weight.bit_length() - 1) * degree.denominator
                 - degree.numerator)
-    i0 = abs(l - 1) // 2 + extra_offset  # 0 for l = +1, 1 for l = -1
+    i0 = abs(l - 1) // 2  # 0 for l = +1, 1 for l = -1
     k = l * (i0 + l)  # ||z|| of the first argument z = x / 2^k, if read
     size = 0.0 if degree == 0 else norm(x if k == 0 else x.scale(
         Fraction(1, 1 << k) if k > 0 else Fraction(1 << -k)))
-    first = (prefactor * 2.0 ** (l * i0 * (weight.bit_length() - 1))
+    first = (0.5 * 2.0 ** (l * i0 * (weight.bit_length() - 1))
              * phi_value(phi, size, size))
     if first == 0.0:
         # zero phi, or homogeneous phi at the origin: every term is zero
@@ -155,21 +153,10 @@ def series_bound(kind: str, phi: ControlFunction, x: Point, l) -> SeriesResult:
     return merge_series(s_add, s_cub, 1.0 / 6.0)
 
 
-def uniqueness_tail(component: str, phi: ControlFunction, x: Point, l: int,
-                    n: int) -> SeriesResult:
-    """Tail series sum_{i=n+i0}^inf w^(il) phi(...) bounding limit ambiguity.
-
-    Two runs of the same iteration truncated at N1 < N2 can differ by at
-    most this tail evaluated at n = N1: 2 rho^n times the series.
-    """
-    weight = COMPONENT_WEIGHTS[component]
-    return _component_series(weight, phi, x, l, prefactor=1.0,
-                             extra_offset=n)
-
-
 def certified_depth(component: str, phi: ControlFunction,
                     l: int) -> int | None:
-    """First n with uniqueness_tail(n) <= 2^-TAIL_BITS * series_bound.
+    """First n whose uniqueness tail, 2 rho^n times the series (the sum
+    of its terms from i0 + n on, unhalved), is at most 2^-TAIL_BITS of it.
 
     ceil((TAIL_BITS + 1) / |w - deg phi|), w = 1 (additive) or 3 (cubic),
     whatever x and theta; None where l (w - deg phi) >= 0: no tail."""
@@ -304,48 +291,35 @@ def certify_phi(f: FuncModel) -> ControlFunction:
 # Corollary closed forms vs. series consistency
 # ---------------------------------------------------------------------------
 
-class ConsistencyReport(NamedTuple):
-    p: float
-    theta: float
-    sum_closed: float
-    sum_series: float
-    sum_ok: bool
-    product_closed: float
-    product_series: float
-    product_ok: bool
+class FormCheck(NamedTuple):
+    """One corollary's closed form against the combined series' upper end."""
 
-    @property
-    def ok(self) -> bool:
-        return self.sum_ok and self.product_ok
+    closed: float
+    series: float
+    ok: bool
 
 
-def consistency_check(theta, p, x: Point, tol: float = 1e-9,
-                      r=None, s=None) -> ConsistencyReport:
-    """Compare the combined series' upper end against both closed forms.
-
-    The sum-of-powers form is checked at exponent p; the product form at
-    (r, s), defaulting to the even split r = s = p/2.  Each matches when
-    |series - closed| <= tol * max(1, |closed|): absolute up to 1, relative
-    above.  A mismatch is a failed report, not an exception.
+def _form_check(closed: float, phi: ControlFunction, x: Point,
+                tol: float) -> FormCheck:
+    """Match when |series - closed| <= tol * max(1, |closed|): absolute up
+    to 1, relative above.  A mismatch is a failed check, not an exception.
     """
-    p_frac = Fraction(p)
-    r_frac = Fraction(r) if r is not None else p_frac / 2
-    s_frac = Fraction(s) if s is not None else p_frac - r_frac
-    directions = auto_directions(SumOfPowers(Fraction(theta), p_frac))
+    series = series_bound("combined", phi, x, auto_directions(phi))
+    return FormCheck(closed, series.upper, series.status == CONVERGED and abs(
+        series.upper - closed) <= tol * max(1.0, abs(closed)))
 
-    sum_closed = corollary_sum_bound(theta, p_frac, x)
-    sum_series = series_bound("combined", SumOfPowers(Fraction(theta), p_frac),
-                              x, directions)
-    product_closed = corollary_product_bound(theta, r_frac, s_frac, x)
-    product_series = series_bound(
-        "combined", ProductOfPowers(Fraction(theta), r_frac, s_frac),
-        x, directions)
 
-    sum_ok, product_ok = [
-        series.status == CONVERGED
-        and abs(series.upper - closed) <= tol * max(1.0, abs(closed))
-        for series, closed in ((sum_series, sum_closed),
-                               (product_series, product_closed))]
-    return ConsistencyReport(float(p_frac), float(theta), sum_closed,
-                             sum_series.upper, sum_ok, product_closed,
-                             product_series.upper, product_ok)
+def sum_form_check(theta, p, x: Point, tol: float = 1e-9) -> FormCheck:
+    """The sum-of-powers corollary at exponent p against its series."""
+    p = Fraction(p)
+    return _form_check(corollary_sum_bound(theta, p, x),
+                       SumOfPowers(Fraction(theta), p), x, tol)
+
+
+def product_form_check(theta, r, s, x: Point,
+                       tol: float = 1e-9) -> FormCheck:
+    """The product-of-powers corollary at exponents (r, s) against its
+    series."""
+    r, s = Fraction(r), Fraction(s)
+    return _form_check(corollary_product_bound(theta, r, s, x),
+                       ProductOfPowers(Fraction(theta), r, s), x, tol)

@@ -531,7 +531,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict, command: str) -> "ExperimentConfig":
-        return cls(_EXPERIMENT_SECTIONS[command](doc, ""))
+        keys = _EXPERIMENT_SECTIONS[command](doc, "")
+        report = f"{keys['output_stem']}.json"
+        if keys.get("catalogue_out") == report:
+            raise ConfigError(f"catalogue_out {report!r} would overwrite "
+                              "the report of output_stem")
+        return cls(keys)
 
     @classmethod
     def load(cls, path, command: str) -> "ExperimentConfig":

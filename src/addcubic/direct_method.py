@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate, chain, repeat
 from operator import gt, mul
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from . import bounds as bounds_mod
 from .bounds import require_direction
@@ -183,32 +183,6 @@ class OrbitTable:
                 f"evaluation norm {magnitude!r} exceeds 2^{OVERFLOW_GUARD_BITS}")
 
 
-def odd_part(f) -> Callable[[Point], Point]:
-    """x -> (f(x) - f(-x)) / 2, the odd value of x's orbit table."""
-    def odd(x: Point) -> Point:
-        table = OrbitTable(f, x)
-        return table.point(table.entry()[1])
-    return odd
-
-
-def _transform(f, s: int) -> Callable[[Point], Point]:
-    """x -> f(2x) - s f(x), read from x's orbit table."""
-    def transform(x: Point) -> Point:
-        table = OrbitTable(f, x, False, 0, 1)
-        return table.point(add_ratios(table.value(1), table.value(0), -s))
-    return transform
-
-
-def h_transform(f) -> Callable[[Point], Point]:
-    """x -> f(2x) - 8 f(x); kills cubic content, -6 times the additive part."""
-    return _transform(f, 8)
-
-
-def g_transform(f) -> Callable[[Point], Point]:
-    """x -> f(2x) - 2 f(x); kills additive content, 6 times the cubic part."""
-    return _transform(f, 2)
-
-
 class IterationTrace:
     """One rescaled-iterate run: values, Cauchy gaps and convergence flags;
     ``steps`` hold each step less ``offset``, the same at every step."""
@@ -308,34 +282,6 @@ def cubic_iterate(f, x: Point, l: int, n_steps: int = DEFAULT_N_MAX,
     Same stopping behavior as :func:`additive_iterate`.
     """
     return _iterate(f, x, l, "cubic", n_steps, phi, depth)
-
-
-class ProbeResult(NamedTuple):
-    """Distance between two truncation depths of one iteration."""
-
-    gap: float
-    tail_bound: float | None
-
-
-def uniqueness_probe(f, x: Point, l: int, component: str, n1: int, n2: int,
-                     phi: ControlFunction | None = None) -> ProbeResult:
-    """||final(n1) - final(n2)|| for one component's iteration, one run.
-
-    Any two candidate limits agree up to the tail series at min(n1, n2);
-    when ``phi`` is given the certified tail bound is attached so callers
-    can assert gap <= tail.
-    """
-    if n1 == n2:
-        raise ValueError("probe depths must differ")
-    if min(n1, n2) < 1:
-        raise ValueError("iteration count must be at least 1")
-    trace = _iterate(f, x, l, component, max(n1, n2), None, None)
-    gap = _norm(add_ratios(trace.steps[n1], trace.steps[n2], -1), x.norm_kind)
-    tail = None
-    if phi is not None:
-        tail = bounds_mod.uniqueness_tail(component, phi, x, l,
-                                          min(n1, n2)).upper
-    return ProbeResult(gap, tail)
 
 
 # ---------------------------------------------------------------------------

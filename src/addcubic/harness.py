@@ -318,22 +318,21 @@ def run_bounds(config: ExperimentConfig, out_dir: Path) -> RunResult:
         theta, tol = spec["theta"], spec["tol"]
         x = point(spec["x"], config.mode, config.norm_kind)
         for p in spec["p"]:
-            result = bounds_mod.consistency_check(theta, p, x, tol=tol)
+            result = bounds_mod.sum_form_check(theta, p, x, tol)
             ok = ok and result.ok
             consistency_report.append({
-                "p": result.p, "theta": result.theta, "form": "sum",
-                "closed": result.sum_closed, "series": result.sum_series,
-                "ok": result.sum_ok,
+                "p": float(p), "theta": float(theta), "form": "sum",
+                "closed": result.closed, "series": result.series,
+                "ok": result.ok,
             })
         for (r, s), (r_text, s_text) in zip(spec["rs"], spec["rs_text"]):
-            result = bounds_mod.consistency_check(theta, r + s, x, tol=tol,
-                                                  r=r, s=s)
-            ok = ok and result.product_ok
+            result = bounds_mod.product_form_check(theta, r, s, x, tol)
+            ok = ok and result.ok
             consistency_report.append({
-                "p": result.p, "r": r_text, "s": s_text,
-                "theta": result.theta, "form": "product",
-                "closed": result.product_closed,
-                "series": result.product_series, "ok": result.product_ok,
+                "p": float(r + s), "r": r_text, "s": s_text,
+                "theta": float(theta), "form": "product",
+                "closed": result.closed, "series": result.series,
+                "ok": result.ok,
             })
 
     report = {"schema_version": 1, "command": "bounds", "items": items_report,

@@ -7,21 +7,17 @@ lines; every tolerance is pinned here, nothing is deferred.
 import decimal
 import itertools
 import json
-import math
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 import oracles
 from addcubic import (BoundedNoise, Constant, FuncModel, PowerNoise,
                       SumOfPowers, additive_iterate, additive_residual,
                       chain_replay, cubic_1d, cubic_iterate, cubic_residual,
-                      even_1d, g_transform, h_transform, linear_1d,
-                      mixed_residual, model_1d, norm, odd_part, point,
-                      random_cubic, random_linear, random_point, recover,
-                      series_bound, solution_1d, uniqueness_probe)
+                      even_1d, linear_1d, mixed_residual, model_1d, norm,
+                      point, random_cubic, random_linear, random_point,
+                      recover, series_bound, solution_1d)
 from addcubic.bounds import CONVERGED, DIVERGED
 from addcubic.cli import main as cli_main
 
@@ -31,6 +27,11 @@ DIMS = ((1, 1), (2, 2), (3, 3), (2, 1), (1, 3), (3, 2))
 
 def _report(line: str) -> None:
     print(f"PASS {line}")
+
+
+def _odd(f):
+    """x -> (f(x) - f(-x)) / 2, in Point arithmetic."""
+    return lambda x: (f(x) - f(-x)).scale(Fraction(1, 2))
 
 
 def test_criterion_1_exact_kernel():
@@ -114,10 +115,12 @@ def test_criterion_4_decomposition_identity():
         for combo in itertools.combinations(names, size):
             for _ in range(2):
                 f = model_1d(*(builders[name]() for name in combo))
-                H, G = h_transform(f), g_transform(f)
                 for _ in range(3):
                     x = random_point(rng, 1)
-                    assert (G(x) - H(x) - f(x).scale(6)).is_zero
+                    # H(x) and G(x): step 0 of the additive and cubic iterates
+                    H, G = [iterate(f, x, 1, 1).values[0]
+                            for iterate in (additive_iterate, cubic_iterate)]
+                    assert (G - H - f(x).scale(6)).is_zero
                 checked += 1
     assert checked >= 50
     _report(f"criterion 4: G - H = 6f exactly for {checked} models over "
@@ -151,14 +154,14 @@ def test_criterion_6_perturbed_recovery():
     assert report.max_error <= combined_bound
     assert report.all_within_bound
 
-    f_odd = odd_part(f)
-    H, G = h_transform(f_odd), g_transform(f_odd)
+    # Each iterate's step 0 is H(x) or G(x) of the odd part.
+    f_odd = _odd(f)
     worst_h = worst_g = 0.0
     for x in xs:
-        a0 = additive_iterate(f_odd, x, -1).final
-        c0 = cubic_iterate(f_odd, x, -1).final
-        worst_h = max(worst_h, norm(H(x) - a0))
-        worst_g = max(worst_g, norm(G(x) - c0))
+        a = additive_iterate(f_odd, x, -1)
+        c = cubic_iterate(f_odd, x, -1)
+        worst_h = max(worst_h, norm(a.values[0] - a.final))
+        worst_g = max(worst_g, norm(c.values[0] - c.final))
     assert worst_h <= 38 * float(EPS)
     assert worst_g <= 76 * float(EPS) / 14
     elapsed = time.perf_counter() - started
@@ -209,20 +212,22 @@ def test_criterion_8_divergence_exclusions():
 
 
 def test_criterion_9_uniqueness_probe():
-    f_odd = odd_part(model_1d(linear_1d(2), cubic_1d(1), BoundedNoise(7, EPS)))
-    phi = Constant(76 * EPS)
-    x = point([1])  # exact mode: deep iterates stay exact
-    additive = uniqueness_probe(f_odd, x, -1, "additive", 20, 40, phi)
-    additive_tail = 76 * float(EPS) * 2.0 ** -20
-    assert additive.tail_bound == pytest.approx(additive_tail, rel=1e-9)
-    assert additive.gap <= additive_tail
-    cubic = uniqueness_probe(f_odd, x, -1, "cubic", 20, 40, phi)
-    cubic_tail = 76 * float(EPS) / 7 * 8.0 ** -20
-    assert cubic.tail_bound == pytest.approx(cubic_tail, rel=1e-9)
-    assert cubic.gap <= cubic_tail
-    _report(f"criterion 9: probe gaps {additive.gap:.2e} <= "
-            f"{additive_tail:.2e} (additive) and {cubic.gap:.2e} <= "
-            f"{cubic_tail:.2e} (cubic)")
+    # Two truncation depths of one run differ by at most the tail of the
+    # bound series from the shallower one (exact mode: deep iterates stay
+    # exact), the oracle's closed form of sum_{i>=21} w^-i phi.
+    f_odd = _odd(model_1d(linear_1d(2), cubic_1d(1), BoundedNoise(7, EPS)))
+    c, x = 76 * EPS, point([1])
+    gaps, tails = [], []
+    for iterate, weight in ((additive_iterate, 2), (cubic_iterate, 8)):
+        trace = iterate(f_odd, x, -1, 40)
+        gaps.append(norm(trace.values[20] - trace.final))
+        tails.append(oracles.series_closed_form(
+            weight, ("constant", c), [1], "euclidean", -1, 1, 20))
+    assert tails == [c / 2 ** 20, c / 7 / 8 ** 20]
+    assert gaps[0] <= tails[0] and gaps[1] <= tails[1]
+    _report(f"criterion 9: probe gaps {gaps[0]:.2e} <= "
+            f"{float(tails[0]):.2e} (additive) and {gaps[1]:.2e} <= "
+            f"{float(tails[1]):.2e} (cubic)")
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -10,10 +10,10 @@ import oracles
 from addcubic import (BoundedNoise, CertificationError, Constant,
                       ExcludedExponentError, PowerNoise, ProductOfPowers,
                       SumOfPowers, auto_directions, certify_phi,
-                      consistency_check, corollary_product_bound,
-                      corollary_sum_bound, cubic_1d, even_1d, linear_1d,
-                      mixed_residual, model_1d, phi_value, point,
-                      random_point, series_bound, uniqueness_tail)
+                      corollary_product_bound, corollary_sum_bound, cubic_1d,
+                      even_1d, linear_1d, mixed_residual, model_1d,
+                      phi_value, point, product_form_check, random_point,
+                      series_bound, sum_form_check)
 from addcubic.bounds import CONVERGED, DIVERGED, certified_depth
 
 X1 = point([1], mode="float")
@@ -97,12 +97,9 @@ PHI_FAMILIES = {
 COMPONENT_WEIGHT = {"additive": 2, "cubic": 8}
 
 
-def _exact_series(kind, phi, coords, norm_kind, l, n=None):
-    """The oracle's value of series_bound (n None) or uniqueness_tail."""
+def _exact_series(kind, phi, coords, norm_kind, l):
+    """The oracle's value of series_bound."""
     l_add, l_cub = (l, l) if isinstance(l, int) else l
-    if n is not None:
-        return oracles.series_closed_form(COMPONENT_WEIGHT[kind], phi, coords,
-                                          norm_kind, l, Fraction(1), n)
     if kind != "combined":
         return oracles.series_closed_form(COMPONENT_WEIGHT[kind], phi, coords,
                                           norm_kind, l)
@@ -123,8 +120,8 @@ def _assert_encloses(result, exact):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_enclosure_holds_the_exact_closed_form(data):
-    # Every family, both norms, dims 1-3, both directions (per component
-    # in a combined series) and uniqueness tails at depths 0-48.
+    # Every family, both norms, dims 1-3 and both directions (per component
+    # in a combined series).
     family = data.draw(st.sampled_from(sorted(PHI_FAMILIES)))
     degree = data.draw(st.sampled_from(
         [Fraction(a, b) for b in (1, 2, 3, 7) for a in range(7 * b + 1)]))
@@ -138,19 +135,11 @@ def test_enclosure_holds_the_exact_closed_form(data):
     mode = data.draw(st.sampled_from(("exact", "float")))
     x = point(coords, mode=mode, norm_kind=norm_kind)
     coords = [Fraction(c) for c in x.coords]  # the floats, read exactly
-    kind = data.draw(st.sampled_from(("additive", "cubic", "combined",
-                                      "tail")))
-    if kind == "tail":
-        component = data.draw(st.sampled_from(("additive", "cubic")))
-        l = data.draw(st.sampled_from((-1, 1)))
-        n = data.draw(st.integers(0, 48))
-        result = uniqueness_tail(component, phi, x, l, n)
-        exact = _exact_series(component, oracle_phi, coords, norm_kind, l, n)
-    else:
-        l = data.draw(st.sampled_from((-1, 1)) if kind != "combined" else
-                      st.sampled_from((-1, 1, (-1, 1), (1, -1))))
-        result = series_bound(kind, phi, x, l)
-        exact = _exact_series(kind, oracle_phi, coords, norm_kind, l)
+    kind = data.draw(st.sampled_from(("additive", "cubic", "combined")))
+    l = data.draw(st.sampled_from((-1, 1)) if kind != "combined" else
+                  st.sampled_from((-1, 1, (-1, 1), (1, -1))))
+    result = series_bound(kind, phi, x, l)
+    exact = _exact_series(kind, oracle_phi, coords, norm_kind, l)
     _assert_encloses(result, exact)
 
 
@@ -379,16 +368,29 @@ def test_certified_envelope_is_sound_by_sampling():
 # Uniqueness tails and consistency reports
 # ---------------------------------------------------------------------------
 
+def _tail(component, phi, coords, norm_kind, l, n):
+    """The oracle's uniqueness tail: the series' terms from i0 + n on,
+    unhalved."""
+    return oracles.series_closed_form(COMPONENT_WEIGHT[component], phi,
+                                      coords, norm_kind, l, 1, n)
+
+
 def test_uniqueness_tail_constant_closed_form():
-    # sum_{i=21}^inf 2^-i c = c * 2^-20
+    # sum_{i=21}^inf 2^-i c = c * 2^-20, and the cubic tail c 8^-20 / 7:
+    # the oracle's closed form, its brute sum, and 2 rho^20 times the
+    # package's series, rho = 1/2 and 1/8.
     c = Fraction(76, 1000)
-    result = uniqueness_tail("additive", Constant(c), X1, -1, 20)
-    assert result.upper == pytest.approx(float(c) * 2.0 ** -20, rel=1e-9)
+    additive = _tail("additive", ("constant", c), [1], "max", -1, 20)
+    assert additive == c / 2 ** 20
     brute = oracles.series_sum(2, lambda s: c, -1, 120, prefactor=Fraction(1),
                                start_offset=20)
-    assert result.upper == pytest.approx(float(brute), rel=1e-9)
-    cubic_tail = uniqueness_tail("cubic", Constant(c), X1, -1, 20)
-    assert cubic_tail.upper == pytest.approx(float(c) / 7 * 8.0 ** -20, rel=1e-9)
+    assert abs(brute - additive) < additive * Fraction(1, 2 ** 100)
+    cubic = _tail("cubic", ("constant", c), [1], "max", -1, 20)
+    assert cubic == c / 7 / 8 ** 20
+    for component, tail, rho in (("additive", additive, Fraction(1, 2)),
+                                 ("cubic", cubic, Fraction(1, 8))):
+        series = series_bound(component, Constant(c), X1, -1)
+        assert series.partial_sum <= tail / (2 * rho ** 20) <= series.upper
 
 
 # (additive, cubic) depths of the sweep exponents.
@@ -399,28 +401,25 @@ SWEEP_DEPTHS = {Fraction(0): (21, 7), Fraction(1, 2): (42, 9),
 
 @pytest.mark.parametrize("p", sorted(SWEEP_DEPTHS))
 def test_certified_depth_is_where_the_tail_falls_below_2_to_minus_20(p):
-    # At the depth the package's uniqueness tail is at most 2^-20 of its
+    # At the depth the oracle's uniqueness tail is at most 2^-20 of its
     # series and one step earlier it is above, for every control family
     # of diagonal degree p, in the direction auto_directions picks.  Where
-    # 21 / |w - p| is an integer the two are equal at the depth, so the
-    # enclosures [partial_sum, upper] are compared: at the depth the tail's
-    # lies not wholly above, one step earlier wholly above.
+    # 21 / |w - p| is an integer the two are equal at the depth; the ratio
+    # of 60-digit Decimals, rounded to a float, is then 2^-20 exactly.
     x = point(["5/3"], mode="float")
-    phis = [SumOfPowers(Fraction(3, 7), p),
-            ProductOfPowers(Fraction(3, 7), p / 3, 2 * p / 3)]
-    if p == 0:
-        phis.append(Constant(Fraction(76, 1000)))
-    for phi in phis:
+    coords = [Fraction(x.coords[0])]
+    families = ["sum", "product"] + ["constant"] * (p == 0)
+    for phi, oracle_phi in (PHI_FAMILIES[family](Fraction(3, 7), p)
+                            for family in families):
         depths = []
         for component, l, w in zip(("additive", "cubic"),
                                    auto_directions(phi), (1, 3)):
             depth = certified_depth(component, phi, l)
             assert depth == oracles.certified_depth(w, p, l)
-            series = series_bound(component, phi, x, l)
-            at = uniqueness_tail(component, phi, x, l, depth)
-            before = uniqueness_tail(component, phi, x, l, depth - 1)
-            assert at.partial_sum <= 2.0 ** -20 * series.upper
-            assert before.partial_sum > 2.0 ** -20 * series.upper
+            series = _exact_series(component, oracle_phi, coords, "max", l)
+            at, before = [_tail(component, oracle_phi, coords, "max", l, n)
+                          for n in (depth, depth - 1)]
+            assert float(at / series) <= 2.0 ** -20 < float(before / series)
             # no tail where the series does not shrink
             assert certified_depth(component, phi, -l) is None
             assert oracles.certified_depth(w, p, -l) is None
@@ -432,10 +431,16 @@ def test_certified_depth_is_where_the_tail_falls_below_2_to_minus_20(p):
         ("additive", "cubic"), auto_directions(zero))) == SWEEP_DEPTHS[p]
 
 
+def _form_checks(theta, p, x, tol):
+    """The sum form at p and the product form at r = s = p/2."""
+    return (sum_form_check(theta, p, x, tol),
+            product_form_check(theta, Fraction(p) / 2, Fraction(p) / 2, x, tol))
+
+
 def test_consistency_check_matches_closed_forms():
     for p in (0, Fraction(1, 2), 2, Fraction(5, 2), 4, 5):
-        report = consistency_check(1, p, X1, tol=1e-9)
-        assert report.ok, (p, report)
+        for check in _form_checks(1, p, X1, 1e-9):
+            assert check.ok, (p, check)
 
 
 @pytest.mark.parametrize("x", [1000, 12345])
@@ -444,9 +449,9 @@ def test_consistency_check_tolerance_is_relative_above_one(x, p):
     # At x = 1000 and p = 5 the bound is 1.25e13, where one ulp is about
     # 0.002, so an absolute 1e-9 failed correct code; the rule is
     # |series - closed| <= tol * max(1, |closed|).
-    report = consistency_check(1, p, point([x], mode="float"), tol=1e-9)
-    assert report.ok, report
-    assert min(report.sum_closed, report.product_closed) > 1e4
+    for check in _form_checks(1, p, point([x], mode="float"), 1e-9):
+        assert check.ok, check
+        assert check.closed > 1e4
 
 
 @pytest.mark.parametrize("x", [1, 1000, 12345])
@@ -454,19 +459,19 @@ def test_consistency_check_tolerance_is_relative_above_one(x, p):
 def test_consistency_check_fails_a_closed_form_off_by_a_millionth(
         monkeypatch, x, form):
     # A closed form off by a relative 1e-6 is a thousand times the
-    # tolerance, at a bound below 1 and above it.
+    # tolerance, at a bound below 1 and above it; each form's check reads
+    # only its own closed form.
     from addcubic import bounds
     name = f"corollary_{form}_bound"
     exact = getattr(bounds, name)
     monkeypatch.setattr(bounds, name,
                         lambda *args: exact(*args) * (1 + 1e-6))
-    report = consistency_check(1, 2, point([x], mode="float"), tol=1e-9)
-    assert (report.sum_ok, report.product_ok) \
+    checks = _form_checks(1, 2, point([x], mode="float"), 1e-9)
+    assert tuple(check.ok for check in checks) \
         == ((False, True) if form == "sum" else (True, False))
-    assert not report.ok
 
 
 def test_consistency_check_flags_nothing_at_tol_zero():
-    report = consistency_check(1, 2, X1, tol=0.0)
     # upper is rounded outward from the closed form: tol 0 fails, not raises
-    assert isinstance(report.ok, bool)
+    for check in _form_checks(1, 2, X1, 0.0):
+        assert isinstance(check.ok, bool)

@@ -358,6 +358,11 @@ BAD_DOCUMENTS = {
     "n_max-in-bounds": ("bounds", lambda d: d.update(n_max=8), "n_max"),
     "chain-in-replay-chain": ("replay-chain",
                               lambda d: d.update(chain=False), "chain"),
+    # The catalogue would overwrite the report.
+    "catalogue-over-report-check-lemmas": ("check-lemmas", lambda d: d.update(
+        output_stem="rep", catalogue_out="rep.json"), "catalogue_out"),
+    "catalogue-over-report-replay-chain": ("replay-chain", lambda d: d.update(
+        output_stem="rep", catalogue_out="rep.json"), "catalogue_out"),
 }
 
 

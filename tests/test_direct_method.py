@@ -15,12 +15,10 @@ from addcubic import (BoundedNoise, Constant, CubicHomogeneous,
                       OverflowGuardError, PowerNoise, SumOfPowers,
                       additive_iterate, additive_residual, certify_phi,
                       cubic_1d, cubic_iterate, cubic_residual, even_1d,
-                      g_transform, h_transform, linear_1d,
-                      model_1d, norm, odd_part, point, random_cubic,
+                      linear_1d, model_1d, norm, point, random_cubic,
                       random_linear, random_point, random_rational, recover,
-                      solution_1d, uniqueness_probe)
+                      solution_1d)
 from addcubic import direct_method, noise
-from addcubic.bounds import uniqueness_tail
 from addcubic.models import Point
 from addcubic.residuals import (ADDITIVE_RULE, CUBIC_RULE, MIXED_RULE,
                                 TermTables)
@@ -30,6 +28,21 @@ EPS = Fraction(1, 1000)
 
 def noisy_solution(seed=7, eps=EPS):
     return model_1d(linear_1d(2), cubic_1d(1), BoundedNoise(seed, eps))
+
+
+def odd(f):
+    """x -> (f(x) - f(-x)) / 2, in Point arithmetic."""
+    return lambda x: (f(x) - f(-x)).scale(Fraction(1, 2))
+
+
+def H(f, x):
+    """H(x) = f(2x) - 8 f(x), step 0 of the additive iterate."""
+    return additive_iterate(f, x, 1, 1).values[0]
+
+
+def G(f, x):
+    """G(x) = f(2x) - 2 f(x), step 0 of the cubic iterate."""
+    return cubic_iterate(f, x, 1, 1).values[0]
 
 
 class _Counted:
@@ -45,26 +58,23 @@ class _Counted:
 
 
 # ---------------------------------------------------------------------------
-# Transforms
+# H and G, the iterates' first steps
 # ---------------------------------------------------------------------------
 
 def test_h_transform_examples():
     f = solution_1d(2, 1)
-    H = h_transform(f)
     for v in (1, -2, Fraction(1, 2), 5, Fraction(-7, 3), 4, Fraction(9, 8),
               3, -1, Fraction(2, 5)):
-        assert H(point([v])).coords == (Fraction(-12) * v,)
-    assert h_transform(model_1d(cubic_1d(1)))(point([3])).is_zero
-    assert h_transform(model_1d(linear_1d(1)))(point([1])).coords \
-        == (Fraction(-6),)
+        assert H(f, point([v])).coords == (Fraction(-12) * v,)
+    assert H(model_1d(cubic_1d(1)), point([3])).is_zero
+    assert H(model_1d(linear_1d(1)), point([1])).coords == (Fraction(-6),)
 
 
 def test_g_transform_examples():
     f = solution_1d(2, 1)
-    G = g_transform(f)
     for v in (1, 2, Fraction(-3, 2)):
-        assert G(point([v])).coords == (Fraction(6) * v ** 3,)
-    assert g_transform(model_1d(linear_1d(1)))(point([4])).is_zero
+        assert G(f, point([v])).coords == (Fraction(6) * v ** 3,)
+    assert G(model_1d(linear_1d(1)), point([4])).is_zero
 
 
 def test_transform_difference_identity():
@@ -74,9 +84,8 @@ def test_transform_difference_identity():
         f = model_1d(random_linear(rng, 1, 1), random_cubic(rng, 1, 1),
                      even_1d(rng.randint(-5, 5)),
                      BoundedNoise(rng.randint(0, 999), Fraction(1, 50)))
-        H, G = h_transform(f), g_transform(f)
         x = random_point(rng, 1)
-        assert (G(x) - H(x)).coords == f(x).scale(6).coords
+        assert (G(f, x) - H(f, x)).coords == f(x).scale(6).coords
 
 
 @settings(max_examples=80, deadline=None)
@@ -85,9 +94,9 @@ def test_transform_difference_identity():
                           min_size=1),
        st.sampled_from(("exact", "float")))
 def test_table_maps_match_point_arithmetic(data, kinds, mode):
-    # odd_part, h_transform and g_transform read the orbit table; the
-    # references are their formulas in exact Point arithmetic at the value
-    # x holds, read in either mode.
+    # The odd value of x's orbit table and the first iterate steps, H and
+    # G, read the table; the references are their formulas in exact Point
+    # arithmetic at the value x holds, read in either mode.
     d = data.draw(st.integers(1, 3), label="dim")
     rng = random.Random(data.draw(st.integers(0, 10_000), label="seed"))
     f = FuncModel(d, d, tuple(_atom(kind, rng, d) for kind in sorted(kinds)))
@@ -95,9 +104,10 @@ def test_table_maps_match_point_arithmetic(data, kinds, mode):
     x = point(data.draw(st.lists(values, min_size=d, max_size=d), label="x"),
               mode, data.draw(st.sampled_from(("euclidean", "max")),
                               label="norm"))
-    assert odd_part(f)(x) == (f(x) - f(-x)).scale(Fraction(1, 2))
-    for transform, subtract in ((h_transform, 8), (g_transform, 2)):
-        assert transform(f)(x) == f(x.scale(2)) - f(x).scale(subtract)
+    table = direct_method.OrbitTable(f, x)
+    assert table.point(table.entry()[1]) == odd(f)(x)
+    for transform, subtract in ((H, 8), (G, 2)):
+        assert transform(f, x) == f(x.scale(2)) - f(x).scale(subtract)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +139,8 @@ def test_iterate_fixed_point_matches_transforms():
         x = random_point(rng, 1)
         trace_a = additive_iterate(f, x, -1, 6)
         trace_c = cubic_iterate(f, x, -1, 6)
-        assert all(v.coords == h_transform(f)(x).coords for v in trace_a.values)
-        assert all(v.coords == g_transform(f)(x).coords for v in trace_c.values)
+        assert all(v.coords == H(f, x).coords for v in trace_a.values)
+        assert all(v.coords == G(f, x).coords for v in trace_c.values)
 
 
 def test_iterate_zero_function():
@@ -165,7 +175,7 @@ def test_iterate_direction_consistency_float():
 
 def test_iterate_noisy_limits_within_stability_bound():
     # exact mode, full depth: the limit sits within the bound of the exact part
-    fo = odd_part(noisy_solution())
+    fo = odd(noisy_solution())
     x = point([1])
     trace = additive_iterate(fo, x, -1, 40)
     assert abs(float(trace.final.coords[0]) + 12) <= 76 * float(EPS)
@@ -175,7 +185,7 @@ def test_iterate_noisy_limits_within_stability_bound():
 
 def test_iterate_gap_envelopes_constant_noise():
     # gaps fall like 76 eps 2^-n (additive) and 8 * 76 eps 8^-n (cubic)
-    fo = odd_part(noisy_solution())
+    fo = odd(noisy_solution())
     for x in (point([1]), point([Fraction(5, 2)])):
         trace = additive_iterate(fo, x, -1, 24)
         for n, gap in enumerate(trace.cauchy_gaps):
@@ -270,7 +280,7 @@ def test_a_batch_that_raises_reads_each_argument_at_most_twice():
     calls.clear()
     table = direct_method.OrbitTable(f, x, True, -6, 13)
     assert cubic_iterate(table, x, 1, 6).values \
-        == cubic_iterate(odd_part(model), x, 1, 6).values
+        == cubic_iterate(odd(model), x, 1, 6).values
     assert table.entry() == direct_method.OrbitTable(model, x).entry()
     assert max(Counter(calls).values()) <= 2
 
@@ -337,7 +347,7 @@ def test_early_stop_truncates_trace():
     # Given phi an iterate stops at its certified depth, 21 additive and 7
     # cubic steps for a constant phi, as a prefix of the uncapped run; a
     # cap below that depth runs to the cap and claims nothing.
-    fo = odd_part(noisy_solution())
+    fo = odd(noisy_solution())
     x = point([1], mode="float")
     phi = Constant(76 * EPS)
     for iterate, depth in ((additive_iterate, 21), (cubic_iterate, 7)):
@@ -357,7 +367,7 @@ def _rationals(steps):
 
 
 def test_trace_structure_invariants():
-    fo = odd_part(noisy_solution())
+    fo = odd(noisy_solution())
     x = point([1], mode="float")
     phi = Constant(76 * EPS)  # depth 21 for l = -1, none for l = +1
     for (l, n), final_first in itertools.product(((-1, 30), (1, 12)),
@@ -554,7 +564,7 @@ def test_recover_auto_directions_follow_phi():
 def test_recovered_components_satisfy_their_rules():
     # A from the iteration behaves additively, C cubically, within 10x bound
     f = noisy_solution()
-    fo = odd_part(f)
+    fo = odd(f)
     phi = certify_phi(f)
 
     def recovered_additive(z):
@@ -646,56 +656,52 @@ def test_float_recover_is_exact_recover_rounded_once(data):
 
 
 # ---------------------------------------------------------------------------
-# Uniqueness probe
+# Uniqueness probe: two truncation depths of one run
 # ---------------------------------------------------------------------------
 
+def _probe(trace, n1, n2):
+    """The gap between the values at depths n1 and n2 of one run."""
+    return norm(trace.values[n1] - trace.values[n2])
+
+
 def test_probe_zero_for_exact_solution():
-    f = solution_1d(2, 1)
-    result = uniqueness_probe(f, point([1]), 1, "additive", 5, 9)
-    assert result.gap == 0.0
+    trace = additive_iterate(solution_1d(2, 1), point([1]), 1, 9)
+    assert _probe(trace, 5, 9) == 0.0
 
 
 def test_probe_zero_function():
-    f = FuncModel(1, 1, ())
-    assert uniqueness_probe(f, point([1]), -1, "cubic", 3, 6).gap == 0.0
+    trace = cubic_iterate(FuncModel(1, 1, ()), point([1]), -1, 6)
+    assert _probe(trace, 3, 6) == 0.0
 
 
 def test_probe_bounded_noise_within_tail():
-    fo = odd_part(noisy_solution())
-    phi = Constant(76 * EPS)
-    x = point([1])
-    additive = uniqueness_probe(fo, x, -1, "additive", 20, 40, phi)
-    assert additive.tail_bound == pytest.approx(0.076 * 2.0 ** -20, rel=1e-9)
-    assert additive.gap <= additive.tail_bound
-    cubic = uniqueness_probe(fo, x, -1, "cubic", 20, 40, phi)
-    assert cubic.tail_bound == pytest.approx(0.076 / 7 * 8.0 ** -20, rel=1e-9)
-    assert cubic.gap <= cubic.tail_bound
-
-
-def test_probe_requires_distinct_depths():
-    with pytest.raises(ValueError):
-        uniqueness_probe(solution_1d(1, 1), point([1]), 1, "additive", 5, 5)
-    with pytest.raises(ValueError):  # one run to max(n1, n2) has no depth 0
-        uniqueness_probe(solution_1d(1, 1), point([1]), 1, "additive", 0, 5)
+    # Depths 20 and 40 differ by at most the series' tail from depth 20,
+    # sum_{i>=21} w^-i c: c 2^-20 (additive) and c 8^-20 / 7 (cubic).
+    fo = odd(noisy_solution())
+    c, x = 76 * EPS, point([1])
+    for iterate, weight, tail in (
+            (additive_iterate, 2, c / 2 ** 20),
+            (cubic_iterate, 8, c / 7 / 8 ** 20)):
+        assert oracles.series_closed_form(weight, ("constant", c), [1],
+                                          "euclidean", -1, 1, 20) == tail
+        assert _probe(iterate(fo, x, -1, 40), 20, 40) <= tail
 
 
 def test_probe_matches_two_runs_with_fewer_evaluations():
+    # One run to max(n1, n2) holds the final of the shallower run as a
+    # value, from max(n1, n2) + 2 reads against n1 + n2 + 4 for two runs.
     counted = _Counted(noisy_solution())
     calls = counted.calls
-    phi = Constant(76 * EPS)
     x = point([Fraction(5, 2)])
-    for component, iterate in (("additive", additive_iterate),
-                               ("cubic", cubic_iterate)):
+    for iterate in (additive_iterate, cubic_iterate):
         for l, n1, n2 in ((-1, 20, 40), (1, 9, 4)):
             calls.clear()
             first = iterate(counted, x, l, n_steps=n1)
             second = iterate(counted, x, l, n_steps=n2)
             two_runs = len(calls)
             calls.clear()
-            result = uniqueness_probe(counted, x, l, component, n1, n2, phi)
-            assert result.gap == norm(first.final - second.final)
-            assert result.tail_bound == uniqueness_tail(
-                component, phi, x, l, min(n1, n2)).upper
+            trace = iterate(counted, x, l, n_steps=max(n1, n2))
+            assert _probe(trace, n1, n2) == norm(first.final - second.final)
             assert len(calls) == max(n1, n2) + 2 < two_runs == n1 + n2 + 4
 
 
@@ -930,4 +936,4 @@ def test_recover_iterate_and_probe_never_call_the_point_path(monkeypatch):
     for x in (point([1]), point([0.5], mode="float")):
         recover(f, [x])
         additive_iterate(f, x, -1, 6)
-        uniqueness_probe(f, x, 1, "cubic", 3, 6)
+        _probe(cubic_iterate(f, x, 1, 6), 3, 6)

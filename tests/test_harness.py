@@ -515,6 +515,33 @@ def test_run_bounds_items_and_consistency(tmp_path):
     assert all(c["ok"] for c in result.report["consistency"])
 
 
+@pytest.mark.parametrize("form", ["sum", "product"])
+def test_run_bounds_checks_only_the_form_each_entry_prints(
+        tmp_path, monkeypatch, form):
+    # A p entry prints and checks the sum form, an rs entry the product
+    # form, each with one combined series; the verdict is the AND of the
+    # printed oks.  A closed form off by a relative 1e-6 fails its own
+    # entries and no other.
+    from addcubic import bounds
+    name = f"corollary_{form}_bound"
+    exact = getattr(bounds, name)
+    monkeypatch.setattr(bounds, name, lambda *args: exact(*args) * (1 + 1e-6))
+    kinds = []
+    series = bounds.series_bound
+    monkeypatch.setattr(bounds, "series_bound", lambda kind, *args: (
+        kinds.append(kind) or series(kind, *args)))
+    for key, value in (("p", [0, 2]), ("rs", [[1, 1], [0, 2]])):
+        config = ExperimentConfig.from_json_dict(
+            {"consistency": {"theta": 1, "x": ["1"], key: value}}, "bounds")
+        kinds.clear()
+        result = run_bounds(config, tmp_path)
+        printed = [(c["form"], c["ok"]) for c in result.report["consistency"]]
+        entry_form = "sum" if key == "p" else "product"
+        assert printed == [(entry_form, entry_form != form)] * 2
+        assert result.ok == result.report["ok"] == (entry_form != form)
+        assert kinds == ["combined"] * 2
+
+
 def test_run_bounds_component_kind_with_auto_direction(tmp_path):
     config = ExperimentConfig.from_json_dict({
         "mode": "float",
