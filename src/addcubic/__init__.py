@@ -28,8 +28,8 @@ from .residuals import (
 )
 from .bounds import (
     CertificationError, ExcludedExponentError, FormCheck, SeriesResult,
-    auto_directions, certify_phi, corollary_product_bound, corollary_sum_bound,
-    product_form_check, series_bound, sum_form_check,
+    auto_directions, certify_phi, corollary_bound, excluded, form_check,
+    series_bound,
 )
 from .direct_method import (
     DivergentControlError, IterationTrace, OverflowGuardError, RecoveryReport,

@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .models import (Constant, ControlFunction, FuncModel, Linear,
-                     CubicHomogeneous, PowerNoise, Point, ProductOfPowers,
-                     SumOfPowers, norm, phi_value)
+                     CubicHomogeneous, PowerNoise, Point, SumOfPowers, norm,
+                     phi_value)
 from .noise import _POWER_SAFETY
 from .residuals import ABS_COEFFICIENT_SUM
 
@@ -103,8 +103,10 @@ def _component_series(weight: int, phi: ControlFunction, x: Point,
                       l: int) -> SeriesResult:
     """(1/2) sum w^(il) phi(x/2^(l(i+l)), same) in closed form.
 
-    The first term is evaluated at its actual argument; the sum is that
-    term over 1 - rho, rounded outward by :func:`_pad`.
+    The first term is evaluated at its actual argument, its power of two
+    applied to theta before the monomials add up, so that it overflows only
+    where the term does; the sum is that term over 1 - rho, rounded outward
+    by :func:`_pad`.
     """
     require_direction(l)
     degree = phi.degree  # e = rate / den, as series_exponent, in ints
@@ -114,8 +116,8 @@ def _component_series(weight: int, phi: ControlFunction, x: Point,
     k = l * (i0 + l)  # ||z|| of the first argument z = x / 2^k, if read
     size = 0.0 if degree == 0 else norm(x if k == 0 else x.scale(
         Fraction(1, 1 << k) if k > 0 else Fraction(1 << -k)))
-    first = (0.5 * 2.0 ** (l * i0 * (weight.bit_length() - 1))
-             * phi_value(phi, size, size))
+    first = phi_value(phi, size, size,
+                      0.5 * 2.0 ** (l * i0 * (weight.bit_length() - 1)))
     if first == 0.0:
         # zero phi, or homogeneous phi at the origin: every term is zero
         return SeriesResult(0.0, 0.0, 1, CONVERGED)
@@ -167,8 +169,17 @@ def certified_depth(component: str, phi: ControlFunction,
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for the power-family control functions
+# The corollary closed form
 # ---------------------------------------------------------------------------
+
+def excluded(phi: ControlFunction) -> bool:
+    """Whether phi's degree is 1 or 3, where a component series diverges,
+    or the float exponent :func:`corollary_bound` reads is, where its
+    bracket divides by zero."""
+    _, ((r, s), *_) = phi._floats
+    return any(p in (EXCLUDED_ADDITIVE_EXPONENT, EXCLUDED_CUBIC_EXPONENT)
+               for p in (phi.degree, r + s))
+
 
 def _closed_form(coefficient: float, p: float, norm_x: float) -> float:
     """coefficient * [1/|2^p - 2| + 1/|2^p - 8|] * ||x||^p, never overflowing.
@@ -177,11 +188,6 @@ def _closed_form(coefficient: float, p: float, norm_x: float) -> float:
     bracket into (||x||/2)^p; only a true value beyond the float range
     gives ``math.inf``.
     """
-    if p == EXCLUDED_ADDITIVE_EXPONENT or p == EXCLUDED_CUBIC_EXPONENT:
-        raise ExcludedExponentError(
-            f"exponent p = {p} makes one component series diverge; "
-            f"p must differ from {EXCLUDED_ADDITIVE_EXPONENT} and "
-            f"{EXCLUDED_CUBIC_EXPONENT}")
     try:
         power = 2.0 ** p
         factor = 1.0 / abs(power - 2.0) + 1.0 / abs(power - 8.0)
@@ -201,24 +207,19 @@ def _closed_form(coefficient: float, p: float, norm_x: float) -> float:
             return math.inf
 
 
-def corollary_sum_bound(theta, p, x: Point) -> float:
-    """(theta/6) * [1/|2^p - 2| + 1/|2^p - 8|] * ||x||^p.
+def corollary_bound(phi: ControlFunction, x: Point) -> float:
+    """phi(x, x)/12 * [1/|2^p - 2| + 1/|2^p - 8|], p = deg phi.
 
-    Combined recovery bound for phi(x, y) = theta (||x||^p + ||y||^p);
-    exponents 1 and 3 are rejected as divergent.
+    The combined recovery bound of every corollary: phi(x, x) is m theta
+    ||x||^p for m monomials, which gives theta/6 for theta (||x||^p +
+    ||y||^p) and theta/12 for theta ||x||^r ||y||^s.  p is r + s of the
+    first monomial, added as floats; :func:`excluded` exponents raise.
     """
-    theta_f, p_f = float(theta), float(p)
-    if theta_f < 0 or p_f < 0:
-        raise ValueError("theta and p must be nonnegative")
-    return _closed_form(theta_f / 6.0, p_f, norm(x))
-
-
-def corollary_product_bound(theta, r, s, x: Point) -> float:
-    """(theta/12) * [1/|2^p - 2| + 1/|2^p - 8|] * ||x||^p with p = r + s."""
-    theta_f, r_f, s_f = float(theta), float(r), float(s)
-    if theta_f < 0 or r_f < 0 or s_f < 0:
-        raise ValueError("theta, r, s must be nonnegative")
-    return _closed_form(theta_f / 12.0, r_f + s_f, norm(x))
+    if excluded(phi):
+        raise ExcludedExponentError(f"exponent p = {phi.degree} makes one "
+                                    "component series diverge")
+    theta, ((r, s), *_) = phi._floats
+    return _closed_form(theta / (12 / len(phi.monomials)), r + s, norm(x))
 
 
 def auto_directions(phi: ControlFunction) -> tuple[int, int]:
@@ -288,38 +289,25 @@ def certify_phi(f: FuncModel) -> ControlFunction:
 
 
 # ---------------------------------------------------------------------------
-# Corollary closed forms vs. series consistency
+# Corollary closed form vs. series consistency
 # ---------------------------------------------------------------------------
 
 class FormCheck(NamedTuple):
-    """One corollary's closed form against the combined series' upper end."""
+    """The corollary closed form against the combined series' upper end."""
 
     closed: float
     series: float
     ok: bool
 
 
-def _form_check(closed: float, phi: ControlFunction, x: Point,
-                tol: float) -> FormCheck:
-    """Match when |series - closed| <= tol * max(1, |closed|): absolute up
-    to 1, relative above.  A mismatch is a failed check, not an exception.
+def form_check(phi: ControlFunction, x: Point,
+               tol: float = 1e-9) -> FormCheck:
+    """:func:`corollary_bound` against the upper end of phi's combined
+    series.  Match when |series - closed| <= tol * max(1, |closed|):
+    absolute up to 1, relative above.  A mismatch is a failed check, not
+    an exception.
     """
+    closed = corollary_bound(phi, x)
     series = series_bound("combined", phi, x, auto_directions(phi))
     return FormCheck(closed, series.upper, series.status == CONVERGED and abs(
         series.upper - closed) <= tol * max(1.0, abs(closed)))
-
-
-def sum_form_check(theta, p, x: Point, tol: float = 1e-9) -> FormCheck:
-    """The sum-of-powers corollary at exponent p against its series."""
-    p = Fraction(p)
-    return _form_check(corollary_sum_bound(theta, p, x),
-                       SumOfPowers(Fraction(theta), p), x, tol)
-
-
-def product_form_check(theta, r, s, x: Point,
-                       tol: float = 1e-9) -> FormCheck:
-    """The product-of-powers corollary at exponents (r, s) against its
-    series."""
-    r, s = Fraction(r), Fraction(s)
-    return _form_check(corollary_product_bound(theta, r, s, x),
-                       ProductOfPowers(Fraction(theta), r, s), x, tol)

@@ -18,12 +18,12 @@ or ``bounds[0].phi``.  The runners see typed values only.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
-from .bounds import (CONVERGED, DIVERGED, EXCLUDED_ADDITIVE_EXPONENT,
-                     EXCLUDED_CUBIC_EXPONENT, auto_directions)
+from .bounds import CONVERGED, DIVERGED, auto_directions, excluded
 from .models import (BoundedNoise, Constant, ControlFunction, CubicHomogeneous,
                      DimensionMismatchError, Even, FuncModel, Linear, Point,
                      PowerNoise, ProductOfPowers, SumOfPowers, EUCLIDEAN,
@@ -182,11 +182,13 @@ def _sorted(read):
     return lambda value, where: tuple(sorted(read(value, where)))
 
 
-def _reject_excluded(exponents, where: str, hint: str = "") -> None:
-    """Exponents 1 and 3 make one component series diverge."""
-    for p in exponents:
-        if float(p) in (EXCLUDED_ADDITIVE_EXPONENT, EXCLUDED_CUBIC_EXPONENT):
-            raise ConfigError(f"{where}: exponent p={p} is excluded{hint}")
+def _reject_excluded(phis, where: str, hint: str = "") -> None:
+    """Refuse each control function :func:`~addcubic.bounds.excluded`
+    flags: one component series, or the closed form, diverges there."""
+    for phi in phis:
+        if excluded(phi):
+            raise ConfigError(
+                f"{where}: exponent p={phi.degree} is excluded{hint}")
 
 
 def _to_json(value):
@@ -455,13 +457,20 @@ _CONSISTENCY = section({
 
 
 def _consistency(doc, where: str) -> dict:
-    """Closed forms against series at exponents p and r + s."""
+    """The closed form against the series, as (phi, the fields its entry
+    prints): a sum of powers per exponent p, a product per pair (r, s)."""
     spec = _CONSISTENCY(doc, where)
-    _reject_excluded(spec["p"], f"{where}.p")
-    for r, s in spec["rs"]:  # the closed form adds r and s as floats
-        _reject_excluded([r + s, float(r) + float(s)], f"{where}.rs")
-    return {**spec,
-            "rs_text": [tuple(map(str, pair)) for pair in doc.get("rs", [])]}
+    theta = spec["theta"]
+    fields = {"theta": float(theta)}
+    sums = [(SumOfPowers(theta, p), {**fields, "p": float(p), "form": "sum"})
+            for p in spec["p"]]
+    products = [(ProductOfPowers(theta, r, s), {
+        **fields, "p": float(r + s), "r": str(r_doc), "s": str(s_doc),
+        "form": "product"}) for (r, s), (r_doc, s_doc) in zip(
+            spec["rs"], doc.get("rs", []))]
+    _reject_excluded([phi for phi, _ in sums], f"{where}.p")
+    _reject_excluded([phi for phi, _ in products], f"{where}.rs")
+    return {"tol": spec["tol"], "x": spec["x"], "entries": sums + products}
 
 
 _FAMILIES = section({
@@ -617,11 +626,9 @@ class SweepSpec:
         cells = spec.cells()
         axis = "p" if spec.form == "sum" else "rs"
         if not spec.allow_divergent:
-            exponents = [cell["p"] for cell in cells]
-            if spec.form == "product":  # the closed form adds r, s as floats
-                exponents += [float(r) + float(s) for r, s in spec.rs_pairs]
-            _reject_excluded(exponents, axis, "; set allow_divergent to "
-                             "demonstrate the divergence instead")
+            _reject_excluded([cell["phi"] for cell in cells], axis,
+                             "; set allow_divergent to demonstrate the "
+                             "divergence instead")
         unread, values = (("p", spec.exponents) if spec.form == "product"
                           else ("rs", spec.rs_pairs))
         if values:
@@ -638,16 +645,14 @@ class SweepSpec:
         return cls.from_json_dict(_read_json(path))
 
     def cells(self) -> list[dict]:
-        """Grid cells in sorted order; each cell fully describes one run."""
+        """Grid cells in sorted order; each cell fully describes one run,
+        its control function ``phi`` included."""
         if self.form == "sum":
             exponent_axis = [(p, None, None) for p in self.exponents]
         else:
             exponent_axis = [(r + s, r, s) for r, s in self.rs_pairs]
-        out = []
-        for p, r, s in exponent_axis:
-            for theta in self.thetas:
-                for eps in self.epsilons:
-                    for l_mode in self.l_modes:
-                        out.append({"p": p, "r": r, "s": s, "theta": theta,
-                                    "epsilon": eps, "l_mode": l_mode})
-        return out
+        return [{"p": p, "r": r, "s": s, "theta": theta, "epsilon": eps,
+                 "l_mode": l_mode, "phi": SumOfPowers(theta, p) if r is None
+                 else ProductOfPowers(theta, r, s)}
+                for (p, r, s), theta, eps, l_mode in itertools.product(
+                    exponent_axis, self.thetas, self.epsilons, self.l_modes)]

@@ -392,7 +392,8 @@ def recover(f: FuncModel, points: Sequence[Point],
     and raw errors, the certified combined bound, and both traces.  A
     point is within its bound when its error is, and each Cauchy gap at
     step n is at most the uniqueness tail at n - 1, 2 rho^(n-1) times its
-    series.  A series that diverges raises :class:`DivergentControlError`.
+    series.  A series that diverges raises :class:`DivergentControlError`,
+    and a bound beyond the float range ``OverflowError``.
     """
     if phi is None:
         phi = bounds_mod.certify_phi(f)
@@ -422,6 +423,10 @@ def recover(f: FuncModel, points: Sequence[Point],
             raise DivergentControlError(
                 "bound series diverges for the chosen directions "
                 f"(additive l={l_add}, cubic l={l_cub})")
+        if not math.isfinite(series.upper):  # within inf would be vacuous
+            raise OverflowError("the combined bound at x = "
+                                f"{[str(c) for c in x.coords]} is beyond "
+                                "the float range")
         orbit = OrbitTable(f, x, True, *reach)
         trace_a = additive_iterate(orbit, x, l_add, n_max, depth=depth_a)
         trace_c = cubic_iterate(orbit, x, l_cub, n_max, depth=depth_c)

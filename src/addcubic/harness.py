@@ -22,8 +22,7 @@ from .config import (ConfigError, ExperimentConfig, SweepSpec, model_to_json,
                      phi_to_json)
 from .direct_method import DivergentControlError, OverflowGuardError, recover
 from .models import (CubicHomogeneous, FuncModel, Linear, PowerNoise,
-                     ProductOfPowers, SumOfPowers, coords_norm, cubic_1d,
-                     linear_1d, point)
+                     coords_norm, cubic_1d, linear_1d, point)
 from .scalars import EXACT, format_number
 
 SWEEP_CSV_HEADER = ("p", "r", "s", "theta", "epsilon", "l_additive", "l_cubic",
@@ -45,9 +44,13 @@ class RunResult:
 
 
 def write_json(path: Path, doc: dict) -> Path:
+    """``doc`` as strict JSON: a non-finite float is an OverflowError."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise OverflowError(f"{path.name}: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 
@@ -290,7 +293,7 @@ def run_recover(config: ExperimentConfig, out_dir: Path) -> RunResult:
 def run_bounds(config: ExperimentConfig, out_dir: Path) -> RunResult:
     """Evaluate bound series items and closed-form consistency checks."""
     spec = config.consistency
-    if not (config.bounds_items or spec and (spec["p"] or spec["rs"])):
+    if not (config.bounds_items or spec and spec["entries"]):
         raise ConfigError("bounds has no items and no consistency exponents; "
                           "an empty check would pass vacuously")
     ok = True
@@ -305,35 +308,22 @@ def run_bounds(config: ExperimentConfig, out_dir: Path) -> RunResult:
             "kind": item["kind"], "phi": phi_to_json(item["phi"]),
             "x": list(item["x_text"]),
             "l": list(l) if isinstance(l, tuple) else l,
-            "partial_sum": result.partial_sum,
-            "tail_bound": (result.tail_bound
-                           if math.isfinite(result.tail_bound) else "inf"),
-            "upper": (result.upper if math.isfinite(result.upper) else "inf"),
+            **{key: value if math.isfinite(value) else "inf" for key, value
+               in zip(("partial_sum", "tail_bound", "upper"),
+                      (result.partial_sum, result.tail_bound, result.upper))},
             "terms_used": result.terms_used,
             "status": result.status, "expect": item["expect"], "ok": item_ok,
         })
 
     consistency_report = []
     if spec:
-        theta, tol = spec["theta"], spec["tol"]
         x = point(spec["x"], config.mode, config.norm_kind)
-        for p in spec["p"]:
-            result = bounds_mod.sum_form_check(theta, p, x, tol)
+        for phi, fields in spec["entries"]:
+            result = bounds_mod.form_check(phi, x, spec["tol"])
             ok = ok and result.ok
             consistency_report.append({
-                "p": float(p), "theta": float(theta), "form": "sum",
-                "closed": result.closed, "series": result.series,
-                "ok": result.ok,
-            })
-        for (r, s), (r_text, s_text) in zip(spec["rs"], spec["rs_text"]):
-            result = bounds_mod.product_form_check(theta, r, s, x, tol)
-            ok = ok and result.ok
-            consistency_report.append({
-                "p": float(r + s), "r": r_text, "s": s_text,
-                "theta": float(theta), "form": "product",
-                "closed": result.closed, "series": result.series,
-                "ok": result.ok,
-            })
+                **fields, "closed": result.closed, "series": result.series,
+                "ok": result.ok})
 
     report = {"schema_version": 1, "command": "bounds", "items": items_report,
               "consistency": consistency_report, "ok": ok}
@@ -345,37 +335,25 @@ def run_bounds(config: ExperimentConfig, out_dir: Path) -> RunResult:
 # Sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_directions(l_mode: str, phi) -> tuple[int, int]:
-    if l_mode == "auto":
-        return bounds_mod.auto_directions(phi)
-    value = 1 if l_mode == "pos" else -1
-    return (value, value)
-
-
 def _sweep_cell(spec: SweepSpec, cell: dict, points: list) -> dict:
     """The report entry of one grid cell, with typed values."""
-    p, r, s = cell["p"], cell["r"], cell["s"]
-    theta, eps = cell["theta"], cell["epsilon"]
-    if spec.form == "sum":
-        grid_phi = SumOfPowers(theta, p)
-    else:
-        grid_phi = ProductOfPowers(theta, r, s)
-    l_add, l_cub = _sweep_directions(cell["l_mode"], grid_phi)
+    p, eps, phi = cell["p"], cell["epsilon"], cell["phi"]
+    l_add, l_cub = {"pos": (1, 1), "neg": (-1, -1)}.get(
+        cell["l_mode"]) or bounds_mod.auto_directions(phi)
 
     unit = point(["1"], EXACT, spec.norm_kind)
     status = "ok"
     closed = series_value = max_error = bound_ok = None
     try:
-        if spec.form == "sum":
-            closed = bounds_mod.corollary_sum_bound(theta, p, unit)
-        else:
-            closed = bounds_mod.corollary_product_bound(theta, r, s, unit)
+        closed = bounds_mod.corollary_bound(phi, unit)
     except bounds_mod.ExcludedExponentError:
         status = "diverged"
-    series = bounds_mod.series_bound("combined", grid_phi, unit,
-                                     (l_add, l_cub))
+    series = bounds_mod.series_bound("combined", phi, unit, (l_add, l_cub))
     if series.status == bounds_mod.DIVERGED:
         status = "diverged"
+    elif not math.isfinite(series.upper):
+        raise OverflowError(f"the combined bound at p = {p}, theta = "
+                            f"{cell['theta']} is beyond the float range")
     else:
         series_value = series.upper
 
@@ -398,10 +376,8 @@ def _sweep_cell(spec: SweepSpec, cell: dict, points: list) -> dict:
             status = "overflow-guard"
 
     return {
-        "p": format_number(p),
-        "r": None if r is None else format_number(r),
-        "s": None if s is None else format_number(s),
-        "theta": format_number(theta), "epsilon": format_number(eps),
+        **{key: None if cell[key] is None else format_number(cell[key])
+           for key in ("p", "r", "s", "theta", "epsilon")},
         "l_additive": l_add, "l_cubic": l_cub,
         "closed_form": closed, "series_value": series_value,
         "max_error": max_error, "bound_ok": bound_ok, "status": status,

@@ -527,16 +527,17 @@ def ProductOfPowers(theta: Fraction, r: Fraction,
     return ControlFunction(theta, ((r, s),))
 
 
-def phi_value(phi: ControlFunction, x: Point, y: Point) -> float:
-    """phi(x, y) as a float; x and y are points, or their norms.  Each
-    monomial is theta * x^r * y^s, left to right, added in order; a
-    degree-0 phi reads no norm."""
+def phi_value(phi: ControlFunction, x: Point, y: Point,
+              scale: float = 1.0) -> float:
+    """phi(x, y) as a float, times ``scale``, a power of two; x and y are
+    points, or their norms.  Each monomial is scale theta * x^r * y^s,
+    left to right, added in order; a degree-0 phi reads no norm."""
     x, y = [v if isinstance(v, float) else norm(v) if phi.degree else 1.0
             for v in (x, y)]
     theta, powers = phi._floats
     value = 0.0
     for r, s in powers:
-        value += theta * x ** r * y ** s
+        value += scale * theta * x ** r * y ** s
     return value
 
 

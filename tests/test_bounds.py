@@ -8,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from addcubic import (BoundedNoise, CertificationError, Constant,
-                      ExcludedExponentError, PowerNoise, ProductOfPowers,
-                      SumOfPowers, auto_directions, certify_phi,
-                      corollary_product_bound, corollary_sum_bound, cubic_1d,
-                      even_1d, linear_1d, mixed_residual, model_1d,
-                      phi_value, point, product_form_check, random_point,
-                      series_bound, sum_form_check)
+                      ControlFunction, ExcludedExponentError, PowerNoise,
+                      ProductOfPowers, SumOfPowers, auto_directions,
+                      certify_phi, corollary_bound, cubic_1d, even_1d,
+                      excluded, form_check, linear_1d, mixed_residual,
+                      model_1d, phi_value, point, random_point, series_bound)
 from addcubic.bounds import CONVERGED, DIVERGED, certified_depth
 
 X1 = point([1], mode="float")
@@ -212,30 +211,38 @@ def test_diverged_tail_is_infinite_not_huge():
 # Closed forms
 # ---------------------------------------------------------------------------
 
-def test_corollary_sum_bound_values():
-    assert corollary_sum_bound(1, 0, X1) == pytest.approx(4 / 21, rel=1e-12)
-    assert corollary_sum_bound(1, 2, X1) == pytest.approx(1 / 8, rel=1e-12)
-    assert corollary_sum_bound(1, 4, X1) == pytest.approx(11 / 336, rel=1e-12)
-    assert corollary_sum_bound(2, 2, point([2], mode="float")) \
+def _sum_bound(theta, p, x):
+    return corollary_bound(SumOfPowers(theta, p), x)
+
+
+def _product_bound(theta, r, s, x):
+    return corollary_bound(ProductOfPowers(theta, r, s), x)
+
+
+def test_corollary_bound_sum_form_values():
+    assert _sum_bound(1, 0, X1) == pytest.approx(4 / 21, rel=1e-12)
+    assert _sum_bound(1, 2, X1) == pytest.approx(1 / 8, rel=1e-12)
+    assert _sum_bound(1, 4, X1) == pytest.approx(11 / 336, rel=1e-12)
+    assert _sum_bound(2, 2, point([2], mode="float")) \
         == pytest.approx(2 / 8 * 4, rel=1e-12)
 
 
-def test_corollary_product_bound_values():
-    assert corollary_product_bound(1, 1, 1, X1) == pytest.approx(1 / 16, rel=1e-12)
-    assert corollary_product_bound(1, 0, 0, X1) == pytest.approx(2 / 21, rel=1e-12)
-    assert corollary_product_bound(0, 2, 2, X1) == 0.0
+def test_corollary_bound_product_form_values():
+    assert _product_bound(1, 1, 1, X1) == pytest.approx(1 / 16, rel=1e-12)
+    assert _product_bound(1, 0, 0, X1) == pytest.approx(2 / 21, rel=1e-12)
+    assert _product_bound(0, 2, 2, X1) == 0.0
 
 
 def test_corollary_bounds_finite_beyond_float_power_range():
     # 2.0 ** p overflows from p = 1024 on; the factor is then formed as
     # 2^-p (1/(1 - 2^(1-p)) + 1/(1 - 2^(3-p))).
     for p in (1024, 1e6):
-        for value in (corollary_sum_bound(1, p, X1),
-                      corollary_product_bound(1, p, 0, X1),
-                      corollary_product_bound(1, p / 2, p / 2, X1)):
+        for value in (_sum_bound(1, p, X1),
+                      _product_bound(1, p, 0, X1),
+                      _product_bound(1, p / 2, p / 2, X1)):
             assert math.isfinite(value) and value >= 0
-    assert corollary_sum_bound(6, 1024, X1) == 2.0 ** -1023
-    below = corollary_sum_bound(6, 1023, X1)
+    assert _sum_bound(6, 1024, X1) == 2.0 ** -1023
+    below = _sum_bound(6, 1023, X1)
     assert below == 1 / (2.0 ** 1023 - 2) + 1 / (2.0 ** 1023 - 8)
 
 
@@ -243,30 +250,42 @@ def test_corollary_bounds_finite_where_norm_power_overflows():
     # ||x||^p leaves the float range, the bound (||x||/2)^p (...) does not.
     # There (||x||/2)^p = 1 and the bracket is 2, so the values are exact.
     two = point([2.0], mode="float")
-    assert corollary_sum_bound(1, 1024, two) == 1 / 6 * 2.0 == 1 / 3
-    assert corollary_product_bound(1, 600, 600, two) == 1 / 12 * 2.0
+    assert _sum_bound(1, 1024, two) == 1 / 6 * 2.0 == 1 / 3
+    assert _product_bound(1, 600, 600, two) == 1 / 12 * 2.0
     # (||x||/2)^p = 2^1200 overflows too, but theta keeps the value finite.
-    value = corollary_sum_bound(1e-300, 2000, point([2.0 ** 1.6], mode="float"))
+    value = _sum_bound(1e-300, 2000, point([2.0 ** 1.6], mode="float"))
     assert value == pytest.approx(
         math.exp(math.log(1e-300 / 3) + 1200 * math.log(2)), rel=1e-9)
-    assert corollary_sum_bound(0, 2000, point([4.0], mode="float")) == 0.0
-    assert corollary_sum_bound(1, 1e6, point([3.0], mode="float")) == math.inf
+    assert _sum_bound(0, 2000, point([4.0], mode="float")) == 0.0
+    assert _sum_bound(1, 1e6, point([3.0], mode="float")) == math.inf
     # Where nothing overflows the value is the plain product, as before.
     for p in (0, 0.5, 2, 5, 1023):
         power = 2.0 ** p
-        assert corollary_sum_bound(3, p, two) == 3 / 6.0 * (
+        assert _sum_bound(3, p, two) == 3 / 6.0 * (
             1.0 / abs(power - 2.0) + 1.0 / abs(power - 8.0)) * 2.0 ** p
 
 
 def test_corollary_rejects_excluded_exponents():
     with pytest.raises(ExcludedExponentError):
-        corollary_sum_bound(1, 1, X1)
+        _sum_bound(1, 1, X1)
     with pytest.raises(ExcludedExponentError):
-        corollary_sum_bound(1, 3, X1)
+        _sum_bound(1, 3, X1)
     with pytest.raises(ExcludedExponentError):
-        corollary_product_bound(1, 1, 2, X1)
+        _product_bound(1, 1, 2, X1)
     with pytest.raises(ValueError):
-        corollary_sum_bound(-1, 2, X1)
+        _sum_bound(-1, 2, X1)
+
+
+def test_excluded_reads_the_degree_and_the_float_exponent():
+    # r + s is not 1, but float(r) + float(s) is: the closed form would
+    # divide by zero.
+    r, s = (Fraction(n, 2 ** 80) for n in (377789318629571784867839,
+                                            831136500985057624719359))
+    assert r + s != 1 and float(r) + float(s) == 1
+    assert excluded(ProductOfPowers(1, r, s))
+    assert excluded(SumOfPowers(0, 3)) and excluded(ProductOfPowers(1, 1, 0))
+    assert not any(excluded(phi) for phi in (
+        Constant(1), SumOfPowers(1, 2), ProductOfPowers(1, Fraction(1, 2), 2)))
 
 
 def test_auto_directions():
@@ -431,15 +450,16 @@ def test_certified_depth_is_where_the_tail_falls_below_2_to_minus_20(p):
         ("additive", "cubic"), auto_directions(zero))) == SWEEP_DEPTHS[p]
 
 
-def _form_checks(theta, p, x, tol):
+def _both_forms(theta, p, x, tol):
     """The sum form at p and the product form at r = s = p/2."""
-    return (sum_form_check(theta, p, x, tol),
-            product_form_check(theta, Fraction(p) / 2, Fraction(p) / 2, x, tol))
+    return (form_check(SumOfPowers(theta, p), x, tol),
+            form_check(ProductOfPowers(theta, Fraction(p) / 2,
+                                       Fraction(p) / 2), x, tol))
 
 
 def test_consistency_check_matches_closed_forms():
     for p in (0, Fraction(1, 2), 2, Fraction(5, 2), 4, 5):
-        for check in _form_checks(1, p, X1, 1e-9):
+        for check in _both_forms(1, p, X1, 1e-9):
             assert check.ok, (p, check)
 
 
@@ -449,7 +469,7 @@ def test_consistency_check_tolerance_is_relative_above_one(x, p):
     # At x = 1000 and p = 5 the bound is 1.25e13, where one ulp is about
     # 0.002, so an absolute 1e-9 failed correct code; the rule is
     # |series - closed| <= tol * max(1, |closed|).
-    for check in _form_checks(1, p, point([x], mode="float"), 1e-9):
+    for check in _both_forms(1, p, point([x], mode="float"), 1e-9):
         assert check.ok, check
         assert check.closed > 1e4
 
@@ -459,19 +479,59 @@ def test_consistency_check_tolerance_is_relative_above_one(x, p):
 def test_consistency_check_fails_a_closed_form_off_by_a_millionth(
         monkeypatch, x, form):
     # A closed form off by a relative 1e-6 is a thousand times the
-    # tolerance, at a bound below 1 and above it; each form's check reads
-    # only its own closed form.
+    # tolerance, at a bound below 1 and above it.  It is off for one phi
+    # shape only, two monomials (sum) or one (product), and each check
+    # reads only the closed form of its own phi.
     from addcubic import bounds
-    name = f"corollary_{form}_bound"
-    exact = getattr(bounds, name)
-    monkeypatch.setattr(bounds, name,
-                        lambda *args: exact(*args) * (1 + 1e-6))
-    checks = _form_checks(1, 2, point([x], mode="float"), 1e-9)
+    exact, shape = bounds.corollary_bound, {"sum": 2, "product": 1}[form]
+    monkeypatch.setattr(bounds, "corollary_bound", lambda phi, at: exact(
+        phi, at) * (1 + 1e-6 if len(phi.monomials) == shape else 1))
+    checks = _both_forms(1, 2, point([x], mode="float"), 1e-9)
     assert tuple(check.ok for check in checks) \
         == ((False, True) if form == "sum" else (True, False))
 
 
+def _mixed(theta, p):
+    """theta (||x||^p ||y||^p + ||x||^2p + ||y||^2p), the mixed product-sum
+    of Ravi, Arunkumar and Rassias (Int. J. Math. Stat. 3, 2008)."""
+    return ControlFunction(theta, ((p, p), (2 * p, 0), (0, 2 * p)))
+
+
+@pytest.mark.parametrize("coords", [["1"], ["13/5", "1/9"]])
+@pytest.mark.parametrize("p", [Fraction(n, 4) for n in (0, 1, 3, 4, 5, 8)])
+def test_mixed_product_sum_corollary(p, coords):
+    # Its diagonal is 3 theta ||x||^2p, so the one closed form reads it as
+    # it reads a product theta' ||x||^p ||y||^p with theta' = 3 theta.
+    theta = Fraction(5, 3)
+    phi = _mixed(theta, p)
+    check = form_check(phi, point(coords), 1e-9)
+    assert check.ok, check
+    exact = _exact_series("combined", ("product", 3 * theta, p, p),
+                          [Fraction(c) for c in coords], "euclidean",
+                          auto_directions(phi))
+    assert check.closed == pytest.approx(float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 2)])
+def test_mixed_product_sum_excluded_exponents(p):
+    # diagonal degree 2p = 1 or 3
+    assert excluded(_mixed(1, p))
+    with pytest.raises(ExcludedExponentError):
+        form_check(_mixed(1, p), X1)
+
+
+def test_first_term_overflows_only_where_the_bound_does():
+    # theta (||x||^2 + ||y||^2), theta = 1e308: at x = 1 the cubic series'
+    # first term, 2^-4 theta (1 + 1), is 1.25e307, though theta (1 + 1) is
+    # not a float; at x = 10 the true bound, 1.25e309, is not one either.
+    phi = SumOfPowers(Fraction(10) ** 308, 2)
+    check = form_check(phi, X1)
+    assert check.ok and check.series == pytest.approx(1.25e307, rel=1e-12)
+    beyond = series_bound("combined", phi, point([10]), auto_directions(phi))
+    assert beyond.status == CONVERGED and beyond.upper == math.inf
+
+
 def test_consistency_check_flags_nothing_at_tol_zero():
     # upper is rounded outward from the closed form: tol 0 fails, not raises
-    for check in _form_checks(1, 2, X1, 0.0):
+    for check in _both_forms(1, 2, X1, 0.0):
         assert isinstance(check.ok, bool)

@@ -520,12 +520,13 @@ def test_run_bounds_checks_only_the_form_each_entry_prints(
         tmp_path, monkeypatch, form):
     # A p entry prints and checks the sum form, an rs entry the product
     # form, each with one combined series; the verdict is the AND of the
-    # printed oks.  A closed form off by a relative 1e-6 fails its own
-    # entries and no other.
+    # printed oks.  A closed form off by a relative 1e-6 for one phi
+    # shape, two monomials (sum) or one (product), fails the entries of
+    # that form and no other.
     from addcubic import bounds
-    name = f"corollary_{form}_bound"
-    exact = getattr(bounds, name)
-    monkeypatch.setattr(bounds, name, lambda *args: exact(*args) * (1 + 1e-6))
+    exact, shape = bounds.corollary_bound, {"sum": 2, "product": 1}[form]
+    monkeypatch.setattr(bounds, "corollary_bound", lambda phi, x: exact(
+        phi, x) * (1 + 1e-6 if len(phi.monomials) == shape else 1))
     kinds = []
     series = bounds.series_bound
     monkeypatch.setattr(bounds, "series_bound", lambda kind, *args: (
@@ -917,6 +918,78 @@ def test_command_golden_report_bytes(tmp_path, name):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in out_dir.iterdir()}
     assert digests == expected
+
+
+# ---------------------------------------------------------------------------
+# Bounds at the edge of the float range
+# ---------------------------------------------------------------------------
+
+# theta (||x||^2 + ||y||^2) with theta = 1e308: at x = 1 the combined bound
+# is 1.25e307, though the two monomials' sum at the first term, 2e308, is
+# not a float; at x = 10 the bound, 1.25e309, is beyond the float range.
+HUGE_PHI = {"variant": "sum_of_powers", "theta": "1e308", "power": "2"}
+HUGE_RECOVER_DOC = recover_config(
+    mode="exact", phi=HUGE_PHI, samples={"points": [["1"]]},
+    model={"dim_in": 1, "dim_out": 1,
+           "atoms": [{"kind": "linear", "matrix": [["2"]]}, CUBIC_ATOM]})
+
+
+def _run_cli(tmp_path, command, doc):
+    """(exit code, the report of output stem ``out``, or None)."""
+    tmp_path.mkdir()
+    config_path = write_config(tmp_path, "config.json",
+                               {**doc, "output_stem": "out"})
+    code = cli_main([command, "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "out")])
+    report = tmp_path / "out" / "out.json"
+    # strict JSON: a non-finite float would be read back, and refused here
+    return code, (json.loads(report.read_text(), parse_constant=lambda name:
+                             pytest.fail(f"{name} in the report"))
+                  if report.exists() else None)
+
+
+def test_bound_is_finite_where_only_the_monomial_sum_overflows(tmp_path):
+    code, doc = _run_cli(tmp_path / "bounds", "bounds", {"consistency": {
+        "theta": "1e308", "p": [2], "x": ["1"]}})
+    entry, = doc["consistency"]
+    assert code == 0 and entry["ok"]
+    assert entry["series"] == pytest.approx(1.25e307, rel=1e-9)
+    assert entry["closed"] == pytest.approx(1.25e307, rel=1e-15)
+    code, doc = _run_cli(tmp_path / "sweep", "sweep", sweep_doc(
+        p=[2], theta=["1e308"], epsilon=[0]))
+    cell, = doc["cells"]
+    assert code == 0 and cell["status"] == "ok"
+    assert cell["series_value"] == pytest.approx(1.25e307, rel=1e-9)
+    code, doc = _run_cli(tmp_path / "recover", "recover", HUGE_RECOVER_DOC)
+    item, = doc["points"]
+    assert code == 0 and item["within_bound"]
+    assert item["bound"] == pytest.approx(1.25e307, rel=1e-9)
+
+
+def test_bound_beyond_the_float_range_prints_inf_or_exits_2(tmp_path,
+                                                            capsys):
+    code, doc = _run_cli(tmp_path / "bounds", "bounds", {"bounds": [
+        {"phi": HUGE_PHI, "x": ["10"]}]})
+    item, = doc["items"]
+    assert code == 0
+    assert item["partial_sum"] == item["upper"] == "inf"
+    # A recovered point within an infinite bound would hold vacuously.
+    code, doc = _run_cli(tmp_path / "recover", "recover", {
+        **HUGE_RECOVER_DOC, "samples": {"points": [["10"]]}})
+    assert code == 2 and doc is None
+    assert "beyond the float range" in capsys.readouterr().err
+    # So would a sweep cell, whose series is read at 1.
+    code, doc = _run_cli(tmp_path / "sweep", "sweep", sweep_doc(
+        p=["1000001/1000000"], theta=["1e308"], epsilon=[0]))
+    assert code == 2 and doc is None
+    assert "beyond the float range" in capsys.readouterr().err
+
+
+def test_write_json_refuses_a_non_finite_float(tmp_path):
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(OverflowError):
+            harness.write_json(tmp_path / "r.json", {"bound": value})
+        assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_out_dir_environment_override(tmp_path, monkeypatch, capsys):
