@@ -126,8 +126,9 @@ def _component_series(weight: int, phi: ControlFunction, x: Point,
     value = first / -math.expm1(rate / degree.denominator * math.log(2.0))
     pad = _pad(float(degree), size)
     low, high = value * (1.0 - pad), value * (1.0 + pad)
-    # high - low is exact (Sterbenz); for an overflowed inf it is taken as 0
-    return SeriesResult(low, high - low if low < high else 0.0, 1, CONVERGED)
+    # high - low is exact (Sterbenz); past the float range the tail is inf
+    return SeriesResult(low, high - low if low < math.inf else math.inf, 1,
+                        CONVERGED)
 
 
 def merge_series(a, b, scale: float) -> SeriesResult:

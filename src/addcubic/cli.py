@@ -14,7 +14,9 @@ path, as is a check that would run over zero sample points or pairs.
 Exit codes: 0 when every asserted identity/inequality held, 1 when an
 assertion failed (including divergent bound series), 2 on configuration or
 usage errors, including a config file or output path the system refuses
-and values too large for float arithmetic; a usage error prints the usage.
+and values too large for float arithmetic, whether a config value or a
+computed value a report would hold (the message then names the report
+file and the value's key path); a usage error prints the usage.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from pathlib import Path
 
 from .bounds import CertificationError
 from .config import ConfigError, ExperimentConfig, SweepSpec
-from .harness import (RunResult, run_bounds, run_check_lemmas, run_recover,
-                      run_replay_chain, run_sweep)
+from .harness import (NonFiniteValueError, RunResult, run_bounds,
+                      run_check_lemmas, run_recover, run_replay_chain,
+                      run_sweep)
 
 OUT_DIR_ENV = "ADDCUBIC_OUT_DIR"
 
@@ -82,8 +85,10 @@ def main(argv=None) -> int:
         print(f"addcubic {command}: error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
-        print(f"addcubic {command}: error: a config value is too large "
-              f"for float arithmetic ({exc})", file=sys.stderr)
+        source = ("a computed report value" if isinstance(
+            exc, NonFiniteValueError) else "a config value")
+        print(f"addcubic {command}: error: {source} is too large for float "
+              f"arithmetic ({exc})", file=sys.stderr)
         return 2
     for path in result.files:
         print(f"wrote {path}")

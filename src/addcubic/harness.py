@@ -12,8 +12,9 @@ the report prints.  A float report holds each exact value rounded once.
 from __future__ import annotations
 
 import csv
-import json
 import math
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -22,7 +23,7 @@ from .config import (ConfigError, ExperimentConfig, SweepSpec, model_to_json,
                      phi_to_json)
 from .direct_method import DivergentControlError, OverflowGuardError, recover
 from .models import (CubicHomogeneous, FuncModel, Linear, PowerNoise,
-                     coords_norm, cubic_1d, linear_1d, point)
+                     cubic_1d, linear_1d, max_ratio_norm, point)
 from .scalars import EXACT, format_number
 
 SWEEP_CSV_HEADER = ("p", "r", "s", "theta", "epsilon", "l_additive", "l_cubic",
@@ -43,12 +44,81 @@ class RunResult:
         return 0 if self.ok else 1
 
 
+class NonFiniteValueError(OverflowError):
+    """A computed value beyond the float range, which strict JSON refuses."""
+
+
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError("Out of range float values are not JSON compliant: "
+                     f"{value!r}")
+
+
+# A scalar's JSON text by its exact type.
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+                float: _float_text,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): {None: "null"}.__getitem__}
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` writes it, nested at ``indent``, tuples as lists.
+    A key that is not a str (``encode_basestring_ascii`` raises), and a
+    value of any other type, subclasses included, is a TypeError."""
+    scalar = _SCALAR_TEXT.get
+    text = scalar(type(value))
+    if text is not None:
+        return text(value)
+    inner = indent + "  "
+    # An item of a scalar type is written inline, any other by recursion.
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        (start, end), items = "{}", [
+            encode_basestring_ascii(key) + ": " + (
+                text(item) if (text := scalar(type(item := value[key])))
+                else _json_text(item, inner)) for key in sorted(value)]
+    elif type(value) is list or type(value) is tuple:
+        if not value:
+            return "[]"
+        (start, end), items = "[]", [
+            text(item) if (text := scalar(type(item)))
+            else _json_text(item, inner) for item in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+    return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{end}"
+
+
+def _non_finite_at(value, where: str = "") -> str | None:
+    """The key path of the first non-finite float in ``value``, in the
+    order the report writes it, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where
+    if isinstance(value, dict):
+        items = [(f"{where}.{key}" if where else key, value[key])
+                 for key in sorted(value)]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{where}[{n}]", item) for n, item in enumerate(value)]
+    else:
+        return None
+    for path, item in items:
+        found = _non_finite_at(item, path)
+        if found is not None:
+            return found
+    return None
+
+
 def write_json(path: Path, doc: dict) -> Path:
-    """``doc`` as strict JSON: a non-finite float is an OverflowError."""
+    """``doc`` as strict JSON, indented and key-sorted; a non-finite float
+    is a :class:`NonFiniteValueError` naming it, and writes no file."""
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        text = _json_text(doc, "")
     except ValueError as exc:
-        raise OverflowError(f"{path.name}: {exc}") from None
+        raise NonFiniteValueError(
+            f"{path.name}: {_non_finite_at(doc)}: {exc}") from None
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
     return path
@@ -131,25 +201,26 @@ def _tally_pairs(f, pairs, tables: residuals.TermTables, rows: list[dict],
                  keep: int = 0) -> list:
     """Fold the residual of ``tables`` entry i at every pair into rows[i].
 
-    In both modes the rows read the exact integer totals of
-    :meth:`~addcubic.residuals.TermTables.integer_sums`: a residual is
-    nonzero when any numerator is, and the norm divides int by int, which
-    rounds as ``float(Fraction)`` does; tables not ``live`` for f stay 0.
-    Returns the residual vectors of the first ``keep`` pairs, from the totals.
+    Only the tables ``live`` for f are summed, the others being zero at
+    every pair, and with ``keep`` the rule tables, whose coordinates at
+    the first ``keep`` pairs are returned as ``Fraction``s; with neither,
+    f is never read.  In both modes the rows read the exact integer sums
+    of :meth:`~addcubic.residuals.TermTables.sums`: a residual is nonzero
+    when any numerator is, and its norm (:func:`max_ratio_norm`) divides
+    int by int, which rounds as ``float(Fraction)`` does.
     """
-    kept = []
-    live = [(rows[i], i) for i in tables.live(f)]
-    for x, y in pairs:
-        totals = tables.integer_sums(f, x, y)
-        if len(kept) < keep:
-            kept.append(residuals.residual_vectors(totals, x))
-        for row, i in live:
-            nums, den = totals[i]
-            if any(nums):
-                magnitude = coords_norm([n / den for n in nums], x.norm_kind)
-                row["max_abs"] = max(row["max_abs"], magnitude)
-                row["nonzero_count"] += 1
-    return kept
+    kept_tables = range(len(_RULE_TABLES) if keep else 0)
+    indexes = sorted({*tables.live(f), *kept_tables})  # rules lead
+    if not (indexes and pairs):
+        return []
+    sums, dens = tables.sums(f, indexes)(pairs)
+    norm_kind = pairs[0][0].norm_kind
+    for i, columns in zip(indexes, sums):
+        largest, count = max_ratio_norm(columns, dens, norm_kind)
+        rows[i]["max_abs"] = max(rows[i]["max_abs"], largest)
+        rows[i]["nonzero_count"] += count
+    return [[[Fraction(column[p], den) for column in sums[i]]
+             for i in kept_tables] for p, den in enumerate(dens[:keep])]
 
 
 def _chain_ok(expect_zero: bool, stats: dict[str, dict]) -> bool:
@@ -191,9 +262,8 @@ def run_check_lemmas(config: ExperimentConfig, out_dir: Path) -> RunResult:
                 "x": [format_number(c, config.mode) for c in x.coords],
                 "y": [format_number(c, config.mode) for c in y.coords],
                 "residuals": {
-                    name: [format_number(c, config.mode)
-                           for c in vector.value.coords]
-                    for name, vector in zip(_RULE_TABLES, vectors)},
+                    name: [format_number(c, config.mode) for c in coords]
+                    for name, coords in zip(_RULE_TABLES, vectors)},
             } for (x, y), vectors in zip(explicit_pairs, kept)]
         if catalogue:
             entry["chain"] = chain_stats

@@ -19,7 +19,7 @@ one integer table, reads it at integer numerators over one denominator and
 adds the noise atoms' numerators.  A model never sees a mode.  The direct
 method sums the table once per point (:meth:`FuncModel.orbit`), and
 residual tables expand a noise-free model's table in (a, b) at the
-arguments (a u + b v) / den of a pair (:meth:`FuncModel.moments`).  Every
+arguments (a u + b v) / den of each pair (:meth:`FuncModel.moments`).  Every
 value is immutable and evaluation is pure, so it is thread-safe.
 """
 
@@ -29,6 +29,8 @@ import math
 import random
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import compress
+from operator import mul, truediv
 from typing import Callable, Sequence, Union
 
 from . import noise as noise_mod
@@ -156,9 +158,13 @@ def coords_norm(coords: Sequence, norm_kind: str) -> float:
         return max(abs(float(c)) for c in coords)
     if len(coords) == 1:
         return abs(float(coords[0]))
-    floats = [float(c) for c in coords]
+    return _euclidean([float(c) for c in coords])
+
+
+def _euclidean(floats: list[float]) -> float:
+    """The Euclidean norm of floats: sqrt of the exactly summed squares."""
     try:
-        squares = math.fsum(c * c for c in floats)
+        squares = math.fsum(map(mul, floats, floats))
     except OverflowError:  # a partial sum of the squares overflows
         squares = math.inf
     if 2.0 ** -510 <= squares < math.inf:
@@ -169,6 +175,39 @@ def coords_norm(coords: Sequence, norm_kind: str) -> float:
     if total == math.inf:
         raise OverflowError("norm is beyond the float range")
     return total
+
+
+def max_ratio_norm(columns: Sequence[Sequence[int]], dens: Sequence[int],
+                   norm_kind: str) -> tuple[float, int]:
+    """(largest norm, nonzero count) over the vectors p with coordinates
+    columns[j][p] / dens[p], dens positive: each norm is
+    :func:`coords_norm` of those coordinates, bit for bit, as each
+    n / den rounds as ``float(Fraction(n, den))`` does.
+
+    Rounding is monotone and symmetric, so one coordinate or the max norm
+    divides the largest |n| alone, and a Euclidean norm is the square
+    root of the largest sum of squares while every nonzero vector's sum
+    is in the range where :func:`coords_norm` takes that root; otherwise
+    each vector is normed alone."""
+    if norm_kind == MAX or len(columns) == 1:
+        largest = list(map(max, *[map(abs, column) for column in columns])
+                       if len(columns) > 1 else map(abs, columns[0]))
+        return (max(map(truediv, largest, dens), default=0.0),
+                len(largest) - largest.count(0))
+    nonzero = list(map(any, zip(*columns)))
+    floats = [list(map(truediv, column, dens)) for column in columns]
+    try:
+        squares = list(compress(map(math.fsum, zip(*[
+            map(mul, column, column) for column in floats])), nonzero))
+    except OverflowError:  # a partial sum of the squares overflows
+        squares = [math.inf]
+    if 2.0 ** -510 <= min(squares, default=1.0) \
+            and max(squares, default=0.0) < math.inf:
+        largest = math.sqrt(max(squares, default=0.0))
+    else:
+        largest = max(map(_euclidean, compress(map(list, zip(*floats)),
+                                               nonzero)), default=0.0)
+    return largest, sum(nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -374,49 +413,55 @@ class FuncModel(_Value):
             if any(column)), partial(noise_mod.orbit, self._noise, u, den,
                                      self.dim_out, odd)
 
-    def moments(self, u, v, den: int) -> tuple[list[list[int]], int]:
-        """The folded table at (a u + b v) / den, expanded in (a, b).
+    def moments(self, pairs) -> tuple[list[list[tuple[int, ...]]], list[int]]:
+        """The folded table at (a u + b v) / den for each (u, v, den) of
+        ``pairs``, at least one, expanded in (a, b).
 
-        Returns (columns, denominator): columns[j][n] is the integer
-        A_{r,q} of output j at ``moment_keys[n]`` = (r, q), so that for
-        every integer a and b the table's part of output j is
-        sum a^q b^(r-q) A_{r,q} over the denominator.  Each term is the
-        product of its three slots, a u_i + b v_i per coordinate and den
-        or 1 per pad.  The noise atoms are not in the table, so residual
-        tables read a model with noise whole, argument by argument.
+        Returns (columns, denominators): columns[j][n] holds, pair by pair,
+        the integer A_{r,q} of output j at ``moment_keys[n]`` = (r, q), so
+        that for every integer a and b the table's part of output j at a
+        pair is sum a^q b^(r-q) A_{r,q} over that pair's denominator.  Each
+        term is the product of its three slots, a u_i + b v_i per
+        coordinate and den or 1 per pad.  The noise atoms are not in the
+        table, so residual tables read a model with noise whole, argument
+        by argument.
         """
         d = self.dim_in
-        if len(u) != d or len(v) != d:
-            raise DimensionMismatchError(
-                f"got {len(u)} and {len(v)} coordinates, model domain is {d}")
         table, table_den, top = self._folded
-        scaled = [(r * (r + 1) // 2 + q, den ** (top - r))
-                  for r, q in self.moment_keys]
-        columns = []
-        for parts in table:
-            # A_{r,q} at index r (r + 1) / 2 + q
-            acc = [0] * 10
-            for terms in parts:
-                for c, (i, j, k) in terms:
+        # A_{r,q} at index r (r + 1) / 2 + q, times den^(top - r)
+        slots = [(r * (r + 1) // 2 + q, top - r) for r, q in self.moment_keys]
+        values, dens = [], []
+        for u, v, den in pairs:
+            if len(u) != d or len(v) != d:
+                raise DimensionMismatchError(
+                    f"got {len(u)} and {len(v)} coordinates, model domain "
+                    f"is {d}")
+            for linear, quadratic, cubic in table:
+                b1 = a1 = 0  # per degree, the coefficient of each a^q b^(r-q)
+                for c, (i, _, _) in linear:
+                    b1 += c * v[i]
+                    a1 += c * u[i]
+                bb = ab = aa = 0
+                for c, (i, j, _) in quadratic:
                     ui, vi = c * u[i], c * v[i]
-                    if j >= d:
-                        acc[1] += vi
-                        acc[2] += ui
-                        continue
+                    bb += vi * v[j]
+                    ab += ui * v[j] + vi * u[j]
+                    aa += ui * u[j]
+                bbb = abb = aab = aaa = 0
+                for c, (i, j, k) in cubic:
+                    ui, vi = c * u[i], c * v[i]
                     uu, vv = ui * u[j], vi * v[j]
                     uv = ui * v[j] + vi * u[j]
-                    if k >= d:
-                        acc[3] += vv
-                        acc[4] += uv
-                        acc[5] += uu
-                        continue
                     uk, vk = u[k], v[k]
-                    acc[6] += vv * vk
-                    acc[7] += vv * uk + uv * vk
-                    acc[8] += uv * uk + uu * vk
-                    acc[9] += uu * uk
-            columns.append([acc[n] * scale for n, scale in scaled])
-        return columns, table_den * den ** top
+                    bbb += vv * vk
+                    abb += vv * uk + uv * vk
+                    aab += uv * uk + uu * vk
+                    aaa += uu * uk
+                acc = (0, b1, a1, bb, ab, aa, bbb, abb, aab, aaa)
+                values.append([acc[n] * den ** t for n, t in slots])
+            dens.append(table_den * den ** top)
+        m = self.dim_out
+        return [list(zip(*values[j::m])) for j in range(m)], dens
 
     def __call__(self, x: Point) -> Point:
         if x.dim != self.dim_in:

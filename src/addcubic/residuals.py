@@ -20,25 +20,30 @@ replayable as exact identities.
 Every residual is a table of terms c * f(a x + b y).  For a polynomial
 model, f(a u + b v) = sum a^q b^(r-q) A_{r,q}(u, v) over degrees r <= 3,
 so a table's sum is sum M_{r,q} A_{r,q} with the table's integer moments
-M_{r,q} = sum c a^q b^(r-q).  :class:`TermTables` holds the moments of
-its tables and reads a model's folded table once per pair (x, y), as its
-expansion A_{r,q} (:meth:`~addcubic.models.FuncModel.moments`); a model
-without noise atoms is never evaluated at a point.  A model with noise
-atoms, or a plain callable, is evaluated whole once at each distinct
-argument of the tables: the three rules share 8 arguments, and with the
-21 chain identities the union is 19.
+M_{r,q} = sum c a^q b^(r-q).  :class:`TermTables` sums only the tables
+asked for, over a list of pairs (x, y) at once: it reads a model's
+folded table once per pair, as its expansion A_{r,q}
+(:meth:`~addcubic.models.FuncModel.moments`), and multiplies the
+expansions by the integer matrix of those tables' moments; a model
+without noise atoms is never evaluated at a point, and one with no table
+to sum is not expanded.  A model with noise atoms, or a plain callable,
+is evaluated whole once per pair at each distinct argument of the
+tables: the three rules share 8 arguments, and with the 21 chain
+identities the union is 19.
 Every sum is exact: the pair is numerators over one denominator, and each
-sum an integer dot product over one denominator, so no float cancellation
-can pass for a zero.  A vector a caller asks for holds ``Fraction``s built
-from those sums; a float report rounds each once when it prints.
+sum an integer combination over one denominator, so no float
+cancellation can pass for a zero.  A vector a caller asks for holds
+``Fraction``s built from those sums; a float report rounds each once when
+it prints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
-from typing import Callable, Mapping, NamedTuple, Sequence
+from itertools import repeat
+from operator import add, mul
+from typing import Callable, NamedTuple, Sequence
 
 from .models import DimensionMismatchError, FuncModel, Point, evaluate, norm
 from .scalars import integer_ratio, over_lcm
@@ -94,26 +99,39 @@ class ResidualVector(NamedTuple):
         return self.value.is_zero
 
 
-def _integer_row(terms: tuple[Term, ...],
-                 index: Mapping[tuple[int, int], int]
-                 ) -> tuple[tuple[tuple[int, int], ...], int]:
-    """(integer coefficient, argument index) rows and their denominator."""
-    nums, den = integer_ratio([c for c, _, _ in terms])
-    return tuple(zip(nums, (index[a, b] for _, a, b in terms))), den
+def _pair(x: Point, y: Point) -> tuple[list[int], list[int], int]:
+    """(u, v, L) with x = u / L and y = v / L, L their least common
+    denominator."""
+    if x.dim != y.dim:
+        raise DimensionMismatchError(f"x has dimension {x.dim}, y has {y.dim}")
+    ints, den = integer_ratio(x.coords + y.coords)
+    return ints[:x.dim], ints[x.dim:], den
+
+
+def _combination(row, column, size: int) -> list[int]:
+    """sum k * column[n] over the nonzero entries k = row[n], elementwise
+    over ``size`` pairs."""
+    total = None
+    for n, k in enumerate(row):
+        if k:
+            term = map(mul, column[n], repeat(k))
+            total = term if total is None else map(add, total, term)
+    return [0] * size if total is None else list(total)
 
 
 class TermTables:
     """Term tables sharing one list of distinct lattice arguments (a, b).
 
     Each table is a sum of c * f(a x + b y), with integer coefficients k
-    over one table denominator.  A noise-free :class:`FuncModel` enters
-    through its expansion in (a, b) (:meth:`FuncModel.moments`): the
-    table's sum is then M . A with the table's integer moments
-    M_{r,q} = sum k a^q b^(r-q), computed once per set of model degrees.
-    A model with noise atoms, or a plain callable, is evaluated once at
-    each distinct argument of the pair and summed by integer dot products.
-    :meth:`integer_sums` returns the exact sums; :meth:`residuals` builds
-    one ``Fraction`` per output coordinate.
+    over one denominator shared by all the tables.  :meth:`sums` sums only
+    the tables it is asked for, over a list of pairs at once.  A
+    noise-free :class:`FuncModel` enters through its expansion in (a, b)
+    (:meth:`FuncModel.moments`): the tables' sums are then one integer
+    matrix, the tables' moments M_{r,q} = sum k a^q b^(r-q), computed once
+    per set of model degrees, times the expansion's columns.  A model
+    with noise atoms, or a plain callable, is evaluated once per pair at
+    each distinct argument and summed by integer dot products.  :meth:`live` names the tables that can sum to nonzero;
+    :meth:`residuals` builds one ``Fraction`` per output coordinate.
     """
 
     def __init__(self, tables: Sequence[tuple[Term, ...]]):
@@ -122,64 +140,82 @@ class TermTables:
             for _, a, b in terms:
                 index.setdefault((a, b), len(index))
         self.arguments: tuple[tuple[int, int], ...] = tuple(index)
-        self._integer_rows = tuple(_integer_row(terms, index)
-                                   for terms in tables)
+        # Per table, the integer coefficient of f at each argument.
+        nums, self._den = integer_ratio([c for terms in tables
+                                         for c, _, _ in terms])
+        numbers = iter(nums)
+        rows = [[0] * len(index) for _ in tables]
+        for row, terms in zip(rows, tables):
+            for _, a, b in terms:
+                row[index[a, b]] += next(numbers)
+        self._rows = tuple(map(tuple, rows))
         self._moments: dict[tuple, tuple] = {}
 
     def _moment_rows(self, keys: tuple[tuple[int, int], ...]) -> tuple:
-        """Each table's moments M_{r,q} at ``keys`` = ((r, q), ...), with
-        the table denominator; () when they all vanish."""
+        """Each table's integer moments M_{r,q} at ``keys`` = ((r, q), ...),
+        over the tables' one denominator."""
         rows = self._moments.get(keys)
         if rows is None:
-            args = self.arguments
-            rows = []
-            for row, den in self._integer_rows:
-                moments = tuple(sum(k * args[i][0] ** q * args[i][1] ** (r - q)
-                                    for k, i in row) for r, q in keys)
-                rows.append((moments if any(moments) else (), den))
-            rows = self._moments[keys] = tuple(rows)
+            powers = list(zip(*[[a ** q * b ** (r - q) for r, q in keys]
+                                for a, b in self.arguments]))
+            rows = self._moments[keys] = tuple(
+                tuple([sum(map(mul, row, column)) for column in powers])
+                for row in self._rows)
         return rows
 
     def live(self, f) -> tuple[int, ...]:
         """Indexes of the tables that can sum to nonzero at some pair."""
         if isinstance(f, FuncModel) and not f.has_noise:
-            return tuple(i for i, (row, _) in enumerate(
-                self._moment_rows(f.moment_keys)) if row)
-        return tuple(range(len(self._integer_rows)))
+            return tuple(i for i, row in enumerate(
+                self._moment_rows(f.moment_keys)) if any(row))
+        return tuple(range(len(self._rows)))
 
-    def integer_sums(self, f: Callable[[Point], Point], x: Point,
-                     y: Point) -> list[tuple[list[int], int]]:
-        """Each table's exact sum at (x, y), as (integer numerators,
-        denominator), unreduced, in table order."""
-        if x.dim != y.dim:
-            raise DimensionMismatchError(
-                f"x has dimension {x.dim}, y has {y.dim}")
-        ints, den = integer_ratio(x.coords + y.coords)
-        u, v = tuple(ints[:x.dim]), tuple(ints[x.dim:])
+    def sums(self, f: Callable[[Point], Point], indexes: Sequence[int] = None
+             ) -> Callable[[Sequence[tuple[Point, Point]]],
+                           tuple[list[list[list[int]]], list[int]]]:
+        """The exact sums of the tables at ``indexes`` (default: all), as a
+        function of a nonempty list of pairs (x, y): (sums, dens), where
+        sums[t][j] lists, pair by pair, the integer numerator of output j
+        of table ``indexes[t]``, over that pair's denominator in ``dens``,
+        unreduced."""
+        if indexes is None:
+            indexes = range(len(self._rows))
+        den = self._den
         if isinstance(f, FuncModel) and not f.has_noise:
-            columns, out_den = f.moments(u, v, den)
-            return [([sum(map(mul, row, column)) for column in columns]
-                     if row else [0] * f.dim_out, out_den * table_den)
-                    for row, table_den in self._moment_rows(f.moment_keys)]
-        values = [evaluate(f, [a * ui + b * vi for ui, vi in zip(u, v)],
-                           x.norm_kind, den)
-                  for a, b in self.arguments]
-        common, rows = over_lcm(values)
-        columns = list(zip(*rows))
-        return [([sum(k * column[i] for k, i in row) for column in columns],
-                 common * table_den)
-                for row, table_den in self._integer_rows]
+            moments, rows = f.moments, self._moment_rows(f.moment_keys)
+            matrix = [rows[i] for i in indexes]
+
+            def at(pairs):
+                columns, dens = moments([_pair(x, y) for x, y in pairs])
+                sums = [[_combination(row, column, len(dens))
+                         for column in columns] for row in matrix]
+                return sums, [den * d for d in dens]
+            return at
+
+        rows, arguments = [self._rows[i] for i in indexes], self.arguments
+
+        def at(pairs):
+            sums, dens = [], []
+            for x, y in pairs:
+                u, v, pair_den = _pair(x, y)
+                common, values = over_lcm([evaluate(
+                    f, [a * ui + b * vi for ui, vi in zip(u, v)],
+                    x.norm_kind, pair_den) for a, b in arguments])
+                columns = list(zip(*values))
+                sums.append([[sum(map(mul, row, column))
+                              for column in columns] for row in rows])
+                dens.append(common * den)
+            # per table and output, the numerators pair by pair
+            return [list(zip(*table)) for table in zip(*sums)], dens
+        return at
 
     def residuals(self, f: Callable[[Point], Point], x: Point,
                   y: Point) -> list[ResidualVector]:
         """Every table's sum at (x, y), in table order."""
-        return residual_vectors(self.integer_sums(f, x, y), x)
-
-
-def residual_vectors(totals, x: Point) -> list[ResidualVector]:
-    """:meth:`TermTables.integer_sums` as vectors of ``Fraction``s."""
-    return [ResidualVector(Point(tuple([Fraction(n, den) for n in nums]),
-                                 x.norm_kind)) for nums, den in totals]
+        sums, (den,) = self.sums(f)([(x, y)])
+        return [ResidualVector(Point(tuple([Fraction(n, den)
+                                            for n, in table]), x.norm_kind))
+                for table in sums]
 
 
 @lru_cache(maxsize=64)

@@ -234,12 +234,39 @@ def test_exact_check_lemmas_builds_points_only_for_explicit_pairs(
         ExperimentConfig.from_json_dict(random_only, "check-lemmas"),
         tmp_path).ok
     assert inside == [0, 0]
-    # The one explicit pair's 3 rule and 21 chain residuals are reported.
+    # The one explicit pair's 3 rule residuals are reported, as Fractions
+    # of the tally's integer sums: no point is built for them either.
     inside.clear()
-    assert run_check_lemmas(
+    result = run_check_lemmas(
         ExperimentConfig.from_json_dict(lemma_config(), "check-lemmas"),
+        tmp_path)
+    assert result.ok and inside == [0, 0]
+    for entry in result.report["models"]:
+        pair, = entry["explicit_pairs"]
+        assert sorted(pair["residuals"]) == ["additive", "cubic", "mixed"]
+
+
+def test_a_model_with_no_live_table_is_never_expanded(tmp_path, monkeypatch):
+    expanded = []
+    moments = FuncModel.moments
+
+    def counted(self, pairs):
+        expanded.append(len(pairs))
+        return moments(self, pairs)
+
+    monkeypatch.setattr(FuncModel, "moments", counted)
+    zero = {"label": "zero", "dim_in": 1, "dim_out": 1, "atoms": [
+        {"kind": "cubic", "dims": [1, 1], "terms": [[[[0, 0, 0], "0"]]]}]}
+    random_only = lemma_config(models=[zero],
+                               samples={"random": {"count": 25, "seed": 5}})
+    assert run_check_lemmas(
+        ExperimentConfig.from_json_dict(random_only, "check-lemmas"),
         tmp_path).ok
-    assert inside == [24, 24]
+    assert expanded == []
+    # An explicit pair keeps the rule tables: all 26 pairs, in one read.
+    assert run_check_lemmas(ExperimentConfig.from_json_dict(
+        lemma_config(models=[zero]), "check-lemmas"), tmp_path).ok
+    assert expanded == [26]
 
 
 def test_check_lemmas_draws_pairs_once_per_dimension(monkeypatch):
@@ -972,7 +999,8 @@ def test_bound_beyond_the_float_range_prints_inf_or_exits_2(tmp_path,
         {"phi": HUGE_PHI, "x": ["10"]}]})
     item, = doc["items"]
     assert code == 0
-    assert item["partial_sum"] == item["upper"] == "inf"
+    # An overflowed enclosure has no exact tail: it prints "inf" too.
+    assert item["partial_sum"] == item["tail_bound"] == item["upper"] == "inf"
     # A recovered point within an infinite bound would hold vacuously.
     code, doc = _run_cli(tmp_path / "recover", "recover", {
         **HUGE_RECOVER_DOC, "samples": {"points": [["10"]]}})
@@ -983,6 +1011,18 @@ def test_bound_beyond_the_float_range_prints_inf_or_exits_2(tmp_path,
         p=["1000001/1000000"], theta=["1e308"], epsilon=[0]))
     assert code == 2 and doc is None
     assert "beyond the float range" in capsys.readouterr().err
+
+
+def test_a_non_finite_report_value_names_itself_and_exits_2(tmp_path,
+                                                            capsys):
+    # Every config value fits a float; the closed form at x = 10 does not.
+    code, doc = _run_cli(tmp_path / "bounds", "bounds", {"consistency": {
+        "theta": "1e308", "p": [2], "x": ["10"]}})
+    assert code == 2 and doc is None
+    err = capsys.readouterr().err
+    assert "a computed report value is too large for float arithmetic" in err
+    assert "out.json: consistency[0].closed: " in err
+    assert "a config value" not in err
 
 
 def test_write_json_refuses_a_non_finite_float(tmp_path):

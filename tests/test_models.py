@@ -18,7 +18,8 @@ from addcubic import (BoundedNoise, Constant, ControlFunction,
 from addcubic.config import (ConfigError, atom_to_json, model_from_json,
                              model_to_json, phi_from_json, phi_to_json)
 from addcubic.direct_method import OrbitTable, recover
-from addcubic.models import NORM_KINDS, Point, coords_norm, orbit
+from addcubic.models import (NORM_KINDS, Point, coords_norm, max_ratio_norm,
+                             orbit)
 from addcubic.scalars import integer_ratio
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
@@ -76,6 +77,37 @@ def test_euclidean_norm_past_the_range_of_the_squares():
     assert coords_norm([3, 4], "euclidean") == 5.0
     with pytest.raises(OverflowError):
         coords_norm([1.5e308, 1.5e308], "euclidean")
+
+
+# Numerators and denominators whose ratios reach past both ends of the
+# range where the squares of a Euclidean norm are exact enough.
+wide_ints = st.one_of(
+    st.integers(-50, 50), st.integers(-10 ** 320, 10 ** 320),
+    st.sampled_from((0, 0, 10 ** 160, -(10 ** 170), 3 ** 700)))
+wide_dens = st.one_of(st.integers(1, 50), st.sampled_from(
+    (10 ** 170, 10 ** 300, 2 ** 1100, 7 ** 400)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(NORM_KINDS))
+def test_max_ratio_norm_is_the_largest_coords_norm(data, norm_kind):
+    m = data.draw(st.integers(1, 3), label="dim_out")
+    dens = data.draw(st.lists(wide_dens, min_size=1, max_size=5), label="dens")
+    columns = [data.draw(st.lists(wide_ints, min_size=len(dens),
+                                  max_size=len(dens)), label="column")
+               for _ in range(m)]
+    vectors = [[Fraction(n, den) for n in nums]
+               for nums, den in zip(zip(*columns), dens)]
+    nonzero = [vector for vector in vectors if any(vector)]
+    try:
+        expected = (max((coords_norm(vector, norm_kind) for vector in nonzero),
+                        default=0.0), len(nonzero))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            max_ratio_norm(columns, dens, norm_kind)
+        return
+    largest, count = max_ratio_norm(columns, dens, norm_kind)
+    assert (largest.hex(), count) == (expected[0].hex(), expected[1])
 
 
 def test_euclidean_norm_below_the_range_of_the_squares():
@@ -621,9 +653,10 @@ def test_moments_expand_the_table_at_every_lattice_argument(data):
     ints = st.lists(st.integers(-40, 40), min_size=d, max_size=d)
     u, v = data.draw(ints, label="u"), data.draw(ints, label="v")
     den = data.draw(st.integers(1, 24), label="den")
-    columns, out_den = f.moments(u, v, den)
+    columns, (out_den,) = f.moments([(u, v, den)])
     assert len(columns) == m
     assert all(len(column) == len(f.moment_keys) <= 10 for column in columns)
+    columns = [[value for value, in column] for column in columns]
     for a in range(-3, 4):
         for b in range(-3, 4):
             w = [Fraction(a * ui + b * vi, den) for ui, vi in zip(u, v)]

@@ -263,9 +263,9 @@ def test_term_tables_match_term_by_term_oracle(data, kinds, plain):
 sparse = st.sampled_from((0, 0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 4)))
 
 
-def _sparse_spec(data, kind, d, m):
+def _sparse_spec(data, kind, d, m, values=sparse):
     """A noise-free atom as an ``oracles.atom_sum`` spec (kind, data)."""
-    draw = lambda: data.draw(sparse)  # noqa: E731
+    draw = lambda: data.draw(values)  # noqa: E731
     if kind == "linear":
         return kind, [[draw() for _ in range(d)] for _ in range(m)]
     if kind == "even":
@@ -299,8 +299,9 @@ def test_only_live_tables_can_sum_to_nonzero(data, kinds):
     live = tables.live(f)
     at = lambda c: oracles.atom_sum(specs, c, m)  # noqa: E731
 
-    sums = tables.integer_sums(f, x, y)
-    for index, (terms, (nums, den)) in enumerate(zip(ALL_TABLES, sums)):
+    sums, (den,) = tables.sums(f)([(x, y)])
+    for index, (terms, columns) in enumerate(zip(ALL_TABLES, sums)):
+        nums = [n for n, in columns]
         expected = list(oracles.lattice_sum(at, x.coords, y.coords, terms))
         assert [Fraction(n, den) for n in nums] == expected
         if index not in live:
@@ -311,6 +312,38 @@ def test_only_live_tables_can_sum_to_nonzero(data, kinds):
     noisy = FuncModel(d, m, f.atoms + (BoundedNoise(3, Fraction(1, 1000)),))
     assert tables.live(noisy) == every
     assert tables.live(lambda p: f(p)) == every
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.lists(st.sampled_from(("linear", "cubic", "even")),
+                           min_size=1, max_size=3),
+       st.sampled_from(("euclidean", "max")), st.booleans())
+def test_tally_matches_the_term_by_term_oracle(data, kinds, norm_kind, zero):
+    # Noise-free models read through their moments; with ``zero`` every
+    # coefficient is 0, so no table is live.
+    d = data.draw(st.integers(1, 3), label="dim_in")
+    m = data.draw(st.integers(1, 3), label="dim_out")
+    values = st.just(0) if zero else sparse
+    specs = [_sparse_spec(data, kind, d, m, values) for kind in kinds]
+    f = FuncModel(d, m, tuple(_spec_atom(*spec, d, m) for spec in specs))
+    coords = st.lists(rationals, min_size=d, max_size=d)
+    pairs = [(point(data.draw(coords), norm_kind=norm_kind),
+              point(data.draw(coords), norm_kind=norm_kind))
+             for _ in range(data.draw(st.integers(1, 4), label="pairs"))]
+    keep = data.draw(st.integers(0, len(pairs)), label="keep")
+    rows = [{"max_abs": 0.0, "nonzero_count": 0} for _ in ALL_TABLES]
+    kept = _tally_pairs(f, pairs, TermTables(ALL_TABLES), rows, keep=keep)
+
+    at = lambda c: oracles.atom_sum(specs, c, m)  # noqa: E731
+    for terms, row in zip(ALL_TABLES, rows):
+        sums = [oracles.lattice_sum(at, x.coords, y.coords, terms)
+                for x, y in pairs]
+        nonzero = [vector for vector in sums if any(vector)]
+        assert row == {"max_abs": max((oracles._norm(vector, norm_kind)
+                                       for vector in nonzero), default=0.0),
+                       "nonzero_count": len(nonzero)}
+    assert kept == [[list(oracles.lattice_sum(at, x.coords, y.coords, terms))
+                     for terms in RULES] for x, y in pairs[:keep]]
 
 
 def test_each_argument_is_evaluated_once_per_pair():
@@ -386,10 +419,7 @@ def test_plain_callable_values_take_the_lcm_branch():
     (u, v), den = integer_ratio(x.coords + y.coords)
     assert len({evaluate(g, (a * u + b * v,), "euclidean", den)[1]
                 for a, b in tables.arguments}) > 1
-    assert [[Fraction(n, den) for n in nums]
-            for nums, den in tables.integer_sums(g, x, y)] \
-        == [[Fraction(n, den) for n in nums]
-            for nums, den in tables.integer_sums(f, x, y)]
+    assert tables.residuals(g, x, y) == tables.residuals(f, x, y)
     assert _exact_rows(g, x, y, tables) == _exact_rows(f, x, y, tables)
 
 
